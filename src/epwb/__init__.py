@@ -27,11 +27,10 @@ from .ode import (
     STEP_FAILURE,
     IntegrationSettings,
     ODESystem,
-    SolutionCurve,
     Trajectory,
-    as_curve,
     integrate,
     residual,
+    worst_residual,
     write_csv,
 )
 from .oscillator import (
@@ -88,7 +87,6 @@ from .reduction import (
     AbelResult,
     CanonicalChart,
     TransformedOrbit,
-    abel_reduce,
     abel_residual,
     autonomous_residual,
     autonomy_fit,

@@ -27,7 +27,7 @@ import json
 import numpy as np
 
 from .expressions import time_function
-from .ode import integrate
+from .ode import integrate, worst_residual
 from .oscillator import basis_with_ics
 from .pinney import EPConfig, ep_residual, ep_system, pinney_solution
 from .reduction import abel_residual, autonomous_residual, canonical_chart, transform_trajectory
@@ -95,12 +95,12 @@ def _bracket_entry() -> dict:
     samples = [(t, x) for t in np.linspace(0.2, 2.8, 7) for x in (0.5, 1.0, 2.0)]
 
     def distance(candidate, scale):
-        worst = 0.0
+        gaps = []
         for t, x in samples:
             bt, bx = b23.components(t, x)
             ct, cx = candidate.components(t, x)
-            worst = max(worst, abs(bt - scale * ct), abs(bx - scale * cx))
-        return worst
+            gaps += (bt - scale * ct, bx - scale * cx)
+        return worst_residual(gaps)
 
     res_a = distance(g3, -2.0)
     res_b = distance(g1, -2.0)

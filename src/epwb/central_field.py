@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expressions import DomainError, TimeFunction
-from .ode import IntegrationSettings, ODESystem, Trajectory, integrate
+from .ode import IntegrationSettings, ODESystem, Trajectory, integrate, worst_residual
 from .pinney import drift
 
 
@@ -93,8 +93,7 @@ def angular_momentum_check(
     """Relative drift of L(t) - int k dt along a polar trajectory."""
     quad = k_integral(cfg, (traj.t0, traj.t_end), settings)
     grid = traj.grid(n)
-    values = [traj.sample(t)[3] - quad.sample(t)[0] for t in grid]
-    return drift(values)
+    return drift(traj.sample(grid)[:, 3] - quad.sample(grid)[:, 0])
 
 
 def radial_ep_residual(
@@ -111,15 +110,15 @@ def radial_ep_residual(
     """
     quad = k_integral(cfg, (traj.t0, traj.t_end), settings)
     ell0 = traj.states[0][3]
-    worst = 0.0
-    for t in traj.grid(n):
-        r = traj.sample(t)[0]
-        if r <= settings.x_min:
-            raise DomainError(f"radius {r!r} too close to the axis at t={t!r}")
-        rddot = traj.derivative(t)[1]
-        g = (ell0 + quad.sample(t)[0]) ** 2
-        worst = max(worst, abs(rddot + cfg.phi(t) * r - g / r**3))
-    return worst
+    ts = traj.grid(n)
+    r = traj.sample(ts)[:, 0]
+    close = r <= settings.x_min
+    if close.any():
+        i = int(np.argmax(close))
+        raise DomainError(f"radius {float(r[i])!r} too close to the axis at t={float(ts[i])!r}")
+    rddot = traj.derivative(ts)[:, 1]
+    g = (ell0 + quad.sample(ts)[:, 0]) ** 2
+    return worst_residual(rddot + cfg.phi.jet(ts, 0)[0] * r - g / r**3)
 
 
 def cartesian_system(cfg: CentralFieldConfig, settings: IntegrationSettings) -> ODESystem:
@@ -183,9 +182,6 @@ def chart_qualified(
     the angular momentum and the forcing keep one common sign.
     """
     quad = k_integral(cfg, (traj.t0, traj.t_end), settings)
-    ell0 = traj.states[0][3]
-    for t in traj.grid(n):
-        ell = ell0 + quad.sample(t)[0]
-        if 2.0 * ell * cfg.k(t) <= 0.0:
-            return False
-    return True
+    ts = traj.grid(n)
+    ell = traj.states[0][3] + quad.sample(ts)[:, 0]
+    return bool(np.all(2.0 * ell * cfg.k.jet(ts, 0)[0] > 0.0))

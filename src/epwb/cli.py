@@ -19,8 +19,11 @@ paths are resolved relative to the scenario file.  Exit codes: 0 all checks
 passed, 2 a residual exceeded its threshold (or a run failed mid-flight),
 1 configuration or parse errors.  The default residual threshold is 1e-6;
 the EPWB_TOL environment variable overrides the default, an explicit
-"threshold" key in the scenario overrides both.  Outputs carry no
-timestamps and use fixed float formatting, so reruns are byte-identical.
+"threshold" key in the scenario overrides both.  Every number in a
+scenario must be finite, and counts ("samples", "n") must be integers at
+or above their minimum; anything else is a configuration error (exit 1),
+never a vacuous pass.  Outputs carry no timestamps and use fixed float
+formatting, so reruns are byte-identical.
 """
 
 from __future__ import annotations
@@ -98,22 +101,36 @@ def _require(sc: dict, key: str):
     return sc[key]
 
 
+def _finite(key: str, value) -> float:
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ScenarioError(f"{key!r} must be a number, got {value!r}")
+    try:
+        value = float(value)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ScenarioError(f"{key!r} must be finite, got {value!r}")
+    return value
+
+
 def _number(sc: dict, key: str, default=None) -> float:
     value = sc.get(key, default)
     if value is None:
         raise ScenarioError(f"scenario is missing required key {key!r}")
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ScenarioError(f"{key!r} must be a number, got {value!r}")
-    return float(value)
+    return _finite(key, value)
+
+
+def _count(sc: dict, key: str, default: int, minimum: int) -> int:
+    value = sc.get(key, default)
+    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
+        raise ScenarioError(f"{key!r} must be an integer >= {minimum}, got {value!r}")
+    return value
 
 
 def _interval(sc: dict) -> tuple[float, float]:
-    raw = _require(sc, "interval")
-    if not isinstance(raw, (list, tuple)) or len(raw) != 2:
-        raise ScenarioError(f"'interval' must be [t0, t1], got {raw!r}")
-    t0, t1 = float(raw[0]), float(raw[1])
+    t0, t1 = _pair(sc, "interval")
     if not (t0 < t1):
-        raise ScenarioError(f"'interval' must satisfy t0 < t1, got {raw!r}")
+        raise ScenarioError(f"'interval' must satisfy t0 < t1, got {[t0, t1]!r}")
     return t0, t1
 
 
@@ -125,9 +142,12 @@ def _settings(sc: dict) -> IntegrationSettings:
     unknown = set(raw) - allowed
     if unknown:
         raise ScenarioError(f"unknown settings keys {sorted(unknown)!r}")
+    checked = {
+        k: _count(raw, k, 1, 1) if k == "max_steps" else _finite(k, v) for k, v in raw.items()
+    }
     try:
-        return IntegrationSettings(**raw)
-    except (TypeError, ValueError) as exc:
+        return IntegrationSettings(**checked)
+    except ValueError as exc:
         raise ScenarioError(f"bad settings: {exc}")
 
 
@@ -150,7 +170,7 @@ def _pair(sc: dict, key: str, default=None) -> tuple[float, float]:
         raise ScenarioError(f"scenario is missing required key {key!r}")
     if not isinstance(raw, (list, tuple)) or len(raw) != 2:
         raise ScenarioError(f"{key!r} must be a pair of numbers, got {raw!r}")
-    return float(raw[0]), float(raw[1])
+    return _finite(key, raw[0]), _finite(key, raw[1])
 
 
 def _outputs(sc: dict) -> dict:
@@ -168,7 +188,7 @@ def _out_path(base_dir: str, rel: str) -> str:
 
 def _write_report(path: str, payload: dict) -> None:
     with open(path, "w") as fh:
-        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        fh.write(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def _write_dat(path: str, names, rows) -> None:
@@ -229,9 +249,7 @@ def _run_simulate(sc: dict, base_dir: str) -> int:
 def _invariant_series(sc: dict, interval, settings):
     name = _require(sc, "invariant")
     phi = _tf(sc, "phi")
-    n = int(sc.get("samples", 200))
-    if n < 2:
-        raise ScenarioError("'samples' must be at least 2")
+    n = _count(sc, "samples", 200, 2)
 
     if name == "ermakov":
         h2 = _number(sc, "h2", 1.0)
@@ -310,7 +328,7 @@ def _run_verify_symmetry(sc: dict, base_dir: str) -> int:
         interval,
         x_range=_pair(sc, "x_range", (0.5, 2.0)),
         v_range=_pair(sc, "v_range", (-1.0, 1.0)),
-        n=int(sc.get("n", 5)),
+        n=_count(sc, "n", 5, 1),
     )
     res = symmetry_residual(sym, ode, samples)
     report = {
@@ -336,7 +354,7 @@ def _run_reduce(sc: dict, base_dir: str) -> int:
     if traj.status != COMPLETED:
         sys.stderr.write(f"epwb: integration stopped: {traj.status} ({traj.message})\n")
         return 2
-    orbit = transform_trajectory(chart, traj, n=int(sc.get("n", 400)))
+    orbit = transform_trajectory(chart, traj, n=_count(sc, "n", 400, 2))
     res = autonomous_residual(orbit, fam)
     abel = abel_residual(orbit, fam)
     report = {
@@ -376,7 +394,7 @@ def _run_eliezer_grey(sc: dict, base_dir: str) -> int:
             thetadot=_number(raw, "thetadot"),
         )
     elif isinstance(raw, (list, tuple)) and len(raw) == 4:
-        init = PolarState(*map(float, raw))
+        init = PolarState(*(_finite("initial", v) for v in raw))
     else:
         raise ScenarioError(f"'initial' must be [r, rdot, theta, thetadot] or an object, got {raw!r}")
     if init.r <= 0.0:
@@ -449,7 +467,10 @@ def _cmd_run(path: str) -> int:
     except json.JSONDecodeError as exc:
         sys.stderr.write(f"epwb: scenario is not valid JSON: {exc}\n")
         return 1
-    base_dir = os.path.dirname(os.path.abspath(path))
+    return _guarded_dispatch(scenario, os.path.dirname(os.path.abspath(path)))
+
+
+def _guarded_dispatch(scenario, base_dir: str) -> int:
     try:
         return _dispatch(scenario, base_dir)
     except ExprSyntaxError as exc:
@@ -464,17 +485,6 @@ def _cmd_run(path: str) -> int:
     except OSError as exc:
         sys.stderr.write(f"epwb: cannot write output: {exc}\n")
         return 1
-
-
-def _cmd_audit(out: str | None) -> int:
-    report = audit_all()
-    text = ledger_json(report)
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w") as fh:
-            fh.write(text)
-    return 0 if report["all_resolved"] else 2
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -502,11 +512,8 @@ def main(argv=None) -> int:
         sys.stdout.write(GRAMMAR_HELP)
         return 0
     if args.command == "audit-all":
-        try:
-            return _cmd_audit(args.out)
-        except OSError as exc:
-            sys.stderr.write(f"epwb: cannot write ledger: {exc}\n")
-            return 1
+        outputs = {} if args.out is None else {"ledger": args.out}
+        return _guarded_dispatch({"kind": "audit-all", "outputs": outputs}, os.getcwd())
     return _cmd_run(args.scenario)
 
 

@@ -31,6 +31,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt")
 
 
@@ -230,7 +232,7 @@ def _pow_value(a: float, b: float) -> float:
 
 @dataclass(frozen=True, slots=True)
 class CurveVal(Expr):
-    """Leaf wrapping a numeric curve c(t); evaluates c's derivative of ``order``.
+    """Leaf wrapping a curve c(t) with ``jet(ts, k)``; evaluates c's derivative of ``order``.
 
     Lets symmetry coefficient fields be built over computed solutions (basis
     trajectories) while keeping structural differentiation exact.  Not part of
@@ -242,7 +244,7 @@ class CurveVal(Expr):
     label: str = "curve"
 
     def eval(self, env):
-        return self.curve.eval(env["t"], self.order)
+        return float(self.curve.jet([env["t"]], self.order)[self.order, 0])
 
     def diff(self, var):
         if var == "t":
@@ -439,6 +441,8 @@ def _tokenize(text: str):
                 value = float(lit)
             except ValueError:
                 raise ExprSyntaxError(f"bad number literal {lit!r}", _byte_offset(text, i))
+            if not math.isfinite(value):
+                raise ExprSyntaxError(f"number literal {lit!r} overflows", _byte_offset(text, i))
             tokens.append(("num", value, i))
             i = j
             continue
@@ -572,7 +576,7 @@ class TimeFunction:
     """Scalar function of t with exact derivative expressions.
 
     Orders 0..3 are built once at construction; higher orders extend lazily
-    (internal plumbing for high-order curve recursions).  ``eval`` checks the
+    (internal plumbing for high-order jets).  ``eval`` checks the
     declared domain interval and surfaces DomainError from subexpressions.
     """
 
@@ -600,6 +604,11 @@ class TimeFunction:
 
     def __call__(self, t: float) -> float:
         return self.eval(t, 0)
+
+    def jet(self, ts, k: int) -> np.ndarray:
+        """Rows 0..k hold eval(t, j) over the grid ``ts``: shape (k+1, len(ts))."""
+        ts = np.asarray(ts, dtype=float).tolist()
+        return np.array([[self.eval(t, j) for t in ts] for j in range(k + 1)])
 
     def scaled(self, factor: float) -> "TimeFunction":
         return TimeFunction(mul(Const(float(factor)), self.expr), self.domain)

@@ -12,12 +12,18 @@ right-hand side that produced them, and carry a termination status:
     "step-failure"  step size underflow or step budget exhausted; the
                     trajectory holds everything up to the last good node
 
+Trajectories sample whole grids at once, and every curve in the workbench
+(trajectory, time function, basis solution, quadratic form, square root)
+is evaluated through one method, ``jet(ts, k)``: an array of shape
+(k+1, len(ts)) whose row j is the j-th derivative on the grid.
+
 Residual checking follows one rule everywhere in the workbench: the
 trajectory's own slope at a time t is the producing right-hand side
 evaluated at the interpolated state (never a re-differentiated
 interpolant), and the residual of a candidate system is the largest
 mismatch between that slope and the candidate's right-hand side over a
-grid.
+grid.  Every residual is reduced by ``worst_residual``, which refuses an
+empty grid and a non-finite value.
 """
 
 from __future__ import annotations
@@ -97,7 +103,8 @@ class Trajectory:
     def __init__(self, times, states, dense, steps, rhs, status, message=""):
         self.times = np.asarray(times, dtype=float)
         self.states = np.asarray(states, dtype=float)
-        self._dense = dense  # list of (dim, 4) arrays, one per step
+        # interpolant coefficients, one (dim, 4) block per accepted step
+        self._dense = np.asarray(dense, dtype=float).reshape(-1, self.dim, 4)
         self._steps = np.asarray(steps, dtype=float)
         self.rhs = rhs
         self.status = status
@@ -115,70 +122,70 @@ class Trajectory:
     def dim(self) -> int:
         return self.states.shape[1]
 
-    def sample(self, t: float) -> np.ndarray:
-        """State at time t. Node times reproduce the stored state exactly."""
+    def sample(self, t) -> np.ndarray:
+        """State at t: shape (dim,) for a scalar t, (n, dim) for n times.
+
+        Node times reproduce the stored state exactly; a time outside the
+        trajectory's range raises DomainError.
+        """
+        ts = np.asarray(t, dtype=float).reshape(-1)
         times = self.times
-        if not (times[0] <= t <= times[-1]):
+        outside = ~((times[0] <= ts) & (ts <= times[-1]))
+        if outside.any():
+            bad = float(ts[outside][0])
             raise DomainError(
-                f"t={t!r} outside trajectory range [{times[0]!r}, {times[-1]!r}]"
+                f"t={bad!r} outside trajectory range [{times[0]!r}, {times[-1]!r}]"
             )
-        idx = int(np.searchsorted(times, t, side="right")) - 1
-        if idx >= len(self._dense):
-            idx = len(self._dense) - 1
-        if times[idx] == t:
-            return self.states[idx].copy()
-        if idx + 1 < len(times) and times[idx + 1] == t:
-            return self.states[idx + 1].copy()
-        h = self._steps[idx]
-        th = (t - times[idx]) / h
-        p = np.array([th, th * th, th**3, th**4])
-        return self.states[idx] + h * (self._dense[idx] @ p)
+        k = np.searchsorted(times, ts, side="right") - 1  # times[k] <= t
+        out = self.states[k]
+        inner = times[k] != ts  # then t < times[-1], so step k exists
+        if inner.any():
+            i = k[inner]
+            h = self._steps[i]
+            th = (ts[inner] - times[i]) / h
+            p = np.stack([th, th * th, th**3, th**4], axis=-1)
+            out[inner] += h[:, None] * np.einsum("ndk,nk->nd", self._dense[i], p)
+        return out[0] if np.ndim(t) == 0 else out
 
-    def sample_many(self, ts: Sequence[float]) -> np.ndarray:
-        return np.array([self.sample(t) for t in ts])
+    def derivative(self, t) -> np.ndarray:
+        """Producing rhs at the interpolated state; shaped like sample(t)."""
+        ts = np.asarray(t, dtype=float).reshape(-1)
+        ys = self.sample(ts)
+        slopes = np.asarray([self.rhs(s, y) for s, y in zip(ts, ys)], dtype=float).reshape(ys.shape)
+        return slopes[0] if np.ndim(t) == 0 else slopes
 
-    def derivative(self, t: float) -> np.ndarray:
-        """Slope of the trajectory: producing rhs at the interpolated state."""
-        return np.asarray(self.rhs(t, self.sample(t)), dtype=float)
+    def jet(self, ts, k: int) -> np.ndarray:
+        """Derivatives 0..k of a derivative-chain state on the grid ``ts``.
+
+        For a state (x, x', ..., x^(dim-1)) row j < dim is state column j and
+        row dim is the last component of the producing right-hand side, so
+        k may be at most dim.  Returns shape (k+1, len(ts)).
+        """
+        if not 0 <= k <= self.dim:
+            raise ValueError(f"derivative order {k} unavailable from this trajectory")
+        rows = self.sample(ts).T
+        if k == self.dim:
+            rows = np.vstack([rows, self.derivative(ts)[:, -1]])
+        return rows[: k + 1]
 
     def grid(self, n: int = 200) -> np.ndarray:
         return np.linspace(self.t0, self.t_end, n)
 
-    def curve(self, chain: tuple[int, ...] = (0, 1)) -> "SolutionCurve":
-        return SolutionCurve(self, chain)
 
+def worst_residual(values) -> float:
+    """Largest |value|: the one reduction behind every residual verdict.
 
-class SolutionCurve:
-    """Derivative-chain view of trajectory components.
-
-    ``chain`` lists state indices holding successive derivatives of one
-    scalar quantity; the next derivative past the chain comes from the
-    producing right-hand side. For a second-order system in state (x, x')
-    the default chain (0, 1) yields orders 0..2.
+    Raises ValueError when there is nothing to reduce and DomainError when
+    a value is NaN or infinite, so no verdict rests on zero samples or on a
+    non-finite number.
     """
-
-    def __init__(self, traj: Trajectory, chain: tuple[int, ...] = (0, 1), label: str = "x"):
-        self.traj = traj
-        self.chain = chain
-        self.label = label
-
-    def eval(self, t: float, order: int = 0) -> float:
-        if order < 0:
-            raise ValueError("order must be >= 0")
-        if order < len(self.chain):
-            return float(self.traj.sample(t)[self.chain[order]])
-        if order == len(self.chain):
-            return float(self.traj.derivative(t)[self.chain[-1]])
-        raise ValueError(f"derivative order {order} unavailable from this trajectory")
-
-
-def as_curve(obj):
-    """Accept a Trajectory or any object with eval(t, order)."""
-    if isinstance(obj, Trajectory):
-        return obj.curve()
-    if hasattr(obj, "eval"):
-        return obj
-    raise TypeError(f"cannot view {type(obj).__name__} as a curve")
+    mags = np.abs(np.asarray(values, dtype=float))
+    if mags.size == 0:
+        raise ValueError("empty residual grid")
+    worst = float(np.max(mags))
+    if not math.isfinite(worst):
+        raise DomainError(f"non-finite residual ({worst!r})")
+    return worst
 
 
 def _initial_step(rhs, t0, y0, f0, t1, rtol, atol):
@@ -329,14 +336,9 @@ def residual(sys: ODESystem, tr: Trajectory, grid: Sequence[float]) -> float:
     the honest defect size otherwise.
     """
     grid = np.asarray(grid, dtype=float)
-    if grid.size == 0:
-        raise ValueError("empty residual grid")
-    worst = 0.0
-    for t in grid:
-        y = tr.sample(t)
-        d = tr.derivative(t) - np.asarray(sys.rhs(t, y), dtype=float)
-        worst = max(worst, float(np.max(np.abs(d))))
-    return worst
+    ys = tr.sample(grid)
+    candidate = np.asarray([sys.rhs(t, y) for t, y in zip(grid, ys)], dtype=float)
+    return worst_residual(tr.derivative(grid) - candidate.reshape(ys.shape))
 
 
 def write_csv(tr: Trajectory, path, names: Sequence[str] = ("x", "xdot")) -> None:

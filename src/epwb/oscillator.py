@@ -3,7 +3,10 @@
 A basis is a pair of independent solutions (u, v) with constant Wronskian
 W = u v' - u' v.  Because the equation supplies every higher derivative
 (z'' = -Phi z), curves defined over a basis expose exact derivatives of any
-order by recursion, even though u and v themselves are numeric.
+order through ``jet(ts, k)``, even though u and v themselves are numeric:
+the Leibniz rule z^(m+2) = -sum_j C(m,j) Phi^(j) z^(m-j) extends the
+sampled rows (z, z') one order at a time, and products of jets follow the
+product rule.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expressions import DomainError, TimeFunction
+from .expressions import TimeFunction
 from .ode import IntegrationSettings, ODESystem, Trajectory, integrate
 
 
@@ -77,13 +80,24 @@ def wronskian(basis: OscillatorBasis, t: float) -> float:
     return float(u[0] * v[1] - u[1] * v[0])
 
 
-class BasisCurve:
-    """One basis solution as a curve with derivatives of every order.
+def _component_jet(traj: Trajectory, phi, ts: np.ndarray, k: int) -> np.ndarray:
+    """Jet of one basis solution: sampled (z, z'), then z'' = -Phi z by Leibniz."""
+    z = np.empty((k + 1, ts.size))
+    z[:2] = traj.jet(ts, 1)[: k + 1]
+    for m in range(k - 1):
+        z[m + 2] = -sum(math.comb(m, j) * phi[j] * z[m - j] for j in range(m + 1))
+    return z
 
-    Orders 0 and 1 come from the stored trajectory; order k >= 2 applies
-    z^(k) = -(d/dt)^(k-2) [Phi z] via the Leibniz rule, which only ever
-    needs lower-order values and Phi derivatives.
-    """
+
+def _product_jet(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Jet of a*b by the product rule (a, b jets of equal order)."""
+    return np.array(
+        [sum(math.comb(o, j) * a[j] * b[o - j] for j in range(o + 1)) for o in range(len(a))]
+    )
+
+
+class BasisCurve:
+    """One basis solution as a curve with derivatives of every order."""
 
     def __init__(self, basis: OscillatorBasis, component: str):
         if component not in ("u", "v"):
@@ -92,16 +106,10 @@ class BasisCurve:
         self.label = component
         self._traj = basis.u if component == "u" else basis.v
 
-    def eval(self, t: float, order: int = 0) -> float:
-        if order < 0:
-            raise ValueError("order must be >= 0")
-        if order <= 1:
-            return float(self._traj.sample(t)[order])
-        m = order - 2
-        total = 0.0
-        for j in range(m + 1):
-            total += math.comb(m, j) * self.basis.phi.eval(t, j) * self.eval(t, m - j)
-        return -total
+    def jet(self, ts, k: int) -> np.ndarray:
+        ts = np.asarray(ts, dtype=float)
+        phi = self.basis.phi.jet(ts, k - 2) if k >= 2 else None
+        return _component_jet(self._traj, phi, ts, k)
 
 
 class QuadraticFormCurve:
@@ -110,18 +118,15 @@ class QuadraticFormCurve:
     def __init__(self, basis: OscillatorBasis, A: float, B: float, C: float):
         self.basis = basis
         self.A, self.B, self.C = float(A), float(B), float(C)
-        self._u = basis.curve("u")
-        self._v = basis.curve("v")
         self.label = "w"
 
-    def eval(self, t: float, order: int = 0) -> float:
-        u, v = self._u, self._v
-
-        def prod(a, b):
-            # Leibniz d^order (a*b)
-            return sum(
-                math.comb(order, j) * a.eval(t, j) * b.eval(t, order - j)
-                for j in range(order + 1)
-            )
-
-        return self.A * prod(u, u) + 2.0 * self.B * prod(u, v) + self.C * prod(v, v)
+    def jet(self, ts, k: int) -> np.ndarray:
+        ts = np.asarray(ts, dtype=float)
+        phi = self.basis.phi.jet(ts, k - 2) if k >= 2 else None  # shared by u and v
+        u = _component_jet(self.basis.u, phi, ts, k)
+        v = _component_jet(self.basis.v, phi, ts, k)
+        return (
+            self.A * _product_jet(u, u)
+            + 2.0 * self.B * _product_jet(u, v)
+            + self.C * _product_jet(v, v)
+        )

@@ -11,6 +11,9 @@ The W exponent is forced by the Gram identity
 = (AC - B^2) W^2; a scaled basis (W = 2) discriminates it from the
 linear-in-W reading (see the audit module).
 
+Curves are evaluated by ``jet(ts, k)`` (derivatives 0..k on a grid); x = sqrt(w)
+has x^(o) = (w^(o) - sum_{j=1}^{o-1} C(o,j) x^(j) x^(o-j)) / (2x) at every order.
+
 Also here: the Ermakov invariant pairing a nonlinear solution with a linear
 one, the Lewis invariant for the h = 1 normalization, and the elementary
 adiabatic ratio E/omega with its drift audit.
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expressions import DomainError, TimeFunction
-from .ode import IntegrationSettings, ODESystem, as_curve
+from .ode import IntegrationSettings, ODESystem, worst_residual
 from .oscillator import DegenerateBasisError, OscillatorBasis, QuadraticFormCurve
 
 
@@ -53,28 +56,27 @@ def ep_system(cfg: EPConfig, settings: IntegrationSettings | None = None) -> ODE
 
 
 class SqrtCurve:
-    """x = sqrt(w) for a positive curve w, with derivatives to order 3."""
+    """x = sqrt(w) for a positive curve w, with derivatives of every order."""
 
     def __init__(self, base, label: str = "x"):
         self.base = base
         self.label = label
 
-    def eval(self, t: float, order: int = 0) -> float:
-        w = self.base.eval(t, 0)
-        if w <= 0.0:
-            raise DomainError(f"sqrt of non-positive curve value {w!r} at t={t!r}")
-        x = math.sqrt(w)
-        if order == 0:
-            return x
-        x1 = self.base.eval(t, 1) / (2.0 * x)
-        if order == 1:
-            return x1
-        x2 = (self.base.eval(t, 2) - 2.0 * x1 * x1) / (2.0 * x)
-        if order == 2:
-            return x2
-        if order == 3:
-            return (self.base.eval(t, 3) - 6.0 * x1 * x2) / (2.0 * x)
-        raise ValueError(f"derivative order {order} unavailable")
+    def jet(self, ts, k: int) -> np.ndarray:
+        ts = np.asarray(ts, dtype=float)
+        w = self.base.jet(ts, k)
+        bad = w[0] <= 0.0
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise DomainError(
+                f"sqrt of non-positive curve value {float(w[0, i])!r} at t={float(ts[i])!r}"
+            )
+        x = np.empty_like(w)
+        x[0] = np.sqrt(w[0])
+        for o in range(1, k + 1):
+            cross = sum(math.comb(o, j) * x[j] * x[o - j] for j in range(1, o))
+            x[o] = (w[o] - cross) / (2.0 * x[0])
+        return x
 
 
 def pinney_solution(
@@ -100,29 +102,27 @@ def pinney_solution(
 
 def ep_residual(cfg: EPConfig, x, grid, x_min: float = 1e-6) -> float:
     """max |x'' + phi x - g/x^3| over the grid for a curve or trajectory."""
-    curve = as_curve(x)
     grid = np.asarray(grid, dtype=float)
-    if grid.size == 0:
-        raise ValueError("empty residual grid")
-    worst = 0.0
-    for t in grid:
-        xx = curve.eval(t, 0)
-        if xx < x_min:
-            raise DomainError(f"x={xx!r} below guard threshold {x_min!r} at t={t!r}")
-        r = curve.eval(t, 2) + cfg.phi.eval(t) * xx - cfg.g.eval(t) / xx**3
-        worst = max(worst, abs(r))
-    return worst
+    xx, _, xdd = x.jet(grid, 2)
+    low = xx < x_min
+    if low.any():
+        i = int(np.argmax(low))
+        raise DomainError(
+            f"x={float(xx[i])!r} below guard threshold {x_min!r} at t={float(grid[i])!r}"
+        )
+    phi = cfg.phi.jet(grid, 0)[0]
+    g = cfg.g.jet(grid, 0)[0]
+    return worst_residual(xdd + phi * xx - g / xx**3)
 
 
 def ermakov_invariant(x, y, h2: float, t: float) -> float:
     """I = ((x'y - x y')^2 + h^2 (y/x)^2) / 2 for x nonlinear, y linear."""
-    cx, cy = as_curve(x), as_curve(y)
-    xv, xd = cx.eval(t, 0), cx.eval(t, 1)
-    yv, yd = cy.eval(t, 0), cy.eval(t, 1)
+    xv, xd = x.jet([t], 1)[:, 0]
+    yv, yd = y.jet([t], 1)[:, 0]
     if xv == 0.0:
         raise DomainError(f"x(t)=0 at t={t!r}")
     cross = xd * yv - xv * yd
-    return 0.5 * (cross * cross + h2 * (yv / xv) ** 2)
+    return float(0.5 * (cross * cross + h2 * (yv / xv) ** 2))
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .expressions import DomainError
-from .ode import Trajectory
+from .ode import Trajectory, worst_residual
 from .symmetry import CompatibleFamily, PointSymmetry
 
 FORCING_CONSTANT = 16.0
@@ -162,17 +162,11 @@ def transform_trajectory(
     if traj.dim != 2:
         raise ValueError("expected a 2-component (x, xdot) trajectory")
     ts = np.asarray(grid, dtype=float) if grid is not None else traj.grid(n)
-    big_t = np.empty_like(ts)
-    big_x = np.empty_like(ts)
-    big_v = np.empty_like(ts)
-    big_a = np.empty_like(ts)
-    for i, t in enumerate(ts):
-        x, xdot = traj.sample(t)
-        xddot = traj.derivative(t)[1]
-        big_t[i] = chart.time(t)
-        big_x[i] = chart.position(t, x)
-        big_v[i] = chart.velocity(t, x, xdot)
-        big_a[i] = chart.acceleration(t, x, xdot, xddot)
+    x, xdot, xddot = traj.jet(ts, 2)
+    big_t = np.array([chart.time(t) for t in ts])
+    big_x = np.array([chart.position(*p) for p in zip(ts, x)])
+    big_v = np.array([chart.velocity(*p) for p in zip(ts, x, xdot)])
+    big_a = np.array([chart.acceleration(*p) for p in zip(ts, x, xdot, xddot)])
     return TransformedOrbit(t=ts, T=big_t, X=big_x, V=big_v, A=big_a)
 
 
@@ -227,26 +221,17 @@ def abel_residual(
     16/u^3) for the discriminator audit.
     """
     omega = _omega_of(fam_or_omega)
-    worst = 0.0
-    used = 0
-    skipped = 0
-    for i in range(len(orbit.T)):
-        u, v, a = orbit.X[i], orbit.V[i], orbit.A[i]
-        if abs(v) < v_min:
-            skipped += 1
-            continue
-        if u <= 1e-6:
-            raise DomainError("phase variable u approaches 0")
-        dv_du = a / v
-        if literal:
-            r = v * dv_du + 2.0 * v + omega - FORCING_CONSTANT / u
-        else:
-            r = v * dv_du + 2.0 * v + omega * u - FORCING_CONSTANT / u**3
-        worst = max(worst, abs(r))
-        used += 1
+    keep = ~(np.abs(orbit.V) < v_min)
+    used = int(np.count_nonzero(keep))
     if used == 0:
         raise ValueError("every sample sits at a turning point; nothing to check")
-    return AbelResult(residual=float(worst), samples_used=used, samples_skipped=skipped)
-
-
-abel_reduce = abel_residual
+    u, v, a = orbit.X[keep], orbit.V[keep], orbit.A[keep]
+    if np.any(u <= 1e-6):
+        raise DomainError("phase variable u approaches 0")
+    dv_du = a / v
+    if literal:
+        r = v * dv_du + 2.0 * v + omega - FORCING_CONSTANT / u
+    else:
+        r = v * dv_du + 2.0 * v + omega * u - FORCING_CONSTANT / u**3
+    skipped = len(orbit.V) - used
+    return AbelResult(residual=worst_residual(r), samples_used=used, samples_skipped=skipped)

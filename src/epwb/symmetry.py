@@ -39,6 +39,7 @@ from .expressions import (
     sin,
     var,
 )
+from .ode import worst_residual
 from .oscillator import DegenerateBasisError, OscillatorBasis
 
 _X = var("x")
@@ -123,7 +124,7 @@ def default_samples(
 
 def symmetry_residual(sym: PointSymmetry, ode: SecondOrderODE, samples) -> float:
     """Worst on-shell violation of the linearized symmetry condition."""
-    worst = 0.0
+    residuals = []
     for t, x, v in samples:
         env = {"t": t, "x": x, "v": v}
         w = ode.w.eval(env)
@@ -151,9 +152,8 @@ def symmetry_residual(sym: PointSymmetry, ode: SecondOrderODE, samples) -> float
             - v**3 * tau_xx
             + w * (xi_x - 2.0 * tau_t - 3.0 * v * tau_x)
         )
-        r = xi2 - (tau * w_t + xi * w_x + xi1 * w_v)
-        worst = max(worst, abs(r))
-    return worst
+        residuals.append(xi2 - (tau * w_t + xi * w_x + xi1 * w_v))
+    return worst_residual(residuals)
 
 
 def lie_bracket(s1: PointSymmetry, s2: PointSymmetry) -> PointSymmetry:
@@ -194,7 +194,7 @@ def structure_constants(basis: list[PointSymmetry], samples) -> tuple[np.ndarray
             f"symmetries not pointwise independent on samples (singular values {svals})"
         )
     c = np.zeros((3, 3, 3))
-    worst = 0.0
+    misfits = []
     for i in range(3):
         for j in range(i + 1, 3):
             br = lie_bracket(basis[i], basis[j])
@@ -206,8 +206,8 @@ def structure_constants(basis: list[PointSymmetry], samples) -> tuple[np.ndarray
             coeff, *_ = np.linalg.lstsq(mat, rhs, rcond=None)
             c[i, j] = coeff
             c[j, i] = -coeff
-            worst = max(worst, float(np.max(np.abs(mat @ coeff - rhs))))
-    return c, worst
+            misfits.append(mat @ coeff - rhs)
+    return c, worst_residual(np.concatenate(misfits))
 
 
 def killing_form(c: np.ndarray) -> np.ndarray:

@@ -8,6 +8,10 @@ factor-2 residual; see the audit module).  It carries the first integral
 
 constant on solutions, and the substitution w = rho^2 sends solutions with
 I = 2 h^2 to solutions of rho'' + (a/2) rho = h^2 / rho^3.
+
+A solution w may be any curve with ``jet(ts, k)``: a product solution, a
+time function, or a trajectory of the third-order system in state
+(w, w', w''), whose order-3 row comes from the producing right-hand side.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expressions import DomainError, TimeFunction
-from .ode import IntegrationSettings, ODESystem, Trajectory, as_curve, integrate
+from .ode import IntegrationSettings, ODESystem, Trajectory, integrate, worst_residual
 from .oscillator import OscillatorBasis, QuadraticFormCurve
 from .pinney import SqrtCurve
 
@@ -51,11 +55,8 @@ def integrate_third_order(
 
 def first_integral(cfg: ThirdOrderConfig, w, t: float) -> float:
     """I = w w'' - w'^2/2 + a w^2 evaluated on a curve or trajectory."""
-    curve = w.curve((0, 1, 2)) if isinstance(w, Trajectory) else as_curve(w)
-    w0 = curve.eval(t, 0)
-    w1 = curve.eval(t, 1)
-    w2 = curve.eval(t, 2)
-    return w0 * w2 - 0.5 * w1 * w1 + cfg.a.eval(t) * w0 * w0
+    w0, w1, w2 = w.jet([t], 2)[:, 0]
+    return float(w0 * w2 - 0.5 * w1 * w1 + cfg.a.eval(t) * w0 * w0)
 
 
 def product_solution(basis: OscillatorBasis, A: float, B: float, C: float) -> QuadraticFormCurve:
@@ -65,19 +66,10 @@ def product_solution(basis: OscillatorBasis, A: float, B: float, C: float) -> Qu
 
 def third_order_residual(cfg: ThirdOrderConfig, w, grid) -> float:
     """max |w''' + 2a w' + a' w| over the grid."""
-    curve = w.curve((0, 1, 2)) if isinstance(w, Trajectory) else as_curve(w)
     grid = np.asarray(grid, dtype=float)
-    if grid.size == 0:
-        raise ValueError("empty residual grid")
-    worst = 0.0
-    for t in grid:
-        r = (
-            curve.eval(t, 3)
-            + 2.0 * cfg.a.eval(t) * curve.eval(t, 1)
-            + cfg.a.eval(t, 1) * curve.eval(t, 0)
-        )
-        worst = max(worst, abs(r))
-    return worst
+    w0, w1, _, w3 = w.jet(grid, 3)
+    a0, a1 = cfg.a.jet(grid, 1)
+    return worst_residual(w3 + 2.0 * a0 * w1 + a1 * w0)
 
 
 def rho_substitution(cfg: ThirdOrderConfig, w, grid) -> tuple[SqrtCurve, float]:
@@ -86,19 +78,17 @@ def rho_substitution(cfg: ThirdOrderConfig, w, grid) -> tuple[SqrtCurve, float]:
     h^2 is read off as first_integral/2 at the left end of the grid.  Raises
     if w is not positive on the grid.
     """
-    curve = w.curve((0, 1, 2)) if isinstance(w, Trajectory) else as_curve(w)
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise ValueError("empty grid")
     h2 = 0.5 * first_integral(cfg, w, float(grid[0]))
-    rho = SqrtCurve(curve, label="rho")
-    worst = 0.0
-    for t in grid:
-        r0 = rho.eval(t, 0)  # raises DomainError when w <= 0
-        if r0 < 1e-6:
-            # rho'' carries a 1/(2 rho) factor, so a vanishing w makes the
-            # residual pure rounding noise; same floor as the EP guard
-            raise DomainError(f"w vanishes at t={t!r} (rho={r0!r})")
-        r = rho.eval(t, 2) + 0.5 * cfg.a.eval(t) * r0 - h2 / r0**3
-        worst = max(worst, abs(r))
-    return rho, worst
+    rho = SqrtCurve(w, label="rho")
+    r0, _, r2 = rho.jet(grid, 2)  # raises DomainError when w <= 0
+    small = r0 < 1e-6
+    if small.any():
+        # rho'' carries a 1/(2 rho) factor, so a vanishing w makes the
+        # residual pure rounding noise; same floor as the EP guard
+        i = int(np.argmax(small))
+        raise DomainError(f"w vanishes at t={float(grid[i])!r} (rho={float(r0[i])!r})")
+    a = cfg.a.jet(grid, 0)[0]
+    return rho, worst_residual(r2 + 0.5 * a * r0 - h2 / r0**3)

@@ -325,6 +325,45 @@ class TestErrors:
         path = write_scenario(tmp_path, simulate_scenario(interval=[5.0, 0.0]))
         assert run_cli(["run", str(path)]) == 1
 
+    @pytest.mark.parametrize(
+        "scenario",
+        [
+            {
+                "kind": "verify-symmetry",
+                "g": "(1+t)^4",
+                "c0": 1.0,
+                "m": 1.0,
+                "interval": [0.0, 3.0],
+                "n": 0,
+            },
+            {
+                "kind": "verify-symmetry",
+                "g": "(1+t)^4",
+                "c0": 1.0,
+                "m": 1.0,
+                "interval": [0.0, 3.0],
+                "threshold": 1e400,
+            },
+            simulate_scenario(interval=[0.0, 1e400]),
+            {
+                "kind": "verify-invariant",
+                "invariant": "lorentz",
+                "phi": "4",
+                "initial": [1.0, 0.0],
+                "interval": [0.0, 10.0],
+                "samples": 2.9,
+            },
+            simulate_scenario(settings={"max_steps": 2.5}),
+            simulate_scenario(settings={"rtol": 1e400}),
+        ],
+        ids=["zero-samples", "infinite-threshold", "infinite-interval", "fractional-count",
+             "fractional-max-steps", "infinite-rtol"],
+    )
+    def test_vacuous_or_non_finite_input_is_a_configuration_error(self, tmp_path, scenario):
+        path = write_scenario(tmp_path, scenario)
+        assert run_cli(["run", str(path)]) == 1
+        assert not (tmp_path / "report.json").exists()
+
     def test_expression_error_reports_offset(self, tmp_path, capsys):
         path = write_scenario(tmp_path, simulate_scenario(phi="sin("))
         assert run_cli(["run", str(path)]) == 1

@@ -91,6 +91,12 @@ class TestParseErrors:
             parse_expression("   ")
         assert exc.value.offset == 0
 
+    @pytest.mark.parametrize("text, offset", [("sin(1e400)", 4), ("t+1.5e999", 2)])
+    def test_non_finite_literal_reports_offset(self, text, offset):
+        with pytest.raises(ExprSyntaxError) as exc:
+            parse_expression(text)
+        assert exc.value.offset == offset
+
     def test_dangling_close_paren(self):
         with pytest.raises(ExprSyntaxError):
             parse_expression("(1+2))")

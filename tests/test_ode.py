@@ -87,10 +87,10 @@ class TestSample:
         with pytest.raises(DomainError):
             tr.sample(tr.t_end + 1.0)
 
-    def test_sample_many_matches_sample(self):
+    def test_array_sample_matches_scalar_sample(self):
         tr = integrate(oscillator(), (1.0, 0.0), (0.0, 3.0))
         ts = grid(0.0, 3.0, 7)
-        stacked = tr.sample_many(ts)
+        stacked = tr.sample(ts)
         for i, t in enumerate(ts):
             assert np.array_equal(stacked[i], tr.sample(t))
 
@@ -116,6 +116,12 @@ class TestResidual:
         tr = integrate(sys, (1.0, 0.0), (0.0, 1.0))
         with pytest.raises(ValueError):
             residual(sys, tr, [])
+
+    def test_nan_is_never_swallowed(self):
+        tr = integrate(oscillator(), (1.0, 0.0), (0.0, 1.0))
+        nan_sys = ODESystem(dim=2, rhs=lambda t, y: np.array([math.nan, 0.0]))
+        with pytest.raises(DomainError):
+            residual(nan_sys, tr, grid(0.0, 1.0))
 
 
 class TestToleranceScaling:

@@ -75,9 +75,10 @@ class TestBasisCurve:
         # u = cos t, so u^(k)(t) cycles through -sin, -cos, sin, cos
         cu = basis_phi1.curve("u")
         t = 1.3
-        assert cu.eval(t, 2) == pytest.approx(-math.cos(t), abs=1e-8)
-        assert cu.eval(t, 3) == pytest.approx(math.sin(t), abs=1e-8)
-        assert cu.eval(t, 4) == pytest.approx(math.cos(t), abs=1e-8)
+        z = cu.jet([t], 4)[:, 0]
+        assert z[2] == pytest.approx(-math.cos(t), abs=1e-8)
+        assert z[3] == pytest.approx(math.sin(t), abs=1e-8)
+        assert z[4] == pytest.approx(math.cos(t), abs=1e-8)
 
     def test_recursion_with_varying_coefficient(self, phi_sin):
         # zddot = -(1 + 0.5 sin t) z, so order 3 = -(phi' z + phi z')
@@ -86,9 +87,9 @@ class TestBasisCurve:
         t = 2.1
         phi0 = phi_sin.eval(t)
         phi1 = phi_sin.eval(t, 1)
-        z0, z1 = cu.eval(t, 0), cu.eval(t, 1)
-        assert cu.eval(t, 2) == pytest.approx(-phi0 * z0, rel=1e-10)
-        assert cu.eval(t, 3) == pytest.approx(-(phi1 * z0 + phi0 * z1), rel=1e-9)
+        z0, z1, z2, z3 = cu.jet([t], 3)[:, 0]
+        assert z2 == pytest.approx(-phi0 * z0, rel=1e-10)
+        assert z3 == pytest.approx(-(phi1 * z0 + phi0 * z1), rel=1e-9)
 
 
 class TestQuadraticFormCurve:
@@ -96,17 +97,19 @@ class TestQuadraticFormCurve:
         # A=4, B=0, C=1 over (cos, sin): w = 4cos^2 + sin^2 = 2.5 + 1.5 cos 2t
         w = QuadraticFormCurve(basis_phi1, 4.0, 0.0, 1.0)
         for t in (0.3, 1.1, 2.9):
-            assert w.eval(t) == pytest.approx(2.5 + 1.5 * math.cos(2 * t), abs=1e-8)
-            assert w.eval(t, 1) == pytest.approx(-3.0 * math.sin(2 * t), abs=1e-8)
-            assert w.eval(t, 2) == pytest.approx(-6.0 * math.cos(2 * t), abs=1e-8)
-            assert w.eval(t, 3) == pytest.approx(12.0 * math.sin(2 * t), abs=1e-7)
+            w0, w1, w2, w3 = w.jet([t], 3)[:, 0]
+            assert w0 == pytest.approx(2.5 + 1.5 * math.cos(2 * t), abs=1e-8)
+            assert w1 == pytest.approx(-3.0 * math.sin(2 * t), abs=1e-8)
+            assert w2 == pytest.approx(-6.0 * math.cos(2 * t), abs=1e-8)
+            assert w3 == pytest.approx(12.0 * math.sin(2 * t), abs=1e-7)
 
     def test_cross_term(self, basis_phi1):
         # A=C=0, B=1/2: w = uv = cos t sin t = 0.5 sin 2t
         w = QuadraticFormCurve(basis_phi1, 0.0, 0.5, 0.0)
         for t in (0.4, 1.7):
-            assert w.eval(t) == pytest.approx(0.5 * math.sin(2 * t), abs=1e-8)
-            assert w.eval(t, 1) == pytest.approx(math.cos(2 * t), abs=1e-8)
+            w0, w1 = w.jet([t], 1)[:, 0]
+            assert w0 == pytest.approx(0.5 * math.sin(2 * t), abs=1e-8)
+            assert w1 == pytest.approx(math.cos(2 * t), abs=1e-8)
 
 
 class TestResidualInvariant:

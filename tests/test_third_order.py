@@ -83,13 +83,13 @@ class TestProductSolutions:
     def test_sum_of_squares_is_constant(self, cfg2, basis_half):
         w = product_solution(basis_half, 1.0, 0.0, 1.0)
         for t in grid(0.0, 10.0, 41):
-            assert w.eval(t) == pytest.approx(1.0, abs=1e-8)
+            assert w.jet([t], 0)[0, 0] == pytest.approx(1.0, abs=1e-8)
         assert third_order_residual(cfg2, w, grid(0.0, 10.0)) <= 1e-8
 
     def test_single_square(self, cfg2, basis_half):
         w = product_solution(basis_half, 1.0, 0.0, 0.0)
         for t in grid(0.0, 10.0, 41):
-            assert w.eval(t) == pytest.approx(math.cos(t) ** 2, abs=1e-8)
+            assert w.jet([t], 0)[0, 0] == pytest.approx(math.cos(t) ** 2, abs=1e-8)
         assert third_order_residual(cfg2, w, grid(0.0, 10.0)) <= 1e-8
 
     def test_random_combinations_with_varying_coefficient(self):
@@ -113,7 +113,7 @@ class TestProductSolutions:
         cols = []
         for A, B, C in ((1, 0, 0), (0, 0.5, 0), (0, 0, 1)):
             w = product_solution(basis_half, A, B, C)
-            cols.append([w.eval(t) for t in ts])
+            cols.append(w.jet(ts, 0)[0])
         m = np.array(cols)
         gram = m @ m.T
         assert np.linalg.matrix_rank(gram, tol=1e-8) == 3
@@ -122,7 +122,7 @@ class TestProductSolutions:
 class TestRhoSubstitution:
     def test_constant_branch(self, cfg2):
         rho, res = rho_substitution(cfg2, time_function("1"), grid(0.0, 10.0))
-        assert rho.eval(3.0) == 1.0
+        assert rho.jet([3.0], 0)[0, 0] == 1.0
         assert res <= 1e-12
 
     def test_elliptic_branch(self, cfg2, basis_half):
@@ -130,7 +130,7 @@ class TestRhoSubstitution:
         w = product_solution(basis_half, 4.0, 0.0, 1.0)
         assert first_integral(cfg2, w, 0.0) == pytest.approx(8.0, abs=1e-8)
         rho, res = rho_substitution(cfg2, w, grid(0.0, 10.0))
-        assert rho.eval(0.0) == pytest.approx(2.0, abs=1e-9)
+        assert rho.jet([0.0], 0)[0, 0] == pytest.approx(2.0, abs=1e-9)
         assert res <= 1e-7
 
     def test_zero_crossing_rejected(self, cfg2, basis_half):
