@@ -18,6 +18,7 @@ from .expressions import (
     UnknownIdentifierError,
     canonical,
     differentiate,
+    evaluate,
     parse_expression,
     time_function,
 )

@@ -92,15 +92,13 @@ def _product_base_entry() -> dict:
 def _bracket_entry() -> dict:
     g1, g2, g3 = autonomous_family(1.0)
     b23 = lie_bracket(g2, g3)
-    samples = [(t, x) for t in np.linspace(0.2, 2.8, 7) for x in (0.5, 1.0, 2.0)]
+    t = np.repeat(np.linspace(0.2, 2.8, 7), 3)
+    x = np.tile((0.5, 1.0, 2.0), 7)
+    bt, bx = b23.components(t, x)
 
     def distance(candidate, scale):
-        gaps = []
-        for t, x in samples:
-            bt, bx = b23.components(t, x)
-            ct, cx = candidate.components(t, x)
-            gaps += (bt - scale * ct, bx - scale * cx)
-        return worst_residual(gaps)
+        ct, cx = candidate.components(t, x)
+        return worst_residual(np.concatenate((bt - scale * ct, bx - scale * cx)))
 
     res_a = distance(g3, -2.0)
     res_b = distance(g1, -2.0)

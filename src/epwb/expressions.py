@@ -12,12 +12,24 @@ so precedence is pow > unary minus > mul/div > add/sub.  Recognized
 identifiers are the variable names passed to ``parse_expression`` (``t`` by
 default) and the functions sin, cos, exp, log, sqrt.  Everything evaluates
 in float64.  Evaluation at a point where a subexpression is undefined (log
-of a non-positive value, division by zero, fractional power of a
-non-positive base, overflow) raises DomainError instead of producing a
-silent NaN or inf.
+of a non-positive value, division by zero, sqrt of a negative value,
+fractional power of a non-positive base, zero to a negative power, sin or
+cos of a non-finite value, overflow) raises DomainError instead of
+producing a silent NaN or inf.
 
-``differentiate`` is purely structural.  Results are routed through
-light peephole constructors (constant folding, 0/1 identities) so repeated
+Trees are DAGs: one node may be the child of many.  ``evaluate(expr, env)``
+computes a tree on whole NumPy arrays, one array operation per distinct
+node, and keeps the DomainError contract as mask checks over the grid (an
+error at any point raises); it never returns NaN or inf.  Its ``memo``
+(keyed by node identity) can be shared across several trees evaluated on
+the same ``env``, so common subtrees are computed once.  ``Expr.eval`` is
+the scalar walk for single points, such as an integrator's right-hand
+side, where one array call would cost more than the walk.
+
+``differentiate`` is purely structural and memoised by node identity: a
+subtree shared by several parents is differentiated once and its
+derivative is shared in the result.  Results are routed through light
+peephole constructors (constant folding, 0/1 identities) so repeated
 differentiation stays tractable; folding can only shrink the set of points
 where evaluation raises, never change a defined value.
 
@@ -55,14 +67,19 @@ class UnknownIdentifierError(ExprSyntaxError):
 
 
 class Expr:
-    """Base node. Subclasses implement eval/diff/children."""
+    """Base node. Subclasses implement eval (one point), _on_grid (arrays) and _diff."""
 
     __slots__ = ()
 
     def eval(self, env) -> float:
         raise NotImplementedError
 
-    def diff(self, var: str) -> "Expr":
+    def _on_grid(self, env, ev) -> np.ndarray:
+        """Value over the arrays in ``env``; ``ev`` evaluates a child (memoised)."""
+        raise NotImplementedError
+
+    def _diff(self, var: str, d) -> "Expr":
+        """Derivative by ``var``; ``d`` differentiates a child (memoised)."""
         raise NotImplementedError
 
     def __str__(self) -> str:
@@ -100,6 +117,24 @@ class Expr:
         return neg(self)
 
 
+def _first(values, bad) -> float:
+    """The first of ``values`` where the mask ``bad`` holds (for error messages)."""
+    return float(np.broadcast_to(values, np.shape(bad))[bad].flat[0])
+
+
+def _bound(env, name: str):
+    try:
+        return env[name]
+    except KeyError:
+        raise DomainError(f"no value bound for variable {name!r}") from None
+
+
+def _finite_grid(values, what: str):
+    if not np.isfinite(values).all():
+        raise DomainError(f"non-finite value {_first(values, ~np.isfinite(values))!r} in {what}")
+    return values
+
+
 @dataclass(frozen=True, slots=True)
 class Const(Expr):
     value: float
@@ -107,7 +142,10 @@ class Const(Expr):
     def eval(self, env):
         return self.value
 
-    def diff(self, var):
+    def _on_grid(self, env, ev):
+        return _finite_grid(np.float64(self.value), "constant")
+
+    def _diff(self, var, d):
         return Const(0.0)
 
 
@@ -116,12 +154,12 @@ class Var(Expr):
     name: str
 
     def eval(self, env):
-        try:
-            return env[self.name]
-        except KeyError:
-            raise DomainError(f"no value bound for variable {self.name!r}") from None
+        return _bound(env, self.name)
 
-    def diff(self, var):
+    def _on_grid(self, env, ev):
+        return _finite_grid(_bound(env, self.name), f"variable {self.name!r}")
+
+    def _diff(self, var, d):
         return Const(1.0 if self.name == var else 0.0)
 
 
@@ -134,10 +172,10 @@ class Unary(Expr):
         v = self.arg.eval(env)
         if self.op == "neg":
             return -v
-        if self.op == "sin":
-            return math.sin(v)
-        if self.op == "cos":
-            return math.cos(v)
+        if self.op in ("sin", "cos"):
+            if not math.isfinite(v):
+                raise DomainError(f"{self.op} of non-finite value {v!r}")
+            return math.sin(v) if self.op == "sin" else math.cos(v)
         if self.op == "exp":
             try:
                 return math.exp(v)
@@ -153,8 +191,35 @@ class Unary(Expr):
             return math.sqrt(v)
         raise AssertionError(f"bad unary op {self.op!r}")
 
-    def diff(self, var):
-        u, du = self.arg, self.arg.diff(var)
+    def _on_grid(self, env, ev):
+        # every child value is finite, so sin and cos need no check
+        v = ev(self.arg)
+        op = self.op
+        if op == "neg":
+            return -v
+        if op == "sin":
+            return np.sin(v)
+        if op == "cos":
+            return np.cos(v)
+        if op == "exp":
+            r = np.exp(v)
+            if not np.isfinite(r).all():
+                raise DomainError(f"exp overflow at argument {_first(v, ~np.isfinite(r))!r}")
+            return r
+        if op == "log":
+            bad = v <= 0.0
+            if bad.any():
+                raise DomainError(f"log of non-positive value {_first(v, bad)!r}")
+            return np.log(v)
+        if op == "sqrt":
+            bad = v < 0.0
+            if bad.any():
+                raise DomainError(f"sqrt of negative value {_first(v, bad)!r}")
+            return np.sqrt(v)
+        raise AssertionError(f"bad unary op {op!r}")
+
+    def _diff(self, var, d):
+        u, du = self.arg, d(self.arg)
         if self.op == "neg":
             return neg(du)
         if self.op == "sin":
@@ -197,9 +262,31 @@ class Binary(Expr):
             raise DomainError(f"overflow in {self.op!r} of {a!r} and {b!r}")
         return r
 
-    def diff(self, var):
+    def _on_grid(self, env, ev):
+        a = ev(self.left)
+        b = ev(self.right)
+        op = self.op
+        if op == "+":
+            r = a + b
+        elif op == "-":
+            r = a - b
+        elif op == "*":
+            r = a * b
+        elif op == "/":
+            if (b == 0.0).any():
+                raise DomainError("division by zero")
+            r = a / b
+        elif op == "^":
+            r = _pow_grid(a, b)
+        else:
+            raise AssertionError(f"bad binary op {op!r}")
+        if not np.isfinite(r).all():
+            raise DomainError(f"overflow in {op!r}")
+        return r
+
+    def _diff(self, var, d):
         a, b = self.left, self.right
-        da, db = a.diff(var), b.diff(var)
+        da, db = d(a), d(b)
         if self.op == "+":
             return add(da, db)
         if self.op == "-":
@@ -230,6 +317,17 @@ def _pow_value(a: float, b: float) -> float:
         raise DomainError(f"power {a!r}^{b!r} undefined: {e}") from None
 
 
+def _pow_grid(a, b):
+    """Array counterpart of _pow_value; overflow is left to the caller's finiteness check."""
+    frac = b != np.floor(b)
+    bad = frac & (a <= 0.0)
+    if bad.any():
+        raise DomainError(f"fractional power of non-positive base {_first(a, bad)!r}")
+    if (~frac & (a == 0.0) & (b < 0.0)).any():
+        raise DomainError("zero raised to a negative power")
+    return np.power(a, b)
+
+
 @dataclass(frozen=True, slots=True)
 class CurveVal(Expr):
     """Leaf wrapping a curve c(t) with ``jet(ts, k)``; evaluates c's derivative of ``order``.
@@ -246,10 +344,18 @@ class CurveVal(Expr):
     def eval(self, env):
         return float(self.curve.jet([env["t"]], self.order)[self.order, 0])
 
-    def diff(self, var):
+    def _on_grid(self, env, ev):
+        ts = ev(_T)
+        values = self.curve.jet(ts.reshape(-1), self.order)[self.order]
+        return _finite_grid(values.reshape(ts.shape), f"curve {self.label!r}")
+
+    def _diff(self, var, d):
         if var == "t":
             return CurveVal(self.curve, self.order + 1, self.label)
         return Const(0.0)
+
+
+_T = Var("t")
 
 
 # ---------------------------------------------------------------------------
@@ -373,9 +479,47 @@ def sqrt(e: Expr) -> Expr:
     return _fold_unary("sqrt", e)
 
 
-def differentiate(e: Expr, variable: str = "t") -> Expr:
-    """Exact structural derivative of ``e`` with respect to ``variable``."""
-    return e.diff(variable)
+def differentiate(e: Expr, variable: str = "t", memo: dict | None = None) -> Expr:
+    """Exact structural derivative of ``e`` with respect to ``variable``.
+
+    Each distinct node is differentiated once, so a subtree shared by
+    several parents gets one shared derivative.  Calls by the same
+    ``variable`` may share a ``memo`` to reuse each other's work.
+    """
+    memo = {} if memo is None else memo
+
+    def d(node: Expr) -> Expr:
+        hit = memo.get(id(node))
+        if hit is None:
+            # the node is kept with its derivative so its id cannot be reused
+            hit = memo[id(node)] = (node, node._diff(variable, d))
+        return hit[1]
+
+    return d(e)
+
+
+def evaluate(expr: Expr, env, memo: dict | None = None) -> np.ndarray:
+    """Value of ``expr`` over the arrays (or scalars) bound in ``env``.
+
+    Each distinct node runs once, as one NumPy operation, and the result has
+    the broadcast shape of ``env``'s values.  Raises DomainError if the tree
+    is undefined at any point, so no NaN or inf is ever returned.  Calls that
+    evaluate on the same ``env`` may share a ``memo`` so subtrees common to
+    several trees are computed once.
+    """
+    memo = {} if memo is None else memo
+    grid = {name: np.asarray(value, dtype=float) for name, value in env.items()}
+
+    def ev(node: Expr) -> np.ndarray:
+        hit = memo.get(id(node))
+        if hit is None:
+            hit = memo[id(node)] = (node, node._on_grid(grid, ev))
+        return hit[1]
+
+    with np.errstate(all="ignore"):
+        value = ev(expr)
+    shape = np.broadcast_shapes(*(a.shape for a in grid.values()))
+    return value if value.shape == shape else np.broadcast_to(value, shape).copy()
 
 
 # ---------------------------------------------------------------------------
@@ -576,8 +720,10 @@ class TimeFunction:
     """Scalar function of t with exact derivative expressions.
 
     Orders 0..3 are built once at construction; higher orders extend lazily
-    (internal plumbing for high-order jets).  ``eval`` checks the
-    declared domain interval and surfaces DomainError from subexpressions.
+    (internal plumbing for high-order jets), each from the one before with a
+    shared differentiation memo.  ``eval`` (one point) and ``jet`` (a grid)
+    check the declared domain interval and surface DomainError from
+    subexpressions.
     """
 
     def __init__(self, expr: Expr, domain: tuple[float, float] = (-math.inf, math.inf)):
@@ -586,14 +732,14 @@ class TimeFunction:
         self.expr = expr
         self.domain = (float(domain[0]), float(domain[1]))
         self._derivs = [expr]
-        for _ in range(3):
-            self._derivs.append(self._derivs[-1].diff("t"))
+        self._memo = {}
+        self.derivative_expr(3)
 
     def derivative_expr(self, order: int) -> Expr:
         if order < 0:
             raise ValueError("derivative order must be >= 0")
         while len(self._derivs) <= order:
-            self._derivs.append(self._derivs[-1].diff("t"))
+            self._derivs.append(differentiate(self._derivs[-1], "t", self._memo))
         return self._derivs[order]
 
     def eval(self, t: float, order: int = 0) -> float:
@@ -606,9 +752,14 @@ class TimeFunction:
         return self.eval(t, 0)
 
     def jet(self, ts, k: int) -> np.ndarray:
-        """Rows 0..k hold eval(t, j) over the grid ``ts``: shape (k+1, len(ts))."""
-        ts = np.asarray(ts, dtype=float).tolist()
-        return np.array([[self.eval(t, j) for t in ts] for j in range(k + 1)])
+        """Rows 0..k hold the derivatives over the grid ``ts``: shape (k+1, len(ts))."""
+        ts = np.asarray(ts, dtype=float)
+        lo, hi = self.domain
+        outside = ~((lo <= ts) & (ts <= hi))
+        if outside.any():
+            raise DomainError(f"t={_first(ts, outside)!r} outside domain [{lo!r}, {hi!r}]")
+        env, memo = {"t": ts}, {}
+        return np.array([evaluate(self.derivative_expr(j), env, memo) for j in range(k + 1)])
 
     def scaled(self, factor: float) -> "TimeFunction":
         return TimeFunction(mul(Const(float(factor)), self.expr), self.domain)

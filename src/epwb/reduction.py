@@ -25,7 +25,6 @@ literal=True).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,64 +37,68 @@ from .symmetry import CompatibleFamily, PointSymmetry
 FORCING_CONSTANT = 16.0
 
 
+def _like(t, values):
+    """``values`` as a float when ``t`` is a single time, else as an array."""
+    return float(values[0]) if np.ndim(t) == 0 else values
+
+
 @dataclass(frozen=True)
 class CanonicalChart:
-    """Immutable chart (t, x) -> (T, X) built from a compatible family."""
+    """Immutable chart (t, x) -> (T, X) built from a compatible family.
+
+    Every map takes a single time (and returns floats) or arrays over a
+    grid (and returns arrays); a grid costs one jet of G.
+    """
 
     fam: CompatibleFamily
     sigma: float = 0.25
 
-    def _g(self, t: float, order: int) -> float:
-        return self.fam.g.eval(t, order)
+    def _g_checked(self, t, k: int) -> np.ndarray:
+        """Rows G, G', ..., G^(k) on ``t`` (k >= 1), requiring G > 0 and G' > 0."""
+        ts = np.atleast_1d(np.asarray(t, dtype=float))
+        g = self.fam.g.jet(ts, k)
+        for order, name in ((0, "G"), (1, "G'")):
+            bad = g[order] <= 0.0
+            if bad.any():
+                i = int(np.argmax(bad))
+                value = float(g[order, i])
+                raise DomainError(f"{name}({float(ts[i])!r}) = {value!r} is not positive")
+        return g
 
-    def _g_checked(self, t: float) -> tuple[float, float]:
-        g0 = self._g(t, 0)
-        g1 = self._g(t, 1)
-        if g0 <= 0.0:
-            raise DomainError(f"G({t!r}) = {g0!r} is not positive")
-        if g1 <= 0.0:
-            raise DomainError(f"G'({t!r}) = {g1!r} is not positive")
-        return g0, g1
-
-    def time(self, t: float) -> float:
-        g0, _ = self._g_checked(t)
-        return self.sigma * math.log(g0)
-
-    def scale(self, t: float) -> float:
-        """mu(t) = G'^{1/2}/G^{3/4}; the chart is X = mu(t) x."""
-        g0, g1 = self._g_checked(t)
-        return math.sqrt(g1) / g0**0.75
-
-    def _scale_rates(self, t: float) -> tuple[float, float, float]:
-        """(mu, mu', mu'') via logarithmic derivatives of G."""
-        g0, g1 = self._g_checked(t)
-        g2 = self._g(t, 2)
-        g3 = self._g(t, 3)
-        mu = math.sqrt(g1) / g0**0.75
+    def _rates(self, t):
+        """(T, mu, mu', mu'', T', T'') on ``t``, via logarithmic derivatives of G."""
+        g0, g1, g2, g3 = self._g_checked(t, 3)
+        mu = np.sqrt(g1) / g0**0.75
         r = 0.5 * g2 / g1 - 0.75 * g1 / g0
         r_dot = 0.5 * (g3 / g1 - (g2 / g1) ** 2) - 0.75 * (g2 / g0 - (g1 / g0) ** 2)
-        return mu, mu * r, mu * (r * r + r_dot)
+        t1 = self.sigma * g1 / g0
+        t2 = self.sigma * (g2 / g0 - (g1 / g0) ** 2)
+        return self.sigma * np.log(g0), mu, mu * r, mu * (r * r + r_dot), t1, t2
 
-    def _time_rates(self, t: float) -> tuple[float, float]:
-        """(T', T'') with respect to t."""
-        g0, g1 = self._g_checked(t)
-        g2 = self._g(t, 2)
-        return self.sigma * g1 / g0, self.sigma * (g2 / g0 - (g1 / g0) ** 2)
-
-    def position(self, t: float, x: float) -> float:
-        return x * self.scale(t)
-
-    def velocity(self, t: float, x: float, xdot: float) -> float:
-        mu, mu1, _ = self._scale_rates(t)
-        t1, _ = self._time_rates(t)
-        return (xdot * mu + x * mu1) / t1
-
-    def acceleration(self, t: float, x: float, xdot: float, xddot: float) -> float:
-        mu, mu1, mu2 = self._scale_rates(t)
-        t1, t2 = self._time_rates(t)
+    def image(self, t, x, xdot, xddot):
+        """(T, X, dX/dT, d2X/dT2) of the points (t, x, x', x'') from one jet of G."""
+        big_t, mu, mu1, mu2, t1, t2 = self._rates(t)
         xt1 = xdot * mu + x * mu1
         xt2 = xddot * mu + 2.0 * xdot * mu1 + x * mu2
-        return (xt2 * t1 - xt1 * t2) / t1**3
+        return big_t, x * mu, xt1 / t1, (xt2 * t1 - xt1 * t2) / t1**3
+
+    def time(self, t):
+        g0, _ = self._g_checked(t, 1)
+        return _like(t, self.sigma * np.log(g0))
+
+    def scale(self, t):
+        """mu(t) = G'^{1/2}/G^{3/4}; the chart is X = mu(t) x."""
+        g0, g1 = self._g_checked(t, 1)
+        return _like(t, np.sqrt(g1) / g0**0.75)
+
+    def position(self, t, x):
+        return x * self.scale(t)
+
+    def velocity(self, t, x, xdot):
+        return _like(t, self.image(t, x, xdot, 0.0)[2])
+
+    def acceleration(self, t, x, xdot, xddot):
+        return _like(t, self.image(t, x, xdot, xddot)[3])
 
     def t_of(self, big_t: float) -> float:
         """Invert T(t) on the chart interval (T is strictly increasing)."""
@@ -109,24 +112,22 @@ class CanonicalChart:
             return hi
         return float(brentq(lambda s: self.time(s) - big_t, lo, hi, xtol=1e-14))
 
-    def x_of(self, t: float, big_x: float) -> float:
+    def x_of(self, t, big_x):
         return big_x / self.scale(t)
 
-    def symmetry_applied(self, sym: PointSymmetry, t: float, x: float) -> tuple[float, float]:
-        """(Gamma T, Gamma X) at a point; for Gamma_s this is (4 sigma, 0)."""
+    def symmetry_applied(self, sym: PointSymmetry, t, x):
+        """(Gamma T, Gamma X) at a point or over a grid; for Gamma_s this is (4 sigma, 0)."""
         tau, xi = sym.components(t, x)
-        mu, mu1, _ = self._scale_rates(t)
-        t1, _ = self._time_rates(t)
-        return tau * t1, tau * x * mu1 + xi * mu
+        _, mu, mu1, _, t1, _ = self._rates(t)
+        return _like(t, tau * t1), _like(t, tau * x * mu1 + xi * mu)
 
 
 def canonical_chart(
     fam: CompatibleFamily, sigma: float = 0.25, validation_samples: int = 100
 ) -> CanonicalChart:
-    """Build the chart, checking G > 0 and G' > 0 across the interval."""
+    """Build the chart, checking across the interval that G > 0, G' > 0 and G'', G''' exist."""
     chart = CanonicalChart(fam=fam, sigma=float(sigma))
-    for t in np.linspace(fam.interval[0], fam.interval[1], validation_samples):
-        chart._g_checked(float(t))
+    chart._g_checked(np.linspace(fam.interval[0], fam.interval[1], validation_samples), 3)
     return chart
 
 
@@ -162,11 +163,7 @@ def transform_trajectory(
     if traj.dim != 2:
         raise ValueError("expected a 2-component (x, xdot) trajectory")
     ts = np.asarray(grid, dtype=float) if grid is not None else traj.grid(n)
-    x, xdot, xddot = traj.jet(ts, 2)
-    big_t = np.array([chart.time(t) for t in ts])
-    big_x = np.array([chart.position(*p) for p in zip(ts, x)])
-    big_v = np.array([chart.velocity(*p) for p in zip(ts, x, xdot)])
-    big_a = np.array([chart.acceleration(*p) for p in zip(ts, x, xdot, xddot)])
+    big_t, big_x, big_v, big_a = chart.image(ts, *traj.jet(ts, 2))
     return TransformedOrbit(t=ts, T=big_t, X=big_x, V=big_v, A=big_a)
 
 

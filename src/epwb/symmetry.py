@@ -35,6 +35,7 @@ from .expressions import (
     const,
     cos,
     differentiate,
+    evaluate,
     parse_expression,
     sin,
     var,
@@ -47,31 +48,38 @@ _T = var("t")
 
 
 class PointSymmetry:
-    """tau(t,x) d_t + xi(t,x) d_x with partial derivatives precomputed."""
+    """tau(t,x) d_t + xi(t,x) d_x with partial derivatives precomputed.
+
+    ``partials[comp]`` holds the trees (f, f_t, f_x, f_tt, f_tx, f_xx) of
+    ``comp`` in ("tau", "xi"); one differentiation memo per variable is
+    shared by both components, so their common subtrees are derived once.
+    """
 
     def __init__(self, tau: Expr, xi: Expr, name: str = ""):
         self.tau = tau
         self.xi = xi
         self.name = name
-        self._d = {}
+        memo_t, memo_x = {}, {}
+        self.partials = {}
         for comp, tree in (("tau", tau), ("xi", xi)):
-            dt = differentiate(tree, "t")
-            dx = differentiate(tree, "x")
-            self._d[comp] = {
-                (0, 0): tree,
-                (1, 0): dt,
-                (0, 1): dx,
-                (2, 0): differentiate(dt, "t"),
-                (1, 1): differentiate(dt, "x"),
-                (0, 2): differentiate(dx, "x"),
-            }
+            dt = differentiate(tree, "t", memo_t)
+            dx = differentiate(tree, "x", memo_x)
+            self.partials[comp] = (
+                tree,
+                dt,
+                dx,
+                differentiate(dt, "t", memo_t),
+                differentiate(dt, "x", memo_x),
+                differentiate(dx, "x", memo_x),
+            )
 
-    def part(self, comp: str, dt: int, dx: int, t: float, x: float) -> float:
-        return self._d[comp][(dt, dx)].eval({"t": t, "x": x})
-
-    def components(self, t: float, x: float) -> tuple[float, float]:
+    def components(self, t, x):
+        """(tau, xi) at one point as floats, or over arrays ``t``, ``x`` as arrays."""
         env = {"t": t, "x": x}
-        return self.tau.eval(env), self.xi.eval(env)
+        if np.ndim(t) == 0 and np.ndim(x) == 0:
+            return self.tau.eval(env), self.xi.eval(env)
+        memo = {}
+        return evaluate(self.tau, env, memo), evaluate(self.xi, env, memo)
 
     def __repr__(self):
         tag = f" {self.name}" if self.name else ""
@@ -123,37 +131,28 @@ def default_samples(
 
 
 def symmetry_residual(sym: PointSymmetry, ode: SecondOrderODE, samples) -> float:
-    """Worst on-shell violation of the linearized symmetry condition."""
-    residuals = []
-    for t, x, v in samples:
-        env = {"t": t, "x": x, "v": v}
-        w = ode.w.eval(env)
-        w_t = ode.w_t.eval(env)
-        w_x = ode.w_x.eval(env)
-        w_v = ode.w_v.eval(env)
-        tau = sym.part("tau", 0, 0, t, x)
-        tau_t = sym.part("tau", 1, 0, t, x)
-        tau_x = sym.part("tau", 0, 1, t, x)
-        tau_tt = sym.part("tau", 2, 0, t, x)
-        tau_tx = sym.part("tau", 1, 1, t, x)
-        tau_xx = sym.part("tau", 0, 2, t, x)
-        xi = sym.part("xi", 0, 0, t, x)
-        xi_t = sym.part("xi", 1, 0, t, x)
-        xi_x = sym.part("xi", 0, 1, t, x)
-        xi_tt = sym.part("xi", 2, 0, t, x)
-        xi_tx = sym.part("xi", 1, 1, t, x)
-        xi_xx = sym.part("xi", 0, 2, t, x)
+    """Worst on-shell violation of the linearized symmetry condition.
 
-        xi1 = xi_t + v * (xi_x - tau_t) - v * v * tau_x
-        xi2 = (
-            xi_tt
-            + v * (2.0 * xi_tx - tau_tt)
-            + v * v * (xi_xx - 2.0 * tau_tx)
-            - v**3 * tau_xx
-            + w * (xi_x - 2.0 * tau_t - 3.0 * v * tau_x)
-        )
-        residuals.append(xi2 - (tau * w_t + xi * w_x + xi1 * w_v))
-    return worst_residual(residuals)
+    All 16 trees are evaluated over the whole sample set with one shared
+    memo, so subtrees common to the equation and the symmetry run once.
+    """
+    t, x, v = np.array(samples, dtype=float).reshape(-1, 3).T.copy()
+    env, memo = {"t": t, "x": x, "v": v}, {}
+    w, w_t, w_x, w_v = (evaluate(e, env, memo) for e in (ode.w, ode.w_t, ode.w_x, ode.w_v))
+    tau, tau_t, tau_x, tau_tt, tau_tx, tau_xx = (
+        evaluate(e, env, memo) for e in sym.partials["tau"]
+    )
+    xi, xi_t, xi_x, xi_tt, xi_tx, xi_xx = (evaluate(e, env, memo) for e in sym.partials["xi"])
+
+    xi1 = xi_t + v * (xi_x - tau_t) - v * v * tau_x
+    xi2 = (
+        xi_tt
+        + v * (2.0 * xi_tx - tau_tt)
+        + v * v * (xi_xx - 2.0 * tau_tx)
+        - v**3 * tau_xx
+        + w * (xi_x - 2.0 * tau_t - 3.0 * v * tau_x)
+    )
+    return worst_residual(xi2 - (tau * w_t + xi * w_x + xi1 * w_v))
 
 
 def lie_bracket(s1: PointSymmetry, s2: PointSymmetry) -> PointSymmetry:
@@ -181,13 +180,13 @@ def structure_constants(basis: list[PointSymmetry], samples) -> tuple[np.ndarray
     """
     if len(basis) != 3:
         raise ValueError("need exactly three symmetries")
-    pts = list(samples)
-    rows = []
-    for t, x in pts:
-        vals = [s.components(t, x) for s in basis]
-        rows.append([v[0] for v in vals])
-        rows.append([v[1] for v in vals])
-    mat = np.asarray(rows, dtype=float)
+    t, x = np.array(list(samples), dtype=float).reshape(-1, 2).T.copy()
+
+    def stacked(sym: PointSymmetry) -> np.ndarray:
+        # tau and xi interleaved point by point: tau(p0), xi(p0), tau(p1), ...
+        return np.column_stack(sym.components(t, x)).reshape(-1)
+
+    mat = np.column_stack([stacked(s) for s in basis])
     svals = np.linalg.svd(mat, compute_uv=False)
     if svals[-1] < 1e-10 * max(svals[0], 1.0):
         raise DegenerateBasisError(
@@ -197,12 +196,7 @@ def structure_constants(basis: list[PointSymmetry], samples) -> tuple[np.ndarray
     misfits = []
     for i in range(3):
         for j in range(i + 1, 3):
-            br = lie_bracket(basis[i], basis[j])
-            rhs = []
-            for t, x in pts:
-                tau, xi = br.components(t, x)
-                rhs.extend((tau, xi))
-            rhs = np.asarray(rhs, dtype=float)
+            rhs = stacked(lie_bracket(basis[i], basis[j]))
             coeff, *_ = np.linalg.lstsq(mat, rhs, rcond=None)
             c[i, j] = coeff
             c[j, i] = -coeff
@@ -283,10 +277,11 @@ def compatible_family(
     if c0 == 0.0:
         raise ValueError("C0 must be nonzero")
     ge = g.expr
-    g1 = differentiate(ge, "t")
-    for t in np.linspace(interval[0], interval[1], validation_samples):
-        if g1.eval({"t": float(t)}) <= 0.0:
-            raise ValueError(f"G' is not positive at t={float(t)!r}")
+    g1 = g.derivative_expr(1)
+    ts = np.linspace(interval[0], interval[1], validation_samples)
+    bad = evaluate(g1, {"t": ts}) <= 0.0
+    if bad.any():
+        raise ValueError(f"G' is not positive at t={float(ts[bad][0])!r}")
     a_expr = (const(4.0 * c0) * ge) / g1
     a = TimeFunction(a_expr, g.domain)
     a1 = a.derivative_expr(1)
@@ -308,8 +303,8 @@ def compatible_family(
 def surviving_symmetry(fam: CompatibleFamily) -> PointSymmetry:
     """Gamma_s = (4G/G') d_t + x (3 - 2 G G''/G'^2) d_x (C0-independent)."""
     ge = fam.g.expr
-    g1 = differentiate(ge, "t")
-    g2 = differentiate(g1, "t")
+    g1 = fam.g.derivative_expr(1)
+    g2 = fam.g.derivative_expr(2)
     tau = const(4) * ge / g1
     xi = _X * (const(3) - const(2) * ge * g2 / (g1 * g1))
     return PointSymmetry(tau, xi, "Gamma_s")

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import epwb
+
+# every run draws the same examples, so two checkouts are compared on equal inputs
+settings.register_profile("derandomized", derandomize=True, database=None)
+settings.load_profile("derandomized")
 
 # every Phi the residual and drift tests sweep
 PHI_CATALOG = ("1", "0", "4", "1+0.5*sin(t)", "1.25/((1+t)^2)")

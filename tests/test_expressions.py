@@ -10,12 +10,21 @@ from epwb import (
     ExprSyntaxError,
     TimeFunction,
     UnknownIdentifierError,
+    autonomous_family,
     canonical,
+    compatible_family,
     differentiate,
+    ep_ode,
+    evaluate,
+    fundamental_pair,
     parse_expression,
+    structure_constants,
+    surviving_symmetry,
+    symmetry_residual,
     time_function,
 )
-from epwb.expressions import Binary, Const, Unary, Var, const, var
+from epwb.expressions import Binary, Const, CurveVal, Unary, Var, const, sin, var
+from epwb.symmetry import basis_family, default_samples
 
 
 class TestParsing:
@@ -194,6 +203,17 @@ class TestEvalDomain:
         with pytest.raises(DomainError):
             f.eval(2.0)
 
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("op", ["sin", "cos"])
+    def test_trig_of_non_finite_is_domain_error(self, op, value):
+        # math.sin(inf) raises a plain ValueError, which would escape the
+        # integrator's DomainError handling
+        e = parse_expression(f"{op}(t)")
+        with pytest.raises(DomainError):
+            e.eval({"t": value})
+        with pytest.raises(DomainError):
+            evaluate(e, {"t": np.array([0.0, value])})
+
     def test_order_zero_equals_direct_eval(self):
         f = time_function("sin(3*t)+t^2")
         for t in (0.0, 0.4, 1.9):
@@ -317,3 +337,105 @@ def test_print_parse_round_trip(e, t):
 def test_time_function_rejects_empty_domain():
     with pytest.raises(ValueError):
         TimeFunction(parse_expression("t"), domain=(1.0, 1.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    e=_expr,
+    t0=st.floats(min_value=-2.0, max_value=2.0),
+    width=st.floats(min_value=0.0, max_value=3.0),
+)
+def test_grid_evaluation_matches_pointwise_eval(e, t0, width):
+    ts = np.linspace(t0, t0 + width, 9)
+    try:
+        points = [e.eval({"t": float(t)}) for t in ts]
+    except DomainError:
+        with pytest.raises(DomainError):
+            evaluate(e, {"t": ts})
+        return
+    np.testing.assert_allclose(evaluate(e, {"t": ts}), points, rtol=1e-12, atol=0.0)
+
+
+class TestGridEvaluation:
+    def test_result_has_the_grid_shape(self):
+        ts = np.linspace(0.0, 1.0, 4)
+        np.testing.assert_array_equal(evaluate(parse_expression("2"), {"t": ts}), np.full(4, 2.0))
+        e = parse_expression("x*v+t", ("t", "x", "v"))
+        out = evaluate(e, {"t": 1.0, "x": np.arange(3.0), "v": 2.0})
+        np.testing.assert_array_equal(out, [1.0, 3.0, 5.0])
+
+    @pytest.mark.parametrize(
+        "text, bad",
+        [
+            ("log(t)", 0.0),
+            ("1/t", 0.0),
+            ("sqrt(t)", -1.0),
+            ("t^0.5", -2.0),
+            ("t^0.5", 0.0),
+            ("t^(0-1)", 0.0),
+            ("exp(t)", 1e6),
+            ("t*t", 1e200),
+        ],
+    )
+    def test_one_bad_point_raises(self, text, bad):
+        with pytest.raises(DomainError):
+            evaluate(parse_expression(text), {"t": np.array([1.0, bad, 2.0])})
+
+    def test_memo_is_shared_across_trees(self):
+        u = sin(var("t"))
+        memo = {}
+        env = {"t": np.linspace(0.0, 1.0, 3)}
+        evaluate(u * u, env, memo)
+        before = len(memo)
+        evaluate(u + u, env, memo)
+        assert len(memo) == before + 1  # only the new root runs
+
+
+def _bounded_calls(monkeypatch, cls, name, limit):
+    """Count calls of ``cls.name``; fail fast once they pass ``limit``."""
+    calls = []
+    original = getattr(cls, name)
+
+    def counting(self, *args):
+        calls.append(self)
+        if len(calls) > limit:
+            raise AssertionError(f"{cls.__name__}.{name} called more than {limit} times")
+        return original(self, *args)
+
+    monkeypatch.setattr(cls, name, counting)
+    return calls
+
+
+def test_dag_is_differentiated_and_evaluated_once_per_node(monkeypatch):
+    # 40 levels, each node using its child twice: 2^40 paths through the tree
+    e = sin(var("t"))
+    for _ in range(40):
+        e = Binary("-", Binary("*", Const(2.0), e), e)  # 2a - a == a exactly
+    diffs = _bounded_calls(monkeypatch, Binary, "_diff", 200)
+    d = differentiate(e)
+    assert len(diffs) == 80
+    grids = _bounded_calls(monkeypatch, Binary, "_on_grid", 400)
+    ts = np.linspace(-1.0, 1.0, 5)
+    np.testing.assert_array_equal(evaluate(e, {"t": ts}), np.sin(ts))
+    np.testing.assert_array_equal(evaluate(d, {"t": ts}), np.cos(ts))
+    assert len(grids) <= 400
+
+
+def test_grid_callers_never_walk_per_point(monkeypatch):
+    fam = compatible_family(time_function("(1+t)^4"), 1.0, 1.0, (0.0, 3.0))
+    sym, ode = surviving_symmetry(fam), ep_ode(fam)
+    basis_syms = basis_family(fundamental_pair(time_function("1+0.5*sin(t)"), (0.0, 4.0)))
+    family = autonomous_family(1.0)
+    samples = default_samples((0.0, 3.0))
+    points = [(t, x) for t in np.linspace(0.3, 2.7, 7) for x in (0.7, 1.1, 1.9)]
+    calls = []
+    for cls in (Const, Var, Unary, Binary, CurveVal):
+        original = cls.eval
+        monkeypatch.setattr(
+            cls, "eval", lambda self, env, _f=original: calls.append(self) or _f(self, env)
+        )
+    symmetry_residual(sym, ode, samples)
+    symmetry_residual(basis_syms[1], ode, samples)
+    structure_constants(family, points)
+    fam.phi.jet(np.linspace(0.0, 3.0, 50), 3)
+    assert len(calls) == 0
