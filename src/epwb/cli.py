@@ -21,9 +21,11 @@ passed, 2 a residual exceeded its threshold (or a run failed mid-flight),
 the EPWB_TOL environment variable overrides the default, an explicit
 "threshold" key in the scenario overrides both.  Every number in a
 scenario must be finite, and counts ("samples", "n") must be integers at
-or above their minimum; anything else is a configuration error (exit 1),
-never a vacuous pass.  Outputs carry no timestamps and use fixed float
-formatting, so reruns are byte-identical.
+or above their minimum that ask for at most a million samples (so
+verify-symmetry's n^3 lattice takes n <= 100); anything else is a
+configuration error (exit 1), never a vacuous pass or an exhausted memory.
+Outputs carry no timestamps and use fixed float formatting, so reruns are
+byte-identical.
 """
 
 from __future__ import annotations
@@ -76,6 +78,7 @@ from .symmetry import (
 )
 
 _DEFAULT_TOL = 1e-6
+_MAX_SAMPLES = 1_000_000  # largest sample set a scenario may ask for
 
 
 class ScenarioError(ValueError):
@@ -120,10 +123,11 @@ def _number(sc: dict, key: str, default=None) -> float:
     return _finite(key, value)
 
 
-def _count(sc: dict, key: str, default: int, minimum: int) -> int:
+def _count(sc: dict, key: str, default: int, minimum: int, maximum: float = math.inf) -> int:
     value = sc.get(key, default)
-    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
-        raise ScenarioError(f"{key!r} must be an integer >= {minimum}, got {value!r}")
+    if not isinstance(value, int) or isinstance(value, bool) or not minimum <= value <= maximum:
+        bounds = f">= {minimum}" if maximum == math.inf else f"in [{minimum}, {maximum}]"
+        raise ScenarioError(f"{key!r} must be an integer {bounds}, got {value!r}")
     return value
 
 
@@ -249,7 +253,7 @@ def _run_simulate(sc: dict, base_dir: str) -> int:
 def _invariant_series(sc: dict, interval, settings):
     name = _require(sc, "invariant")
     phi = _tf(sc, "phi")
-    n = _count(sc, "samples", 200, 2)
+    n = _count(sc, "samples", 200, 2, _MAX_SAMPLES)
 
     if name == "ermakov":
         h2 = _number(sc, "h2", 1.0)
@@ -328,7 +332,7 @@ def _run_verify_symmetry(sc: dict, base_dir: str) -> int:
         interval,
         x_range=_pair(sc, "x_range", (0.5, 2.0)),
         v_range=_pair(sc, "v_range", (-1.0, 1.0)),
-        n=_count(sc, "n", 5, 1),
+        n=_count(sc, "n", 5, 1, round(_MAX_SAMPLES ** (1 / 3))),  # an n^3 lattice
     )
     res = symmetry_residual(sym, ode, samples)
     report = {
@@ -354,7 +358,7 @@ def _run_reduce(sc: dict, base_dir: str) -> int:
     if traj.status != COMPLETED:
         sys.stderr.write(f"epwb: integration stopped: {traj.status} ({traj.message})\n")
         return 2
-    orbit = transform_trajectory(chart, traj, n=_count(sc, "n", 400, 2))
+    orbit = transform_trajectory(chart, traj, n=_count(sc, "n", 400, 2, _MAX_SAMPLES))
     res = autonomous_residual(orbit, fam)
     abel = abel_residual(orbit, fam)
     report = {

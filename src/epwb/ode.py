@@ -1,10 +1,13 @@
-"""Adaptive Dormand-Prince 5(4) integration with dense output.
+"""Adaptive Dormand-Prince 8(5,3) integration with dense output.
 
-The stepper is the classic embedded pair: fifth-order propagation, fourth-
-order error estimate, FSAL, PI step-size control, and a quartic per-step
-interpolant (the standard dense-output coefficient matrix for this tableau).
-Trajectories keep the interpolant for every accepted step, remember the
-right-hand side that produced them, and carry a termination status:
+The stepper is DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, sections
+II.5 and II.10): eighth-order propagation over 12 stages plus FSAL, the
+combined fifth- and third-order error estimate, order-8 step-size control,
+and a seventh-order per-step interpolant that costs three extra stages on
+accepted steps only.  Each interpolant is kept as monomial coefficients of
+th^1..th^7 (th the fraction of the step), one (n_steps, dim, 7) array per
+trajectory.  Trajectories remember the right-hand side that produced them
+and carry a termination status:
 
     "completed"     reached the end of the requested interval
     "guard-stop"    a guard predicate fired; the offending step is discarded,
@@ -29,6 +32,7 @@ empty grid and a non-finite value.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -40,34 +44,161 @@ COMPLETED = "completed"
 GUARD_STOP = "guard-stop"
 STEP_FAILURE = "step-failure"
 
-# Dormand-Prince 5(4) tableau.
-_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_A = (
-    np.array([], dtype=float),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-)
-_B = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40])
-# Dense output: y(t0 + th*h) = y0 + h * (K^T P) @ [th, th^2, th^3, th^4].
-_P = np.array(
+# Dormand-Prince 8(5,3) tableau (Hairer, Norsett & Wanner, Solving ODEs I,
+# sections II.5 and II.10).  Rows 1..11 are the propagating stages, row 12
+# gives the eighth-order solution, and rows 13..15 are the three extra stages
+# of the seventh-order dense output; K[12] is f(t + h, y_new), which FSAL
+# reuses as the next step's K[0].
+_C = np.array(
     [
-        [1.0, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432],
-        [0.0, 0.0, 0.0, 0.0],
-        [0.0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799],
-        [0.0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072],
-        [0.0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632],
-        [0.0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
-        [0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
+        0.0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274,
+        0.2816496580927726, 0.3333333333333333, 0.25, 0.3076923076923077,
+        0.6512820512820513, 0.6, 0.8571428571428571, 1.0, 1.0, 0.1, 0.2,
+        0.7777777777777778,
     ]
 )
+_A = (
+    np.array([]),
+    np.array([0.05260015195876773]),
+    np.array([0.0197250569845379, 0.0591751709536137]),
+    np.array([0.02958758547680685, 0.0, 0.08876275643042054]),
+    np.array([0.2413651341592667, 0.0, -0.8845494793282861, 0.924834003261792]),
+    np.array([0.037037037037037035, 0.0, 0.0, 0.17082860872947386, 0.12546768756682242]),
+    np.array(
+        [0.037109375, 0.0, 0.0, 0.17025221101954405, 0.06021653898045596, -0.017578125]
+    ),
+    np.array(
+        [
+            0.03709200011850479, 0.0, 0.0, 0.17038392571223998, 0.10726203044637328,
+            -0.015319437748624402, 0.008273789163814023,
+        ]
+    ),
+    np.array(
+        [
+            0.6241109587160757, 0.0, 0.0, -3.3608926294469414, -0.868219346841726,
+            27.59209969944671, 20.154067550477894, -43.48988418106996,
+        ]
+    ),
+    np.array(
+        [
+            0.47766253643826434, 0.0, 0.0, -2.4881146199716677, -0.590290826836843,
+            21.230051448181193, 15.279233632882423, -33.28821096898486,
+            -0.020331201708508627,
+        ]
+    ),
+    np.array(
+        [
+            -0.9371424300859873, 0.0, 0.0, 5.186372428844064, 1.0914373489967295,
+            -8.149787010746927, -18.52006565999696, 22.739487099350505,
+            2.4936055526796523, -3.0467644718982196,
+        ]
+    ),
+    np.array(
+        [
+            2.273310147516538, 0.0, 0.0, -10.53449546673725, -2.0008720582248625,
+            -17.9589318631188, 27.94888452941996, -2.8589982771350235,
+            -8.87285693353063, 12.360567175794303, 0.6433927460157636,
+        ]
+    ),
+    np.array(
+        [
+            0.054293734116568765, 0.0, 0.0, 0.0, 0.0, 4.450312892752409,
+            1.8915178993145003, -5.801203960010585, 0.3111643669578199,
+            -0.1521609496625161, 0.20136540080403034, 0.04471061572777259,
+        ]
+    ),
+    np.array(
+        [
+            0.056167502283047954, 0.0, 0.0, 0.0, 0.0, 0.0, 0.25350021021662483,
+            -0.2462390374708025, -0.12419142326381637, 0.15329179827876568,
+            0.00820105229563469, 0.007567897660545699, -0.008298,
+        ]
+    ),
+    np.array(
+        [
+            0.03183464816350214, 0.0, 0.0, 0.0, 0.0, 0.028300909672366776,
+            0.053541988307438566, -0.05492374857139099, 0.0, 0.0,
+            -0.00010834732869724932, 0.0003825710908356584, -0.00034046500868740456,
+            0.1413124436746325,
+        ]
+    ),
+    np.array(
+        [
+            -0.42889630158379194, 0.0, 0.0, 0.0, 0.0, -4.697621415361164,
+            7.683421196062599, 4.06898981839711, 0.3567271874552811, 0.0, 0.0, 0.0,
+            -0.0013990241651590145, 2.9475147891527724, -9.15095847217987,
+        ]
+    ),
+)
+_B = _A[12]
+# error estimators: E5 is the fifth-order difference, E3 the third-order one
+_E5 = np.array(
+    [
+        0.01312004499419488, 0.0, 0.0, 0.0, 0.0, -1.2251564463762044,
+        -0.4957589496572502, 1.6643771824549864, -0.35032884874997366,
+        0.3341791187130175, 0.08192320648511571, -0.022355307863886294,
+    ]
+)
+_E3 = _B - np.array(
+    [0.2440944881889764, 0, 0, 0, 0, 0, 0, 0, 0.7338466882816118, 0, 0, 0.022058823529411766]
+)
+# dense output: y(t0 + th*h) = y0 + th*(F0 + (1-th)*(F1 + th*(F2 + ... (F5 + th*F6))))
+# with F0 = y1 - y0, F1 = h*f0 - F0, F2 = 2*F0 - h*(f0 + f1) and F3..F6 = h * _D @ K
+_D = np.array(
+    [
+        [
+            -8.428938276109013, 0.0, 0.0, 0.0, 0.0, 0.5667149535193777,
+            -3.0689499459498917, 2.38466765651207, 2.117034582445028,
+            -0.871391583777973, 2.2404374302607883, 0.6315787787694688,
+            -0.08899033645133331, 18.148505520854727, -9.194632392478356,
+            -4.436036387594894,
+        ],
+        [
+            10.427508642579134, 0.0, 0.0, 0.0, 0.0, 242.28349177525817,
+            165.20045171727028, -374.5467547226902, -22.113666853125306,
+            7.733432668472264, -30.674084731089398, -9.332130526430229,
+            15.697238121770845, -31.139403219565178, -9.35292435884448,
+            35.81684148639408,
+        ],
+        [
+            19.985053242002433, 0.0, 0.0, 0.0, 0.0, -387.0373087493518,
+            -189.17813819516758, 527.8081592054236, -11.57390253995963,
+            6.8812326946963, -1.0006050966910838, 0.7777137798053443,
+            -2.778205752353508, -60.19669523126412, 84.32040550667716,
+            11.99229113618279,
+        ],
+        [
+            -25.69393346270375, 0.0, 0.0, 0.0, 0.0, -154.18974869023643,
+            -231.5293791760455, 357.6391179106141, 93.40532418362432,
+            -37.45832313645163, 104.0996495089623, 29.8402934266605,
+            -43.53345659001114, 96.32455395918828, -39.17726167561544,
+            -149.72683625798564,
+        ],
+    ]
+)
+_DEGREE = 7
+# F_k multiplies th^(k//2 + 1) * (1-th)^((k+1)//2); row k holds that product's
+# coefficients of th^1..th^7, so the monomial coefficients are F^T @ _MONOMIAL
+_MONOMIAL = np.array(
+    [
+        [1, 0, 0, 0, 0, 0, 0],
+        [1, -1, 0, 0, 0, 0, 0],
+        [0, 1, -1, 0, 0, 0, 0],
+        [0, 1, -2, 1, 0, 0, 0],
+        [0, 0, 1, -2, 1, 0, 0],
+        [0, 0, 1, -3, 3, -1, 0],
+        [0, 0, 0, 1, -3, 3, -1],
+    ],
+    dtype=float,
+)
+_POWERS = np.arange(1, _DEGREE + 1)
+# interior points of the guard scan, and their rows of th^1..th^7
+_SCAN_AT = (0.25, 0.5, 0.75)
+_SCAN = np.array(_SCAN_AT)[:, None] ** _POWERS
 
 _SAFETY = 0.9
 _BETA = 0.04  # PI stabilization
-_EXPO = 0.2 - 0.75 * _BETA
+_EXPO = 1 / 8 - 0.2 * _BETA
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10.0
 
@@ -91,10 +222,15 @@ class IntegrationSettings:
     x_min: float = 1e-6  # guard threshold used by positivity-guarded systems
 
     def __post_init__(self):
-        if self.rtol <= 0 or self.atol <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.max_steps < 1:
-            raise ValueError("max_steps must be at least 1")
+        for name in ("rtol", "atol"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
+        if not (math.isfinite(self.x_min) and self.x_min >= 0):
+            raise ValueError(f"x_min must be finite and >= 0, got {self.x_min!r}")
+        steps = self.max_steps
+        if not isinstance(steps, numbers.Integral) or isinstance(steps, bool) or steps < 1:
+            raise ValueError(f"max_steps must be an integer >= 1, got {steps!r}")
 
 
 class Trajectory:
@@ -103,8 +239,8 @@ class Trajectory:
     def __init__(self, times, states, dense, steps, rhs, status, message=""):
         self.times = np.asarray(times, dtype=float)
         self.states = np.asarray(states, dtype=float)
-        # interpolant coefficients, one (dim, 4) block per accepted step
-        self._dense = np.asarray(dense, dtype=float).reshape(-1, self.dim, 4)
+        # coefficients of th^1..th^7, one (dim, 7) block per accepted step
+        self._dense = np.asarray(dense, dtype=float).reshape(-1, self.dim, _DEGREE)
         self._steps = np.asarray(steps, dtype=float)
         self.rhs = rhs
         self.status = status
@@ -141,10 +277,8 @@ class Trajectory:
         inner = times[k] != ts  # then t < times[-1], so step k exists
         if inner.any():
             i = k[inner]
-            h = self._steps[i]
-            th = (ts[inner] - times[i]) / h
-            p = np.stack([th, th * th, th**3, th**4], axis=-1)
-            out[inner] += h[:, None] * np.einsum("ndk,nk->nd", self._dense[i], p)
+            th = (ts[inner] - times[i]) / self._steps[i]
+            out[inner] += np.einsum("ndk,nk->nd", self._dense[i], th[:, None] ** _POWERS)
         return out[0] if np.ndim(t) == 0 else out
 
     def derivative(self, t) -> np.ndarray:
@@ -203,12 +337,21 @@ def _initial_step(rhs, t0, y0, f0, t1, rtol, atol):
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
-        h1 = (0.01 / max(d1, d2)) ** 0.2
+        h1 = (0.01 / max(d1, d2)) ** (1 / 8)
     return min(100 * h0, h1, abs(t1 - t0))
 
 
 def _rms(v: np.ndarray) -> float:
     return float(np.sqrt(np.mean(np.square(v))))
+
+
+def _error_norm(h, K, scale) -> float:
+    """Hairer's combined norm of the fifth- and third-order estimates."""
+    err5 = np.sum(np.square((_E5 @ K) / scale))
+    err3 = np.sum(np.square((_E3 @ K) / scale))
+    if err5 == 0.0 and err3 == 0.0:
+        return 0.0
+    return float(h * err5 / np.sqrt((err5 + 0.01 * err3) * len(scale)))
 
 
 def integrate(
@@ -256,7 +399,7 @@ def integrate(
     h = _initial_step(sys.rhs, t0, y, f, t1, rtol, atol)
     facold = 1e-4
     rejected = False
-    K = np.empty((7, sys.dim))
+    K = np.empty((16, sys.dim))
 
     for _ in range(settings.max_steps):
         if t >= t1:
@@ -267,19 +410,22 @@ def integrate(
         h = min(h, t1 - t)
 
         K[0] = f
-        bad = False
+        err_norm = math.inf
         try:
-            for i in range(1, 6):
+            for i in range(1, 12):
                 K[i] = sys.rhs(t + _C[i] * h, y + h * (_A[i] @ K[:i]))
-            y_new = y + h * (_B[:6] @ K[:6])
-            K[6] = sys.rhs(t + h, y_new)
+            y_new = y + h * (_B @ K[:12])
+            if np.all(np.isfinite(K[:12])) and np.all(np.isfinite(y_new)):
+                scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
+                err_norm = _error_norm(h, K[:12], scale)
+            if err_norm <= 1.0:
+                # accepted: f at the new node, then the dense-output stages
+                K[12] = sys.rhs(t + h, y_new)
+                for i in range(13, 16):
+                    K[i] = sys.rhs(t + _C[i] * h, y + h * (_A[i] @ K[:i]))
+                if not np.all(np.isfinite(K[12:])):
+                    err_norm = math.inf
         except _RHS_ERRORS:
-            bad = True
-
-        if not bad and np.all(np.isfinite(K)) and np.all(np.isfinite(y_new)):
-            scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-            err_norm = _rms(h * (_E @ K) / scale)
-        else:
             err_norm = math.inf
 
         if not (err_norm <= 1.0):
@@ -290,17 +436,18 @@ def integrate(
             continue
 
         # accepted: guard scan over the step before committing it
-        Q = K.T @ _P
-        if sys.guard is not None:
-            fired = sys.guard(t + h, y_new)
-            if not fired:
-                for th in (0.25, 0.5, 0.75):
-                    p = np.array([th, th * th, th**3, th**4])
-                    if sys.guard(t + th * h, y + h * (Q @ p)):
-                        fired = True
-                        break
-            if fired:
-                return done(GUARD_STOP, f"guard fired within step ending t={t + h!r}")
+        dy = y_new - y
+        F = np.empty((_DEGREE, sys.dim))
+        F[0] = dy
+        F[1] = h * f - dy
+        F[2] = 2 * dy - h * (f + K[12])
+        F[3:] = h * (_D @ K)
+        Q = F.T @ _MONOMIAL
+        if sys.guard is not None and (
+            sys.guard(t + h, y_new)
+            or any(sys.guard(t + th * h, y + Q @ p) for th, p in zip(_SCAN_AT, _SCAN))
+        ):
+            return done(GUARD_STOP, f"guard fired within step ending t={t + h!r}")
 
         times.append(t + h)
         states.append(y_new.copy())
@@ -308,13 +455,9 @@ def integrate(
         steps.append(h)
         t = t + h
         y = y_new
-        f = K[6].copy()  # FSAL
+        f = K[12].copy()  # FSAL
 
-        if err_norm == 0.0:
-            fac = _MIN_FACTOR  # h / fac = max growth
-        else:
-            fac11 = err_norm**_EXPO
-            fac = fac11 / facold**_BETA
+        fac = err_norm**_EXPO / facold**_BETA
         fac = max(1 / _MAX_FACTOR, min(1 / _MIN_FACTOR, fac / _SAFETY))
         h_new = h / fac
         if rejected:

@@ -1,6 +1,11 @@
 import json
+import math
+import os
+import tempfile
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from epwb.cli import main
 
@@ -355,9 +360,17 @@ class TestErrors:
             },
             simulate_scenario(settings={"max_steps": 2.5}),
             simulate_scenario(settings={"rtol": 1e400}),
+            {
+                "kind": "verify-symmetry",
+                "g": "(1+t)^4",
+                "c0": 1.0,
+                "m": 1.0,
+                "interval": [0.0, 3.0],
+                "n": 10**12,
+            },
         ],
         ids=["zero-samples", "infinite-threshold", "infinite-interval", "fractional-count",
-             "fractional-max-steps", "infinite-rtol"],
+             "fractional-max-steps", "infinite-rtol", "huge-lattice"],
     )
     def test_vacuous_or_non_finite_input_is_a_configuration_error(self, tmp_path, scenario):
         path = write_scenario(tmp_path, scenario)
@@ -386,3 +399,80 @@ class TestPrintGrammar:
         out = capsys.readouterr().out
         assert "expression grammar" in out
         assert "expr" in out
+
+
+def _reject_constant(name):
+    raise ValueError(f"report holds non-standard JSON {name}")
+
+
+# numbers and counts that may be zero, fractional, huge or non-finite
+_odd = st.sampled_from([0, -1.0, 2.5, 1e-300, 1e300, 10**12, 10**400, math.inf, -math.inf, math.nan])
+
+
+def _mostly(sane):
+    """A sane value nine times in ten, otherwise an odd one."""
+    return st.integers(0, 9).flatmap(lambda i: _odd if i == 0 else sane)
+
+
+def _pair(lo, hi):
+    return st.lists(_mostly(st.floats(lo, hi)), min_size=2, max_size=2)
+
+
+def _short_interval(t0, dt):
+    if isinstance(t0, float) and isinstance(dt, float):
+        return [t0, t0 + dt]
+    return [t0, dt]  # an odd integer cannot always be added to a float
+
+
+_interval = st.builds(_short_interval, _mostly(st.floats(-3.0, 3.0)), _mostly(st.floats(0.1, 1.5)))
+_simulate = st.fixed_dictionaries(
+    {
+        "kind": st.just("simulate"),
+        "phi": st.sampled_from(["1", "0", "4", "1+0.5*sin(t)", "-1"]),
+        "g": st.sampled_from(["1", "0", "-1", "2+t"]),
+        "interval": _interval,
+        "initial": _pair(-0.5, 2.0),
+        "settings": st.fixed_dictionaries(
+            {},
+            optional={
+                "rtol": _mostly(st.floats(1e-12, 1e-3)),
+                "atol": _mostly(st.floats(1e-14, 1e-3)),
+                "x_min": _mostly(st.floats(0.0, 0.5)),
+                "max_steps": _mostly(st.integers(1, 50)),
+            },
+        ),
+    }
+)
+_symmetry = st.fixed_dictionaries(
+    {
+        "kind": st.just("verify-symmetry"),
+        "g": st.sampled_from(["(1+t)^4", "exp(t)", "(2+t)^3"]),
+        "c0": _mostly(st.floats(-2.0, 2.0)),
+        "m": _mostly(st.floats(-2.0, 2.0)),
+        "interval": _interval,
+        "x_range": _pair(0.1, 3.0),
+        "n": _mostly(st.integers(0, 6)),
+        "threshold": _mostly(st.floats(1e-12, 1.0)),
+    }
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(scenario=st.one_of(_simulate, _symmetry))
+def test_fuzzed_scenarios_never_pass_vacuously(scenario):
+    scenario["outputs"] = {"report": "report.json"}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "scenario.json")
+        with open(path, "w") as fh:
+            json.dump(scenario, fh)
+        code = run_cli(["run", path])
+        assert code in (0, 1, 2)
+        report_path = os.path.join(tmp, "report.json")
+        if code == 0:
+            assert os.path.exists(report_path)
+        if os.path.exists(report_path):
+            with open(report_path) as fh:
+                report = json.loads(fh.read(), parse_constant=_reject_constant)
+            if code == 0:
+                assert report["pass"] is True
+                assert report.get("steps", report.get("samples")) >= 1

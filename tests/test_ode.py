@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -12,8 +13,10 @@ from epwb import (
     ODESystem,
     integrate,
     residual,
+    time_function,
     write_csv,
 )
+from epwb.pinney import EPConfig, ep_system
 from tests.conftest import grid
 
 
@@ -31,6 +34,23 @@ def pinney_type(g: float) -> ODESystem:
         return np.array([y[1], -y[0] + g / y[0] ** 3])
 
     return ODESystem(dim=2, rhs=rhs, guard=lambda t, y: y[0] < 1e-6)
+
+
+def collapse(power: int, x_min: float) -> ODESystem:
+    """xddot = -1 / x^power, guarded at x < x_min (the guard takes arrays too)."""
+
+    def rhs(t, y):
+        return np.array([y[1], -1.0 / y[0] ** power])
+
+    return ODESystem(dim=2, rhs=rhs, guard=lambda t, y: y[0] < x_min)
+
+
+# (system, initial state): each falls toward the axis and stops on [0, 10]
+GUARD_STOPS = (
+    (collapse(1, 0.1), (1.0, -1.0)),
+    (collapse(1, 1e-6), (1.0, -1.0)),
+    (collapse(3, 1e-6), (0.5, -2.0)),
+)
 
 
 class TestIntegrate:
@@ -77,11 +97,8 @@ class TestSample:
             tr.sample(-0.1)
 
     def test_beyond_guard_stop(self):
-        def rhs(t, y):
-            return np.array([y[1], -1.0 / y[0]])
-
-        sys = ODESystem(dim=2, rhs=rhs, guard=lambda t, y: y[0] < 0.1)
-        tr = integrate(sys, (1.0, -1.0), (0.0, 10.0))
+        sys, y0 = GUARD_STOPS[0]
+        tr = integrate(sys, y0, (0.0, 10.0))
         assert tr.status == GUARD_STOP
         assert tr.t_end < 10.0
         with pytest.raises(DomainError):
@@ -93,6 +110,26 @@ class TestSample:
         stacked = tr.sample(ts)
         for i, t in enumerate(ts):
             assert np.array_equal(stacked[i], tr.sample(t))
+
+    def test_dense_output_tracks_cosine(self):
+        tr = integrate(oscillator(), (1.0, 0.0), (0.0, 20.0))
+        ts = np.linspace(0.0, 20.0, 100_001)
+        ys = tr.sample(ts)
+        assert np.max(np.abs(ys[:, 0] - np.cos(ts))) <= 1e-9
+        assert np.max(np.abs(ys[:, 1] + np.sin(ts))) <= 1e-9
+
+    @pytest.mark.parametrize(
+        "sys,y0",
+        [(oscillator(), (1.0, 0.0)), (pinney_type(4.0), (2.0, 0.0))],
+        ids=["cos", "pinney-e3"],
+    )
+    def test_interpolant_ends_at_next_node(self, sys, y0):
+        # the last double before each node still lies in the step before it,
+        # so this reads every interpolant at th = 1 - O(1e-16)
+        tr = integrate(sys, y0, (0.0, 20.0))
+        ends = tr.sample(np.nextafter(tr.times[1:], -np.inf))
+        gap = np.linalg.norm(ends - tr.states[1:], axis=1)
+        assert np.all(gap <= 1e-13 * np.linalg.norm(tr.states[1:], axis=1))
 
 
 class TestResidual:
@@ -151,11 +188,8 @@ class TestToleranceScaling:
 
 class TestGuardAndFailure:
     def test_collapse_toward_axis_guard_stops(self):
-        def rhs(t, y):
-            return np.array([y[1], -1.0 / y[0]])
-
-        sys = ODESystem(dim=2, rhs=rhs, guard=lambda t, y: y[0] < 1e-6)
-        tr = integrate(sys, (1.0, -1.0), (0.0, 10.0))
+        sys, y0 = GUARD_STOPS[1]
+        tr = integrate(sys, y0, (0.0, 10.0))
         assert tr.status == GUARD_STOP
         assert np.all(np.isfinite(tr.states))
         assert np.all(np.isfinite(tr.times))
@@ -175,13 +209,63 @@ class TestGuardAndFailure:
         assert tr.t_end < 100.0
 
     def test_guard_never_returns_nan(self):
-        def rhs(t, y):
-            return np.array([y[1], -1.0 / y[0] ** 3])
-
-        sys = ODESystem(dim=2, rhs=rhs, guard=lambda t, y: y[0] < 1e-6)
-        tr = integrate(sys, (0.5, -2.0), (0.0, 10.0))
+        sys, y0 = GUARD_STOPS[2]
+        tr = integrate(sys, y0, (0.0, 10.0))
         assert tr.status in (GUARD_STOP, STEP_FAILURE)
         assert np.all(np.isfinite(tr.states))
+
+    @pytest.mark.parametrize("sys,y0", GUARD_STOPS, ids=["x<0.1", "x<1e-6", "cubic"])
+    def test_no_sample_of_a_stopped_trajectory_violates_the_guard(self, sys, y0):
+        tr = integrate(sys, y0, (0.0, 10.0))
+        assert tr.status != COMPLETED
+        ts = np.linspace(tr.t0, tr.t_end, 200_001)
+        assert not np.any(sys.guard(ts, tr.sample(ts).T))
+
+
+class TestSettings:
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("rtol", 0.0),
+            ("rtol", -1e-8),
+            ("rtol", math.nan),
+            ("rtol", math.inf),
+            ("atol", 0.0),
+            ("atol", math.nan),
+            ("atol", math.inf),
+            ("x_min", -1e-6),
+            ("x_min", math.nan),
+            ("x_min", math.inf),
+            ("max_steps", 0),
+            ("max_steps", 2.5),
+            ("max_steps", 10.0),
+            ("max_steps", True),
+        ],
+    )
+    def test_invalid_value_is_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            IntegrationSettings(**{field: value})
+
+    def test_boundary_values_are_accepted(self):
+        s = IntegrationSettings(rtol=1e-300, atol=1e300, max_steps=np.int64(1), x_min=0.0)
+        assert s.max_steps == 1
+
+
+class TestWork:
+    def test_driven_orbit_step_and_rhs_budget(self):
+        cfg = EPConfig(phi=time_function("1+0.5*sin(3*t)"), g=time_function("2"))
+        sys = ep_system(cfg)
+        calls = 0
+
+        def counting_rhs(t, y):
+            nonlocal calls
+            calls += 1
+            return sys.rhs(t, y)
+
+        tr = integrate(dataclasses.replace(sys, rhs=counting_rhs), (1.0, 0.0), (0.0, 60.0))
+        assert tr.status == COMPLETED
+        assert len(tr.times) - 1 <= 800
+        assert calls <= 12_000
 
 
 class TestEnergyDrift:
