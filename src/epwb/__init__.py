@@ -20,6 +20,7 @@ from .expressions import (
     differentiate,
     evaluate,
     parse_expression,
+    scalar_kernel,
     time_function,
 )
 from .ode import (

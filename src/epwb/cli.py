@@ -191,8 +191,10 @@ def _out_path(base_dir: str, rel: str) -> str:
 
 
 def _write_report(path: str, payload: dict) -> None:
+    # serialised before the file is opened, so a refused number leaves no empty report
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
     with open(path, "w") as fh:
-        fh.write(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
+        fh.write(text)
 
 
 def _write_dat(path: str, names, rows) -> None:

@@ -22,9 +22,19 @@ computes a tree on whole NumPy arrays, one array operation per distinct
 node, and keeps the DomainError contract as mask checks over the grid (an
 error at any point raises); it never returns NaN or inf.  Its ``memo``
 (keyed by node identity) can be shared across several trees evaluated on
-the same ``env``, so common subtrees are computed once.  ``Expr.eval`` is
-the scalar walk for single points, such as an integrator's right-hand
-side, where one array call would cost more than the walk.
+the same ``env``, so common subtrees are computed once.
+
+Single points, such as an integrator's right-hand side, go through
+``scalar_kernel(exprs, variables)``: it compiles one or more trees into a
+generated straight-line Python function with one local per distinct node
+(equal operations on equal operands share one), in the post-order of a
+tree walk, and every domain rule checked inline, so a DAG costs its
+distinct nodes, not its paths.  Callers that evaluate often
+(``TimeFunction.eval``, ``PointSymmetry.components`` at a point,
+``SecondOrderODE.w_at``) build their kernel once and keep it;
+``Expr.eval(env)`` builds an uncached one per call.  Names, constants and
+curves reach a kernel through its namespace, never through its source, so
+the compiled code of a source is reused by every tree of that shape.
 
 ``differentiate`` is purely structural and memoised by node identity: a
 subtree shared by several parents is differentiated once and its
@@ -40,6 +50,7 @@ reproduces a pointwise-equal expression.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -67,12 +78,13 @@ class UnknownIdentifierError(ExprSyntaxError):
 
 
 class Expr:
-    """Base node. Subclasses implement eval (one point), _on_grid (arrays) and _diff."""
+    """Base node. Subclasses implement _on_grid (arrays) and _diff; scalar_kernel does one point."""
 
     __slots__ = ()
 
     def eval(self, env) -> float:
-        raise NotImplementedError
+        """Value at the single point ``env``; builds a kernel per call (hot callers keep theirs)."""
+        return scalar_kernel(self, tuple(env))(*env.values())
 
     def _on_grid(self, env, ev) -> np.ndarray:
         """Value over the arrays in ``env``; ``ev`` evaluates a child (memoised)."""
@@ -139,9 +151,6 @@ def _finite_grid(values, what: str):
 class Const(Expr):
     value: float
 
-    def eval(self, env):
-        return self.value
-
     def _on_grid(self, env, ev):
         return _finite_grid(np.float64(self.value), "constant")
 
@@ -152,9 +161,6 @@ class Const(Expr):
 @dataclass(frozen=True, slots=True)
 class Var(Expr):
     name: str
-
-    def eval(self, env):
-        return _bound(env, self.name)
 
     def _on_grid(self, env, ev):
         return _finite_grid(_bound(env, self.name), f"variable {self.name!r}")
@@ -167,29 +173,6 @@ class Var(Expr):
 class Unary(Expr):
     op: str
     arg: Expr
-
-    def eval(self, env):
-        v = self.arg.eval(env)
-        if self.op == "neg":
-            return -v
-        if self.op in ("sin", "cos"):
-            if not math.isfinite(v):
-                raise DomainError(f"{self.op} of non-finite value {v!r}")
-            return math.sin(v) if self.op == "sin" else math.cos(v)
-        if self.op == "exp":
-            try:
-                return math.exp(v)
-            except OverflowError:
-                raise DomainError(f"exp overflow at argument {v!r}") from None
-        if self.op == "log":
-            if v <= 0.0:
-                raise DomainError(f"log of non-positive value {v!r}")
-            return math.log(v)
-        if self.op == "sqrt":
-            if v < 0.0:
-                raise DomainError(f"sqrt of negative value {v!r}")
-            return math.sqrt(v)
-        raise AssertionError(f"bad unary op {self.op!r}")
 
     def _on_grid(self, env, ev):
         # every child value is finite, so sin and cos need no check
@@ -241,27 +224,6 @@ class Binary(Expr):
     left: Expr
     right: Expr
 
-    def eval(self, env):
-        a = self.left.eval(env)
-        b = self.right.eval(env)
-        if self.op == "+":
-            r = a + b
-        elif self.op == "-":
-            r = a - b
-        elif self.op == "*":
-            r = a * b
-        elif self.op == "/":
-            if b == 0.0:
-                raise DomainError("division by zero")
-            r = a / b
-        elif self.op == "^":
-            r = _pow_value(a, b)
-        else:
-            raise AssertionError(f"bad binary op {self.op!r}")
-        if not math.isfinite(r):
-            raise DomainError(f"overflow in {self.op!r} of {a!r} and {b!r}")
-        return r
-
     def _on_grid(self, env, ev):
         a = ev(self.left)
         b = ev(self.right)
@@ -304,21 +266,8 @@ class Binary(Expr):
         raise AssertionError(f"bad binary op {self.op!r}")
 
 
-def _pow_value(a: float, b: float) -> float:
-    if not b.is_integer():
-        # fractional exponent: positive base only
-        if a <= 0.0:
-            raise DomainError(f"fractional power of non-positive base {a!r}")
-    elif a == 0.0 and b < 0.0:
-        raise DomainError("zero raised to a negative power")
-    try:
-        return math.pow(a, b)
-    except (OverflowError, ValueError) as e:
-        raise DomainError(f"power {a!r}^{b!r} undefined: {e}") from None
-
-
 def _pow_grid(a, b):
-    """Array counterpart of _pow_value; overflow is left to the caller's finiteness check."""
+    """Domain rules of a power over arrays; overflow is left to the caller's finiteness check."""
     frac = b != np.floor(b)
     bad = frac & (a <= 0.0)
     if bad.any():
@@ -340,9 +289,6 @@ class CurveVal(Expr):
     curve: object
     order: int = 0
     label: str = "curve"
-
-    def eval(self, env):
-        return float(self.curve.jet([env["t"]], self.order)[self.order, 0])
 
     def _on_grid(self, env, ev):
         ts = ev(_T)
@@ -436,7 +382,7 @@ def power(a: Expr, b: Expr) -> Expr:
         return Const(1.0)
     if isinstance(a, Const) and isinstance(b, Const):
         try:
-            return Const(_pow_value(a.value, b.value))
+            return Const(_fold_kernel("^")(a.value, b.value))
         except DomainError:
             pass
     return Binary("^", a, b)
@@ -453,10 +399,19 @@ def neg(e: Expr) -> Expr:
 def _fold_unary(op: str, e: Expr) -> Expr:
     if isinstance(e, Const):
         try:
-            return Const(Unary(op, e).eval({}))
+            return Const(_fold_kernel(op)(e.value))
         except DomainError:
             pass
     return Unary(op, e)
+
+
+@functools.cache
+def _fold_kernel(op: str):
+    """``op`` applied to its one or two arguments; compiled once per op, not once per fold."""
+    a, b = Var("a"), Var("b")
+    if op in _BINARY_LINES:
+        return scalar_kernel(Binary(op, a, b), ("a", "b"))
+    return scalar_kernel(Unary(op, a), ("a",))
 
 
 def sin(e: Expr) -> Expr:
@@ -520,6 +475,162 @@ def evaluate(expr: Expr, env, memo: dict | None = None) -> np.ndarray:
         value = ev(expr)
     shape = np.broadcast_shapes(*(a.shape for a in grid.values()))
     return value if value.shape == shape else np.broadcast_to(value, shape).copy()
+
+
+# ---------------------------------------------------------------------------
+# scalar kernels: a set of trees compiled into one straight-line function
+
+_MESSAGES = {
+    "SIN": "sin of non-finite value {!r}",
+    "COS": "cos of non-finite value {!r}",
+    "EXP": "exp overflow at argument {!r}",
+    "LOG": "log of non-positive value {!r}",
+    "SQRT": "sqrt of negative value {!r}",
+    "DIV": "division by zero",
+    "FRAC": "fractional power of non-positive base {!r}",
+    "ZERONEG": "zero raised to a negative power",
+    "POW": "power {!r}^{!r} undefined: {}",
+    "UNBOUND": "no value bound for variable {!r}",
+    "OVER_ADD": "overflow in '+' of {!r} and {!r}",
+    "OVER_SUB": "overflow in '-' of {!r} and {!r}",
+    "OVER_MUL": "overflow in '*' of {!r} and {!r}",
+    "OVER_DIV": "overflow in '/' of {!r} and {!r}",
+    "OVER_POW": "overflow in '^' of {!r} and {!r}",
+}
+
+
+def _fail(message: str, *values):
+    raise DomainError(message.format(*values)) from None
+
+
+# Lines computing one node: {r} is its local, {a} and {b} its operands.
+_UNARY_LINES = {
+    "neg": ("{r} = -{a}",),
+    "sin": ("if not isfinite({a}): fail(SIN, {a})", "{r} = sin({a})"),
+    "cos": ("if not isfinite({a}): fail(COS, {a})", "{r} = cos({a})"),
+    "exp": ("try: {r} = exp({a})", "except OverflowError: fail(EXP, {a})"),
+    "log": ("if {a} <= 0.0: fail(LOG, {a})", "{r} = log({a})"),
+    "sqrt": ("if {a} < 0.0: fail(SQRT, {a})", "{r} = sqrt({a})"),
+}
+_BINARY_LINES = {
+    "+": ("{r} = {a} + {b}", "if not isfinite({r}): fail(OVER_ADD, {a}, {b})"),
+    "-": ("{r} = {a} - {b}", "if not isfinite({r}): fail(OVER_SUB, {a}, {b})"),
+    "*": ("{r} = {a} * {b}", "if not isfinite({r}): fail(OVER_MUL, {a}, {b})"),
+    "/": (
+        "if {b} == 0.0: fail(DIV)",
+        "{r} = {a} / {b}",
+        "if not isfinite({r}): fail(OVER_DIV, {a}, {b})",
+    ),
+    "^": (
+        "if not {b}.is_integer():",
+        "    if {a} <= 0.0: fail(FRAC, {a})",
+        "elif {a} == 0.0 and {b} < 0.0: fail(ZERONEG)",
+        "try: {r} = pow({a}, {b})",
+        "except (OverflowError, ValueError) as e: fail(POW, {a}, {b}, e)",
+        "if not isfinite({r}): fail(OVER_POW, {a}, {b})",
+    ),
+}
+_CURVE_LINES = ("{r} = float({c}.jet([{t}], {k})[{k}, 0])",)
+_UNBOUND_LINES = ("{r} = fail(UNBOUND, {name})",)
+
+_KERNEL_GLOBALS = {
+    "__builtins__": {},
+    "float": float,
+    "OverflowError": OverflowError,
+    "ValueError": ValueError,
+    "isfinite": math.isfinite,
+    "sin": math.sin,
+    "cos": math.cos,
+    "exp": math.exp,
+    "log": math.log,
+    "sqrt": math.sqrt,
+    "pow": math.pow,
+    "fail": _fail,
+    **_MESSAGES,
+}
+
+
+def scalar_kernel(exprs, variables=("t",)):
+    """Compile a tree, or a sequence of trees, into one function of ``variables``.
+
+    The function takes one value per name in ``variables``, positionally,
+    and returns a float for a single tree or a tuple for a sequence.  Each
+    distinct node is one local, computed once, in the post-order of a walk
+    over the trees (left child first); a node repeating an earlier node's
+    operation on equal operands reuses that local.  Every DomainError rule
+    is checked inline.  So values, and the first error raised with its
+    message, are those of evaluating node by node.  A variable not in
+    ``variables`` raises DomainError where it is first used.  Names,
+    constants and curves reach the function through its namespace, never
+    through its source, so trees of one shape share compiled code.
+    """
+    roots = (exprs,) if isinstance(exprs, Expr) else tuple(exprs)
+    args = {name: f"a{i}" for i, name in enumerate(variables)}
+    namespace = dict(_KERNEL_GLOBALS)
+    lines, refs, floats, computed = [], {}, {}, {}
+
+    def bind(value) -> str:
+        name = f"k{len(namespace)}"
+        namespace[name] = value
+        return name
+
+    def constant(value) -> str:
+        # equal floats share a name, so equal operations on them share a local
+        if type(value) is not float:
+            return bind(value)
+        if repr(value) not in floats:
+            floats[repr(value)] = bind(value)
+        return floats[repr(value)]
+
+    def compute(template, **operands) -> str:
+        # one operation on the same operands is computed once (value numbering)
+        key = (template, *operands.values())
+        if key not in computed:
+            r = computed[key] = f"v{len(computed)}"
+            lines.extend(line.format(r=r, **operands) for line in template)
+        return computed[key]
+
+    def emit(node: Expr) -> str:
+        if isinstance(node, Const):
+            return constant(node.value)
+        if isinstance(node, Var):
+            if node.name in args:
+                return args[node.name]
+            return compute(_UNBOUND_LINES, name=bind(node.name))
+        if isinstance(node, Unary):
+            if node.op not in _UNARY_LINES:
+                raise AssertionError(f"bad unary op {node.op!r}")
+            return compute(_UNARY_LINES[node.op], a=ref(node.arg))
+        if isinstance(node, Binary):
+            if node.op not in _BINARY_LINES:
+                raise AssertionError(f"bad binary op {node.op!r}")
+            return compute(_BINARY_LINES[node.op], a=ref(node.left), b=ref(node.right))
+        if isinstance(node, CurveVal):
+            return compute(_CURVE_LINES, t=ref(_T), c=bind(node.curve), k=bind(node.order))
+        raise TypeError(f"cannot compile node {node!r}")
+
+    def ref(node: Expr) -> str:
+        hit = refs.get(id(node))
+        if hit is None:
+            # the node is kept with its local so its id cannot be reused
+            hit = refs[id(node)] = (node, emit(node))
+        return hit[1]
+
+    results = [ref(root) for root in roots]
+    if isinstance(exprs, Expr):
+        value = results[0]
+    else:
+        value = "(" + "".join(r + ", " for r in results) + ")"
+    body = "".join(f"    {line}\n" for line in (*lines, "return " + value))
+    source = f"def kernel({', '.join(args.values())}):\n{body}"
+    exec(_compiled(source), namespace)
+    return namespace["kernel"]
+
+
+@functools.lru_cache(maxsize=256)
+def _compiled(source: str):
+    """Code of a kernel; trees of one shape share it, whatever their constants and curves."""
+    return compile(source, "<scalar kernel>", "exec")
 
 
 # ---------------------------------------------------------------------------
@@ -733,6 +844,7 @@ class TimeFunction:
         self.domain = (float(domain[0]), float(domain[1]))
         self._derivs = [expr]
         self._memo = {}
+        self._kernels = {}
         self.derivative_expr(3)
 
     def derivative_expr(self, order: int) -> Expr:
@@ -746,7 +858,10 @@ class TimeFunction:
         lo, hi = self.domain
         if not (lo <= t <= hi):
             raise DomainError(f"t={t!r} outside domain [{lo!r}, {hi!r}]")
-        return self.derivative_expr(order).eval({"t": t})
+        kernel = self._kernels.get(order)
+        if kernel is None:
+            kernel = self._kernels[order] = scalar_kernel(self.derivative_expr(order), ("t",))
+        return kernel(t)
 
     def __call__(self, t: float) -> float:
         return self.eval(t, 0)

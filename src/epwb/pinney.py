@@ -156,11 +156,19 @@ def autonomous_energy(phi0: float, h2: float, x: float, xdot: float) -> float:
 
 
 def drift(values) -> float:
-    """Relative spread (max - min) / max(1, |mean|) of a sampled series."""
+    """Relative spread (max - min) / max(1, |mean|) of a sampled series.
+
+    Raises DomainError when the spread or the mean is NaN or infinite, so
+    no verdict or report rests on a non-finite number.
+    """
     values = np.asarray(values, dtype=float)
     if values.size == 0:
         raise ValueError("empty series")
-    return float((values.max() - values.min()) / max(1.0, abs(values.mean())))
+    with np.errstate(over="ignore", invalid="ignore"):
+        spread, mean = values.max() - values.min(), values.mean()
+    if not (math.isfinite(spread) and math.isfinite(mean)):
+        raise DomainError(f"non-finite series (spread {spread!r}, mean {mean!r})")
+    return float(spread / max(1.0, abs(mean)))
 
 
 def invariant_audit(name: str, interval, times, values) -> dict:

@@ -37,6 +37,7 @@ from .expressions import (
     differentiate,
     evaluate,
     parse_expression,
+    scalar_kernel,
     sin,
     var,
 )
@@ -59,6 +60,7 @@ class PointSymmetry:
         self.tau = tau
         self.xi = xi
         self.name = name
+        self._kernel = None
         memo_t, memo_x = {}, {}
         self.partials = {}
         for comp, tree in (("tau", tau), ("xi", xi)):
@@ -75,10 +77,11 @@ class PointSymmetry:
 
     def components(self, t, x):
         """(tau, xi) at one point as floats, or over arrays ``t``, ``x`` as arrays."""
-        env = {"t": t, "x": x}
         if np.ndim(t) == 0 and np.ndim(x) == 0:
-            return self.tau.eval(env), self.xi.eval(env)
-        memo = {}
+            if self._kernel is None:
+                self._kernel = scalar_kernel((self.tau, self.xi), ("t", "x"))
+            return self._kernel(t, x)
+        env, memo = {"t": t, "x": x}, {}
         return evaluate(self.tau, env, memo), evaluate(self.xi, env, memo)
 
     def __repr__(self):
@@ -103,6 +106,7 @@ class SecondOrderODE:
         self.w_t = differentiate(w, "t")
         self.w_x = differentiate(w, "x")
         self.w_v = differentiate(w, "v")
+        self._kernel = None
 
     @classmethod
     def from_ep(cls, phi: TimeFunction, g: TimeFunction) -> "SecondOrderODE":
@@ -113,7 +117,9 @@ class SecondOrderODE:
         return cls(parse_expression(text, ("t", "x", "v")))
 
     def w_at(self, t: float, x: float, v: float) -> float:
-        return self.w.eval({"t": t, "x": x, "v": v})
+        if self._kernel is None:
+            self._kernel = scalar_kernel(self.w, ("t", "x", "v"))
+        return self._kernel(t, x, v)
 
 
 def default_samples(

@@ -377,6 +377,21 @@ class TestErrors:
         assert run_cli(["run", str(path)]) == 1
         assert not (tmp_path / "report.json").exists()
 
+    def test_overflowing_invariant_is_a_run_failure(self, tmp_path, capsys):
+        # the Ermakov series overflows; its drift used to be NaN, which left an empty report
+        scenario = {
+            "kind": "verify-invariant",
+            "invariant": "ermakov",
+            "phi": "1",
+            "initial": [1e300, 1e300],
+            "interval": [0.0, 1.0],
+            "outputs": {"report": "report.json"},
+        }
+        path = write_scenario(tmp_path, scenario)
+        assert run_cli(["run", str(path)]) == 2
+        assert "non-finite series" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
     def test_expression_error_reports_offset(self, tmp_path, capsys):
         path = write_scenario(tmp_path, simulate_scenario(phi="sin("))
         assert run_cli(["run", str(path)]) == 1
@@ -425,28 +440,31 @@ def _short_interval(t0, dt):
 
 
 _interval = st.builds(_short_interval, _mostly(st.floats(-3.0, 3.0)), _mostly(st.floats(0.1, 1.5)))
+_settings = st.fixed_dictionaries(
+    {},
+    optional={
+        "rtol": _mostly(st.floats(1e-12, 1e-3)),
+        "atol": _mostly(st.floats(1e-14, 1e-3)),
+        "x_min": _mostly(st.floats(0.0, 0.5)),
+        "max_steps": _mostly(st.integers(1, 50)),
+    },
+)
+_phi = st.sampled_from(["1", "0", "4", "1+0.5*sin(t)", "-1"])
+_compatible_g = st.sampled_from(["(1+t)^4", "exp(t)", "(2+t)^3"])
 _simulate = st.fixed_dictionaries(
     {
         "kind": st.just("simulate"),
-        "phi": st.sampled_from(["1", "0", "4", "1+0.5*sin(t)", "-1"]),
+        "phi": _phi,
         "g": st.sampled_from(["1", "0", "-1", "2+t"]),
         "interval": _interval,
         "initial": _pair(-0.5, 2.0),
-        "settings": st.fixed_dictionaries(
-            {},
-            optional={
-                "rtol": _mostly(st.floats(1e-12, 1e-3)),
-                "atol": _mostly(st.floats(1e-14, 1e-3)),
-                "x_min": _mostly(st.floats(0.0, 0.5)),
-                "max_steps": _mostly(st.integers(1, 50)),
-            },
-        ),
+        "settings": _settings,
     }
 )
 _symmetry = st.fixed_dictionaries(
     {
         "kind": st.just("verify-symmetry"),
-        "g": st.sampled_from(["(1+t)^4", "exp(t)", "(2+t)^3"]),
+        "g": _compatible_g,
         "c0": _mostly(st.floats(-2.0, 2.0)),
         "m": _mostly(st.floats(-2.0, 2.0)),
         "interval": _interval,
@@ -455,12 +473,73 @@ _symmetry = st.fixed_dictionaries(
         "threshold": _mostly(st.floats(1e-12, 1.0)),
     }
 )
+_reduce = st.fixed_dictionaries(
+    {
+        "kind": st.just("reduce"),
+        "g": _compatible_g,
+        "c0": _mostly(st.floats(0.1, 2.0)),
+        "m": _mostly(st.floats(0.0, 2.0)),
+        "interval": _interval,
+        "initial": _pair(0.3, 2.0),
+        "settings": _settings,
+    },
+    optional={
+        "sigma": _mostly(st.floats(-1.0, 1.0)),
+        "n": _mostly(st.integers(0, 50)),
+        "threshold": _mostly(st.floats(1e-12, 1.0)),
+        "abel_threshold": _mostly(st.floats(1e-12, 1.0)),
+    },
+)
+_eliezer_grey = st.fixed_dictionaries(
+    {
+        "kind": st.just("eliezer-grey"),
+        "phi": _phi,
+        "k": st.sampled_from(["0", "0.1", "-0.2", "t"]),
+        "initial": st.one_of(
+            st.lists(_mostly(st.floats(-0.5, 2.0)), min_size=4, max_size=4),
+            st.fixed_dictionaries(
+                {"r": _mostly(st.floats(-0.5, 2.0)), "thetadot": _mostly(st.floats(-1.0, 1.0))}
+            ),
+        ),
+        "interval": _interval,
+        "settings": _settings,
+    },
+    optional={"threshold": _mostly(st.floats(1e-12, 1.0))},
+)
+_invariant = st.fixed_dictionaries(
+    {
+        "kind": st.just("verify-invariant"),
+        "invariant": st.sampled_from(["ermakov", "lewis", "lorentz"]),
+        "phi": _phi,
+        "initial": _pair(-0.5, 2.0),
+        "interval": _interval,
+        "settings": _settings,
+    },
+    optional={
+        "aux_initial": _pair(-0.5, 2.0),
+        "h2": _mostly(st.floats(-1.0, 3.0)),
+        "samples": _mostly(st.integers(0, 50)),
+        "threshold": _mostly(st.floats(1e-12, 1.0)),
+    },
+)
 
 
-@settings(max_examples=30, deadline=None)
-@given(scenario=st.one_of(_simulate, _symmetry))
+def _evidence(kind: str, report: dict, tmp: str) -> int:
+    """Number of steps or samples a report rests on."""
+    if kind == "reduce":
+        return report["abel_samples_used"]
+    if kind == "eliezer-grey":  # its report names no count; its table has one row per node
+        with open(os.path.join(tmp, "table.csv")) as fh:
+            return len(fh.read().splitlines()) - 2
+    return report.get("steps", report.get("samples"))
+
+
+@settings(max_examples=100, deadline=None)
+@given(scenario=st.one_of(_simulate, _symmetry, _reduce, _eliezer_grey, _invariant))
 def test_fuzzed_scenarios_never_pass_vacuously(scenario):
     scenario["outputs"] = {"report": "report.json"}
+    if scenario["kind"] == "eliezer-grey":
+        scenario["outputs"]["csv"] = "table.csv"
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "scenario.json")
         with open(path, "w") as fh:
@@ -475,4 +554,4 @@ def test_fuzzed_scenarios_never_pass_vacuously(scenario):
                 report = json.loads(fh.read(), parse_constant=_reject_constant)
             if code == 0:
                 assert report["pass"] is True
-                assert report.get("steps", report.get("samples")) >= 1
+                assert _evidence(scenario["kind"], report, tmp) >= 1

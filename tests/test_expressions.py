@@ -1,4 +1,7 @@
+import builtins
 import math
+import subprocess
+import sys
 
 import hypothesis.strategies as st
 import numpy as np
@@ -18,12 +21,16 @@ from epwb import (
     evaluate,
     fundamental_pair,
     parse_expression,
+    scalar_kernel,
     structure_constants,
     surviving_symmetry,
     symmetry_residual,
     time_function,
 )
+from epwb import expressions, symmetry
 from epwb.expressions import Binary, Const, CurveVal, Unary, Var, const, sin, var
+from epwb.pinney import EPConfig, ep_system
+from epwb.ode import integrate
 from epwb.symmetry import basis_family, default_samples
 
 
@@ -421,21 +428,208 @@ def test_dag_is_differentiated_and_evaluated_once_per_node(monkeypatch):
     assert len(grids) <= 400
 
 
-def test_grid_callers_never_walk_per_point(monkeypatch):
+@pytest.fixture
+def kernels(monkeypatch, request):
+    """Count the scalar kernels built, and the calls of any of them, from here on."""
+    log = {"builds": 0, "calls": 0}
+    original = expressions.scalar_kernel
+
+    def counting(exprs, variables=("t",)):
+        kernel = original(exprs, variables)
+        log["builds"] += 1
+
+        def call(*args):
+            log["calls"] += 1
+            return kernel(*args)
+
+        return call
+
+    for module in (expressions, symmetry):
+        monkeypatch.setattr(module, "scalar_kernel", counting)
+    # constant folding caches its kernels for the process; drop the counted ones
+    request.addfinalizer(expressions._fold_kernel.cache_clear)
+    return log
+
+
+def test_grid_callers_never_walk_per_point(kernels):
     fam = compatible_family(time_function("(1+t)^4"), 1.0, 1.0, (0.0, 3.0))
     sym, ode = surviving_symmetry(fam), ep_ode(fam)
     basis_syms = basis_family(fundamental_pair(time_function("1+0.5*sin(t)"), (0.0, 4.0)))
     family = autonomous_family(1.0)
     samples = default_samples((0.0, 3.0))
     points = [(t, x) for t in np.linspace(0.3, 2.7, 7) for x in (0.7, 1.1, 1.9)]
-    calls = []
-    for cls in (Const, Var, Unary, Binary, CurveVal):
-        original = cls.eval
-        monkeypatch.setattr(
-            cls, "eval", lambda self, env, _f=original: calls.append(self) or _f(self, env)
-        )
+    before = dict(kernels)  # integrating the basis called its right-hand side
     symmetry_residual(sym, ode, samples)
     symmetry_residual(basis_syms[1], ode, samples)
     structure_constants(family, points)
     fam.phi.jet(np.linspace(0.0, 3.0, 50), 3)
-    assert len(calls) == 0
+    assert kernels == before
+
+
+def test_scalar_callers_compile_once_and_reuse(kernels):
+    fam = compatible_family(time_function("exp(4*t)"), 1.0, 1.0, (0.0, 2.0))
+    assert kernels["builds"] == 0  # building trees compiles nothing
+    traj = integrate(ep_system(EPConfig(phi=fam.phi, g=fam.g)), [1.0, 0.0], (0.0, 0.5))
+    assert len(traj.times) > 10
+    assert kernels["builds"] == 2  # phi and g, order 0
+    assert kernels["calls"] > 20 * len(traj.times)  # two per right-hand side
+    sym = surviving_symmetry(fam)
+    built, called = kernels["builds"], kernels["calls"]
+    for t in (0.1, 0.2, 0.3):
+        tau, xi = sym.components(t, 1.5)
+        assert isinstance(tau, float) and isinstance(xi, float)
+        fam.g.eval(t, 2)
+    assert kernels["builds"] == built + 2  # tau and xi together, g''
+    assert kernels["calls"] == called + 6
+
+
+def test_import_compiles_no_kernel():
+    code = (
+        "import builtins; seen = []; original = builtins.compile\n"
+        "def spy(source, filename, *a, **k):\n"
+        "    seen.append(filename)\n"
+        "    return original(source, filename, *a, **k)\n"
+        "builtins.compile = spy\n"
+        "import epwb, epwb.cli\n"
+        "assert '<scalar kernel>' not in seen, seen\n"
+    )
+    subprocess.run([sys.executable, "-c", code], check=True)
+
+
+@pytest.fixture
+def compiled(monkeypatch):
+    """The source text of every kernel compiled from here on."""
+    sources = []
+    original = builtins.compile
+    monkeypatch.setattr(
+        builtins, "compile", lambda src, *a, **k: sources.append(src) or original(src, *a, **k)
+    )
+    expressions._compiled.cache_clear()
+    return sources
+
+
+def test_dag_compiles_to_one_operation_per_node(compiled):
+    # 40 levels, each node using its child twice: a walk would visit 2^40 nodes
+    e = sin(var("t"))
+    for _ in range(40):
+        e = Binary("-", Binary("*", Const(2.0), e), e)  # 2a - a == a exactly
+    kernel = scalar_kernel(e, ("t",))
+    assert kernel(0.3) == math.sin(0.3)
+    (source,) = compiled
+    operations = [ln for ln in source.splitlines() if ln.lstrip().startswith("v")]
+    assert len(operations) == 1 + 80  # sin, then one '*' and one '-' per level
+
+
+def test_equal_operations_share_a_local_and_shapes_share_code(compiled):
+    # distinct but equal subtrees: sin(2*t) is computed once
+    kernel = scalar_kernel(parse_expression("sin(2*t) + t*sin(2*t)"), ("t",))
+    assert kernel(0.4) == math.sin(0.8) + 0.4 * math.sin(0.8)
+    (source,) = compiled
+    assert source.count("sin(") == 1
+    # another tree of the same shape runs the same code with its own constants
+    first = scalar_kernel(parse_expression("1+0.5*sin(3*t)"), ("t",))
+    second = scalar_kernel(parse_expression("2+0.25*sin(5*t)"), ("t",))
+    assert len(compiled) == 2
+    assert first(0.7) == 1 + 0.5 * math.sin(3 * 0.7)
+    assert second(0.7) == 2 + 0.25 * math.sin(5 * 0.7)
+
+
+def test_kernel_returns_a_tuple_for_several_trees():
+    t, x = var("t"), var("x")
+    shared = sin(t) * x
+    kernel = scalar_kernel((shared + 1.0, shared, x), ("t", "x"))
+    assert kernel(0.5, 2.0) == (math.sin(0.5) * 2.0 + 1.0, math.sin(0.5) * 2.0, 2.0)
+    assert scalar_kernel((), ("t",))(1.0) == ()
+
+
+_unops = st.sampled_from(["sin", "cos", "exp", "sqrt", "log", "neg"])
+
+
+@st.composite
+def _dag(draw):
+    """A tree from ``_expr`` with further nodes on top that reuse earlier ones."""
+    nodes = [draw(_expr)]
+    for _ in range(draw(st.integers(min_value=1, max_value=5))):
+        a = draw(st.sampled_from(nodes))
+        if draw(st.booleans()):
+            op = draw(st.sampled_from(["+", "-", "*", "/"]))
+            node = Binary(op, a, draw(st.sampled_from(nodes)))
+        else:
+            node = Unary(draw(_unops), a)
+        nodes.append(node)
+    return nodes[-1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(e=_dag(), t=st.floats(min_value=-2.0, max_value=3.0))
+def test_kernel_agrees_with_one_point_grid_evaluation(e, t):
+    kernel = scalar_kernel(e, ("t",))
+    try:
+        expected = evaluate(e, {"t": np.array([t])})[0]
+    except DomainError:
+        with pytest.raises(DomainError):
+            kernel(t)
+        return
+    np.testing.assert_allclose(kernel(t), expected, rtol=1e-12, atol=0.0)
+
+
+class _Line:
+    """A curve c(t) = 2t with the ``jet`` protocol."""
+
+    def jet(self, ts, k):
+        ts = np.asarray(ts, dtype=float)
+        return np.array([2.0 * ts, np.full_like(ts, 2.0)])[: k + 1]
+
+
+@pytest.mark.parametrize(
+    "expr, env, message",
+    [
+        ("sin(t)", {"t": math.inf}, "sin of non-finite value inf"),
+        ("cos(t)", {"t": math.nan}, "cos of non-finite value nan"),
+        ("exp(t)", {"t": 1e6}, "exp overflow at argument 1000000.0"),
+        ("log(t)", {"t": -1.5}, "log of non-positive value -1.5"),
+        ("sqrt(t)", {"t": -1.0}, "sqrt of negative value -1.0"),
+        ("1/t", {"t": 0.0}, "division by zero"),
+        ("t^0.5", {"t": -2.0}, "fractional power of non-positive base -2.0"),
+        ("t^(0-1)", {"t": 0.0}, "zero raised to a negative power"),
+        ("t^400", {"t": 10.0}, "power 10.0^400.0 undefined: math range error"),
+        ("t+t", {"t": 1e308}, "overflow in '+' of 1e+308 and 1e+308"),
+        ("t-x", {"t": 1e308, "x": -1e308}, "overflow in '-' of 1e+308 and -1e+308"),
+        ("t*t", {"t": 1e200}, "overflow in '*' of 1e+200 and 1e+200"),
+        ("t/0.5", {"t": 1e308}, "overflow in '/' of 1e+308 and 0.5"),
+        ("t^2", {"t": math.inf}, "overflow in '^' of inf and 2.0"),
+        ("t*x", {"t": 1.0}, "no value bound for variable 'x'"),
+        # the first failing node in post-order decides
+        ("log(t-1)+sqrt(t-3)", {"t": 0.0}, "log of non-positive value -1.0"),
+        ("sqrt(t-3)+log(t-1)", {"t": 0.0}, "sqrt of negative value -3.0"),
+    ],
+)
+def test_domain_error_messages(expr, env, message):
+    e = parse_expression(expr, ("t", "x"))
+    with pytest.raises(DomainError) as exc:
+        e.eval(env)
+    assert str(exc.value) == message
+
+
+def test_curve_leaf_without_time_is_a_domain_error():
+    leaf = CurveVal(_Line(), 1, "c")
+    assert leaf.eval({"t": 3.0}) == 2.0
+    with pytest.raises(DomainError, match="no value bound for variable 't'"):
+        leaf.eval({})
+    with pytest.raises(DomainError, match="no value bound for variable 't'"):
+        scalar_kernel(leaf * var("x"), ("x",))(1.0)
+
+
+def test_kernel_source_never_holds_expression_text(compiled):
+    hostile = "t); import os; ("
+    name_leaf = Var(hostile)
+    curve_leaf = CurveVal(_Line(), 0, "c') or __import__('os') or ('")
+    tree = name_leaf * curve_leaf + Const(0.5)
+    assert scalar_kernel(tree, (hostile, "t"))(3.0, 2.0) == 12.5
+    assert tree.eval({hostile: 3.0, "t": 2.0}) == 12.5
+    with pytest.raises(DomainError) as exc:
+        scalar_kernel(tree, ("t",))(2.0)
+    assert str(exc.value) == f"no value bound for variable {hostile!r}"
+    assert len(compiled) == 2  # Expr.eval reuses the code of the first kernel's shape
+    for source in compiled:
+        assert "import" not in source and "'" not in source
