@@ -297,7 +297,7 @@ def _invariant_series(sc: dict, interval, settings):
         for t in grid:
             w2 = phi(t)
             if w2 <= 0.0:
-                raise DomainError(f"frequency squared {w2!r} not positive at t={t!r}")
+                raise DomainError(f"frequency squared {w2!r} not positive at t={float(t)!r}")
             q, p = qt.sample(t)
             values.append(lorentz_adiabatic(math.sqrt(w2), q, p))
         return name, grid, values

@@ -6,8 +6,22 @@ combined fifth- and third-order error estimate, order-8 step-size control,
 and a seventh-order per-step interpolant that costs three extra stages on
 accepted steps only.  Each interpolant is kept as monomial coefficients of
 th^1..th^7 (th the fraction of the step), one (n_steps, dim, 7) array per
-trajectory.  Trajectories remember the right-hand side that produced them
-and carry a termination status:
+trajectory.
+
+One attempted step is one generated straight-line Python function per
+state dimension (built once, then cached): every stage value is a float
+local and every tableau sum is unrolled over its nonzero entries, so an
+attempt costs at most 15 right-hand-side calls plus scalar arithmetic and
+no NumPy call.  A right-hand side is called as ``rhs(t, y)`` with ``t`` a float and
+``y`` an indexable sequence of ``dim`` floats (a tuple inside
+``integrate``, a list in ``Trajectory.derivative`` and ``residual``); it
+returns ``dim`` floats as any sequence, a tuple of Python floats being the
+fast path.  It signals a point outside its domain by raising DomainError
+(ZeroDivisionError and OverflowError count the same), or by returning a
+non-finite value; either rejects the attempted step.
+
+Trajectories remember the right-hand side that produced them and carry a
+termination status:
 
     "completed"     reached the end of the requested interval
     "guard-stop"    a guard predicate fired; the offending step is discarded,
@@ -31,6 +45,7 @@ empty grid and a non-finite value.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -192,9 +207,8 @@ _MONOMIAL = np.array(
     dtype=float,
 )
 _POWERS = np.arange(1, _DEGREE + 1)
-# interior points of the guard scan, and their rows of th^1..th^7
+# interior points of the guard scan, as fractions of the step
 _SCAN_AT = (0.25, 0.5, 0.75)
-_SCAN = np.array(_SCAN_AT)[:, None] ** _POWERS
 
 _SAFETY = 0.9
 _BETA = 0.04  # PI stabilization
@@ -207,11 +221,16 @@ _RHS_ERRORS = (DomainError, ZeroDivisionError, OverflowError)
 
 @dataclass(frozen=True)
 class ODESystem:
-    """First-order system y' = rhs(t, y) with an optional abort guard."""
+    """First-order system y' = rhs(t, y) with an optional abort guard.
+
+    ``rhs(t, y)`` takes a float ``t`` and an indexable sequence ``y`` of
+    ``dim`` floats and returns ``dim`` floats (a tuple is the fast path);
+    ``guard(t, y)`` takes the same arguments and returns True to stop.
+    """
 
     dim: int
-    rhs: Callable[[float, np.ndarray], np.ndarray]
-    guard: Optional[Callable[[float, np.ndarray], bool]] = None
+    rhs: Callable[[float, Sequence[float]], Sequence[float]]
+    guard: Optional[Callable[[float, Sequence[float]], bool]] = None
 
 
 @dataclass(frozen=True)
@@ -285,7 +304,8 @@ class Trajectory:
         """Producing rhs at the interpolated state; shaped like sample(t)."""
         ts = np.asarray(t, dtype=float).reshape(-1)
         ys = self.sample(ts)
-        slopes = np.asarray([self.rhs(s, y) for s, y in zip(ts, ys)], dtype=float).reshape(ys.shape)
+        slopes = [self.rhs(s, y) for s, y in zip(ts.tolist(), ys.tolist())]
+        slopes = np.asarray(slopes, dtype=float).reshape(ys.shape)
         return slopes[0] if np.ndim(t) == 0 else slopes
 
     def jet(self, ts, k: int) -> np.ndarray:
@@ -323,6 +343,7 @@ def worst_residual(values) -> float:
 
 
 def _initial_step(rhs, t0, y0, f0, t1, rtol, atol):
+    y0, f0 = np.asarray(y0, dtype=float), np.asarray(f0, dtype=float)
     scale = atol + rtol * np.abs(y0)
     d0 = _rms(y0 / scale)
     d1 = _rms(f0 / scale)
@@ -330,7 +351,7 @@ def _initial_step(rhs, t0, y0, f0, t1, rtol, atol):
     h0 = min(h0, abs(t1 - t0))
     try:
         y1 = y0 + h0 * f0
-        f1 = np.asarray(rhs(t0 + h0, y1), dtype=float)
+        f1 = np.asarray(rhs(t0 + h0, tuple(y1.tolist())), dtype=float)
         d2 = _rms((f1 - f0) / scale) / h0
     except _RHS_ERRORS:
         d2 = math.inf
@@ -345,13 +366,112 @@ def _rms(v: np.ndarray) -> float:
     return float(np.sqrt(np.mean(np.square(v))))
 
 
-def _error_norm(h, K, scale) -> float:
-    """Hairer's combined norm of the fifth- and third-order estimates."""
-    err5 = np.sum(np.square((_E5 @ K) / scale))
-    err3 = np.sum(np.square((_E3 @ K) / scale))
-    if err5 == 0.0 and err3 == 0.0:
-        return 0.0
-    return float(h * err5 / np.sqrt((err5 + 0.01 * err3) * len(scale)))
+def _terms(coeffs, names) -> str:
+    """Source of sum(c * name) over the nonzero coefficients, left to right."""
+    src = ""
+    for c, name in zip(map(float, coeffs), names):
+        if c:
+            term = name if abs(c) == 1.0 else f"{abs(c)!r}*{name}"
+            src += (" - " if c < 0 else " + ") + term
+    return src[3:] if src.startswith(" + ") else "-" + src[3:]
+
+
+@functools.cache
+def _stepper(dim: int):
+    """Generated straight-line code for DOP853 steps on a ``dim``-float state.
+
+    Returns ``(step, scan)``.  ``step(rhs, t, h, y, f, rtol, atol)`` makes one
+    attempted step from the state ``y`` with slope ``f`` (sequences of
+    floats), keeping every stage value in a float local; the stage sums, the
+    error estimators and the dense-output rows are unrolled over the nonzero
+    tableau entries and summed left to right, as in Hairer's code.  It
+    returns ``(err, y_new, f_new, q)``: the error norm and, on acceptance
+    (err <= 1), the new state, the slope there (the next step's first stage)
+    and the 7*dim monomial coefficients of the interpolant, component by
+    component; on rejection the last three are None.  A right-hand side
+    that raises, or a non-finite stage or new state, gives err = inf.
+    ``scan(y, q)`` returns the states at the fractions ``_SCAN_AT`` of that
+    step, by Horner's rule.
+    """
+    comps = range(dim)
+
+    def tup(names):
+        return "(" + "".join(f"{name}, " for name in names) + ")"
+
+    def row(coeffs, i):
+        return _terms(coeffs, [f"k{j}_{i}" for j in range(len(coeffs))])
+
+    def stage(s, state=None):
+        state = state or [f"y_{i} + h*({row(_A[s], i)})" for i in comps]
+        slopes = tup(f"k{s}_{i}" for i in comps)
+        return f"        {slopes} = rhs(t + {float(_C[s])!r}*h, {tup(state)})"
+
+    def all_finite(names):
+        # 0*v is 0 for finite v and NaN otherwise, so the sum is finite iff all are
+        return "    if not isfinite(" + " + ".join(f"0.0*{name}" for name in names) + "):"
+
+    def horner(i, th):
+        src = f"q{_DEGREE * i + _DEGREE - 1}"
+        for j in reversed(range(_DEGREE - 1)):
+            src = f"q{_DEGREE * i + j} + {th!r}*({src})"
+        return f"y_{i} + {th!r}*({src})"
+
+    ys, k0, new = (tup(f"{v}_{i}" for i in comps) for v in ("y", "k0", "n"))
+    reject = "        return inf, None, None, None"
+    lines = [
+        "def step(rhs, t, h, y, f, rtol, atol):",
+        f"    {ys} = y",
+        f"    {k0} = f",
+        "    try:",
+        *(stage(s) for s in range(1, 12)),
+        "    except _RHS_ERRORS:",
+        reject,
+        *(f"    n_{i} = y_{i} + h*({row(_B, i)})" for i in comps),
+        all_finite([f"k{s}_{i}" for s in range(1, 12) for i in comps] + [f"n_{i}" for i in comps]),
+        reject,
+        *(f"    s_{i} = atol + rtol*max(abs(y_{i}), abs(n_{i}))" for i in comps),
+        *(f"    e_{i} = ({row(_E5, i)})/s_{i}" for i in comps),
+        *(f"    d_{i} = ({row(_E3, i)})/s_{i}" for i in comps),
+        "    err5 = " + " + ".join(f"e_{i}*e_{i}" for i in comps),
+        "    err3 = " + " + ".join(f"d_{i}*d_{i}" for i in comps),
+        "    if err5 == 0.0 and err3 == 0.0:",
+        "        err = 0.0",
+        "    else:",
+        f"        err = h*err5/sqrt((err5 + 0.01*err3)*{dim})",
+        "    if not err <= 1.0:",
+        "        return err, None, None, None",
+        "    try:",
+        stage(12, [f"n_{i}" for i in comps]),
+        *(stage(s) for s in range(13, 16)),
+        "    except _RHS_ERRORS:",
+        reject,
+        all_finite([f"k{s}_{i}" for s in range(12, 16) for i in comps]),
+        reject,
+    ]
+    for i in comps:
+        lines += [
+            f"    F0_{i} = n_{i} - y_{i}",
+            f"    F1_{i} = h*k0_{i} - F0_{i}",
+            f"    F2_{i} = 2.0*F0_{i} - h*(k0_{i} + k12_{i})",
+            *(f"    F{3 + r}_{i} = h*({row(d, i)})" for r, d in enumerate(_D)),
+        ]
+    q = [
+        _terms(_MONOMIAL[:, j], [f"F{r}_{i}" for r in range(_DEGREE)])
+        for i in comps
+        for j in range(_DEGREE)
+    ]
+    lines += [
+        f"    return err, {new}, {tup(f'k12_{i}' for i in comps)}, {tup(q)}",
+        "def scan(y, q):",
+        f"    {ys} = y",
+        f"    {tup(f'q{j}' for j in range(_DEGREE * dim))} = q",
+        f"    return {tup(tup(horner(i, th) for i in comps) for th in _SCAN_AT)}",
+    ]
+    namespace = {
+        "_RHS_ERRORS": _RHS_ERRORS, "inf": math.inf, "isfinite": math.isfinite, "sqrt": math.sqrt
+    }
+    exec(compile("\n".join(lines) + "\n", f"<DOP853 step, dim {dim}>", "exec"), namespace)
+    return namespace["step"], namespace["scan"]
 
 
 def integrate(
@@ -375,31 +495,33 @@ def integrate(
         raise ValueError(f"initial state has shape {y.shape}, system dim is {sys.dim}")
     if not np.all(np.isfinite(y)):
         raise ValueError("initial state must be finite")
+    y = tuple(y.tolist())
+    rhs, guard = sys.rhs, sys.guard
 
     times = [t0]
-    states = [y.copy()]
+    states = [y]
     dense = []
     steps = []
 
     def done(status, message=""):
-        return Trajectory(times, states, dense, steps, sys.rhs, status, message)
+        return Trajectory(times, states, dense, steps, rhs, status, message)
 
-    if sys.guard is not None and sys.guard(t0, y):
+    if guard is not None and guard(t0, y):
         return done(GUARD_STOP, f"guard fired at initial state t={t0!r}")
 
     t = t0
     try:
-        f = np.asarray(sys.rhs(t, y), dtype=float)
+        f = rhs(t, y)
     except _RHS_ERRORS as e:
         return done(STEP_FAILURE, f"right-hand side undefined at t={t!r}: {e}")
-    if not np.all(np.isfinite(f)):
+    if not all(map(math.isfinite, f)):
         return done(STEP_FAILURE, f"non-finite right-hand side at t={t!r}")
 
     rtol, atol = settings.rtol, settings.atol
-    h = _initial_step(sys.rhs, t0, y, f, t1, rtol, atol)
+    h = _initial_step(rhs, t0, y, f, t1, rtol, atol)
     facold = 1e-4
     rejected = False
-    K = np.empty((16, sys.dim))
+    step, scan = _stepper(sys.dim)
 
     for _ in range(settings.max_steps):
         if t >= t1:
@@ -409,25 +531,7 @@ def integrate(
             return done(STEP_FAILURE, f"step size underflow at t={t!r}")
         h = min(h, t1 - t)
 
-        K[0] = f
-        err_norm = math.inf
-        try:
-            for i in range(1, 12):
-                K[i] = sys.rhs(t + _C[i] * h, y + h * (_A[i] @ K[:i]))
-            y_new = y + h * (_B @ K[:12])
-            if np.all(np.isfinite(K[:12])) and np.all(np.isfinite(y_new)):
-                scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-                err_norm = _error_norm(h, K[:12], scale)
-            if err_norm <= 1.0:
-                # accepted: f at the new node, then the dense-output stages
-                K[12] = sys.rhs(t + h, y_new)
-                for i in range(13, 16):
-                    K[i] = sys.rhs(t + _C[i] * h, y + h * (_A[i] @ K[:i]))
-                if not np.all(np.isfinite(K[12:])):
-                    err_norm = math.inf
-        except _RHS_ERRORS:
-            err_norm = math.inf
-
+        err_norm, y_new, f_new, q = step(rhs, t, h, y, f, rtol, atol)
         if not (err_norm <= 1.0):
             # reject
             fac11 = err_norm**_EXPO if math.isfinite(err_norm) else 10.0
@@ -436,26 +540,19 @@ def integrate(
             continue
 
         # accepted: guard scan over the step before committing it
-        dy = y_new - y
-        F = np.empty((_DEGREE, sys.dim))
-        F[0] = dy
-        F[1] = h * f - dy
-        F[2] = 2 * dy - h * (f + K[12])
-        F[3:] = h * (_D @ K)
-        Q = F.T @ _MONOMIAL
-        if sys.guard is not None and (
-            sys.guard(t + h, y_new)
-            or any(sys.guard(t + th * h, y + Q @ p) for th, p in zip(_SCAN_AT, _SCAN))
+        if guard is not None and (
+            guard(t + h, y_new)
+            or any(guard(t + th * h, state) for th, state in zip(_SCAN_AT, scan(y, q)))
         ):
             return done(GUARD_STOP, f"guard fired within step ending t={t + h!r}")
 
         times.append(t + h)
-        states.append(y_new.copy())
-        dense.append(Q)
+        states.append(y_new)
+        dense.append(q)
         steps.append(h)
         t = t + h
         y = y_new
-        f = K[12].copy()  # FSAL
+        f = f_new  # FSAL
 
         fac = err_norm**_EXPO / facold**_BETA
         fac = max(1 / _MAX_FACTOR, min(1 / _MIN_FACTOR, fac / _SAFETY))
@@ -480,7 +577,7 @@ def residual(sys: ODESystem, tr: Trajectory, grid: Sequence[float]) -> float:
     """
     grid = np.asarray(grid, dtype=float)
     ys = tr.sample(grid)
-    candidate = np.asarray([sys.rhs(t, y) for t, y in zip(grid, ys)], dtype=float)
+    candidate = np.asarray([sys.rhs(t, y) for t, y in zip(grid.tolist(), ys.tolist())], dtype=float)
     return worst_residual(tr.derivative(grid) - candidate.reshape(ys.shape))
 
 

@@ -26,7 +26,7 @@ class DegenerateBasisError(ValueError):
 
 def oscillator_system(phi: TimeFunction) -> ODESystem:
     def rhs(t, y):
-        return np.array([y[1], -phi.eval(t) * y[0]])
+        return (y[1], -phi.eval(t) * y[0])
 
     return ODESystem(dim=2, rhs=rhs)
 

@@ -44,10 +44,17 @@ def ep_system(cfg: EPConfig, settings: IntegrationSettings | None = None) -> ODE
     x_min = settings.x_min
 
     def rhs(t, y):
-        x = y[0]
+        x, v = y
         if x <= 0.0:
             raise DomainError(f"state left the x > 0 half-plane (x={x!r})")
-        return np.array([y[1], -cfg.phi.eval(t) * x + cfg.g.eval(t) / x**3])
+        try:
+            cube = x**3
+            force = cfg.g.eval(t) / cube
+        except (OverflowError, ZeroDivisionError):
+            cube = force = math.inf
+        if not (math.isfinite(cube) and math.isfinite(force)):
+            raise DomainError(f"g/x^3 is not finite at x={x!r}")
+        return (v, -cfg.phi.eval(t) * x + force)
 
     def guard(t, y):
         return y[0] < x_min
@@ -117,12 +124,16 @@ def ep_residual(cfg: EPConfig, x, grid, x_min: float = 1e-6) -> float:
 
 def ermakov_invariant(x, y, h2: float, t: float) -> float:
     """I = ((x'y - x y')^2 + h^2 (y/x)^2) / 2 for x nonlinear, y linear."""
-    xv, xd = x.jet([t], 1)[:, 0]
-    yv, yd = y.jet([t], 1)[:, 0]
+    xv, xd = x.jet([t], 1)[:, 0].tolist()
+    yv, yd = y.jet([t], 1)[:, 0].tolist()
     if xv == 0.0:
-        raise DomainError(f"x(t)=0 at t={t!r}")
+        raise DomainError(f"x(t)=0 at t={float(t)!r}")
     cross = xd * yv - xv * yd
-    return float(0.5 * (cross * cross + h2 * (yv / xv) ** 2))
+    ratio = yv / xv
+    value = 0.5 * (cross * cross + h2 * (ratio * ratio))
+    if not math.isfinite(value):
+        raise DomainError(f"Ermakov invariant is not finite at t={float(t)!r}")
+    return value
 
 
 @dataclass(frozen=True)

@@ -39,7 +39,7 @@ def third_order_system(cfg: ThirdOrderConfig) -> ODESystem:
     def rhs(t, y):
         a = cfg.a.eval(t)
         adot = cfg.a.eval(t, 1)
-        return np.array([y[1], y[2], -2.0 * a * y[1] - adot * y[0]])
+        return (y[1], y[2], -2.0 * a * y[1] - adot * y[0])
 
     return ODESystem(dim=3, rhs=rhs)
 

@@ -182,6 +182,13 @@ class TestVerifyInvariant:
         assert run_cli(["run", str(path)]) == 2
         assert "run failed" in capsys.readouterr().err
 
+    def test_nonpositive_frequency_message_prints_a_plain_time(self, tmp_path, capsys):
+        path = write_scenario(tmp_path, self.lorentz_scenario(phi="0", interval=[0.5, 1.0]))
+        assert run_cli(["run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "frequency squared 0.0 not positive at t=0.5" in err
+        assert "np.float64" not in err
+
 
 class TestReduce:
     def reduce_scenario(self, **extra):
@@ -378,7 +385,7 @@ class TestErrors:
         assert not (tmp_path / "report.json").exists()
 
     def test_overflowing_invariant_is_a_run_failure(self, tmp_path, capsys):
-        # the Ermakov series overflows; its drift used to be NaN, which left an empty report
+        # x0 = 1e300 puts x^3 out of float range, so g/x^3 is undefined at the start
         scenario = {
             "kind": "verify-invariant",
             "invariant": "ermakov",
@@ -389,7 +396,9 @@ class TestErrors:
         }
         path = write_scenario(tmp_path, scenario)
         assert run_cli(["run", str(path)]) == 2
-        assert "non-finite series" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "integration stopped: step-failure" in err
+        assert "g/x^3 is not finite" in err
         assert not (tmp_path / "report.json").exists()
 
     def test_expression_error_reports_offset(self, tmp_path, capsys):

@@ -16,6 +16,7 @@ from epwb import (
     time_function,
     write_csv,
 )
+from epwb import ode
 from epwb.pinney import EPConfig, ep_system
 from tests.conftest import grid
 
@@ -299,3 +300,155 @@ class TestCsvExport:
         path = tmp_path / "named.csv"
         write_csv(tr, path, names=("q", "p"))
         assert path.read_text().splitlines()[0] == "t,q,p"
+
+
+def coupled(t, y):
+    """Nonlinear, time-dependent right-hand side for any state dimension."""
+    n = len(y)
+    return tuple(math.sin(t + y[(i + 1) % n]) - 0.3 * y[i] * y[i] for i in range(n))
+
+
+def reference_step(rhs, t, h, y, f, rtol, atol):
+    """One DOP853 attempt as NumPy matrix products over the tableau arrays.
+
+    Returns (err, y_new, f_new, q) as the generated step does, plus the
+    sixteen stage slopes.
+    """
+    y = np.array(y)
+    K = np.zeros((16, len(y)))
+    K[0] = f
+    for i in range(1, 12):
+        K[i] = rhs(t + ode._C[i] * h, tuple(y + h * (ode._A[i] @ K[:i])))
+    y_new = y + h * (ode._B @ K[:12])
+    err = _error_norm(h, y, y_new, ode._E5 @ K[:12], ode._E3 @ K[:12], rtol, atol)
+    K[12] = rhs(t + h, tuple(y_new))
+    for i in range(13, 16):
+        K[i] = rhs(t + ode._C[i] * h, tuple(y + h * (ode._A[i] @ K[:i])))
+    dy = y_new - y
+    F = np.vstack([dy, h * K[0] - dy, 2 * dy - h * (K[0] + K[12]), h * (ode._D @ K)])
+    return (err, y_new, K[12], (F.T @ ode._MONOMIAL).ravel()), K
+
+
+def _error_norm(h, y, y_new, e5, e3, rtol, atol):
+    scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
+    err5 = np.sum((e5 / scale) ** 2)
+    err3 = np.sum((e3 / scale) ** 2)
+    return h * err5 / np.sqrt((err5 + 0.01 * err3) * len(y))
+
+
+def term_magnitudes(h, y, K, rtol, atol):
+    """The error norm and dense coefficients summed over |coefficient * value|.
+
+    The estimators and the high dense rows cancel terms of order |K| down to
+    far smaller values, so summation order moves them by a few ulps of
+    these magnitudes, not of the results.
+    """
+    y = np.abs(y)
+    y_new = y + h * (np.abs(ode._B) @ np.abs(K[:12]))
+    e5 = np.abs(ode._E5) @ np.abs(K[:12])
+    e3 = np.abs(ode._E3) @ np.abs(K[:12])
+    dy = y + y_new
+    K = np.abs(K)
+    F = np.vstack([dy, h * K[0] + dy, 2 * dy + h * (K[0] + K[12]), h * (np.abs(ode._D) @ K)])
+    return _error_norm(h, y, y_new, e5, e3, rtol, atol), (F.T @ np.abs(ode._MONOMIAL)).ravel()
+
+
+def assert_close(actual, expected, magnitude):
+    gap = np.abs(np.asarray(actual, dtype=float) - expected)
+    assert np.all(gap <= 1e-13 * magnitude)
+
+
+class TestGeneratedStep:
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_matches_numpy_reference(self, dim):
+        t, h, rtol, atol = 0.3, 0.2, 1e-8, 1e-10
+        y = tuple(0.4 + 0.3 * i for i in range(dim))
+        f = coupled(t, y)
+        step, _ = ode._stepper(dim)
+        err, y_new, f_new, q = step(coupled, t, h, y, f, rtol, atol)
+        ref, K = reference_step(coupled, t, h, y, f, rtol, atol)
+        err_mag, q_mag = term_magnitudes(h, y, K, rtol, atol)
+        assert err <= 1.0
+        assert_close(err, ref[0], err_mag)
+        assert_close(y_new, ref[1], np.abs(ref[1]))
+        assert_close(f_new, ref[2], np.abs(ref[2]))
+        assert len(q) == 7 * dim
+        assert_close(q, ref[3], q_mag)
+
+    @pytest.mark.parametrize("dim", [1, 4])
+    def test_rejected_attempt_returns_only_the_error(self, dim):
+        t, h, rtol, atol = 0.0, 0.3, 1e-12, 1e-14
+        y = tuple(1.0 + i for i in range(dim))
+        f = coupled(t, y)
+        step, _ = ode._stepper(dim)
+        err, *rest = step(coupled, t, h, y, f, rtol, atol)
+        ref, K = reference_step(coupled, t, h, y, f, rtol, atol)
+        assert err > 1.0
+        assert_close(err, ref[0], term_magnitudes(h, y, K, rtol, atol)[0])
+        assert rest == [None, None, None]
+
+    def test_scan_matches_the_dense_output(self):
+        # the guard sees the states that sample() interpolates at th = 1/4, 1/2, 3/4
+        tr = integrate(ODESystem(dim=3, rhs=coupled), (0.4, 0.7, 1.0), (0.0, 1.0))
+        _, scan = ode._stepper(3)
+        t, h = tr.times[0], tr.times[1] - tr.times[0]
+        states = scan(tuple(tr.states[0]), tuple(tr._dense[0].ravel()))
+        for th, state in zip(ode._SCAN_AT, states):
+            assert_close(state, tr.sample(t + th * h), np.abs(state))
+
+    def test_generated_once_per_dimension(self):
+        code = ode._stepper(3)
+        before = ode._stepper.cache_info()
+        for y0 in ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0)):
+            integrate(ODESystem(dim=3, rhs=coupled), y0, (0.0, 1.0))
+        after = ode._stepper.cache_info()
+        assert ode._stepper(3) is code
+        assert after.misses == before.misses
+        assert after.hits >= before.hits + 2
+        assert ode._stepper(2)[0] is not code[0]
+
+
+def failing_once(call: int, failure: str):
+    """Oscillator right-hand side whose ``call``-th evaluation fails once."""
+    calls = 0
+
+    def rhs(t, y):
+        nonlocal calls
+        calls += 1
+        if calls == call:
+            if failure == "raise":
+                raise DomainError("transient failure")
+            return (y[1], math.nan if failure == "nan" else math.inf)
+        return (y[1], -y[0])
+
+    return rhs
+
+
+class TestInteriorStageFailure:
+    # evaluations 1 and 2 are the initial slope and the initial-step probe;
+    # 3..13 are the first attempt's stages 2..12 and 15 its first dense stage
+    @pytest.mark.parametrize("failure", ["raise", "nan", "inf"])
+    @pytest.mark.parametrize("call", [5, 12, 15], ids=["stage-4", "stage-11", "dense"])
+    def test_transient_failure_rejects_the_attempt_only(self, call, failure):
+        clean = integrate(oscillator(), (1.0, 0.0), (0.0, 2 * math.pi))
+        sys = ODESystem(dim=2, rhs=failing_once(call, failure))
+        tr = integrate(sys, (1.0, 0.0), (0.0, 2 * math.pi))
+        assert tr.status == COMPLETED
+        assert tr.times[1] < clean.times[1]  # the first attempt was retried smaller
+        assert tr.sample(2 * math.pi)[0] == pytest.approx(1.0, abs=1e-8)
+
+    @pytest.mark.parametrize("failure", ["raise", "nan", "inf"])
+    def test_persistent_failure_is_a_step_failure(self, failure):
+        # every stage beyond t = 0.5 fails, so the steps shrink until they underflow
+        def rhs(t, y):
+            if t > 0.5:
+                if failure == "raise":
+                    raise DomainError("undefined beyond 0.5")
+                return (y[1], math.nan if failure == "nan" else math.inf)
+            return (y[1], -y[0])
+
+        tr = integrate(ODESystem(dim=2, rhs=rhs), (1.0, 0.0), (0.0, 1.0))
+        assert tr.status == STEP_FAILURE
+        assert tr.message.startswith("step size underflow")
+        assert 0.49 < tr.t_end <= 0.5
+        assert np.all(np.isfinite(tr.states))

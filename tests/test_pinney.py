@@ -106,6 +106,22 @@ class TestEpResidual:
             curve.jet([math.pi], 0)
 
 
+class TestEpSystem:
+    @pytest.mark.parametrize(
+        "x", [1e300, np.float64(1e300), 1e-120], ids=["float", "float64", "tiny"]
+    )
+    def test_inverse_cube_out_of_range_raises(self, x):
+        # the cube overflows (or underflows to 0); g/x^3 must not turn into 0 or inf
+        rhs = ep_system(const_cfg("1", 1.0)).rhs
+        with np.errstate(over="ignore"), pytest.raises(DomainError, match="g/x\\^3"):
+            rhs(0.0, (x, 0.0))
+
+    def test_finite_state_gives_float_tuple(self):
+        slope = ep_system(const_cfg("1", 4.0)).rhs(0.0, (2.0, 0.5))
+        assert slope == (0.5, -2.0 + 0.5)
+        assert all(type(v) is float for v in slope)
+
+
 class TestErmakovInvariant:
     def test_equilibrium_against_sine(self, basis_phi1):
         x, h2 = pinney_solution(basis_phi1, 1.0, 0.0, 1.0)
@@ -140,6 +156,12 @@ class TestErmakovInvariant:
     def test_zero_x_rejected(self, basis_phi1):
         with pytest.raises(DomainError):
             ermakov_invariant(basis_phi1.v, basis_phi1.u, 1.0, 0.0)
+
+    def test_overflowing_cross_term_rejected(self):
+        # x = 1e200 t and y = 1 + t give x'y - xy' = 1e200, whose square overflows
+        x, y = time_function("1e200*t"), time_function("1+t")
+        with pytest.raises(DomainError, match="not finite"):
+            ermakov_invariant(x, y, 1.0, 0.5)
 
 
 class TestLewisInvariant:
@@ -245,6 +267,11 @@ class TestDriftAndAudit:
     def test_empty_series(self):
         with pytest.raises(ValueError):
             drift([])
+
+    def test_overflowing_series_raises(self):
+        # the spread 2e308 is beyond float range
+        with pytest.raises(DomainError, match="non-finite series"):
+            drift([1e308, -1e308])
 
     def test_audit_shape(self):
         rep = invariant_audit("demo", (0.0, 1.0), [0.0, 0.5, 1.0], [2.0, 2.0, 2.0])
