@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expressions import DomainError, TimeFunction
+from .expressions import DomainError, TimeFunction, var
 from .ode import IntegrationSettings, ODESystem, Trajectory, integrate, worst_residual
 from .pinney import drift
 
@@ -47,19 +47,15 @@ class PolarState:
 
 
 def polar_system(cfg: CentralFieldConfig, settings: IntegrationSettings) -> ODESystem:
-    """(r, r', theta, L) with r'' = -Phi r + L^2/r^3, theta' = L/r^2, L' = k."""
-
-    def rhs(t: float, y) -> list[float]:
-        r, rdot, _, ell = y
-        if r <= 0.0:
-            raise DomainError(f"radius reached {r!r}")
-        r3 = r * r * r
-        return [rdot, -cfg.phi(t) * r + ell * ell / r3, ell / (r * r), cfg.k(t)]
+    """(r, r', theta, L) with r'' = -Phi r + L^2/r^3, theta' = L/r^2, L' = k, on r > 0."""
+    names = ("r", "rdot", "theta", "L")
+    r, rdot, _, ell = map(var, names)
+    fields = (rdot, -cfg.phi.expr * r + ell * ell / (r * r * r), ell / (r * r), cfg.k.expr)
 
     def guard(t: float, y) -> bool:
         return y[0] < settings.x_min
 
-    return ODESystem(dim=4, rhs=rhs, guard=guard)
+    return ODESystem(names, fields, domain=(r,), guard=guard)
 
 
 def simulate_polar(
@@ -80,8 +76,7 @@ def k_integral(
     settings: IntegrationSettings = IntegrationSettings(),
 ) -> Trajectory:
     """Quadrature K(t) = int_{t0}^{t} k ds as a one-component trajectory."""
-    sys = ODESystem(dim=1, rhs=lambda t, y: [cfg.k(t)])
-    return integrate(sys, [0.0], interval, settings)
+    return integrate(ODESystem(("K",), (cfg.k.expr,)), [0.0], interval, settings)
 
 
 def angular_momentum_check(
@@ -122,21 +117,16 @@ def radial_ep_residual(
 
 
 def cartesian_system(cfg: CentralFieldConfig, settings: IntegrationSettings) -> ODESystem:
-    """(x, x', y, y') with acceleration -Phi pos + (k/r) e_theta."""
+    """(x, x', y, y') with acceleration -Phi pos + (k/r) e_theta, on x^2 + y^2 > 0."""
+    names = ("x", "xdot", "y", "ydot")
+    x, xdot, y, ydot = map(var, names)
+    minus_phi, k, r2 = -cfg.phi.expr, cfg.k.expr, x * x + y * y
+    fields = (xdot, minus_phi * x - k * y / r2, ydot, minus_phi * y + k * x / r2)
 
-    def rhs(t: float, y) -> list[float]:
-        x, xdot, yy, ydot = y
-        r2 = x * x + yy * yy
-        if r2 <= 0.0:
-            raise DomainError("radius reached 0")
-        phi = cfg.phi(t)
-        kv = cfg.k(t)
-        return [xdot, -phi * x - kv * yy / r2, ydot, -phi * yy + kv * x / r2]
+    def guard(t: float, state) -> bool:
+        return math.hypot(state[0], state[2]) < settings.x_min
 
-    def guard(t: float, y) -> bool:
-        return math.hypot(y[0], y[2]) < settings.x_min
-
-    return ODESystem(dim=4, rhs=rhs, guard=guard)
+    return ODESystem(names, fields, domain=(r2,), guard=guard)
 
 
 def simulate_cartesian(

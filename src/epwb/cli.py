@@ -164,10 +164,6 @@ def _tf(sc: dict, key: str, default: str | None = None) -> TimeFunction:
     return time_function(text)
 
 
-def _const_tf(value: float) -> TimeFunction:
-    return TimeFunction(Const(float(value)))
-
-
 def _pair(sc: dict, key: str, default=None) -> tuple[float, float]:
     raw = sc.get(key, default)
     if raw is None:
@@ -252,6 +248,12 @@ def _run_simulate(sc: dict, base_dir: str) -> int:
     )
 
 
+def _completed(*trajectories) -> None:
+    for tr in trajectories:
+        if tr.status != COMPLETED:
+            raise DomainError(f"integration stopped: {tr.status} ({tr.message})")
+
+
 def _invariant_series(sc: dict, interval, settings):
     name = _require(sc, "invariant")
     phi = _tf(sc, "phi")
@@ -261,12 +263,10 @@ def _invariant_series(sc: dict, interval, settings):
         h2 = _number(sc, "h2", 1.0)
         x0 = _pair(sc, "initial")
         y0 = _pair(sc, "aux_initial", (1.0, 0.0))
-        cfg = EPConfig(phi=phi, g=_const_tf(h2))
+        cfg = EPConfig(phi=phi, g=TimeFunction(Const(h2)))
         xt = integrate(ep_system(cfg, settings), x0, interval, settings)
         yt = integrate(oscillator_system(phi), y0, interval, settings)
-        for tr in (xt, yt):
-            if tr.status != COMPLETED:
-                raise DomainError(f"integration stopped: {tr.status} ({tr.message})")
+        _completed(xt, yt)
         grid = xt.grid(n)
         values = [ermakov_invariant(xt, yt, h2, t) for t in grid]
         return name, grid, values
@@ -275,31 +275,27 @@ def _invariant_series(sc: dict, interval, settings):
         q0 = _pair(sc, "initial")
         rho0 = _pair(sc, "aux_initial", (1.0, 0.0))
         qt = integrate(oscillator_system(phi), q0, interval, settings)
-        rt = integrate(ep_system(EPConfig(phi=phi, g=_const_tf(1.0)), settings), rho0, interval, settings)
-        for tr in (qt, rt):
-            if tr.status != COMPLETED:
-                raise DomainError(f"integration stopped: {tr.status} ({tr.message})")
+        rt = integrate(ep_system(EPConfig(phi=phi, g=TimeFunction(Const(1.0))), settings), rho0, interval, settings)
+        _completed(qt, rt)
         grid = qt.grid(n)
-        values = []
-        for t in grid:
-            q, p = qt.sample(t)
-            rho, rho_dot = rt.sample(t)
-            values.append(lewis_invariant(LewisState(q=q, p=p, rho=rho, rho_dot=rho_dot)))
+        pairs = zip(qt.sample(grid).tolist(), rt.sample(grid).tolist())
+        values = [lewis_invariant(LewisState(*qp, *rho)) for qp, rho in pairs]
         return name, grid, values
 
     if name == "lorentz":
         q0 = _pair(sc, "initial")
         qt = integrate(oscillator_system(phi), q0, interval, settings)
-        if qt.status != COMPLETED:
-            raise DomainError(f"integration stopped: {qt.status} ({qt.message})")
+        _completed(qt)
         grid = qt.grid(n)
-        values = []
-        for t in grid:
-            w2 = phi(t)
-            if w2 <= 0.0:
-                raise DomainError(f"frequency squared {w2!r} not positive at t={float(t)!r}")
-            q, p = qt.sample(t)
-            values.append(lorentz_adiabatic(math.sqrt(w2), q, p))
+        w2 = phi.jet(grid, 0)[0]
+        bad = w2 <= 0.0
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise DomainError(
+                f"frequency squared {float(w2[i])!r} not positive at t={float(grid[i])!r}"
+            )
+        pairs = zip(w2.tolist(), qt.sample(grid).tolist())
+        values = [lorentz_adiabatic(math.sqrt(w), *qp) for w, qp in pairs]
         return name, grid, values
 
     raise ScenarioError(f"unknown invariant {name!r} (want ermakov, lewis or lorentz)")
@@ -357,9 +353,7 @@ def _run_reduce(sc: dict, base_dir: str) -> int:
     traj = integrate(
         ep_system(EPConfig(phi=fam.phi, g=fam.g), settings), _pair(sc, "initial"), interval, settings
     )
-    if traj.status != COMPLETED:
-        sys.stderr.write(f"epwb: integration stopped: {traj.status} ({traj.message})\n")
-        return 2
+    _completed(traj)
     orbit = transform_trajectory(chart, traj, n=_count(sc, "n", 400, 2, _MAX_SAMPLES))
     res = autonomous_residual(orbit, fam)
     abel = abel_residual(orbit, fam)
@@ -406,9 +400,7 @@ def _run_eliezer_grey(sc: dict, base_dir: str) -> int:
     if init.r <= 0.0:
         raise ScenarioError(f"initial radius must be positive, got {init.r!r}")
     traj = simulate_polar(cfg, init, interval, settings)
-    if traj.status != COMPLETED:
-        sys.stderr.write(f"epwb: integration stopped: {traj.status} ({traj.message})\n")
-        return 2
+    _completed(traj)
     am_drift = angular_momentum_check(traj, cfg, settings=settings)
     radial = radial_ep_residual(traj, cfg, settings=settings)
     report = {

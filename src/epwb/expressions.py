@@ -29,9 +29,9 @@ Single points, such as an integrator's right-hand side, go through
 generated straight-line Python function with one local per distinct node
 (equal operations on equal operands share one), in the post-order of a
 tree walk, and every domain rule checked inline, so a DAG costs its
-distinct nodes, not its paths.  Callers that evaluate often
-(``TimeFunction.eval``, ``PointSymmetry.components`` at a point,
-``SecondOrderODE.w_at``) build their kernel once and keep it;
+distinct nodes, not its paths.  Callers that evaluate often (an ODE
+system's ``rhs``, ``TimeFunction.eval``, ``PointSymmetry.components`` at a
+point, ``SecondOrderODE.w_at``) build their kernel once and keep it;
 ``Expr.eval(env)`` builds an uncached one per call.  Names, constants and
 curves reach a kernel through its namespace, never through its source, so
 the compiled code of a source is reused by every tree of that shape.
@@ -491,6 +491,7 @@ _MESSAGES = {
     "ZERONEG": "zero raised to a negative power",
     "POW": "power {!r}^{!r} undefined: {}",
     "UNBOUND": "no value bound for variable {!r}",
+    "POSITIVE": "outside the domain {} > 0 (value {!r})",
     "OVER_ADD": "overflow in '+' of {!r} and {!r}",
     "OVER_SUB": "overflow in '-' of {!r} and {!r}",
     "OVER_MUL": "overflow in '*' of {!r} and {!r}",
@@ -550,24 +551,41 @@ _KERNEL_GLOBALS = {
 }
 
 
-def scalar_kernel(exprs, variables=("t",)):
+def require_positive(tree: Expr, values) -> None:
+    """Raise the DomainError of a violated ``tree > 0`` unless all ``values`` of it are > 0."""
+    bad = ~(np.asarray(values) > 0.0)
+    if bad.any():
+        _fail(_MESSAGES["POSITIVE"], _inner(tree), _first(values, bad))
+
+
+def scalar_kernel(exprs, variables=("t",), positive=()):
     """Compile a tree, or a sequence of trees, into one function of ``variables``.
 
-    The function takes one value per name in ``variables``, positionally,
-    and returns a float for a single tree or a tuple for a sequence.  Each
-    distinct node is one local, computed once, in the post-order of a walk
-    over the trees (left child first); a node repeating an earlier node's
-    operation on equal operands reuses that local.  Every DomainError rule
-    is checked inline.  So values, and the first error raised with its
-    message, are those of evaluating node by node.  A variable not in
-    ``variables`` raises DomainError where it is first used.  Names,
-    constants and curves reach the function through its namespace, never
-    through its source, so trees of one shape share compiled code.
+    The function takes one value per entry of ``variables``, positionally
+    (an entry that is a tuple of names takes a sequence, as a system's
+    state), and returns a float for a single tree or a tuple for a
+    sequence.  The trees in ``positive`` come first, each raising as
+    ``require_positive`` unless > 0.  Each distinct node is one local,
+    computed once, in the post-order of a walk over the trees (left child
+    first); a node repeating an earlier node's operation on equal operands
+    reuses that local.  Every DomainError rule is checked inline.  So
+    values, and the first error raised with its message, are those of
+    evaluating node by node.  A variable not in ``variables`` raises
+    DomainError where it is first used.  Names, constants and curves reach
+    the function through its namespace, never through its source, so trees
+    of one shape share compiled code.
     """
     roots = (exprs,) if isinstance(exprs, Expr) else tuple(exprs)
-    args = {name: f"a{i}" for i, name in enumerate(variables)}
+    params = [f"a{i}" for i in range(len(variables))]
+    args, lines = {}, []
+    for a, spec in zip(params, variables):
+        if isinstance(spec, str):
+            args[spec] = a
+        else:  # a sequence, unpacked into one local per name
+            args.update((name, f"{a}_{j}") for j, name in enumerate(spec))
+            lines.append("(" + "".join(f"{a}_{j}, " for j in range(len(spec))) + f") = {a}")
     namespace = dict(_KERNEL_GLOBALS)
-    lines, refs, floats, computed = [], {}, {}, {}
+    refs, floats, computed = {}, {}, {}
 
     def bind(value) -> str:
         name = f"k{len(namespace)}"
@@ -616,13 +634,16 @@ def scalar_kernel(exprs, variables=("t",)):
             hit = refs[id(node)] = (node, emit(node))
         return hit[1]
 
+    for tree in positive:
+        r = ref(tree)
+        lines.append(f"if not {r} > 0.0: fail(POSITIVE, {bind(_inner(tree))}, {r})")
     results = [ref(root) for root in roots]
     if isinstance(exprs, Expr):
         value = results[0]
     else:
         value = "(" + "".join(r + ", " for r in results) + ")"
     body = "".join(f"    {line}\n" for line in (*lines, "return " + value))
-    source = f"def kernel({', '.join(args.values())}):\n{body}"
+    source = f"def kernel({', '.join(params)}):\n{body}"
     exec(_compiled(source), namespace)
     return namespace["kernel"]
 
@@ -833,15 +854,11 @@ class TimeFunction:
     Orders 0..3 are built once at construction; higher orders extend lazily
     (internal plumbing for high-order jets), each from the one before with a
     shared differentiation memo.  ``eval`` (one point) and ``jet`` (a grid)
-    check the declared domain interval and surface DomainError from
-    subexpressions.
+    surface DomainError from subexpressions.
     """
 
-    def __init__(self, expr: Expr, domain: tuple[float, float] = (-math.inf, math.inf)):
-        if domain[0] >= domain[1]:
-            raise ValueError(f"empty domain {domain!r}")
+    def __init__(self, expr: Expr):
         self.expr = expr
-        self.domain = (float(domain[0]), float(domain[1]))
         self._derivs = [expr]
         self._memo = {}
         self._kernels = {}
@@ -855,9 +872,6 @@ class TimeFunction:
         return self._derivs[order]
 
     def eval(self, t: float, order: int = 0) -> float:
-        lo, hi = self.domain
-        if not (lo <= t <= hi):
-            raise DomainError(f"t={t!r} outside domain [{lo!r}, {hi!r}]")
         kernel = self._kernels.get(order)
         if kernel is None:
             kernel = self._kernels[order] = scalar_kernel(self.derivative_expr(order), ("t",))
@@ -868,23 +882,18 @@ class TimeFunction:
 
     def jet(self, ts, k: int) -> np.ndarray:
         """Rows 0..k hold the derivatives over the grid ``ts``: shape (k+1, len(ts))."""
-        ts = np.asarray(ts, dtype=float)
-        lo, hi = self.domain
-        outside = ~((lo <= ts) & (ts <= hi))
-        if outside.any():
-            raise DomainError(f"t={_first(ts, outside)!r} outside domain [{lo!r}, {hi!r}]")
         env, memo = {"t": ts}, {}
         return np.array([evaluate(self.derivative_expr(j), env, memo) for j in range(k + 1)])
 
     def scaled(self, factor: float) -> "TimeFunction":
-        return TimeFunction(mul(Const(float(factor)), self.expr), self.domain)
+        return TimeFunction(mul(Const(float(factor)), self.expr))
 
     def __repr__(self):
         return f"TimeFunction({canonical(self.expr)})"
 
 
-def time_function(text: str, domain: tuple[float, float] = (-math.inf, math.inf)) -> TimeFunction:
-    return TimeFunction(parse_expression(text), domain)
+def time_function(text: str) -> TimeFunction:
+    return TimeFunction(parse_expression(text))
 
 
 GRAMMAR_HELP = """\

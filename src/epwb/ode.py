@@ -8,19 +8,16 @@ accepted steps only.  Each interpolant is kept as monomial coefficients of
 th^1..th^7 (th the fraction of the step), one (n_steps, dim, 7) array per
 trajectory.
 
-One attempted step is one generated straight-line Python function per
-state dimension (built once, then cached): every stage value is a float
-local and every tableau sum is unrolled over its nonzero entries, so an
-attempt costs at most 15 right-hand-side calls plus scalar arithmetic and
-no NumPy call.  A right-hand side is called as ``rhs(t, y)`` with ``t`` a float and
-``y`` an indexable sequence of ``dim`` floats (a tuple inside
-``integrate``, a list in ``Trajectory.derivative`` and ``residual``); it
-returns ``dim`` floats as any sequence, a tuple of Python floats being the
-fast path.  It signals a point outside its domain by raising DomainError
-(ZeroDivisionError and OverflowError count the same), or by returning a
-non-finite value; either rejects the attempted step.
+A system is data: one expression field per state component over
+("t", *state names), and domain trees that must stay positive.  Its
+``rhs(t, y)`` is the scalar kernel compiled from them: ``y`` a sequence of
+``dim`` floats, the result a tuple of ``dim`` floats, and DomainError
+(never NaN or inf) where the system is undefined.  One attempted step is
+one generated straight-line Python function per state dimension (built
+once, then cached) that calls ``rhs`` once per stage; an ``rhs`` that
+raises or returns a non-finite value rejects the attempt.
 
-Trajectories remember the right-hand side that produced them and carry a
+Trajectories remember the system that produced them and carry a
 termination status:
 
     "completed"     reached the end of the requested interval
@@ -35,12 +32,12 @@ is evaluated through one method, ``jet(ts, k)``: an array of shape
 (k+1, len(ts)) whose row j is the j-th derivative on the grid.
 
 Residual checking follows one rule everywhere in the workbench: the
-trajectory's own slope at a time t is the producing right-hand side
+trajectory's own slope at a time t is the producing system's fields
 evaluated at the interpolated state (never a re-differentiated
 interpolant), and the residual of a candidate system is the largest
-mismatch between that slope and the candidate's right-hand side over a
-grid.  Every residual is reduced by ``worst_residual``, which refuses an
-empty grid and a non-finite value.
+mismatch between that slope and the candidate's fields, both evaluated on
+the whole grid at once.  Every residual is reduced by ``worst_residual``,
+which refuses an empty grid and a non-finite value.
 """
 
 from __future__ import annotations
@@ -53,7 +50,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .expressions import DomainError
+from .expressions import DomainError, Expr, evaluate, require_positive, scalar_kernel
 
 COMPLETED = "completed"
 GUARD_STOP = "guard-stop"
@@ -221,16 +218,39 @@ _RHS_ERRORS = (DomainError, ZeroDivisionError, OverflowError)
 
 @dataclass(frozen=True)
 class ODESystem:
-    """First-order system y' = rhs(t, y) with an optional abort guard.
+    """First-order system y' = f(t, y), written once as expression fields.
 
-    ``rhs(t, y)`` takes a float ``t`` and an indexable sequence ``y`` of
-    ``dim`` floats and returns ``dim`` floats (a tuple is the fast path);
-    ``guard(t, y)`` takes the same arguments and returns True to stop.
+    ``fields[i]`` is the tree of y_i' over ("t", *names); each tree in
+    ``domain`` must stay > 0.  ``rhs`` is compiled from them unless given
+    (only instrumentation passes one).  ``guard(t, y)`` returns True to stop.
     """
 
-    dim: int
-    rhs: Callable[[float, Sequence[float]], Sequence[float]]
+    names: tuple[str, ...]
+    fields: tuple[Expr, ...]
+    domain: tuple[Expr, ...] = ()
     guard: Optional[Callable[[float, Sequence[float]], bool]] = None
+    rhs: Optional[Callable[[float, Sequence[float]], tuple[float, ...]]] = None
+
+    def __post_init__(self):
+        if self.rhs is None:
+            kernel = scalar_kernel(self.fields, ("t", self.names), positive=self.domain)
+            object.__setattr__(self, "rhs", kernel)
+
+    @property
+    def dim(self) -> int:
+        return len(self.fields)
+
+    def slopes(self, ts, ys, memo: dict | None = None) -> np.ndarray:
+        """The fields at the points (ts[i], ys[i]), as an (n, dim) array.
+
+        One NumPy operation per distinct node; calls on the same points may
+        share ``memo``.  DomainError where a domain tree is not positive.
+        """
+        env = {"t": ts, **{name: ys[:, i] for i, name in enumerate(self.names)}}
+        memo = {} if memo is None else memo
+        for tree in self.domain:
+            require_positive(tree, evaluate(tree, env, memo))
+        return np.column_stack([evaluate(f, env, memo) for f in self.fields])
 
 
 @dataclass(frozen=True)
@@ -255,13 +275,13 @@ class IntegrationSettings:
 class Trajectory:
     """Accepted nodes plus per-step dense output of a single integration."""
 
-    def __init__(self, times, states, dense, steps, rhs, status, message=""):
+    def __init__(self, times, states, dense, steps, system, status, message=""):
         self.times = np.asarray(times, dtype=float)
         self.states = np.asarray(states, dtype=float)
         # coefficients of th^1..th^7, one (dim, 7) block per accepted step
         self._dense = np.asarray(dense, dtype=float).reshape(-1, self.dim, _DEGREE)
         self._steps = np.asarray(steps, dtype=float)
-        self.rhs = rhs
+        self.system = system
         self.status = status
         self.message = message
 
@@ -301,18 +321,16 @@ class Trajectory:
         return out[0] if np.ndim(t) == 0 else out
 
     def derivative(self, t) -> np.ndarray:
-        """Producing rhs at the interpolated state; shaped like sample(t)."""
+        """Producing system's fields at the interpolated state; shaped like sample(t)."""
         ts = np.asarray(t, dtype=float).reshape(-1)
-        ys = self.sample(ts)
-        slopes = [self.rhs(s, y) for s, y in zip(ts.tolist(), ys.tolist())]
-        slopes = np.asarray(slopes, dtype=float).reshape(ys.shape)
+        slopes = self.system.slopes(ts, self.sample(ts))
         return slopes[0] if np.ndim(t) == 0 else slopes
 
     def jet(self, ts, k: int) -> np.ndarray:
         """Derivatives 0..k of a derivative-chain state on the grid ``ts``.
 
         For a state (x, x', ..., x^(dim-1)) row j < dim is state column j and
-        row dim is the last component of the producing right-hand side, so
+        row dim is the last field of the producing system, so
         k may be at most dim.  Returns shape (k+1, len(ts)).
         """
         if not 0 <= k <= self.dim:
@@ -504,7 +522,7 @@ def integrate(
     steps = []
 
     def done(status, message=""):
-        return Trajectory(times, states, dense, steps, rhs, status, message)
+        return Trajectory(times, states, dense, steps, sys, status, message)
 
     if guard is not None and guard(t0, y):
         return done(GUARD_STOP, f"guard fired at initial state t={t0!r}")
@@ -569,16 +587,17 @@ def integrate(
 
 
 def residual(sys: ODESystem, tr: Trajectory, grid: Sequence[float]) -> float:
-    """Largest |trajectory slope - sys.rhs| over the grid (max over components).
+    """Largest |trajectory slope - sys's fields| over the grid (max over components).
 
     The universal verdict: a trajectory of system P checked against system Q
-    measures max |rhs_P - rhs_Q| along the orbit, which is ~0 for Q = P and
-    the honest defect size otherwise.
+    measures max |f_P - f_Q| along the orbit, which is ~0 for Q = P and the
+    honest defect size otherwise.  Systems with the same state names share
+    one memo, so their common subtrees are evaluated once.
     """
-    grid = np.asarray(grid, dtype=float)
-    ys = tr.sample(grid)
-    candidate = np.asarray([sys.rhs(t, y) for t, y in zip(grid.tolist(), ys.tolist())], dtype=float)
-    return worst_residual(tr.derivative(grid) - candidate.reshape(ys.shape))
+    grid = np.asarray(grid, dtype=float).reshape(-1)
+    ys, memo = tr.sample(grid), {}
+    own = tr.system.slopes(grid, ys, memo)
+    return worst_residual(own - sys.slopes(grid, ys, memo if sys.names == tr.system.names else {}))
 
 
 def write_csv(tr: Trajectory, path, names: Sequence[str] = ("x", "xdot")) -> None:

@@ -16,8 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expressions import TimeFunction
+from .expressions import TimeFunction, var
 from .ode import IntegrationSettings, ODESystem, Trajectory, integrate
+
+
+_X, _V = var("x"), var("v")
 
 
 class DegenerateBasisError(ValueError):
@@ -25,10 +28,8 @@ class DegenerateBasisError(ValueError):
 
 
 def oscillator_system(phi: TimeFunction) -> ODESystem:
-    def rhs(t, y):
-        return (y[1], -phi.eval(t) * y[0])
-
-    return ODESystem(dim=2, rhs=rhs)
+    """State (x, v) of x'' = -phi x."""
+    return ODESystem(("x", "v"), (_V, -phi.expr * _X))
 
 
 @dataclass(frozen=True)

@@ -26,9 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expressions import DomainError, TimeFunction
+from .expressions import DomainError, Expr, TimeFunction, evaluate
 from .ode import IntegrationSettings, ODESystem, worst_residual
-from .oscillator import DegenerateBasisError, OscillatorBasis, QuadraticFormCurve
+from .oscillator import _V, _X, DegenerateBasisError, OscillatorBasis, QuadraticFormCurve
 
 
 @dataclass(frozen=True)
@@ -39,27 +39,19 @@ class EPConfig:
     g: TimeFunction
 
 
-def ep_system(cfg: EPConfig, settings: IntegrationSettings | None = None) -> ODESystem:
-    settings = settings or IntegrationSettings()
-    x_min = settings.x_min
+def ep_field(phi: Expr, g: Expr) -> Expr:
+    """w(t, x) = -phi x + g/x^3 of x'' = w: the one tree of the EP equation."""
+    return -phi * _X + g / _X**3
 
-    def rhs(t, y):
-        x, v = y
-        if x <= 0.0:
-            raise DomainError(f"state left the x > 0 half-plane (x={x!r})")
-        try:
-            cube = x**3
-            force = cfg.g.eval(t) / cube
-        except (OverflowError, ZeroDivisionError):
-            cube = force = math.inf
-        if not (math.isfinite(cube) and math.isfinite(force)):
-            raise DomainError(f"g/x^3 is not finite at x={x!r}")
-        return (v, -cfg.phi.eval(t) * x + force)
+
+def ep_system(cfg: EPConfig, settings: IntegrationSettings | None = None) -> ODESystem:
+    """State (x, v) on x > 0, guarded at x < x_min."""
+    x_min = (settings or IntegrationSettings()).x_min
 
     def guard(t, y):
         return y[0] < x_min
 
-    return ODESystem(dim=2, rhs=rhs, guard=guard)
+    return ODESystem(("x", "v"), (_V, ep_field(cfg.phi.expr, cfg.g.expr)), domain=(_X,), guard=guard)
 
 
 class SqrtCurve:
@@ -117,9 +109,7 @@ def ep_residual(cfg: EPConfig, x, grid, x_min: float = 1e-6) -> float:
         raise DomainError(
             f"x={float(xx[i])!r} below guard threshold {x_min!r} at t={float(grid[i])!r}"
         )
-    phi = cfg.phi.jet(grid, 0)[0]
-    g = cfg.g.jet(grid, 0)[0]
-    return worst_residual(xdd + phi * xx - g / xx**3)
+    return worst_residual(xdd - evaluate(ep_field(cfg.phi.expr, cfg.g.expr), {"t": grid, "x": xx}))
 
 
 def ermakov_invariant(x, y, h2: float, t: float) -> float:

@@ -179,7 +179,7 @@ def autonomous_residual(orbit: TransformedOrbit, fam_or_omega, x_min: float = 1e
     if np.min(orbit.X) <= x_min:
         raise DomainError("transformed orbit approaches X = 0")
     res = orbit.A + 2.0 * orbit.V + omega * orbit.X - FORCING_CONSTANT / orbit.X**3
-    return float(np.max(np.abs(res)))
+    return worst_residual(res)
 
 
 def autonomy_fit(orbit: TransformedOrbit, lo: int = 0, hi: int | None = None) -> np.ndarray:

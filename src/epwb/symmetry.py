@@ -42,9 +42,9 @@ from .expressions import (
     var,
 )
 from .ode import worst_residual
-from .oscillator import DegenerateBasisError, OscillatorBasis
+from .oscillator import _X, DegenerateBasisError, OscillatorBasis
+from .pinney import ep_field
 
-_X = var("x")
 _T = var("t")
 
 
@@ -110,7 +110,7 @@ class SecondOrderODE:
 
     @classmethod
     def from_ep(cls, phi: TimeFunction, g: TimeFunction) -> "SecondOrderODE":
-        return cls(-(phi.expr * _X) + g.expr / (_X ** const(3)))
+        return cls(ep_field(phi.expr, g.expr))
 
     @classmethod
     def from_text(cls, text: str) -> "SecondOrderODE":
@@ -289,13 +289,13 @@ def compatible_family(
     if bad.any():
         raise ValueError(f"G' is not positive at t={float(ts[bad][0])!r}")
     a_expr = (const(4.0 * c0) * ge) / g1
-    a = TimeFunction(a_expr, g.domain)
+    a = TimeFunction(a_expr)
     a1 = a.derivative_expr(1)
     a2 = a.derivative_expr(2)
     phi_expr = const(m) / (a_expr * a_expr) - const(0.5) * (
         a2 / a_expr - const(0.5) * ((a1 / a_expr) * (a1 / a_expr))
     )
-    phi = TimeFunction(phi_expr, g.domain)
+    phi = TimeFunction(phi_expr)
     return CompatibleFamily(
         g=g,
         c0=float(c0),

@@ -20,10 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expressions import DomainError, TimeFunction
+from .expressions import DomainError, TimeFunction, const, evaluate, var
 from .ode import IntegrationSettings, ODESystem, Trajectory, integrate, worst_residual
 from .oscillator import OscillatorBasis, QuadraticFormCurve
-from .pinney import SqrtCurve
+from .pinney import SqrtCurve, ep_field
 
 
 @dataclass(frozen=True)
@@ -36,12 +36,10 @@ class ThirdOrderConfig:
 
 
 def third_order_system(cfg: ThirdOrderConfig) -> ODESystem:
-    def rhs(t, y):
-        a = cfg.a.eval(t)
-        adot = cfg.a.eval(t, 1)
-        return (y[1], y[2], -2.0 * a * y[1] - adot * y[0])
-
-    return ODESystem(dim=3, rhs=rhs)
+    """State (w, w', w'') of w''' = -2a w' - a' w."""
+    names = ("w", "w1", "w2")
+    w0, w1, w2 = map(var, names)
+    return ODESystem(names, (w1, w2, const(-2.0) * cfg.a.expr * w1 - cfg.a.derivative_expr(1) * w0))
 
 
 def integrate_third_order(
@@ -90,5 +88,5 @@ def rho_substitution(cfg: ThirdOrderConfig, w, grid) -> tuple[SqrtCurve, float]:
         # residual pure rounding noise; same floor as the EP guard
         i = int(np.argmax(small))
         raise DomainError(f"w vanishes at t={float(grid[i])!r} (rho={float(r0[i])!r})")
-    a = cfg.a.jet(grid, 0)[0]
-    return rho, worst_residual(r2 + 0.5 * a * r0 - h2 / r0**3)
+    field = ep_field(cfg.base_phi().expr, const(h2))
+    return rho, worst_residual(r2 - evaluate(field, {"t": grid, "x": r0}))

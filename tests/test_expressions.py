@@ -1,4 +1,5 @@
 import builtins
+import dataclasses
 import math
 import subprocess
 import sys
@@ -11,7 +12,6 @@ from hypothesis import assume, given, settings
 from epwb import (
     DomainError,
     ExprSyntaxError,
-    TimeFunction,
     UnknownIdentifierError,
     autonomous_family,
     canonical,
@@ -27,10 +27,11 @@ from epwb import (
     symmetry_residual,
     time_function,
 )
-from epwb import expressions, symmetry
+from epwb import expressions, ode, symmetry
+from epwb.central_field import CentralFieldConfig, PolarState, radial_ep_residual, simulate_polar
 from epwb.expressions import Binary, Const, CurveVal, Unary, Var, const, sin, var
 from epwb.pinney import EPConfig, ep_system
-from epwb.ode import integrate
+from epwb.ode import integrate, residual
 from epwb.symmetry import basis_family, default_samples
 
 
@@ -205,11 +206,6 @@ class TestEvalDomain:
     def test_no_nan_from_integer_power_of_negative(self):
         assert parse_expression("t^3").eval({"t": -2.0}) == -8.0
 
-    def test_domain_interval_enforced(self):
-        f = time_function("t", domain=(0.0, 1.0))
-        with pytest.raises(DomainError):
-            f.eval(2.0)
-
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
     @pytest.mark.parametrize("op", ["sin", "cos"])
     def test_trig_of_non_finite_is_domain_error(self, op, value):
@@ -341,11 +337,6 @@ def test_print_parse_round_trip(e, t):
     assert back.eval({"t": t}) == pytest.approx(v, rel=1e-12, abs=1e-12)
 
 
-def test_time_function_rejects_empty_domain():
-    with pytest.raises(ValueError):
-        TimeFunction(parse_expression("t"), domain=(1.0, 1.0))
-
-
 @settings(max_examples=200, deadline=None)
 @given(
     e=_expr,
@@ -434,8 +425,8 @@ def kernels(monkeypatch, request):
     log = {"builds": 0, "calls": 0}
     original = expressions.scalar_kernel
 
-    def counting(exprs, variables=("t",)):
-        kernel = original(exprs, variables)
+    def counting(exprs, variables=("t",), positive=()):
+        kernel = original(exprs, variables, positive)
         log["builds"] += 1
 
         def call(*args):
@@ -444,7 +435,7 @@ def kernels(monkeypatch, request):
 
         return call
 
-    for module in (expressions, symmetry):
+    for module in (expressions, symmetry, ode):
         monkeypatch.setattr(module, "scalar_kernel", counting)
     # constant folding caches its kernels for the process; drop the counted ones
     request.addfinalizer(expressions._fold_kernel.cache_clear)
@@ -453,26 +444,51 @@ def kernels(monkeypatch, request):
 
 def test_grid_callers_never_walk_per_point(kernels):
     fam = compatible_family(time_function("(1+t)^4"), 1.0, 1.0, (0.0, 3.0))
-    sym, ode = surviving_symmetry(fam), ep_ode(fam)
+    sym, equation = surviving_symmetry(fam), ep_ode(fam)
     basis_syms = basis_family(fundamental_pair(time_function("1+0.5*sin(t)"), (0.0, 4.0)))
     family = autonomous_family(1.0)
     samples = default_samples((0.0, 3.0))
     points = [(t, x) for t in np.linspace(0.3, 2.7, 7) for x in (0.7, 1.1, 1.9)]
-    before = dict(kernels)  # integrating the basis called its right-hand side
-    symmetry_residual(sym, ode, samples)
-    symmetry_residual(basis_syms[1], ode, samples)
+    traj = integrate(ep_system(EPConfig(phi=fam.phi, g=fam.g)), [1.0, 0.0], (0.0, 3.0))
+    forced = CentralFieldConfig(time_function("1+0.3*cos(2*t)"), time_function("0.05*sin(t)"))
+    polar = simulate_polar(forced, PolarState(1.0, 0.1, 0.0, 0.8), (0.0, 5.0))
+    before = dict(kernels)  # integrating called the right-hand sides
+    assert before["calls"] > 0
+    symmetry_residual(sym, equation, samples)
+    symmetry_residual(basis_syms[1], equation, samples)
     structure_constants(family, points)
     fam.phi.jet(np.linspace(0.0, 3.0, 50), 3)
+    ts = np.linspace(0.0, 3.0, 101)
+    traj.derivative(ts)
+    traj.jet(ts, 2)
+    residual(traj.system, traj, ts)
     assert kernels == before
+
+    def no_rhs(t, y):
+        raise AssertionError("a grid path called a right-hand side")
+
+    # the radial residual integrates its own quadrature of k, so it is
+    # checked against the polar system's right-hand side alone
+    polar.system = dataclasses.replace(polar.system, rhs=no_rhs)
+    radial_ep_residual(polar, forced, n=101)
 
 
 def test_scalar_callers_compile_once_and_reuse(kernels):
     fam = compatible_family(time_function("exp(4*t)"), 1.0, 1.0, (0.0, 2.0))
     assert kernels["builds"] == 0  # building trees compiles nothing
-    traj = integrate(ep_system(EPConfig(phi=fam.phi, g=fam.g)), [1.0, 0.0], (0.0, 0.5))
+    system = ep_system(EPConfig(phi=fam.phi, g=fam.g))
+    assert kernels["builds"] == 1  # the whole EP field, phi and g inlined
+    rhs_calls = 0
+
+    def counting_rhs(t, y):
+        nonlocal rhs_calls
+        rhs_calls += 1
+        return system.rhs(t, y)
+
+    traj = integrate(dataclasses.replace(system, rhs=counting_rhs), [1.0, 0.0], (0.0, 0.5))
     assert len(traj.times) > 10
-    assert kernels["builds"] == 2  # phi and g, order 0
-    assert kernels["calls"] > 20 * len(traj.times)  # two per right-hand side
+    assert kernels["builds"] == 1
+    assert kernels["calls"] == rhs_calls > 10 * len(traj.times)  # one per right-hand side
     sym = surviving_symmetry(fam)
     built, called = kernels["builds"], kernels["calls"]
     for t in (0.1, 0.2, 0.3):

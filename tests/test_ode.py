@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -17,33 +18,34 @@ from epwb import (
     write_csv,
 )
 from epwb import ode
+from epwb.central_field import (
+    CentralFieldConfig,
+    cartesian_system,
+    k_integral,
+    polar_system,
+)
+from epwb.expressions import const, sin, var
+from epwb.oscillator import oscillator_system
 from epwb.pinney import EPConfig, ep_system
+from epwb.third_order import ThirdOrderConfig, third_order_system
 from tests.conftest import grid
 
 
-def oscillator(omega2: float = 1.0) -> ODESystem:
-    def rhs(t, y):
-        return np.array([y[1], -omega2 * y[0]])
+X, V = var("x"), var("v")
 
-    return ODESystem(dim=2, rhs=rhs)
+
+def oscillator(omega2: float = 1.0) -> ODESystem:
+    return ODESystem(("x", "v"), (V, const(-omega2) * X))
 
 
 def pinney_type(g: float) -> ODESystem:
     """xddot + x = g / x^3, guarded away from the axis."""
-
-    def rhs(t, y):
-        return np.array([y[1], -y[0] + g / y[0] ** 3])
-
-    return ODESystem(dim=2, rhs=rhs, guard=lambda t, y: y[0] < 1e-6)
+    return ODESystem(("x", "v"), (V, -X + const(g) / X**3), guard=lambda t, y: y[0] < 1e-6)
 
 
 def collapse(power: int, x_min: float) -> ODESystem:
     """xddot = -1 / x^power, guarded at x < x_min (the guard takes arrays too)."""
-
-    def rhs(t, y):
-        return np.array([y[1], -1.0 / y[0] ** power])
-
-    return ODESystem(dim=2, rhs=rhs, guard=lambda t, y: y[0] < x_min)
+    return ODESystem(("x", "v"), (V, const(-1.0) / X**power), guard=lambda t, y: y[0] < x_min)
 
 
 # (system, initial state): each falls toward the axis and stops on [0, 10]
@@ -157,7 +159,7 @@ class TestResidual:
 
     def test_nan_is_never_swallowed(self):
         tr = integrate(oscillator(), (1.0, 0.0), (0.0, 1.0))
-        nan_sys = ODESystem(dim=2, rhs=lambda t, y: np.array([math.nan, 0.0]))
+        nan_sys = ODESystem(("x", "v"), (const(math.nan), const(0.0)))
         with pytest.raises(DomainError):
             residual(nan_sys, tr, grid(0.0, 1.0))
 
@@ -196,10 +198,8 @@ class TestGuardAndFailure:
         assert np.all(np.isfinite(tr.times))
 
     def test_rhs_failure_at_start(self):
-        def rhs(t, y):
-            return np.array([y[1], math.inf])
-
-        tr = integrate(ODESystem(dim=2, rhs=rhs), (1.0, 0.0), (0.0, 1.0))
+        sys = dataclasses.replace(oscillator(), rhs=lambda t, y: (y[1], math.inf))
+        tr = integrate(sys, (1.0, 0.0), (0.0, 1.0))
         assert tr.status == STEP_FAILURE
         assert np.all(np.isfinite(tr.states))
 
@@ -302,10 +302,14 @@ class TestCsvExport:
         assert path.read_text().splitlines()[0] == "t,q,p"
 
 
-def coupled(t, y):
-    """Nonlinear, time-dependent right-hand side for any state dimension."""
-    n = len(y)
-    return tuple(math.sin(t + y[(i + 1) % n]) - 0.3 * y[i] * y[i] for i in range(n))
+def coupled(dim: int) -> ODESystem:
+    """Nonlinear, time-dependent system of any state dimension."""
+    names = tuple(f"y{i}" for i in range(dim))
+    ys = [var(name) for name in names]
+    t = var("t")
+    return ODESystem(
+        names, tuple(sin(t + ys[(i + 1) % dim]) - const(0.3) * ys[i] * ys[i] for i in range(dim))
+    )
 
 
 def reference_step(rhs, t, h, y, f, rtol, atol):
@@ -363,10 +367,11 @@ class TestGeneratedStep:
     def test_matches_numpy_reference(self, dim):
         t, h, rtol, atol = 0.3, 0.2, 1e-8, 1e-10
         y = tuple(0.4 + 0.3 * i for i in range(dim))
-        f = coupled(t, y)
+        rhs = coupled(dim).rhs
+        f = rhs(t, y)
         step, _ = ode._stepper(dim)
-        err, y_new, f_new, q = step(coupled, t, h, y, f, rtol, atol)
-        ref, K = reference_step(coupled, t, h, y, f, rtol, atol)
+        err, y_new, f_new, q = step(rhs, t, h, y, f, rtol, atol)
+        ref, K = reference_step(rhs, t, h, y, f, rtol, atol)
         err_mag, q_mag = term_magnitudes(h, y, K, rtol, atol)
         assert err <= 1.0
         assert_close(err, ref[0], err_mag)
@@ -379,17 +384,18 @@ class TestGeneratedStep:
     def test_rejected_attempt_returns_only_the_error(self, dim):
         t, h, rtol, atol = 0.0, 0.3, 1e-12, 1e-14
         y = tuple(1.0 + i for i in range(dim))
-        f = coupled(t, y)
+        rhs = coupled(dim).rhs
+        f = rhs(t, y)
         step, _ = ode._stepper(dim)
-        err, *rest = step(coupled, t, h, y, f, rtol, atol)
-        ref, K = reference_step(coupled, t, h, y, f, rtol, atol)
+        err, *rest = step(rhs, t, h, y, f, rtol, atol)
+        ref, K = reference_step(rhs, t, h, y, f, rtol, atol)
         assert err > 1.0
         assert_close(err, ref[0], term_magnitudes(h, y, K, rtol, atol)[0])
         assert rest == [None, None, None]
 
     def test_scan_matches_the_dense_output(self):
         # the guard sees the states that sample() interpolates at th = 1/4, 1/2, 3/4
-        tr = integrate(ODESystem(dim=3, rhs=coupled), (0.4, 0.7, 1.0), (0.0, 1.0))
+        tr = integrate(coupled(3), (0.4, 0.7, 1.0), (0.0, 1.0))
         _, scan = ode._stepper(3)
         t, h = tr.times[0], tr.times[1] - tr.times[0]
         states = scan(tuple(tr.states[0]), tuple(tr._dense[0].ravel()))
@@ -400,7 +406,7 @@ class TestGeneratedStep:
         code = ode._stepper(3)
         before = ode._stepper.cache_info()
         for y0 in ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0)):
-            integrate(ODESystem(dim=3, rhs=coupled), y0, (0.0, 1.0))
+            integrate(coupled(3), y0, (0.0, 1.0))
         after = ode._stepper.cache_info()
         assert ode._stepper(3) is code
         assert after.misses == before.misses
@@ -408,8 +414,9 @@ class TestGeneratedStep:
         assert ode._stepper(2)[0] is not code[0]
 
 
-def failing_once(call: int, failure: str):
-    """Oscillator right-hand side whose ``call``-th evaluation fails once."""
+def failing_once(call: int, failure: str) -> ODESystem:
+    """Oscillator whose ``call``-th right-hand side evaluation fails once."""
+    sys = oscillator()
     calls = 0
 
     def rhs(t, y):
@@ -419,9 +426,9 @@ def failing_once(call: int, failure: str):
             if failure == "raise":
                 raise DomainError("transient failure")
             return (y[1], math.nan if failure == "nan" else math.inf)
-        return (y[1], -y[0])
+        return sys.rhs(t, y)
 
-    return rhs
+    return dataclasses.replace(sys, rhs=rhs)
 
 
 class TestInteriorStageFailure:
@@ -431,8 +438,7 @@ class TestInteriorStageFailure:
     @pytest.mark.parametrize("call", [5, 12, 15], ids=["stage-4", "stage-11", "dense"])
     def test_transient_failure_rejects_the_attempt_only(self, call, failure):
         clean = integrate(oscillator(), (1.0, 0.0), (0.0, 2 * math.pi))
-        sys = ODESystem(dim=2, rhs=failing_once(call, failure))
-        tr = integrate(sys, (1.0, 0.0), (0.0, 2 * math.pi))
+        tr = integrate(failing_once(call, failure), (1.0, 0.0), (0.0, 2 * math.pi))
         assert tr.status == COMPLETED
         assert tr.times[1] < clean.times[1]  # the first attempt was retried smaller
         assert tr.sample(2 * math.pi)[0] == pytest.approx(1.0, abs=1e-8)
@@ -440,15 +446,86 @@ class TestInteriorStageFailure:
     @pytest.mark.parametrize("failure", ["raise", "nan", "inf"])
     def test_persistent_failure_is_a_step_failure(self, failure):
         # every stage beyond t = 0.5 fails, so the steps shrink until they underflow
+        sys = oscillator()
+
         def rhs(t, y):
             if t > 0.5:
                 if failure == "raise":
                     raise DomainError("undefined beyond 0.5")
                 return (y[1], math.nan if failure == "nan" else math.inf)
-            return (y[1], -y[0])
+            return sys.rhs(t, y)
 
-        tr = integrate(ODESystem(dim=2, rhs=rhs), (1.0, 0.0), (0.0, 1.0))
+        tr = integrate(dataclasses.replace(sys, rhs=rhs), (1.0, 0.0), (0.0, 1.0))
         assert tr.status == STEP_FAILURE
         assert tr.message.startswith("step size underflow")
         assert 0.49 < tr.t_end <= 0.5
         assert np.all(np.isfinite(tr.states))
+
+
+FORCED = CentralFieldConfig(time_function("1+0.3*cos(2*t)"), time_function("0.05*sin(t)"))
+SHIPPED = {
+    "ep": ep_system(EPConfig(time_function("1+0.5*sin(3*t)"), time_function("2"))),
+    "ep-family": ep_system(
+        EPConfig(time_function("(5/4)/((1+t)^2)"), time_function("(1+t)^4"))
+    ),
+    "oscillator": oscillator_system(time_function("1+0.5*sin(t)")),
+    "third-order": third_order_system(ThirdOrderConfig(time_function("2+sin(t)"))),
+    "polar": polar_system(FORCED, IntegrationSettings()),
+    "cartesian": cartesian_system(FORCED, IntegrationSettings()),
+}
+# (system, t, state outside its domain, the domain named in the error)
+OUTSIDE = {
+    "ep-x=0": ("ep", 1.0, (0.0, 0.3), "x > 0"),
+    "ep-x<0": ("ep", 1.0, (-0.5, 0.3), "x > 0"),
+    "ep-family-x=0": ("ep-family", 1.0, (0.0, 0.3), "x > 0"),
+    "polar-r=0": ("polar", 1.0, (0.0, 0.2, 0.0, 0.8), "r > 0"),
+    "polar-r<0": ("polar", 1.0, (-0.5, 0.2, 0.0, 0.8), "r > 0"),
+    "cartesian-origin": ("cartesian", 1.0, (0.0, 0.3, 0.0, -0.2), "((x)*(x))+((y)*(y)) > 0"),
+}
+
+
+def assert_same_fields(points, grid):
+    """Agreement to 1e-15 of each component's largest magnitude on the sample.
+
+    np.sin and math.sin may differ by an ulp, and a field that sums
+    cancelling terms (-phi x + g/x^3) carries that ulp of its terms, not of
+    its result.
+    """
+    assert points.shape == grid.shape
+    assert np.all(np.abs(points - grid) <= 1e-15 * np.abs(grid).max(axis=0))
+
+
+class TestShippedSystems:
+    @pytest.mark.parametrize("name", list(SHIPPED))
+    def test_compiled_rhs_matches_the_grid_evaluation(self, name):
+        sys = SHIPPED[name]
+        rng = np.random.default_rng(7)
+        ts = rng.uniform(0.0, 5.0, 64)
+        ys = rng.uniform(0.5, 2.0, (64, sys.dim))
+        points = np.array([sys.rhs(t, y) for t, y in zip(ts.tolist(), ys.tolist())])
+        assert_same_fields(points, sys.slopes(ts, ys))
+
+    def test_quadrature_rhs_matches_the_grid_evaluation(self):
+        tr = k_integral(FORCED, (0.0, 5.0))
+        ts = np.linspace(0.0, 5.0, 64)
+        points = np.array([tr.system.rhs(t, (0.0,)) for t in ts.tolist()])
+        assert_same_fields(points, tr.derivative(ts))
+
+    @pytest.mark.parametrize("case", list(OUTSIDE))
+    def test_outside_the_domain_raises_on_both_paths(self, case):
+        name, t, y, message = OUTSIDE[case]
+        sys = SHIPPED[name]
+        with pytest.raises(DomainError, match=re.escape(f"outside the domain {message}")):
+            sys.rhs(t, y)
+        ts = np.array([0.5, t, 1.5])
+        ys = np.array([[1.0] * sys.dim, y, [1.0] * sys.dim])
+        with pytest.raises(DomainError, match=re.escape(f"outside the domain {message}")):
+            sys.slopes(ts, ys)
+
+    def test_trajectory_keeps_its_system(self):
+        sys = SHIPPED["ep"]
+        tr = integrate(sys, (1.0, 0.0), (0.0, 1.0))
+        assert tr.system is sys
+        slope = tr.derivative(0.5)
+        assert slope.shape == (2,)
+        assert slope.tolist() == pytest.approx(list(sys.rhs(0.5, tuple(tr.sample(0.5)))))

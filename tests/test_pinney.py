@@ -108,12 +108,18 @@ class TestEpResidual:
 
 class TestEpSystem:
     @pytest.mark.parametrize(
-        "x", [1e300, np.float64(1e300), 1e-120], ids=["float", "float64", "tiny"]
+        "x,message",
+        [
+            (1e300, r"power 1e\+300\^3\.0 undefined"),
+            (np.float64(1e300), r"\^3\.0 undefined"),
+            (1e-120, "division by zero"),
+        ],
+        ids=["float", "float64", "tiny"],
     )
-    def test_inverse_cube_out_of_range_raises(self, x):
+    def test_inverse_cube_out_of_range_raises(self, x, message):
         # the cube overflows (or underflows to 0); g/x^3 must not turn into 0 or inf
         rhs = ep_system(const_cfg("1", 1.0)).rhs
-        with np.errstate(over="ignore"), pytest.raises(DomainError, match="g/x\\^3"):
+        with pytest.raises(DomainError, match=message):
             rhs(0.0, (x, 0.0))
 
     def test_finite_state_gives_float_tuple(self):

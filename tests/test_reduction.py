@@ -212,8 +212,9 @@ class TestAbelRelation:
 class TestTransformPlumbing:
     def test_rejects_non_planar_trajectory(self, exp_chart):
         from epwb import ODESystem
+        from epwb.expressions import const, var
 
-        sys3 = ODESystem(dim=3, rhs=lambda t, y: np.array([y[1], y[2], 0.0]))
+        sys3 = ODESystem(("x", "v", "a"), (var("v"), var("a"), const(0.0)))
         tr = integrate(sys3, (1.0, 0.0, 0.0), (0.0, 1.0))
         with pytest.raises(ValueError):
             transform_trajectory(exp_chart, tr)
