@@ -106,12 +106,13 @@ def radial_ep_residual(
     quad = k_integral(cfg, (traj.t0, traj.t_end), settings)
     ell0 = traj.states[0][3]
     ts = traj.grid(n)
-    r = traj.sample(ts)[:, 0]
+    states = traj.sample(ts)
+    r = states[:, 0]
     close = r <= settings.x_min
     if close.any():
         i = int(np.argmax(close))
         raise DomainError(f"radius {float(r[i])!r} too close to the axis at t={float(ts[i])!r}")
-    rddot = traj.derivative(ts)[:, 1]
+    rddot = traj.system.slopes(ts, states)[:, 1]
     g = (ell0 + quad.sample(ts)[:, 0]) ** 2
     return worst_residual(rddot + cfg.phi.jet(ts, 0)[0] * r - g / r**3)
 

@@ -17,31 +17,37 @@ fractional power of a non-positive base, zero to a negative power, sin or
 cos of a non-finite value, overflow) raises DomainError instead of
 producing a silent NaN or inf.
 
-Trees are DAGs: one node may be the child of many.  ``evaluate(expr, env)``
-computes a tree on whole NumPy arrays, one array operation per distinct
-node, and keeps the DomainError contract as mask checks over the grid (an
-error at any point raises); it never returns NaN or inf.  Its ``memo``
-(keyed by node identity) can be shared across several trees evaluated on
-the same ``env``, so common subtrees are computed once.
+Trees are DAGs: one node may be the child of many.  Nodes are weakly
+interned: every way of building one (the parser, the smart constructors,
+the operators, copy and pickle) returns the live node of that structure if
+there is one, so structurally equal trees are one object and structural
+equality is identity.  The intern table holds no node alive.
+
+``evaluate(expr, env)`` computes a tree on whole NumPy arrays, one array
+operation per distinct node, and keeps the DomainError contract as mask
+checks over the grid (an error at any point raises); it never returns NaN
+or inf.  Its ``memo`` (keyed by node) can be shared across several trees
+evaluated on the same ``env``, so common subtrees are computed once.
 
 Single points, such as an integrator's right-hand side, go through
 ``scalar_kernel(exprs, variables)``: it compiles one or more trees into a
-generated straight-line Python function with one local per distinct node
-(equal operations on equal operands share one), in the post-order of a
-tree walk, and every domain rule checked inline, so a DAG costs its
-distinct nodes, not its paths.  Callers that evaluate often (an ODE
-system's ``rhs``, ``TimeFunction.eval``, ``PointSymmetry.components`` at a
-point, ``SecondOrderODE.w_at``) build their kernel once and keep it;
-``Expr.eval(env)`` builds an uncached one per call.  Names, constants and
-curves reach a kernel through its namespace, never through its source, so
-the compiled code of a source is reused by every tree of that shape.
+generated straight-line Python function with one local per distinct node,
+in the post-order of a tree walk, and every domain rule checked inline, so
+a DAG costs its distinct nodes, not its paths.  Callers that evaluate
+often (an ODE system's ``rhs``, ``TimeFunction.eval``,
+``PointSymmetry.components`` at a point, ``SecondOrderODE.w_at``) build
+their kernel once and keep it; ``Expr.eval(env)`` builds an uncached one
+per call.  Names, constants and curves reach a kernel through its
+namespace, never through its source, so the compiled code of a source is
+reused by every tree of that shape.
 
-``differentiate`` is purely structural and memoised by node identity: a
-subtree shared by several parents is differentiated once and its
-derivative is shared in the result.  Results are routed through light
-peephole constructors (constant folding, 0/1 identities) so repeated
-differentiation stays tractable; folding can only shrink the set of points
-where evaluation raises, never change a defined value.
+``differentiate`` is purely structural and memoised per call (or per
+``TimeFunction``, across its orders), never on the nodes: a subtree shared
+by several parents is differentiated once and its derivative is shared in
+the result.  Results are routed through light peephole constructors
+(constant folding, 0/1 identities) so repeated differentiation stays
+tractable; folding can only shrink the set of points where evaluation
+raises, never change a defined value.
 
 The canonical printed form is fully parenthesized infix, e.g.
 ``((2)*(cos((2)*(t))))``, and ``parse_expression`` of a canonical print
@@ -52,7 +58,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+import weakref
 
 import numpy as np
 
@@ -78,9 +84,30 @@ class UnknownIdentifierError(ExprSyntaxError):
 
 
 class Expr:
-    """Base node. Subclasses implement _on_grid (arrays) and _diff; scalar_kernel does one point."""
+    """Base node. Subclasses implement _on_grid (arrays) and _diff; scalar_kernel does one point.
 
-    __slots__ = ()
+    Nodes are interned and immutable: each subclass's ``__new__`` returns the
+    live node of that structure if there is one, so equal trees are one
+    object and ``==`` and ``hash`` are those of identity.
+    """
+
+    __slots__ = ("__weakref__",)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} nodes are immutable")
+
+    __delattr__ = __setattr__
+
+    def __getnewargs__(self):
+        # copy and pickle rebuild a node through __new__, so they get the interned one
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __getstate__(self):
+        return None  # everything is in __getnewargs__
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
 
     def eval(self, env) -> float:
         """Value at the single point ``env``; builds a kernel per call (hot callers keep theirs)."""
@@ -147,9 +174,31 @@ def _finite_grid(values, what: str):
     return values
 
 
-@dataclass(frozen=True, slots=True)
+# Every live node, by its structure: class, op, children by identity and
+# leaf data.  Values are weak, so a node's entry goes when the node does.
+# Two threads racing on one key can only leave two equal nodes, which costs
+# sharing, never a value.
+_NODES = weakref.WeakValueDictionary()
+
+
+def _interned(key, cls, *fields):
+    """The live node under ``key``, or a new ``cls`` node of ``fields`` stored there."""
+    node = _NODES.get(key)
+    if node is None:
+        node = object.__new__(cls)
+        for name, value in zip(cls.__slots__, fields):
+            object.__setattr__(node, name, value)
+        _NODES[key] = node
+    return node
+
+
 class Const(Expr):
-    value: float
+    __slots__ = ("value",)
+
+    def __new__(cls, value):
+        value = float(value)
+        # 0.0 == -0.0, so the key keeps the sign apart
+        return _interned((cls, value, math.copysign(1.0, value)), cls, value)
 
     def _on_grid(self, env, ev):
         return _finite_grid(np.float64(self.value), "constant")
@@ -158,9 +207,11 @@ class Const(Expr):
         return Const(0.0)
 
 
-@dataclass(frozen=True, slots=True)
 class Var(Expr):
-    name: str
+    __slots__ = ("name",)
+
+    def __new__(cls, name):
+        return _interned((cls, name), cls, name)
 
     def _on_grid(self, env, ev):
         return _finite_grid(_bound(env, self.name), f"variable {self.name!r}")
@@ -169,10 +220,11 @@ class Var(Expr):
         return Const(1.0 if self.name == var else 0.0)
 
 
-@dataclass(frozen=True, slots=True)
 class Unary(Expr):
-    op: str
-    arg: Expr
+    __slots__ = ("op", "arg")
+
+    def __new__(cls, op, arg):
+        return _interned((cls, op, arg), cls, op, arg)
 
     def _on_grid(self, env, ev):
         # every child value is finite, so sin and cos need no check
@@ -218,11 +270,11 @@ class Unary(Expr):
         raise AssertionError(f"bad unary op {self.op!r}")
 
 
-@dataclass(frozen=True, slots=True)
 class Binary(Expr):
-    op: str
-    left: Expr
-    right: Expr
+    __slots__ = ("op", "left", "right")
+
+    def __new__(cls, op, left, right):
+        return _interned((cls, op, left, right), cls, op, left, right)
 
     def _on_grid(self, env, ev):
         a = ev(self.left)
@@ -277,7 +329,6 @@ def _pow_grid(a, b):
     return np.power(a, b)
 
 
-@dataclass(frozen=True, slots=True)
 class CurveVal(Expr):
     """Leaf wrapping a curve c(t) with ``jet(ts, k)``; evaluates c's derivative of ``order``.
 
@@ -286,9 +337,11 @@ class CurveVal(Expr):
     the parse grammar and excluded from print/parse round trips.
     """
 
-    curve: object
-    order: int = 0
-    label: str = "curve"
+    __slots__ = ("curve", "order", "label")
+
+    def __new__(cls, curve, order=0, label="curve"):
+        # the node holds its curve, so the curve's id is not reused while the entry lives
+        return _interned((cls, id(curve), order, label), cls, curve, order, label)
 
     def _on_grid(self, env, ev):
         ts = ev(_T)
@@ -310,7 +363,7 @@ _T = Var("t")
 def _coerce(v) -> Expr:
     if isinstance(v, Expr):
         return v
-    return Const(float(v))
+    return Const(v)
 
 
 def _is_const(e: Expr, value: float | None = None) -> bool:
@@ -318,7 +371,7 @@ def _is_const(e: Expr, value: float | None = None) -> bool:
 
 
 def const(v: float) -> Const:
-    return Const(float(v))
+    return Const(v)
 
 
 def var(name: str) -> Var:
@@ -439,16 +492,17 @@ def differentiate(e: Expr, variable: str = "t", memo: dict | None = None) -> Exp
 
     Each distinct node is differentiated once, so a subtree shared by
     several parents gets one shared derivative.  Calls by the same
-    ``variable`` may share a ``memo`` to reuse each other's work.
+    ``variable`` may share a ``memo`` to reuse each other's work.  Nothing
+    is cached on the nodes: the derivative of exp(u) contains exp(u), so a
+    cache there would form a reference cycle.
     """
     memo = {} if memo is None else memo
 
     def d(node: Expr) -> Expr:
-        hit = memo.get(id(node))
-        if hit is None:
-            # the node is kept with its derivative so its id cannot be reused
-            hit = memo[id(node)] = (node, node._diff(variable, d))
-        return hit[1]
+        derivative = memo.get(node)
+        if derivative is None:
+            derivative = memo[node] = node._diff(variable, d)
+        return derivative
 
     return d(e)
 
@@ -466,10 +520,10 @@ def evaluate(expr: Expr, env, memo: dict | None = None) -> np.ndarray:
     grid = {name: np.asarray(value, dtype=float) for name, value in env.items()}
 
     def ev(node: Expr) -> np.ndarray:
-        hit = memo.get(id(node))
-        if hit is None:
-            hit = memo[id(node)] = (node, node._on_grid(grid, ev))
-        return hit[1]
+        value = memo.get(node)
+        if value is None:
+            value = memo[node] = node._on_grid(grid, ev)
+        return value
 
     with np.errstate(all="ignore"):
         value = ev(expr)
@@ -567,13 +621,12 @@ def scalar_kernel(exprs, variables=("t",), positive=()):
     sequence.  The trees in ``positive`` come first, each raising as
     ``require_positive`` unless > 0.  Each distinct node is one local,
     computed once, in the post-order of a walk over the trees (left child
-    first); a node repeating an earlier node's operation on equal operands
-    reuses that local.  Every DomainError rule is checked inline.  So
-    values, and the first error raised with its message, are those of
-    evaluating node by node.  A variable not in ``variables`` raises
-    DomainError where it is first used.  Names, constants and curves reach
-    the function through its namespace, never through its source, so trees
-    of one shape share compiled code.
+    first).  Every DomainError rule is checked inline.  So values, and the
+    first error raised with its message, are those of evaluating node by
+    node.  A variable not in ``variables`` raises DomainError where it is
+    first used.  Names, constants and curves reach the function through its
+    namespace, never through its source, so trees of one shape share
+    compiled code.
     """
     roots = (exprs,) if isinstance(exprs, Expr) else tuple(exprs)
     params = [f"a{i}" for i in range(len(variables))]
@@ -585,32 +638,22 @@ def scalar_kernel(exprs, variables=("t",), positive=()):
             args.update((name, f"{a}_{j}") for j, name in enumerate(spec))
             lines.append("(" + "".join(f"{a}_{j}, " for j in range(len(spec))) + f") = {a}")
     namespace = dict(_KERNEL_GLOBALS)
-    refs, floats, computed = {}, {}, {}
+    refs, computed = {}, 0
 
     def bind(value) -> str:
         name = f"k{len(namespace)}"
         namespace[name] = value
         return name
 
-    def constant(value) -> str:
-        # equal floats share a name, so equal operations on them share a local
-        if type(value) is not float:
-            return bind(value)
-        if repr(value) not in floats:
-            floats[repr(value)] = bind(value)
-        return floats[repr(value)]
-
     def compute(template, **operands) -> str:
-        # one operation on the same operands is computed once (value numbering)
-        key = (template, *operands.values())
-        if key not in computed:
-            r = computed[key] = f"v{len(computed)}"
-            lines.extend(line.format(r=r, **operands) for line in template)
-        return computed[key]
+        nonlocal computed
+        r, computed = f"v{computed}", computed + 1
+        lines.extend(line.format(r=r, **operands) for line in template)
+        return r
 
     def emit(node: Expr) -> str:
         if isinstance(node, Const):
-            return constant(node.value)
+            return bind(node.value)
         if isinstance(node, Var):
             if node.name in args:
                 return args[node.name]
@@ -628,11 +671,10 @@ def scalar_kernel(exprs, variables=("t",), positive=()):
         raise TypeError(f"cannot compile node {node!r}")
 
     def ref(node: Expr) -> str:
-        hit = refs.get(id(node))
-        if hit is None:
-            # the node is kept with its local so its id cannot be reused
-            hit = refs[id(node)] = (node, emit(node))
-        return hit[1]
+        local = refs.get(node)
+        if local is None:
+            local = refs[node] = emit(node)
+        return local
 
     for tree in positive:
         r = ref(tree)
@@ -851,10 +893,10 @@ def parse_expression(text: str, variables: tuple[str, ...] = ("t",)) -> Expr:
 class TimeFunction:
     """Scalar function of t with exact derivative expressions.
 
-    Orders 0..3 are built once at construction; higher orders extend lazily
-    (internal plumbing for high-order jets), each from the one before with a
-    shared differentiation memo.  ``eval`` (one point) and ``jet`` (a grid)
-    surface DomainError from subexpressions.
+    Each order is built when first requested, from the order before, with
+    one differentiation memo per function, so successive orders share
+    their work.  ``eval`` (one point) and ``jet`` (a grid) surface
+    DomainError from subexpressions.
     """
 
     def __init__(self, expr: Expr):
@@ -862,7 +904,6 @@ class TimeFunction:
         self._derivs = [expr]
         self._memo = {}
         self._kernels = {}
-        self.derivative_expr(3)
 
     def derivative_expr(self, order: int) -> Expr:
         if order < 0:
@@ -886,7 +927,7 @@ class TimeFunction:
         return np.array([evaluate(self.derivative_expr(j), env, memo) for j in range(k + 1)])
 
     def scaled(self, factor: float) -> "TimeFunction":
-        return TimeFunction(mul(Const(float(factor)), self.expr))
+        return TimeFunction(mul(Const(factor), self.expr))
 
     def __repr__(self):
         return f"TimeFunction({canonical(self.expr)})"

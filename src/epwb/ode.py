@@ -335,9 +335,10 @@ class Trajectory:
         """
         if not 0 <= k <= self.dim:
             raise ValueError(f"derivative order {k} unavailable from this trajectory")
-        rows = self.sample(ts).T
+        states = self.sample(ts)
+        rows = states.T
         if k == self.dim:
-            rows = np.vstack([rows, self.derivative(ts)[:, -1]])
+            rows = np.vstack([rows, self.system.slopes(ts, states)[:, -1]])
         return rows[: k + 1]
 
     def grid(self, n: int = 200) -> np.ndarray:

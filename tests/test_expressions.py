@@ -1,6 +1,9 @@
 import builtins
+import copy
 import dataclasses
+import gc
 import math
+import pickle
 import subprocess
 import sys
 
@@ -29,7 +32,7 @@ from epwb import (
 )
 from epwb import expressions, ode, symmetry
 from epwb.central_field import CentralFieldConfig, PolarState, radial_ep_residual, simulate_polar
-from epwb.expressions import Binary, Const, CurveVal, Unary, Var, const, sin, var
+from epwb.expressions import Binary, Const, CurveVal, TimeFunction, Unary, Var, const, sin, var
 from epwb.pinney import EPConfig, ep_system
 from epwb.ode import integrate, residual
 from epwb.symmetry import basis_family, default_samples
@@ -649,3 +652,100 @@ def test_kernel_source_never_holds_expression_text(compiled):
     assert len(compiled) == 2  # Expr.eval reuses the code of the first kernel's shape
     for source in compiled:
         assert "import" not in source and "'" not in source
+
+
+# --- interning ----------------------------------------------------------------
+
+
+class TestInterning:
+    def test_equal_trees_are_one_node(self):
+        e = parse_expression("sin(2*t)+t^2")
+        assert parse_expression("sin(2*t) + t**2") is e
+        t = var("t")
+        assert sin(2 * t) + t**2 is e
+        assert Binary("+", Unary("sin", Binary("*", Const(2.0), t)), Binary("^", t, Const(2))) is e
+
+    def test_leaf_data_is_kept_apart(self):
+        assert Const(0.0) is not Const(-0.0)
+        assert math.copysign(1.0, Const(-0.0).value) == -1.0
+        first, second = _Line(), _Line()
+        assert CurveVal(first, 1, "c") is CurveVal(first, 1, "c")
+        assert CurveVal(first, 1, "c") is not CurveVal(second, 1, "c")
+        assert CurveVal(first, 1, "c") is not CurveVal(first, 0, "c")
+
+    @pytest.mark.parametrize(
+        "clone",
+        [copy.copy, copy.deepcopy, lambda e: pickle.loads(pickle.dumps(e))],
+        ids=["copy", "deepcopy", "pickle"],
+    )
+    def test_copies_are_the_interned_node(self, clone):
+        e = parse_expression("exp(-t)/(1+t^2) - 0.5*t")
+        assert clone(e) is e
+        assert clone(Const(-0.0)) is Const(-0.0)
+
+    def test_nodes_are_immutable(self):
+        e = parse_expression("t+1")
+        with pytest.raises(AttributeError):
+            e.op = "-"
+        assert e.op == "+"
+
+    def test_the_table_holds_no_node_alive(self):
+        gc.collect()
+        baseline = len(expressions._NODES)
+        e = sin(var("t"))
+        for _ in range(40):
+            e = Binary("-", Binary("*", Const(2.0), e), e)
+        d = differentiate(e)
+        assert len(expressions._NODES) > baseline + 80
+        del e, d
+        gc.collect()
+        assert len(expressions._NODES) == baseline
+
+
+def test_integer_constant_agrees_on_both_paths():
+    square = Binary("^", Var("t"), Const(2))
+    assert type(square.right.value) is float
+    assert scalar_kernel(square)(3.0) == 9.0
+    assert evaluate(square, {"t": 3.0}) == 9.0
+
+
+@pytest.fixture
+def diffs(monkeypatch):
+    """Every node that ``_diff`` is called on from here on (kept alive in the list)."""
+    calls = []
+    for cls in (Const, Var, Unary, Binary, CurveVal):
+
+        def counting(self, *args, original=cls._diff):
+            calls.append(self)
+            return original(self, *args)
+
+        monkeypatch.setattr(cls, "_diff", counting)
+    return calls
+
+
+def test_every_pass_differentiates_from_cold(diffs):
+    # the derivatives of exp(u) and a^b contain their own node, so a
+    # derivative cached on a node would outlive the check and warm the next
+    def check():
+        fam = compatible_family(time_function("exp(4.1*t)"), 1.1, 0.7, (0.0, 2.0))
+        samples = default_samples((0.0, 2.0), n=4)
+        return symmetry_residual(surviving_symmetry(fam), ep_ode(fam), samples)
+
+    first = check()
+    cold = len(diffs)
+    assert cold > 0
+    assert check() == first
+    assert len(diffs) == 2 * cold
+
+
+def test_time_function_differentiates_on_demand(diffs):
+    f = TimeFunction(parse_expression("exp(2*t)*sin(t)"))
+    f.eval(0.3)
+    f.jet(np.linspace(0.0, 1.0, 3), 0)
+    assert diffs == []
+    f.derivative_expr(2)
+    built = len(diffs)
+    assert built > 0
+    f.eval(0.3, 1)
+    f.jet(np.linspace(0.0, 1.0, 3), 2)
+    assert len(diffs) == built

@@ -20,9 +20,12 @@ from epwb import (
 from epwb import ode
 from epwb.central_field import (
     CentralFieldConfig,
+    PolarState,
     cartesian_system,
     k_integral,
     polar_system,
+    radial_ep_residual,
+    simulate_polar,
 )
 from epwb.expressions import const, sin, var
 from epwb.oscillator import oscillator_system
@@ -133,6 +136,22 @@ class TestSample:
         ends = tr.sample(np.nextafter(tr.times[1:], -np.inf))
         gap = np.linalg.norm(ends - tr.states[1:], axis=1)
         assert np.all(gap <= 1e-13 * np.linalg.norm(tr.states[1:], axis=1))
+
+    def test_each_grid_samples_a_trajectory_once(self, monkeypatch):
+        cfg = EPConfig(time_function("1+0.5*sin(3*t)"), time_function("2"))
+        ep = integrate(ep_system(cfg), (1.0, 0.0), (0.0, 2.0))
+        forced = CentralFieldConfig(time_function("1+0.3*cos(2*t)"), time_function("0.05*sin(t)"))
+        polar = simulate_polar(forced, PolarState(1.0, 0.1, 0.0, 0.8), (0.0, 2.0))
+        calls = []
+        original = ode.Trajectory.sample
+        monkeypatch.setattr(
+            ode.Trajectory, "sample", lambda self, t: calls.append(self) or original(self, t)
+        )
+        ep.jet(grid(0.0, 2.0, 11), 2)
+        assert calls == [ep]
+        calls.clear()
+        radial_ep_residual(polar, forced, n=11)
+        assert calls.count(polar) == 1
 
 
 class TestResidual:
