@@ -23,23 +23,27 @@ the operators, copy and pickle) returns the live node of that structure if
 there is one, so structurally equal trees are one object and structural
 equality is identity.  The intern table holds no node alive.
 
-``evaluate(expr, env)`` computes a tree on whole NumPy arrays, one array
-operation per distinct node, and keeps the DomainError contract as mask
-checks over the grid (an error at any point raises); it never returns NaN
-or inf.  Its ``memo`` (keyed by node) can be shared across several trees
-evaluated on the same ``env``, so common subtrees are computed once.
+Each operation's domain rule is stated once, in ``_RULES``: its value and
+the conditions under which it is defined, each with the ``_MESSAGES`` key
+it raises.  Both evaluators render that table, so they raise the same
+message at the same node.  ``scalar_kernel(exprs, variables)`` compiles
+one or more trees into a generated straight-line Python function over
+floats, with one local per distinct node in the post-order of a tree walk
+and every rule inline, so a DAG costs its distinct nodes, not its paths.
+Callers that evaluate often (an ODE system's ``rhs``,
+``TimeFunction.eval``, ``PointSymmetry.components`` at a point,
+``SecondOrderODE.w_at``) build their kernel once and keep it;
+``Expr.eval(env)`` builds an uncached one per call.  Names, constants and
+curves reach a kernel through its namespace, never through its source, so
+the compiled code of a source is reused by every tree of that shape.
 
-Single points, such as an integrator's right-hand side, go through
-``scalar_kernel(exprs, variables)``: it compiles one or more trees into a
-generated straight-line Python function with one local per distinct node,
-in the post-order of a tree walk, and every domain rule checked inline, so
-a DAG costs its distinct nodes, not its paths.  Callers that evaluate
-often (an ODE system's ``rhs``, ``TimeFunction.eval``,
-``PointSymmetry.components`` at a point, ``SecondOrderODE.w_at``) build
-their kernel once and keep it; ``Expr.eval(env)`` builds an uncached one
-per call.  Names, constants and curves reach a kernel through its
-namespace, never through its source, so the compiled code of a source is
-reused by every tree of that shape.
+``evaluate(exprs, env, positive=())`` computes one tree or a sequence of
+trees on whole NumPy arrays in one interpreted post-order walk, one
+function per operation (compiled from the table once, at import) and so
+one NumPy operation per distinct node, with the rules as mask checks: an
+error at any point raises, so it never returns NaN or inf.  It also
+refuses a non-finite input.  On a one-point grid of finite inputs it
+raises what the scalar kernel raises.
 
 ``differentiate`` is purely structural and memoised per call (or per
 ``TimeFunction``, across its orders), never on the nodes: a subtree shared
@@ -84,7 +88,7 @@ class UnknownIdentifierError(ExprSyntaxError):
 
 
 class Expr:
-    """Base node. Subclasses implement _on_grid (arrays) and _diff; scalar_kernel does one point.
+    """Base node. Subclasses implement _diff; evaluate and scalar_kernel evaluate them.
 
     Nodes are interned and immutable: each subclass's ``__new__`` returns the
     live node of that structure if there is one, so equal trees are one
@@ -112,10 +116,6 @@ class Expr:
     def eval(self, env) -> float:
         """Value at the single point ``env``; builds a kernel per call (hot callers keep theirs)."""
         return scalar_kernel(self, tuple(env))(*env.values())
-
-    def _on_grid(self, env, ev) -> np.ndarray:
-        """Value over the arrays in ``env``; ``ev`` evaluates a child (memoised)."""
-        raise NotImplementedError
 
     def _diff(self, var: str, d) -> "Expr":
         """Derivative by ``var``; ``d`` differentiates a child (memoised)."""
@@ -156,24 +156,6 @@ class Expr:
         return neg(self)
 
 
-def _first(values, bad) -> float:
-    """The first of ``values`` where the mask ``bad`` holds (for error messages)."""
-    return float(np.broadcast_to(values, np.shape(bad))[bad].flat[0])
-
-
-def _bound(env, name: str):
-    try:
-        return env[name]
-    except KeyError:
-        raise DomainError(f"no value bound for variable {name!r}") from None
-
-
-def _finite_grid(values, what: str):
-    if not np.isfinite(values).all():
-        raise DomainError(f"non-finite value {_first(values, ~np.isfinite(values))!r} in {what}")
-    return values
-
-
 # Every live node, by its structure: class, op, children by identity and
 # leaf data.  Values are weak, so a node's entry goes when the node does.
 # Two threads racing on one key can only leave two equal nodes, which costs
@@ -200,11 +182,8 @@ class Const(Expr):
         # 0.0 == -0.0, so the key keeps the sign apart
         return _interned((cls, value, math.copysign(1.0, value)), cls, value)
 
-    def _on_grid(self, env, ev):
-        return _finite_grid(np.float64(self.value), "constant")
-
     def _diff(self, var, d):
-        return Const(0.0)
+        return _ZERO
 
 
 class Var(Expr):
@@ -213,11 +192,8 @@ class Var(Expr):
     def __new__(cls, name):
         return _interned((cls, name), cls, name)
 
-    def _on_grid(self, env, ev):
-        return _finite_grid(_bound(env, self.name), f"variable {self.name!r}")
-
     def _diff(self, var, d):
-        return Const(1.0 if self.name == var else 0.0)
+        return _ONE if self.name == var else _ZERO
 
 
 class Unary(Expr):
@@ -225,33 +201,6 @@ class Unary(Expr):
 
     def __new__(cls, op, arg):
         return _interned((cls, op, arg), cls, op, arg)
-
-    def _on_grid(self, env, ev):
-        # every child value is finite, so sin and cos need no check
-        v = ev(self.arg)
-        op = self.op
-        if op == "neg":
-            return -v
-        if op == "sin":
-            return np.sin(v)
-        if op == "cos":
-            return np.cos(v)
-        if op == "exp":
-            r = np.exp(v)
-            if not np.isfinite(r).all():
-                raise DomainError(f"exp overflow at argument {_first(v, ~np.isfinite(r))!r}")
-            return r
-        if op == "log":
-            bad = v <= 0.0
-            if bad.any():
-                raise DomainError(f"log of non-positive value {_first(v, bad)!r}")
-            return np.log(v)
-        if op == "sqrt":
-            bad = v < 0.0
-            if bad.any():
-                raise DomainError(f"sqrt of negative value {_first(v, bad)!r}")
-            return np.sqrt(v)
-        raise AssertionError(f"bad unary op {op!r}")
 
     def _diff(self, var, d):
         u, du = self.arg, d(self.arg)
@@ -276,28 +225,6 @@ class Binary(Expr):
     def __new__(cls, op, left, right):
         return _interned((cls, op, left, right), cls, op, left, right)
 
-    def _on_grid(self, env, ev):
-        a = ev(self.left)
-        b = ev(self.right)
-        op = self.op
-        if op == "+":
-            r = a + b
-        elif op == "-":
-            r = a - b
-        elif op == "*":
-            r = a * b
-        elif op == "/":
-            if (b == 0.0).any():
-                raise DomainError("division by zero")
-            r = a / b
-        elif op == "^":
-            r = _pow_grid(a, b)
-        else:
-            raise AssertionError(f"bad binary op {op!r}")
-        if not np.isfinite(r).all():
-            raise DomainError(f"overflow in {op!r}")
-        return r
-
     def _diff(self, var, d):
         a, b = self.left, self.right
         da, db = d(a), d(b)
@@ -318,17 +245,6 @@ class Binary(Expr):
         raise AssertionError(f"bad binary op {self.op!r}")
 
 
-def _pow_grid(a, b):
-    """Domain rules of a power over arrays; overflow is left to the caller's finiteness check."""
-    frac = b != np.floor(b)
-    bad = frac & (a <= 0.0)
-    if bad.any():
-        raise DomainError(f"fractional power of non-positive base {_first(a, bad)!r}")
-    if (~frac & (a == 0.0) & (b < 0.0)).any():
-        raise DomainError("zero raised to a negative power")
-    return np.power(a, b)
-
-
 class CurveVal(Expr):
     """Leaf wrapping a curve c(t) with ``jet(ts, k)``; evaluates c's derivative of ``order``.
 
@@ -343,18 +259,14 @@ class CurveVal(Expr):
         # the node holds its curve, so the curve's id is not reused while the entry lives
         return _interned((cls, id(curve), order, label), cls, curve, order, label)
 
-    def _on_grid(self, env, ev):
-        ts = ev(_T)
-        values = self.curve.jet(ts.reshape(-1), self.order)[self.order]
-        return _finite_grid(values.reshape(ts.shape), f"curve {self.label!r}")
-
     def _diff(self, var, d):
         if var == "t":
             return CurveVal(self.curve, self.order + 1, self.label)
-        return Const(0.0)
+        return _ZERO
 
 
-_T = Var("t")
+# built once: t for curve leaves, 0 and 1 for differentiation and folding
+_T, _ZERO, _ONE = Var("t"), Const(0.0), Const(1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +320,7 @@ def mul(a: Expr, b: Expr) -> Expr:
         if math.isfinite(r):
             return Const(r)
     if _is_const(a, 0.0) or _is_const(b, 0.0):
-        return Const(0.0)
+        return _ZERO
     if _is_const(a, 1.0):
         return b
     if _is_const(b, 1.0):
@@ -424,7 +336,7 @@ def div(a: Expr, b: Expr) -> Expr:
     if _is_const(b, 1.0):
         return a
     if _is_const(a, 0.0):
-        return Const(0.0)
+        return _ZERO
     return Binary("/", a, b)
 
 
@@ -432,7 +344,7 @@ def power(a: Expr, b: Expr) -> Expr:
     if _is_const(b, 1.0):
         return a
     if _is_const(b, 0.0):
-        return Const(1.0)
+        return _ONE
     if isinstance(a, Const) and isinstance(b, Const):
         try:
             return Const(_fold_kernel("^")(a.value, b.value))
@@ -462,7 +374,7 @@ def _fold_unary(op: str, e: Expr) -> Expr:
 def _fold_kernel(op: str):
     """``op`` applied to its one or two arguments; compiled once per op, not once per fold."""
     a, b = Var("a"), Var("b")
-    if op in _BINARY_LINES:
+    if op in "+-*/^":
         return scalar_kernel(Binary(op, a, b), ("a", "b"))
     return scalar_kernel(Unary(op, a), ("a",))
 
@@ -507,32 +419,8 @@ def differentiate(e: Expr, variable: str = "t", memo: dict | None = None) -> Exp
     return d(e)
 
 
-def evaluate(expr: Expr, env, memo: dict | None = None) -> np.ndarray:
-    """Value of ``expr`` over the arrays (or scalars) bound in ``env``.
-
-    Each distinct node runs once, as one NumPy operation, and the result has
-    the broadcast shape of ``env``'s values.  Raises DomainError if the tree
-    is undefined at any point, so no NaN or inf is ever returned.  Calls that
-    evaluate on the same ``env`` may share a ``memo`` so subtrees common to
-    several trees are computed once.
-    """
-    memo = {} if memo is None else memo
-    grid = {name: np.asarray(value, dtype=float) for name, value in env.items()}
-
-    def ev(node: Expr) -> np.ndarray:
-        value = memo.get(node)
-        if value is None:
-            value = memo[node] = node._on_grid(grid, ev)
-        return value
-
-    with np.errstate(all="ignore"):
-        value = ev(expr)
-    shape = np.broadcast_shapes(*(a.shape for a in grid.values()))
-    return value if value.shape == shape else np.broadcast_to(value, shape).copy()
-
-
 # ---------------------------------------------------------------------------
-# scalar kernels: a set of trees compiled into one straight-line function
+# domain rules, and the two evaluators that render them
 
 _MESSAGES = {
     "SIN": "sin of non-finite value {!r}",
@@ -543,9 +431,9 @@ _MESSAGES = {
     "DIV": "division by zero",
     "FRAC": "fractional power of non-positive base {!r}",
     "ZERONEG": "zero raised to a negative power",
-    "POW": "power {!r}^{!r} undefined: {}",
     "UNBOUND": "no value bound for variable {!r}",
     "POSITIVE": "outside the domain {} > 0 (value {!r})",
+    "NONFINITE": "non-finite value {!r} in {}",
     "OVER_ADD": "overflow in '+' of {!r} and {!r}",
     "OVER_SUB": "overflow in '-' of {!r} and {!r}",
     "OVER_MUL": "overflow in '*' of {!r} and {!r}",
@@ -553,38 +441,72 @@ _MESSAGES = {
     "OVER_POW": "overflow in '^' of {!r} and {!r}",
 }
 
+# Each operation's value as the local {r} of its operands {a} and {b}, then
+# the conditions under which it is defined, in the order they are checked,
+# each with the _MESSAGES key it raises and the operands its message shows.
+# A condition on {r} is checked after the value, the others before it.  The
+# functions named are math's in a scalar kernel and NumPy's in evaluate, so
+# one text holds for floats and for arrays.
+_RULES = {
+    "neg": ("-{a}",),
+    "sin": ("sin({a})", ("isfinite({a})", "SIN", "{a}")),
+    "cos": ("cos({a})", ("isfinite({a})", "COS", "{a}")),
+    "exp": ("exp({a})", ("isfinite({r})", "EXP", "{a}")),
+    "log": ("log({a})", ("{a} > 0.0", "LOG", "{a}")),
+    "sqrt": ("sqrt({a})", ("{a} >= 0.0", "SQRT", "{a}")),
+    "+": ("{a} + {b}", ("isfinite({r})", "OVER_ADD", "{a}, {b}")),
+    "-": ("{a} - {b}", ("isfinite({r})", "OVER_SUB", "{a}, {b}")),
+    "*": ("{a} * {b}", ("isfinite({r})", "OVER_MUL", "{a}, {b}")),
+    "/": ("{a} / {b}", ("{b} != 0.0", "DIV", ""), ("isfinite({r})", "OVER_DIV", "{a}, {b}")),
+    "^": (
+        "pow({a}, {b})",
+        ("({a} > 0.0) | ({b} % 1.0 == 0.0)", "FRAC", "{a}"),
+        ("({a} != 0.0) | ({b} >= 0.0)", "ZERONEG", ""),
+        ("isfinite({r})", "OVER_POW", "{a}, {b}"),
+    ),
+    # not operations: a domain tree {a} printed as {b}, and (on grids) an input {a} named {b}
+    "positive": ("{a}", ("{a} > 0.0", "POSITIVE", "{b}, {a}")),
+    "finite": ("{a}", ("isfinite({a})", "NONFINITE", "{a}, {b}")),
+}
+_FUNCTIONS = ("isfinite", "sin", "cos", "exp", "log", "sqrt")
+
 
 def _fail(message: str, *values):
     raise DomainError(message.format(*values)) from None
 
 
-# Lines computing one node: {r} is its local, {a} and {b} its operands.
-_UNARY_LINES = {
-    "neg": ("{r} = -{a}",),
-    "sin": ("if not isfinite({a}): fail(SIN, {a})", "{r} = sin({a})"),
-    "cos": ("if not isfinite({a}): fail(COS, {a})", "{r} = cos({a})"),
-    "exp": ("try: {r} = exp({a})", "except OverflowError: fail(EXP, {a})"),
-    "log": ("if {a} <= 0.0: fail(LOG, {a})", "{r} = log({a})"),
-    "sqrt": ("if {a} < 0.0: fail(SQRT, {a})", "{r} = sqrt({a})"),
-}
-_BINARY_LINES = {
-    "+": ("{r} = {a} + {b}", "if not isfinite({r}): fail(OVER_ADD, {a}, {b})"),
-    "-": ("{r} = {a} - {b}", "if not isfinite({r}): fail(OVER_SUB, {a}, {b})"),
-    "*": ("{r} = {a} * {b}", "if not isfinite({r}): fail(OVER_MUL, {a}, {b})"),
-    "/": (
-        "if {b} == 0.0: fail(DIV)",
-        "{r} = {a} / {b}",
-        "if not isfinite({r}): fail(OVER_DIV, {a}, {b})",
-    ),
-    "^": (
-        "if not {b}.is_integer():",
-        "    if {a} <= 0.0: fail(FRAC, {a})",
-        "elif {a} == 0.0 and {b} < 0.0: fail(ZERONEG)",
-        "try: {r} = pow({a}, {b})",
-        "except (OverflowError, ValueError) as e: fail(POW, {a}, {b}, e)",
-        "if not isfinite({r}): fail(OVER_POW, {a}, {b})",
-    ),
-}
+def _first(bad, *values) -> list:
+    """Each of ``values`` (an array, a scalar or a label) at the first point where ``bad`` holds."""
+    return [np.broadcast_to(v, np.shape(bad))[bad][0].item() for v in values]
+
+
+def _rendered(op: str, check, catch: bool = False) -> tuple[str, ...]:
+    """Template lines of an ``op`` node: ``check`` of each condition around its value.
+
+    With ``catch``, an OverflowError computing the value makes it inf, for
+    the result check that follows (math.exp and math.pow raise where NumPy
+    returns inf).
+    """
+    value, *conditions = _RULES[op]
+    lines = [line for c in conditions if "{r}" not in c[0] for line in check(*c)]
+    if catch:
+        lines += ["try: {r} = " + value, "except OverflowError: {r} = inf"]
+    else:
+        lines.append("{r} = " + value)
+    lines += [line for c in conditions if "{r}" in c[0] for line in check(*c)]
+    return tuple(lines)
+
+
+def _scalar_check(cond: str, key: str, args: str):
+    # over floats each side of | is a bool, so "or" means the same and stops early
+    return (f"if not ({cond.replace(' | ', ' or ')}): fail({key}{args and ', ' + args})",)
+
+
+def _grid_check(cond: str, key: str, args: str):
+    return (f"ok = {cond}", f"if not ok.all(): fail({key}, *first(~ok, {args}))")
+
+
+_SCALAR_LINES = {op: _rendered(op, _scalar_check, op in ("exp", "^")) for op in _RULES}
 _CURVE_LINES = ("{r} = float({c}.jet([{t}], {k})[{k}, 0])",)
 _UNBOUND_LINES = ("{r} = fail(UNBOUND, {name})",)
 
@@ -592,24 +514,77 @@ _KERNEL_GLOBALS = {
     "__builtins__": {},
     "float": float,
     "OverflowError": OverflowError,
-    "ValueError": ValueError,
-    "isfinite": math.isfinite,
-    "sin": math.sin,
-    "cos": math.cos,
-    "exp": math.exp,
-    "log": math.log,
-    "sqrt": math.sqrt,
+    "inf": math.inf,
+    **{name: getattr(math, name) for name in _FUNCTIONS},
     "pow": math.pow,
     "fail": _fail,
     **_MESSAGES,
 }
 
 
-def require_positive(tree: Expr, values) -> None:
-    """Raise the DomainError of a violated ``tree > 0`` unless all ``values`` of it are > 0."""
-    bad = ~(np.asarray(values) > 0.0)
-    if bad.any():
-        _fail(_MESSAGES["POSITIVE"], _inner(tree), _first(values, bad))
+def _grid_function(op: str):
+    """``op`` over arrays: its rule with each condition a mask that must hold everywhere."""
+    lines = (*_rendered(op, _grid_check), "return r")
+    body = "".join(f"    {line.format(r='r', a='a', b='b')}\n" for line in lines)
+    # NumPy imports lazily through the builtins of its caller's frame, so
+    # this namespace keeps the interpreter's own
+    namespace = {
+        **{name: getattr(np, name) for name in _FUNCTIONS},
+        "pow": np.power,
+        "fail": _fail,
+        "first": _first,
+        **_MESSAGES,
+    }
+    exec(compile(f"def op(a, b=None):\n{body}", f"<grid {op}>", "exec"), namespace)
+    return namespace["op"]
+
+
+_GRID = {op: _grid_function(op) for op in _RULES}
+
+
+def evaluate(exprs, env, positive=()):
+    """Value of a tree, or a list of the values of a sequence of trees, over the arrays in ``env``.
+
+    ``env`` binds names to arrays or scalars, and each result has their
+    broadcast shape.  The trees in ``positive`` are checked first, each
+    raising DomainError unless > 0 everywhere.  Each distinct node runs once,
+    as one NumPy operation, in the post-order of a walk over the trees, so a
+    subtree shared by several trees is computed once.  Raises DomainError if
+    an input is not finite or a tree is undefined at any point, so no NaN or
+    inf is ever returned.
+    """
+    grid = {name: np.asarray(value, dtype=float) for name, value in env.items()}
+    values = {}
+
+    def ev(node: Expr):
+        value = values.get(node)
+        if value is None:
+            if isinstance(node, Binary):
+                value = _GRID[node.op](ev(node.left), ev(node.right))
+            elif isinstance(node, Unary):
+                value = _GRID[node.op](ev(node.arg))
+            elif isinstance(node, Const):
+                value = _GRID["finite"](np.float64(node.value), "constant")
+            elif isinstance(node, Var):
+                if node.name not in grid:
+                    _fail(_MESSAGES["UNBOUND"], node.name)
+                value = _GRID["finite"](grid[node.name], f"variable {node.name!r}")
+            elif isinstance(node, CurveVal):
+                ts = ev(_T)
+                jet = node.curve.jet(ts.reshape(-1), node.order)[node.order]
+                value = _GRID["finite"](jet.reshape(ts.shape), f"curve {node.label!r}")
+            else:
+                raise TypeError(f"cannot evaluate node {node!r}")
+            values[node] = value
+        return value
+
+    with np.errstate(all="ignore"):
+        for tree in positive:
+            _GRID["positive"](ev(tree), _inner(tree))
+        results = [ev(root) for root in ((exprs,) if isinstance(exprs, Expr) else exprs)]
+    shape = np.broadcast_shapes(*(a.shape for a in grid.values()))
+    results = [v if v.shape == shape else np.broadcast_to(v, shape).copy() for v in results]
+    return results[0] if isinstance(exprs, Expr) else results
 
 
 def scalar_kernel(exprs, variables=("t",), positive=()):
@@ -618,15 +593,14 @@ def scalar_kernel(exprs, variables=("t",), positive=()):
     The function takes one value per entry of ``variables``, positionally
     (an entry that is a tuple of names takes a sequence, as a system's
     state), and returns a float for a single tree or a tuple for a
-    sequence.  The trees in ``positive`` come first, each raising as
-    ``require_positive`` unless > 0.  Each distinct node is one local,
-    computed once, in the post-order of a walk over the trees (left child
-    first).  Every DomainError rule is checked inline.  So values, and the
-    first error raised with its message, are those of evaluating node by
-    node.  A variable not in ``variables`` raises DomainError where it is
-    first used.  Names, constants and curves reach the function through its
-    namespace, never through its source, so trees of one shape share
-    compiled code.
+    sequence.  The trees in ``positive`` come first, each raising
+    DomainError unless > 0.  Each distinct node is one local, computed once,
+    in the post-order of a walk over the trees (left child first), with its
+    rule inline, so the first error raised and its message are those of
+    ``evaluate`` on a one-point grid of the same finite values.  A variable
+    not in ``variables`` raises DomainError where it is first used.  Names,
+    constants and curves reach the function through its namespace, never
+    through its source, so trees of one shape share compiled code.
     """
     roots = (exprs,) if isinstance(exprs, Expr) else tuple(exprs)
     params = [f"a{i}" for i in range(len(variables))]
@@ -659,13 +633,9 @@ def scalar_kernel(exprs, variables=("t",), positive=()):
                 return args[node.name]
             return compute(_UNBOUND_LINES, name=bind(node.name))
         if isinstance(node, Unary):
-            if node.op not in _UNARY_LINES:
-                raise AssertionError(f"bad unary op {node.op!r}")
-            return compute(_UNARY_LINES[node.op], a=ref(node.arg))
+            return compute(_SCALAR_LINES[node.op], a=ref(node.arg))
         if isinstance(node, Binary):
-            if node.op not in _BINARY_LINES:
-                raise AssertionError(f"bad binary op {node.op!r}")
-            return compute(_BINARY_LINES[node.op], a=ref(node.left), b=ref(node.right))
+            return compute(_SCALAR_LINES[node.op], a=ref(node.left), b=ref(node.right))
         if isinstance(node, CurveVal):
             return compute(_CURVE_LINES, t=ref(_T), c=bind(node.curve), k=bind(node.order))
         raise TypeError(f"cannot compile node {node!r}")
@@ -677,8 +647,7 @@ def scalar_kernel(exprs, variables=("t",), positive=()):
         return local
 
     for tree in positive:
-        r = ref(tree)
-        lines.append(f"if not {r} > 0.0: fail(POSITIVE, {bind(_inner(tree))}, {r})")
+        compute(_SCALAR_LINES["positive"], a=ref(tree), b=bind(_inner(tree)))
     results = [ref(root) for root in roots]
     if isinstance(exprs, Expr):
         value = results[0]
@@ -923,8 +892,7 @@ class TimeFunction:
 
     def jet(self, ts, k: int) -> np.ndarray:
         """Rows 0..k hold the derivatives over the grid ``ts``: shape (k+1, len(ts))."""
-        env, memo = {"t": ts}, {}
-        return np.array([evaluate(self.derivative_expr(j), env, memo) for j in range(k + 1)])
+        return np.array(evaluate([self.derivative_expr(j) for j in range(k + 1)], {"t": ts}))
 
     def scaled(self, factor: float) -> "TimeFunction":
         return TimeFunction(mul(Const(factor), self.expr))
@@ -953,8 +921,9 @@ and 'v' for position and velocity) or one of the functions:
   sin cos exp log sqrt
 
 evaluation is float64.  log of a non-positive value, division by zero,
-sqrt of a negative value, fractional powers of non-positive bases and
-overflow all raise a domain error; no NaN is ever returned.
+sqrt of a negative value, fractional powers of non-positive bases, zero
+raised to a negative power, sin or cos of a non-finite value and overflow
+all raise a domain error; no NaN is ever returned.
 
 canonical printed form is fully parenthesized infix, for example
   ((2)*(cos((2)*(t))))

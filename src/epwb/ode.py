@@ -50,7 +50,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .expressions import DomainError, Expr, evaluate, require_positive, scalar_kernel
+from .expressions import DomainError, Expr, evaluate, scalar_kernel
 
 COMPLETED = "completed"
 GUARD_STOP = "guard-stop"
@@ -240,17 +240,14 @@ class ODESystem:
     def dim(self) -> int:
         return len(self.fields)
 
-    def slopes(self, ts, ys, memo: dict | None = None) -> np.ndarray:
+    def slopes(self, ts, ys) -> np.ndarray:
         """The fields at the points (ts[i], ys[i]), as an (n, dim) array.
 
-        One NumPy operation per distinct node; calls on the same points may
-        share ``memo``.  DomainError where a domain tree is not positive.
+        One NumPy operation per distinct node; DomainError where a domain
+        tree is not positive.
         """
         env = {"t": ts, **{name: ys[:, i] for i, name in enumerate(self.names)}}
-        memo = {} if memo is None else memo
-        for tree in self.domain:
-            require_positive(tree, evaluate(tree, env, memo))
-        return np.column_stack([evaluate(f, env, memo) for f in self.fields])
+        return np.column_stack(evaluate(self.fields, env, self.domain))
 
 
 @dataclass(frozen=True)
@@ -319,12 +316,6 @@ class Trajectory:
             th = (ts[inner] - times[i]) / self._steps[i]
             out[inner] += np.einsum("ndk,nk->nd", self._dense[i], th[:, None] ** _POWERS)
         return out[0] if np.ndim(t) == 0 else out
-
-    def derivative(self, t) -> np.ndarray:
-        """Producing system's fields at the interpolated state; shaped like sample(t)."""
-        ts = np.asarray(t, dtype=float).reshape(-1)
-        slopes = self.system.slopes(ts, self.sample(ts))
-        return slopes[0] if np.ndim(t) == 0 else slopes
 
     def jet(self, ts, k: int) -> np.ndarray:
         """Derivatives 0..k of a derivative-chain state on the grid ``ts``.
@@ -592,13 +583,17 @@ def residual(sys: ODESystem, tr: Trajectory, grid: Sequence[float]) -> float:
 
     The universal verdict: a trajectory of system P checked against system Q
     measures max |f_P - f_Q| along the orbit, which is ~0 for Q = P and the
-    honest defect size otherwise.  Systems with the same state names share
-    one memo, so their common subtrees are evaluated once.
+    honest defect size otherwise.  Both systems' fields are evaluated in one
+    call on the same state names, so their common subtrees run once.
     """
+    own = tr.system
+    if sys.names != own.names:
+        raise ValueError(f"state names {sys.names} differ from the trajectory's {own.names}")
     grid = np.asarray(grid, dtype=float).reshape(-1)
-    ys, memo = tr.sample(grid), {}
-    own = tr.system.slopes(grid, ys, memo)
-    return worst_residual(own - sys.slopes(grid, ys, memo if sys.names == tr.system.names else {}))
+    ys = tr.sample(grid)
+    env = {"t": grid, **{name: ys[:, i] for i, name in enumerate(own.names)}}
+    slopes = np.column_stack(evaluate((*own.fields, *sys.fields), env, own.domain + sys.domain))
+    return worst_residual(slopes[:, : own.dim] - slopes[:, own.dim :])
 
 
 def write_csv(tr: Trajectory, path, names: Sequence[str] = ("x", "xdot")) -> None:

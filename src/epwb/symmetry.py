@@ -81,8 +81,7 @@ class PointSymmetry:
             if self._kernel is None:
                 self._kernel = scalar_kernel((self.tau, self.xi), ("t", "x"))
             return self._kernel(t, x)
-        env, memo = {"t": t, "x": x}, {}
-        return evaluate(self.tau, env, memo), evaluate(self.xi, env, memo)
+        return tuple(evaluate((self.tau, self.xi), {"t": t, "x": x}))
 
     def __repr__(self):
         tag = f" {self.name}" if self.name else ""
@@ -139,16 +138,16 @@ def default_samples(
 def symmetry_residual(sym: PointSymmetry, ode: SecondOrderODE, samples) -> float:
     """Worst on-shell violation of the linearized symmetry condition.
 
-    All 16 trees are evaluated over the whole sample set with one shared
-    memo, so subtrees common to the equation and the symmetry run once.
+    All 16 trees are evaluated over the whole sample set in one call, so
+    subtrees common to the equation and the symmetry run once.
     """
     t, x, v = np.array(samples, dtype=float).reshape(-1, 3).T.copy()
-    env, memo = {"t": t, "x": x, "v": v}, {}
-    w, w_t, w_x, w_v = (evaluate(e, env, memo) for e in (ode.w, ode.w_t, ode.w_x, ode.w_v))
-    tau, tau_t, tau_x, tau_tt, tau_tx, tau_xx = (
-        evaluate(e, env, memo) for e in sym.partials["tau"]
-    )
-    xi, xi_t, xi_x, xi_tt, xi_tx, xi_xx = (evaluate(e, env, memo) for e in sym.partials["xi"])
+    trees = (ode.w, ode.w_t, ode.w_x, ode.w_v, *sym.partials["tau"], *sym.partials["xi"])
+    (
+        w, w_t, w_x, w_v,
+        tau, tau_t, tau_x, tau_tt, tau_tx, tau_xx,
+        xi, xi_t, xi_x, xi_tt, xi_tx, xi_xx,
+    ) = evaluate(trees, {"t": t, "x": x, "v": v})
 
     xi1 = xi_t + v * (xi_x - tau_t) - v * v * tau_x
     xi2 = (

@@ -1,12 +1,17 @@
+import glob
 import json
 import math
 import os
+import shutil
+import subprocess
+import sys
 import tempfile
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+import epwb
 from epwb.cli import main
 
 
@@ -398,7 +403,7 @@ class TestErrors:
         assert run_cli(["run", str(path)]) == 2
         err = capsys.readouterr().err
         assert "integration stopped: step-failure" in err
-        assert "power 1e+300^3.0 undefined" in err
+        assert "overflow in '^' of 1e+300 and 3.0" in err
         assert not (tmp_path / "report.json").exists()
 
     def test_expression_error_reports_offset(self, tmp_path, capsys):
@@ -564,3 +569,34 @@ def test_fuzzed_scenarios_never_pass_vacuously(scenario):
             if code == 0:
                 assert report["pass"] is True
                 assert _evidence(scenario["kind"], report, tmp) >= 1
+
+
+SCENARIOS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scenarios")
+
+
+def test_shipped_scenarios_pass_in_a_fresh_interpreter(tmp_path):
+    # NumPy imports some modules lazily, through the builtins of its caller's
+    # frame; only an interpreter that has run nothing else shows code that
+    # calls NumPy without them failing there
+    names = sorted(os.path.basename(p) for p in glob.glob(os.path.join(SCENARIOS, "*.json")))
+    assert len(names) == 6
+    for name in names:
+        shutil.copy(os.path.join(SCENARIOS, name), tmp_path)
+    (tmp_path / "out").mkdir()
+    code = (
+        "import json, sys\n"
+        "from epwb.cli import main\n"
+        "def run(name):\n"
+        "    try:\n"
+        "        return main(['run', name])\n"
+        "    except SystemExit as exc:\n"
+        "        return exc.code\n"
+        "print(json.dumps({name: run(name) for name in sys.argv[1:]}))\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(epwb.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-c", code, *names], cwd=tmp_path, env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[-1]) == {name: 0 for name in names}, done.stderr

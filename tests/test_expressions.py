@@ -1,9 +1,11 @@
 import builtins
 import copy
 import dataclasses
+import functools
 import gc
 import math
 import pickle
+import re
 import subprocess
 import sys
 
@@ -32,7 +34,21 @@ from epwb import (
 )
 from epwb import expressions, ode, symmetry
 from epwb.central_field import CentralFieldConfig, PolarState, radial_ep_residual, simulate_polar
-from epwb.expressions import Binary, Const, CurveVal, TimeFunction, Unary, Var, const, sin, var
+from epwb.expressions import (
+    Binary,
+    Const,
+    CurveVal,
+    TimeFunction,
+    Unary,
+    Var,
+    const,
+    cos,
+    exp,
+    log,
+    sin,
+    sqrt,
+    var,
+)
 from epwb.pinney import EPConfig, ep_system
 from epwb.ode import integrate, residual
 from epwb.symmetry import basis_family, default_samples
@@ -353,8 +369,20 @@ def test_grid_evaluation_matches_pointwise_eval(e, t0, width):
     except DomainError:
         with pytest.raises(DomainError):
             evaluate(e, {"t": ts})
-        return
-    np.testing.assert_allclose(evaluate(e, {"t": ts}), points, rtol=1e-12, atol=0.0)
+    else:
+        np.testing.assert_allclose(evaluate(e, {"t": ts}), points, rtol=1e-12, atol=0.0)
+    # on one point both paths raise the same message, or neither raises
+    one_point = _message(lambda: evaluate(e, {"t": np.array([t0])}))
+    assert one_point == _message(lambda: e.eval({"t": t0}))
+
+
+def _message(run):
+    """The message of the DomainError that ``run()`` raises, or None."""
+    try:
+        run()
+    except DomainError as exc:
+        return str(exc)
+    return None
 
 
 class TestGridEvaluation:
@@ -379,17 +407,32 @@ class TestGridEvaluation:
         ],
     )
     def test_one_bad_point_raises(self, text, bad):
-        with pytest.raises(DomainError):
-            evaluate(parse_expression(text), {"t": np.array([1.0, bad, 2.0])})
+        e = parse_expression(text)
+        with pytest.raises(DomainError) as exc:
+            evaluate(e, {"t": np.array([1.0, bad, 2.0])})
+        assert str(exc.value) == _message(lambda: e.eval({"t": bad}))  # the bad point's values
 
-    def test_memo_is_shared_across_trees(self):
+    def test_a_subtree_shared_by_two_roots_runs_once(self, monkeypatch):
         u = sin(var("t"))
-        memo = {}
-        env = {"t": np.linspace(0.0, 1.0, 3)}
-        evaluate(u * u, env, memo)
-        before = len(memo)
-        evaluate(u + u, env, memo)
-        assert len(memo) == before + 1  # only the new root runs
+        ts = np.linspace(0.0, 1.0, 3)
+        ops = _counted_grid_ops(monkeypatch, 10)
+        square, double = evaluate([u * u, u + u], {"t": ts})
+        assert ops == ["finite", "sin", "*", "+"]  # t and sin(t) run once for both roots
+        np.testing.assert_array_equal(square, np.sin(ts) * np.sin(ts))
+        np.testing.assert_array_equal(double, np.sin(ts) + np.sin(ts))
+
+    def test_positive_trees_are_checked_first(self):
+        ts = np.array([0.5, -1.0, 2.0])
+        with pytest.raises(DomainError, match=re.escape("outside the domain t > 0 (value -1.0)")):
+            evaluate(parse_expression("log(t)"), {"t": ts}, positive=(var("t"),))
+        assert evaluate([], {"t": ts}, positive=(var("t") + 2.0,)) == []
+
+    def test_evaluate_compiles_nothing(self, compiled):
+        # every operation's function exists from import on, so no tree shape compiles code
+        t = var("t")
+        trees = [sin(t) ** 3.5 - exp(-t) / (1.0 + sqrt(t)), log(cos(t) + 2.0) * t ** t]
+        evaluate(trees, {"t": np.linspace(0.1, 1.0, 4)})
+        assert compiled == []
 
 
 def _bounded_calls(monkeypatch, cls, name, limit):
@@ -415,11 +458,26 @@ def test_dag_is_differentiated_and_evaluated_once_per_node(monkeypatch):
     diffs = _bounded_calls(monkeypatch, Binary, "_diff", 200)
     d = differentiate(e)
     assert len(diffs) == 80
-    grids = _bounded_calls(monkeypatch, Binary, "_on_grid", 400)
+    grids = _counted_grid_ops(monkeypatch, 400)
     ts = np.linspace(-1.0, 1.0, 5)
     np.testing.assert_array_equal(evaluate(e, {"t": ts}), np.sin(ts))
     np.testing.assert_array_equal(evaluate(d, {"t": ts}), np.cos(ts))
     assert len(grids) <= 400
+
+
+def _counted_grid_ops(monkeypatch, limit):
+    """The operation of every grid function ``evaluate`` calls; fail fast past ``limit``."""
+    calls = []
+
+    def counting(*args, op, function):
+        calls.append(op)
+        if len(calls) > limit:
+            raise AssertionError(f"more than {limit} grid operations")
+        return function(*args)
+
+    for op, function in expressions._GRID.items():
+        monkeypatch.setitem(expressions._GRID, op, functools.partial(counting, op=op, function=function))
+    return calls
 
 
 @pytest.fixture
@@ -462,7 +520,6 @@ def test_grid_callers_never_walk_per_point(kernels):
     structure_constants(family, points)
     fam.phi.jet(np.linspace(0.0, 3.0, 50), 3)
     ts = np.linspace(0.0, 3.0, 101)
-    traj.derivative(ts)
     traj.jet(ts, 2)
     residual(traj.system, traj, ts)
     assert kernels == before
@@ -600,6 +657,10 @@ class _Line:
         return np.array([2.0 * ts, np.full_like(ts, 2.0)])[: k + 1]
 
 
+def _on_one_point(e, env):
+    return evaluate(e, {name: np.array([value]) for name, value in env.items()})
+
+
 @pytest.mark.parametrize(
     "expr, env, message",
     [
@@ -611,7 +672,7 @@ class _Line:
         ("1/t", {"t": 0.0}, "division by zero"),
         ("t^0.5", {"t": -2.0}, "fractional power of non-positive base -2.0"),
         ("t^(0-1)", {"t": 0.0}, "zero raised to a negative power"),
-        ("t^400", {"t": 10.0}, "power 10.0^400.0 undefined: math range error"),
+        ("t^400", {"t": 10.0}, "overflow in '^' of 10.0 and 400.0"),
         ("t+t", {"t": 1e308}, "overflow in '+' of 1e+308 and 1e+308"),
         ("t-x", {"t": 1e308, "x": -1e308}, "overflow in '-' of 1e+308 and -1e+308"),
         ("t*t", {"t": 1e200}, "overflow in '*' of 1e+200 and 1e+200"),
@@ -627,6 +688,12 @@ def test_domain_error_messages(expr, env, message):
     e = parse_expression(expr, ("t", "x"))
     with pytest.raises(DomainError) as exc:
         e.eval(env)
+    assert str(exc.value) == message
+    # a grid raises the same on one point, but refuses a non-finite input first
+    if not math.isfinite(env["t"]):
+        message = f"non-finite value {env['t']!r} in variable 't'"
+    with pytest.raises(DomainError) as exc:
+        _on_one_point(e, env)
     assert str(exc.value) == message
 
 

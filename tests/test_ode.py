@@ -176,6 +176,15 @@ class TestResidual:
         with pytest.raises(ValueError):
             residual(sys, tr, [])
 
+    def test_state_names_must_match(self):
+        # both systems read one environment, so a candidate with other names
+        # could read the trajectory's components under the wrong name
+        tr = integrate(oscillator(), (1.0, 0.0), (0.0, 1.0))
+        for names in (("v", "x"), ("x",), ("u", "w")):
+            candidate = ODESystem(names, (V, -X)[: len(names)])
+            with pytest.raises(ValueError, match="differ from the trajectory's"):
+                residual(candidate, tr, grid(0.0, 1.0))
+
     def test_nan_is_never_swallowed(self):
         tr = integrate(oscillator(), (1.0, 0.0), (0.0, 1.0))
         nan_sys = ODESystem(("x", "v"), (const(math.nan), const(0.0)))
@@ -528,7 +537,7 @@ class TestShippedSystems:
         tr = k_integral(FORCED, (0.0, 5.0))
         ts = np.linspace(0.0, 5.0, 64)
         points = np.array([tr.system.rhs(t, (0.0,)) for t in ts.tolist()])
-        assert_same_fields(points, tr.derivative(ts))
+        assert_same_fields(points, tr.system.slopes(ts, tr.sample(ts)))
 
     @pytest.mark.parametrize("case", list(OUTSIDE))
     def test_outside_the_domain_raises_on_both_paths(self, case):
@@ -545,6 +554,7 @@ class TestShippedSystems:
         sys = SHIPPED["ep"]
         tr = integrate(sys, (1.0, 0.0), (0.0, 1.0))
         assert tr.system is sys
-        slope = tr.derivative(0.5)
+        ts = np.array([0.5])
+        (slope,) = tr.system.slopes(ts, tr.sample(ts))
         assert slope.shape == (2,)
         assert slope.tolist() == pytest.approx(list(sys.rhs(0.5, tuple(tr.sample(0.5)))))

@@ -117,10 +117,9 @@ class TestResidualInvariant:
     def test_basis_satisfies_equation(self, text):
         phi = time_function(text)
         basis = fundamental_pair(phi, (0.0, 20.0))
+        ts = grid(0.0, 20.0, 101)
         worst = 0.0
-        for t in grid(0.0, 20.0, 101):
-            for tr in (basis.u, basis.v):
-                z, zd = tr.sample(t)
-                zdd = tr.derivative(t)[1]
-                worst = max(worst, abs(zdd + phi.eval(t) * z))
+        for tr in (basis.u, basis.v):
+            z, zd, zdd = tr.jet(ts, 2)
+            worst = max(worst, np.max(np.abs(zdd + phi.jet(ts, 0)[0] * z)))
         assert worst <= 1e-7

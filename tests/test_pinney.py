@@ -110,8 +110,8 @@ class TestEpSystem:
     @pytest.mark.parametrize(
         "x,message",
         [
-            (1e300, r"power 1e\+300\^3\.0 undefined"),
-            (np.float64(1e300), r"\^3\.0 undefined"),
+            (1e300, r"overflow in '\^' of 1e\+300 and 3\.0"),
+            (np.float64(1e300), r"overflow in '\^' of \S*1e\+300\S* and 3\.0"),
             (1e-120, "division by zero"),
         ],
         ids=["float", "float64", "tiny"],
