@@ -15,6 +15,8 @@ import argparse
 import csv
 import math
 
+import numpy as np
+
 from epwb import (
     EPConfig,
     LewisState,
@@ -33,37 +35,32 @@ INTERVAL = (0.0, 20.0)
 SAMPLES = 201
 
 
-def sample_grid(n: int = SAMPLES) -> list[float]:
-    a, b = INTERVAL
-    return [a + (b - a) * i / (n - 1) for i in range(n)]
+def sample_grid(interval: tuple[float, float] = INTERVAL, n: int = SAMPLES) -> np.ndarray:
+    a, b = interval
+    return np.array([a + (b - a) * i / (n - 1) for i in range(n)])
 
 
 def exact_invariant_row(phi_text: str) -> tuple[str, float, float]:
     phi = time_function(phi_text)
     h2 = 2.0
+    grid = sample_grid()
     x = integrate(ep_system(EPConfig(phi, time_function(repr(h2)))), (1.0, 0.0), INTERVAL)
     y = integrate(oscillator_system(phi), (1.0, 0.0), INTERVAL)
-    ermakov = [ermakov_invariant(x, y, h2, t) for t in sample_grid()]
+    ermakov = ermakov_invariant(x, y, h2, grid)
 
     rho = integrate(ep_system(EPConfig(phi, time_function("1"))), (1.0, 0.0), INTERVAL)
     q = integrate(oscillator_system(phi), (0.5, 1.0), INTERVAL)
-    lewis = []
-    for t in sample_grid():
-        qv, pv = q.sample(t)
-        rv, rd = rho.sample(t)
-        lewis.append(lewis_invariant(LewisState(qv, pv, rv, rd)))
+    pairs = zip(q.sample(grid).tolist(), rho.sample(grid).tolist())
+    lewis = [lewis_invariant(LewisState(*qp, *r)) for qp, r in pairs]
     return phi_text, drift(ermakov), drift(lewis)
 
 
 def adiabatic_row(label: str, omega2_text: str, interval: tuple[float, float]) -> tuple[str, float]:
     omega2 = time_function(omega2_text)
     q = integrate(oscillator_system(omega2), (1.0, 0.0), interval)
-    a, b = interval
-    values = []
-    for i in range(SAMPLES):
-        t = a + (b - a) * i / (SAMPLES - 1)
-        values.append(lorentz_adiabatic(math.sqrt(omega2.eval(t)), *q.sample(t)))
-    return label, drift(values)
+    grid = sample_grid(interval)
+    pairs = zip(omega2.jet(grid, 0)[0].tolist(), q.sample(grid).tolist())
+    return label, drift([lorentz_adiabatic(math.sqrt(w2), *qp) for w2, qp in pairs])
 
 
 def main() -> None:

@@ -75,7 +75,11 @@ def k_integral(
     interval: tuple[float, float],
     settings: IntegrationSettings = IntegrationSettings(),
 ) -> Trajectory:
-    """Quadrature K(t) = int_{t0}^{t} k ds as a one-component trajectory."""
+    """Quadrature K(t) = int_{t0}^{t} k ds as a one-component trajectory.
+
+    The checks below integrate it over the trajectory's range unless given
+    it as ``quad``, so a caller running all three integrates it once.
+    """
     return integrate(ODESystem(("K",), (cfg.k.expr,)), [0.0], interval, settings)
 
 
@@ -84,9 +88,11 @@ def angular_momentum_check(
     cfg: CentralFieldConfig,
     n: int = 200,
     settings: IntegrationSettings = IntegrationSettings(),
+    quad: Trajectory | None = None,
 ) -> float:
     """Relative drift of L(t) - int k dt along a polar trajectory."""
-    quad = k_integral(cfg, (traj.t0, traj.t_end), settings)
+    if quad is None:
+        quad = k_integral(cfg, (traj.t0, traj.t_end), settings)
     grid = traj.grid(n)
     return drift(traj.sample(grid)[:, 3] - quad.sample(grid)[:, 0])
 
@@ -96,6 +102,7 @@ def radial_ep_residual(
     cfg: CentralFieldConfig,
     n: int = 200,
     settings: IntegrationSettings = IntegrationSettings(),
+    quad: Trajectory | None = None,
 ) -> float:
     """max |r'' + Phi r - G/r^3| with G = (L(t0) + int k)^2 from the quadrature.
 
@@ -103,7 +110,8 @@ def radial_ep_residual(
     L(t); the residual therefore measures how well the formal integral
     reproduces the angular momentum, i.e. the identity itself.
     """
-    quad = k_integral(cfg, (traj.t0, traj.t_end), settings)
+    if quad is None:
+        quad = k_integral(cfg, (traj.t0, traj.t_end), settings)
     ell0 = traj.states[0][3]
     ts = traj.grid(n)
     states = traj.sample(ts)
@@ -166,13 +174,15 @@ def chart_qualified(
     cfg: CentralFieldConfig,
     n: int = 200,
     settings: IntegrationSettings = IntegrationSettings(),
+    quad: Trajectory | None = None,
 ) -> bool:
     """Whether G = (L0 + int k)^2 has G' > 0 along the orbit.
 
     G' = 2 L k, so a forced run qualifies for a reduction chart exactly when
     the angular momentum and the forcing keep one common sign.
     """
-    quad = k_integral(cfg, (traj.t0, traj.t_end), settings)
+    if quad is None:
+        quad = k_integral(cfg, (traj.t0, traj.t_end), settings)
     ts = traj.grid(n)
     ell = traj.states[0][3] + quad.sample(ts)[:, 0]
     return bool(np.all(2.0 * ell * cfg.k.jet(ts, 0)[0] > 0.0))

@@ -44,6 +44,7 @@ from .central_field import (
     PolarState,
     angular_momentum_check,
     chart_qualified,
+    k_integral,
     radial_ep_residual,
     simulate_polar,
 )
@@ -268,8 +269,7 @@ def _invariant_series(sc: dict, interval, settings):
         yt = integrate(oscillator_system(phi), y0, interval, settings)
         _completed(xt, yt)
         grid = xt.grid(n)
-        values = [ermakov_invariant(xt, yt, h2, t) for t in grid]
-        return name, grid, values
+        return name, grid, ermakov_invariant(xt, yt, h2, grid)
 
     if name == "lewis":
         q0 = _pair(sc, "initial")
@@ -401,13 +401,14 @@ def _run_eliezer_grey(sc: dict, base_dir: str) -> int:
         raise ScenarioError(f"initial radius must be positive, got {init.r!r}")
     traj = simulate_polar(cfg, init, interval, settings)
     _completed(traj)
-    am_drift = angular_momentum_check(traj, cfg, settings=settings)
-    radial = radial_ep_residual(traj, cfg, settings=settings)
+    quad = k_integral(cfg, (traj.t0, traj.t_end), settings)
+    am_drift = angular_momentum_check(traj, cfg, settings=settings, quad=quad)
+    radial = radial_ep_residual(traj, cfg, settings=settings, quad=quad)
     report = {
         "kind": "eliezer-grey",
         "angular_momentum_drift": float(am_drift),
         "radial_residual": float(radial),
-        "chart_qualified": chart_qualified(traj, cfg, settings=settings),
+        "chart_qualified": chart_qualified(traj, cfg, settings=settings, quad=quad),
         "threshold": threshold,
         "pass": bool(am_drift <= threshold and radial <= threshold),
     }

@@ -42,8 +42,9 @@ trees on whole NumPy arrays in one interpreted post-order walk, one
 function per operation (compiled from the table once, at import) and so
 one NumPy operation per distinct node, with the rules as mask checks: an
 error at any point raises, so it never returns NaN or inf.  It also
-refuses a non-finite input.  On a one-point grid of finite inputs it
-raises what the scalar kernel raises.
+refuses a non-finite input.  On a one-point grid it raises what the
+scalar kernel raises: a kernel checks no input, but once a rule has failed
+it names a non-finite input (or constant) as ``evaluate`` does.
 
 ``differentiate`` is purely structural and memoised per call (or per
 ``TimeFunction``, across its orders), never on the nodes: a subtree shared
@@ -518,6 +519,7 @@ _KERNEL_GLOBALS = {
     **{name: getattr(math, name) for name in _FUNCTIONS},
     "pow": math.pow,
     "fail": _fail,
+    "DomainError": DomainError,
     **_MESSAGES,
 }
 
@@ -597,7 +599,9 @@ def scalar_kernel(exprs, variables=("t",), positive=()):
     DomainError unless > 0.  Each distinct node is one local, computed once,
     in the post-order of a walk over the trees (left child first), with its
     rule inline, so the first error raised and its message are those of
-    ``evaluate`` on a one-point grid of the same finite values.  A variable
+    ``evaluate`` on a one-point grid of the same finite values; when a rule
+    fails with a non-finite value among the inputs or constants, the
+    function raises what ``evaluate`` raises there instead.  A variable
     not in ``variables`` raises DomainError where it is first used.  Names,
     constants and curves reach the function through its namespace, never
     through its source, so trees of one shape share compiled code.
@@ -612,7 +616,7 @@ def scalar_kernel(exprs, variables=("t",), positive=()):
             args.update((name, f"{a}_{j}") for j, name in enumerate(spec))
             lines.append("(" + "".join(f"{a}_{j}, " for j in range(len(spec))) + f") = {a}")
     namespace = dict(_KERNEL_GLOBALS)
-    refs, computed = {}, 0
+    refs, computed, constants_finite = {}, 0, True
 
     def bind(value) -> str:
         name = f"k{len(namespace)}"
@@ -626,7 +630,9 @@ def scalar_kernel(exprs, variables=("t",), positive=()):
         return r
 
     def emit(node: Expr) -> str:
+        nonlocal constants_finite
         if isinstance(node, Const):
+            constants_finite = constants_finite and math.isfinite(node.value)
             return bind(node.value)
         if isinstance(node, Var):
             if node.name in args:
@@ -653,10 +659,32 @@ def scalar_kernel(exprs, variables=("t",), positive=()):
         value = results[0]
     else:
         value = "(" + "".join(r + ", " for r in results) + ")"
-    body = "".join(f"    {line}\n" for line in (*lines, "return " + value))
-    source = f"def kernel({', '.join(params)}):\n{body}"
+    namespace["explain"] = functools.partial(_explain, roots, variables, positive, constants_finite)
+    body = "".join(f"        {line}\n" for line in (*lines, "return " + value))
+    args = ", ".join(params)
+    source = (
+        f"def kernel({args}):\n    try:\n{body}"
+        f"    except DomainError:\n        explain({args})\n        raise\n"
+    )
     exec(_compiled(source), namespace)
     return namespace["kernel"]
+
+
+def _explain(roots, variables, positive, constants_finite, *args):
+    """Raise what ``evaluate`` raises on the point ``args`` if a value there is not finite.
+
+    A kernel checks neither its inputs nor its constants, so a non-finite
+    one would be blamed on the first operation to meet it; ``evaluate``
+    names it.  Kernels call this only after a rule has failed, so a call
+    that does not raise pays nothing.  Returns when every value is finite:
+    the kernel's own error then stands, as it is ``evaluate``'s too.
+    """
+    env = {}
+    for spec, arg in zip(variables, args):
+        env.update([(spec, arg)] if isinstance(spec, str) else zip(spec, arg))
+    if constants_finite and all(map(math.isfinite, env.values())):
+        return
+    evaluate(roots, {name: np.array([value]) for name, value in env.items()}, positive)
 
 
 @functools.lru_cache(maxsize=256)

@@ -26,7 +26,8 @@ termination status:
     "step-failure"  step size underflow or step budget exhausted; the
                     trajectory holds everything up to the last good node
 
-Trajectories sample whole grids at once, and every curve in the workbench
+Trajectories sample whole grids at once (or one time, bit-identically to
+a one-point grid), and every curve in the workbench
 (trajectory, time function, basis solution, quadratic form, square root)
 is evaluated through one method, ``jet(ts, k)``: an array of shape
 (k+1, len(ts)) whose row j is the j-th derivative on the grid.
@@ -42,6 +43,7 @@ which refuses an empty grid and a non-finite value.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 import numbers
@@ -281,6 +283,7 @@ class Trajectory:
         self.system = system
         self.status = status
         self.message = message
+        self._nodes = None  # the node times as floats, for scalar reads
 
     @property
     def t0(self) -> float:
@@ -298,16 +301,18 @@ class Trajectory:
         """State at t: shape (dim,) for a scalar t, (n, dim) for n times.
 
         Node times reproduce the stored state exactly; a time outside the
-        trajectory's range raises DomainError.
+        trajectory's range raises DomainError.  A scalar t (a float or an
+        int) bisects the node times as a list and reads one step's
+        interpolant with the grid's arithmetic, so ``sample(t)`` equals
+        ``sample([t])[0]`` bit for bit.
         """
+        if isinstance(t, (float, int)):
+            return self._sample_at(float(t))
         ts = np.asarray(t, dtype=float).reshape(-1)
         times = self.times
         outside = ~((times[0] <= ts) & (ts <= times[-1]))
         if outside.any():
-            bad = float(ts[outside][0])
-            raise DomainError(
-                f"t={bad!r} outside trajectory range [{times[0]!r}, {times[-1]!r}]"
-            )
+            self._outside(float(ts[outside][0]))
         k = np.searchsorted(times, ts, side="right") - 1  # times[k] <= t
         out = self.states[k]
         inner = times[k] != ts  # then t < times[-1], so step k exists
@@ -316,6 +321,22 @@ class Trajectory:
             th = (ts[inner] - times[i]) / self._steps[i]
             out[inner] += np.einsum("ndk,nk->nd", self._dense[i], th[:, None] ** _POWERS)
         return out[0] if np.ndim(t) == 0 else out
+
+    def _sample_at(self, t: float) -> np.ndarray:
+        nodes = self._nodes
+        if nodes is None:
+            nodes = self._nodes = self.times.tolist()
+        if not nodes[0] <= t <= nodes[-1]:
+            self._outside(t)
+        k = bisect.bisect_right(nodes, t) - 1  # nodes[k] <= t
+        if nodes[k] == t:
+            return self.states[k].copy()
+        th = np.array([[(t - nodes[k]) / self._steps[k]]])
+        return self.states[k] + np.einsum("ndk,nk->nd", self._dense[k : k + 1], th**_POWERS)[0]
+
+    def _outside(self, t: float):
+        times = self.times
+        raise DomainError(f"t={t!r} outside trajectory range [{times[0]!r}, {times[-1]!r}]")
 
     def jet(self, ts, k: int) -> np.ndarray:
         """Derivatives 0..k of a derivative-chain state on the grid ``ts``.
@@ -334,6 +355,13 @@ class Trajectory:
 
     def grid(self, n: int = 200) -> np.ndarray:
         return np.linspace(self.t0, self.t_end, n)
+
+    def columns(self, cols: slice, system: ODESystem) -> "Trajectory":
+        """State columns ``cols`` as a trajectory of ``system``: views on this one's arrays."""
+        return Trajectory(
+            self.times, self.states[:, cols], self._dense[:, cols], self._steps,
+            system, self.status, self.message,
+        )
 
 
 def worst_residual(values) -> float:

@@ -12,7 +12,7 @@ product rule.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,6 +21,8 @@ from .ode import IntegrationSettings, ODESystem, Trajectory, integrate
 
 
 _X, _V = var("x"), var("v")
+_PAIR = ("u", "du", "v", "dv")
+_U, _DU, _PV, _DV = map(var, _PAIR)
 
 
 class DegenerateBasisError(ValueError):
@@ -32,16 +34,37 @@ def oscillator_system(phi: TimeFunction) -> ODESystem:
     return ODESystem(("x", "v"), (_V, -phi.expr * _X))
 
 
+def _pair_system(phi: TimeFunction) -> ODESystem:
+    """State (u, u', v, v') of two solutions of x'' = -phi x.
+
+    Both accelerations use the one node -phi, so ``rhs`` computes phi once.
+    """
+    minus_phi = -phi.expr
+    return ODESystem(_PAIR, (_DU, minus_phi * _U, _DV, minus_phi * _PV))
+
+
 @dataclass(frozen=True)
 class OscillatorBasis:
+    """Two solutions integrated as one trajectory ``pair`` of (u, u', v, v').
+
+    ``u`` and ``v`` are trajectories of ``oscillator_system(phi)`` whose
+    arrays are views on the pair's.
+    """
+
     phi: TimeFunction
-    u: Trajectory
-    v: Trajectory
+    pair: Trajectory
     wronskian0: float
+    u: Trajectory = field(init=False, repr=False, compare=False)
+    v: Trajectory = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        sys = oscillator_system(self.phi)
+        object.__setattr__(self, "u", self.pair.columns(slice(0, 2), sys))
+        object.__setattr__(self, "v", self.pair.columns(slice(2, 4), sys))
 
     @property
     def interval(self) -> tuple[float, float]:
-        return (self.u.t0, self.u.t_end)
+        return (self.pair.t0, self.pair.t_end)
 
     def curve(self, component: str) -> "BasisCurve":
         return BasisCurve(self, component)
@@ -57,13 +80,10 @@ def basis_with_ics(
     w0 = ic_u[0] * ic_v[1] - ic_u[1] * ic_v[0]
     if abs(w0) < 1e-12:
         raise DegenerateBasisError(f"initial conditions give Wronskian {w0!r}")
-    sys = oscillator_system(phi)
-    u = integrate(sys, ic_u, interval, settings)
-    v = integrate(sys, ic_v, interval, settings)
-    for tr, name in ((u, "u"), (v, "v")):
-        if tr.status != "completed":
-            raise RuntimeError(f"basis solution {name} failed: {tr.status} ({tr.message})")
-    return OscillatorBasis(phi=phi, u=u, v=v, wronskian0=w0)
+    pair = integrate(_pair_system(phi), (*ic_u, *ic_v), interval, settings)
+    if pair.status != "completed":
+        raise RuntimeError(f"basis pair failed: {pair.status} ({pair.message})")
+    return OscillatorBasis(phi=phi, pair=pair, wronskian0=w0)
 
 
 def fundamental_pair(
@@ -75,19 +95,20 @@ def fundamental_pair(
     return basis_with_ics(phi, interval, (1.0, 0.0), (0.0, 1.0), settings)
 
 
-def wronskian(basis: OscillatorBasis, t: float) -> float:
-    u = basis.u.sample(t)
-    v = basis.v.sample(t)
-    return float(u[0] * v[1] - u[1] * v[0])
+def wronskian(basis: OscillatorBasis, t):
+    """W = u v' - u' v: a float at a scalar t, an array over a grid."""
+    u, du, v, dv = basis.pair.sample(t).T
+    w = u * dv - du * v
+    return float(w) if np.ndim(t) == 0 else w
 
 
-def _component_jet(traj: Trajectory, phi, ts: np.ndarray, k: int) -> np.ndarray:
-    """Jet of one basis solution: sampled (z, z'), then z'' = -Phi z by Leibniz."""
-    z = np.empty((k + 1, ts.size))
-    z[:2] = traj.jet(ts, 1)[: k + 1]
+def _component_jet(z: np.ndarray, phi, k: int) -> np.ndarray:
+    """Jet of one basis solution from its sampled rows (z, z'): z'' = -Phi z by Leibniz."""
+    jet = np.empty((k + 1, z.shape[1]))
+    jet[:2] = z[: k + 1]
     for m in range(k - 1):
-        z[m + 2] = -sum(math.comb(m, j) * phi[j] * z[m - j] for j in range(m + 1))
-    return z
+        jet[m + 2] = -sum(math.comb(m, j) * phi[j] * jet[m - j] for j in range(m + 1))
+    return jet
 
 
 def _product_jet(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -110,7 +131,7 @@ class BasisCurve:
     def jet(self, ts, k: int) -> np.ndarray:
         ts = np.asarray(ts, dtype=float)
         phi = self.basis.phi.jet(ts, k - 2) if k >= 2 else None
-        return _component_jet(self._traj, phi, ts, k)
+        return _component_jet(self._traj.sample(ts).T, phi, k)
 
 
 class QuadraticFormCurve:
@@ -124,8 +145,9 @@ class QuadraticFormCurve:
     def jet(self, ts, k: int) -> np.ndarray:
         ts = np.asarray(ts, dtype=float)
         phi = self.basis.phi.jet(ts, k - 2) if k >= 2 else None  # shared by u and v
-        u = _component_jet(self.basis.u, phi, ts, k)
-        v = _component_jet(self.basis.v, phi, ts, k)
+        rows = self.basis.pair.sample(ts).T  # one read of (u, u', v, v')
+        u = _component_jet(rows[:2], phi, k)
+        v = _component_jet(rows[2:], phi, k)
         return (
             self.A * _product_jet(u, u)
             + 2.0 * self.B * _product_jet(u, v)

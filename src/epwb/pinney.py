@@ -112,18 +112,26 @@ def ep_residual(cfg: EPConfig, x, grid, x_min: float = 1e-6) -> float:
     return worst_residual(xdd - evaluate(ep_field(cfg.phi.expr, cfg.g.expr), {"t": grid, "x": xx}))
 
 
-def ermakov_invariant(x, y, h2: float, t: float) -> float:
-    """I = ((x'y - x y')^2 + h^2 (y/x)^2) / 2 for x nonlinear, y linear."""
-    xv, xd = x.jet([t], 1)[:, 0].tolist()
-    yv, yd = y.jet([t], 1)[:, 0].tolist()
-    if xv == 0.0:
-        raise DomainError(f"x(t)=0 at t={float(t)!r}")
-    cross = xd * yv - xv * yd
-    ratio = yv / xv
-    value = 0.5 * (cross * cross + h2 * (ratio * ratio))
-    if not math.isfinite(value):
-        raise DomainError(f"Ermakov invariant is not finite at t={float(t)!r}")
-    return value
+def ermakov_invariant(x, y, h2: float, t):
+    """I = ((x'y - x y')^2 + h^2 (y/x)^2) / 2 for x nonlinear, y linear.
+
+    A float at a scalar t, an array over a grid (one jet per curve).
+    DomainError names the first t where x = 0 or I is not finite.
+    """
+    ts = np.asarray(t, dtype=float).reshape(-1)
+    xv, xd = x.jet(ts, 1)
+    yv, yd = y.jet(ts, 1)
+    with np.errstate(all="ignore"):
+        cross = xd * yv - xv * yd
+        ratio = yv / xv
+        value = 0.5 * (cross * cross + h2 * (ratio * ratio))
+    bad = ~np.isfinite(value)  # x = 0 makes y/x, and so I, non-finite
+    if bad.any():
+        i = int(np.argmax(bad))
+        if xv[i] == 0.0:
+            raise DomainError(f"x(t)=0 at t={float(ts[i])!r}")
+        raise DomainError(f"Ermakov invariant is not finite at t={float(ts[i])!r}")
+    return float(value[0]) if np.ndim(t) == 0 else value
 
 
 @dataclass(frozen=True)

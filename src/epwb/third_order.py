@@ -51,10 +51,20 @@ def integrate_third_order(
     return integrate(third_order_system(cfg), y0, interval, settings)
 
 
-def first_integral(cfg: ThirdOrderConfig, w, t: float) -> float:
-    """I = w w'' - w'^2/2 + a w^2 evaluated on a curve or trajectory."""
-    w0, w1, w2 = w.jet([t], 2)[:, 0]
-    return float(w0 * w2 - 0.5 * w1 * w1 + cfg.a.eval(t) * w0 * w0)
+def first_integral(cfg: ThirdOrderConfig, w, t):
+    """I = w w'' - w'^2/2 + a w^2 on a curve or trajectory.
+
+    A float at a scalar t, an array over a grid (one jet of w and of a).
+    """
+    ts = np.asarray(t, dtype=float).reshape(-1)
+    w0, w1, w2 = w.jet(ts, 2)
+    with np.errstate(all="ignore"):
+        value = w0 * w2 - 0.5 * w1 * w1 + cfg.a.jet(ts, 0)[0] * w0 * w0
+    bad = ~np.isfinite(value)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise DomainError(f"first integral is not finite at t={float(ts[i])!r}")
+    return float(value[0]) if np.ndim(t) == 0 else value
 
 
 def product_solution(basis: OscillatorBasis, A: float, B: float, C: float) -> QuadraticFormCurve:

@@ -664,8 +664,8 @@ def _on_one_point(e, env):
 @pytest.mark.parametrize(
     "expr, env, message",
     [
-        ("sin(t)", {"t": math.inf}, "sin of non-finite value inf"),
-        ("cos(t)", {"t": math.nan}, "cos of non-finite value nan"),
+        ("sin(t)", {"t": math.inf}, "non-finite value inf in variable 't'"),
+        ("cos(t)", {"t": math.nan}, "non-finite value nan in variable 't'"),
         ("exp(t)", {"t": 1e6}, "exp overflow at argument 1000000.0"),
         ("log(t)", {"t": -1.5}, "log of non-positive value -1.5"),
         ("sqrt(t)", {"t": -1.0}, "sqrt of negative value -1.0"),
@@ -677,7 +677,7 @@ def _on_one_point(e, env):
         ("t-x", {"t": 1e308, "x": -1e308}, "overflow in '-' of 1e+308 and -1e+308"),
         ("t*t", {"t": 1e200}, "overflow in '*' of 1e+200 and 1e+200"),
         ("t/0.5", {"t": 1e308}, "overflow in '/' of 1e+308 and 0.5"),
-        ("t^2", {"t": math.inf}, "overflow in '^' of inf and 2.0"),
+        ("t^2", {"t": math.inf}, "non-finite value inf in variable 't'"),
         ("t*x", {"t": 1.0}, "no value bound for variable 'x'"),
         # the first failing node in post-order decides
         ("log(t-1)+sqrt(t-3)", {"t": 0.0}, "log of non-positive value -1.0"),
@@ -689,12 +689,36 @@ def test_domain_error_messages(expr, env, message):
     with pytest.raises(DomainError) as exc:
         e.eval(env)
     assert str(exc.value) == message
-    # a grid raises the same on one point, but refuses a non-finite input first
-    if not math.isfinite(env["t"]):
-        message = f"non-finite value {env['t']!r} in variable 't'"
+    # a grid raises the same on one point; both name a non-finite input
     with pytest.raises(DomainError) as exc:
         _on_one_point(e, env)
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "expr, env, message",
+    [
+        ("t+1", {"t": math.nan}, "non-finite value nan in variable 't'"),
+        ("exp(t)*0", {"t": math.nan}, "non-finite value nan in variable 't'"),
+        ("x*sin(t)", {"t": 1.0, "x": -math.inf}, "non-finite value -inf in variable 'x'"),
+        # a rule that fails before the input is reached still decides
+        ("log(t-1)+x", {"t": 0.0, "x": math.nan}, "log of non-positive value -1.0"),
+    ],
+)
+def test_kernel_names_a_non_finite_input(expr, env, message):
+    e = parse_expression(expr, ("t", "x"))
+    for run in (e.eval, functools.partial(_on_one_point, e)):
+        with pytest.raises(DomainError) as exc:
+            run(env)
+        assert str(exc.value) == message
+
+
+def test_kernel_names_a_non_finite_state_or_constant():
+    rhs = ep_system(EPConfig(time_function("1"), time_function("2"))).rhs
+    with pytest.raises(DomainError, match="^non-finite value nan in variable 'x'$"):
+        rhs(0.0, (math.nan, 0.0))
+    with pytest.raises(DomainError, match="^non-finite value inf in constant$"):
+        scalar_kernel(Unary("sin", Const(math.inf)) + var("t"))(1.0)
 
 
 def test_curve_leaf_without_time_is_a_domain_error():

@@ -28,7 +28,7 @@ from epwb.central_field import (
     simulate_polar,
 )
 from epwb.expressions import const, sin, var
-from epwb.oscillator import oscillator_system
+from epwb.oscillator import QuadraticFormCurve, fundamental_pair, oscillator_system
 from epwb.pinney import EPConfig, ep_system
 from epwb.third_order import ThirdOrderConfig, third_order_system
 from tests.conftest import grid
@@ -111,11 +111,41 @@ class TestSample:
             tr.sample(tr.t_end + 1.0)
 
     def test_array_sample_matches_scalar_sample(self):
+        # a scalar read bisects a list and evaluates one step's interpolant;
+        # it must equal the grid read bit for bit, at nodes and between them
+        rng = np.random.default_rng(7)
+        cfg = EPConfig(time_function("1+0.5*sin(3*t)"), time_function("2"))
+        basis = fundamental_pair(time_function("1+0.5*sin(t)"), (0.0, 10.0))
+        polar = simulate_polar(FORCED, PolarState(1.0, 0.1, 0.0, 0.8), (0.0, 10.0))
+        trajectories = (
+            integrate(oscillator(), (1.0, 0.0), (0.0, 3.0)),
+            k_integral(FORCED, (0.0, 10.0)),
+            integrate(ep_system(cfg), (1.0, 0.0), (0.0, 60.0)),
+            polar,
+            basis.u,
+            basis.v,
+        )
+        for tr in trajectories:
+            ts = np.concatenate([rng.uniform(tr.t0, tr.t_end, 1000), tr.times, [tr.t0, tr.t_end]])
+            stacked = tr.sample(ts)
+            for i, t in enumerate(ts.tolist()):
+                assert np.array_equal(stacked[i], tr.sample(t))
+            assert np.array_equal(stacked[-2:], tr.states[[0, -1]])
+
+    @pytest.mark.parametrize("t", [-0.1, 1.5, math.nan, math.inf, -math.inf])
+    def test_scalar_out_of_range_raises_as_a_grid_does(self, t):
+        tr = integrate(oscillator(), (1.0, 0.0), (0.0, 1.0))
+        with pytest.raises(DomainError) as grid_error:
+            tr.sample([t])
+        for scalar in (t, np.float64(t)):
+            with pytest.raises(DomainError) as exc:
+                tr.sample(scalar)
+            assert str(exc.value) == str(grid_error.value)
+
+    def test_integer_time_is_a_scalar(self):
         tr = integrate(oscillator(), (1.0, 0.0), (0.0, 3.0))
-        ts = grid(0.0, 3.0, 7)
-        stacked = tr.sample(ts)
-        for i, t in enumerate(ts):
-            assert np.array_equal(stacked[i], tr.sample(t))
+        assert tr.sample(2).shape == (2,)
+        assert np.array_equal(tr.sample(2), tr.sample([2.0])[0])
 
     def test_dense_output_tracks_cosine(self):
         tr = integrate(oscillator(), (1.0, 0.0), (0.0, 20.0))
@@ -152,6 +182,11 @@ class TestSample:
         calls.clear()
         radial_ep_residual(polar, forced, n=11)
         assert calls.count(polar) == 1
+        # a quadratic form reads the basis pair once for (u, u', v, v')
+        basis = fundamental_pair(time_function("1+0.5*sin(t)"), (0.0, 2.0))
+        calls.clear()
+        QuadraticFormCurve(basis, 1.0, 0.2, 1.5).jet(grid(0.0, 2.0, 11), 3)
+        assert calls == [basis.pair]
 
 
 class TestResidual:

@@ -7,9 +7,12 @@ from epwb import (
     DegenerateBasisError,
     basis_with_ics,
     fundamental_pair,
+    oscillator_system,
+    residual,
     time_function,
     wronskian,
 )
+from epwb import ode, oscillator
 from epwb.oscillator import QuadraticFormCurve
 from tests.conftest import PHI_CATALOG, grid
 
@@ -46,6 +49,24 @@ class TestWronskian:
         w0 = basis.wronskian0
         worst = max(abs(wronskian(basis, t) - w0) for t in grid(0.0, 20.0, 101))
         assert worst / abs(w0) <= 1e-8
+
+    def test_grid_equals_per_point_calls(self, basis_sin):
+        ts = grid(0.0, 20.0, 301)
+        ws = wronskian(basis_sin, ts)
+        assert ws.shape == ts.shape
+        singles = [wronskian(basis_sin, t) for t in ts]
+        assert all(type(w) is float for w in singles)
+        assert np.array_equal(ws, singles)
+
+    def test_one_read_per_call(self, basis_sin, monkeypatch):
+        reads = []
+        original = ode.Trajectory.sample
+        monkeypatch.setattr(
+            ode.Trajectory, "sample", lambda self, t: reads.append(self) or original(self, t)
+        )
+        wronskian(basis_sin, 1.5)
+        wronskian(basis_sin, grid(0.0, 20.0, 11))
+        assert reads == [basis_sin.pair, basis_sin.pair]
 
     def test_degenerate_ics_rejected(self, phi_one):
         with pytest.raises(DegenerateBasisError):
@@ -123,3 +144,35 @@ class TestResidualInvariant:
             z, zd, zdd = tr.jet(ts, 2)
             worst = max(worst, np.max(np.abs(zdd + phi.jet(ts, 0)[0] * z)))
         assert worst <= 1e-7
+
+
+class TestBasisPair:
+    def test_one_integration_per_basis(self, phi_sin, monkeypatch):
+        calls = []
+        original = oscillator.integrate
+        monkeypatch.setattr(
+            oscillator, "integrate", lambda *a, **k: calls.append(a[0]) or original(*a, **k)
+        )
+        basis = basis_with_ics(phi_sin, (0.0, 5.0), (0.7, -0.3), (0.4, 1.1))
+        assert len(calls) == 1 and calls[0].dim == 4
+        fields = calls[0].fields
+        assert fields[1].left is fields[3].left  # -phi is one node, computed once per stage
+        assert basis.pair.dim == 4
+
+    def test_solutions_are_views_on_the_pair(self, basis_sin):
+        for tr, cols in ((basis_sin.u, slice(0, 2)), (basis_sin.v, slice(2, 4))):
+            assert tr.dim == 2
+            assert tr.system.names == ("x", "v")
+            assert np.shares_memory(tr.states, basis_sin.pair.states)
+            assert np.array_equal(tr.states, basis_sin.pair.states[:, cols])
+            assert np.array_equal(tr.times, basis_sin.pair.times)
+            ts = grid(0.0, 20.0, 51)
+            assert np.array_equal(tr.sample(ts), basis_sin.pair.sample(ts)[:, cols])
+
+    @pytest.mark.parametrize("text", PHI_CATALOG)
+    def test_each_solution_solves_the_oscillator(self, text):
+        phi = time_function(text)
+        basis = fundamental_pair(phi, (0.0, 20.0))
+        system = oscillator_system(time_function(text))
+        for tr in (basis.u, basis.v):
+            assert residual(system, tr, grid(0.0, 20.0, 101)) <= 1e-9

@@ -159,6 +159,27 @@ class TestErmakovInvariant:
         vals = [ermakov_invariant(x, basis.v, h2, t) for t in grid(0.0, 20.0, 201)]
         assert drift(vals) <= 1e-6
 
+    def test_grid_equals_per_point_calls(self, phi_sin):
+        h2 = 2.25
+        x = integrate(ep_system(const_cfg("1+0.5*sin(t)", h2)), (1.3, 0.4), (0.0, 20.0))
+        y = integrate(oscillator_system(phi_sin), (1.0, 0.0), (0.0, 20.0))
+        ts = grid(0.0, 20.0, 201)
+        values = ermakov_invariant(x, y, h2, ts)
+        assert values.shape == ts.shape
+        singles = [ermakov_invariant(x, y, h2, t) for t in ts]
+        assert all(type(v) is float for v in singles)
+        assert np.array_equal(values, singles)
+
+    def test_grid_names_the_first_bad_time(self, basis_phi1):
+        # v = sin t vanishes at t = 0 and pi; x = v cannot pair with u there
+        with pytest.raises(DomainError, match=r"^x\(t\)=0 at t=0.0$"):
+            ermakov_invariant(basis_phi1.v, basis_phi1.u, 1.0, [0.0, 0.5])
+        # x = exp(400 t), y = 1: (x'y - xy')^2 = (400 x)^2 overflows from about t = 0.76
+        x, y = time_function("exp(400*t)"), time_function("1")
+        assert math.isfinite(ermakov_invariant(x, y, 1.0, 0.5))
+        with pytest.raises(DomainError, match="^Ermakov invariant is not finite at t=1.0$"):
+            ermakov_invariant(x, y, 1.0, [0.5, 1.0, 1.2])
+
     def test_zero_x_rejected(self, basis_phi1):
         with pytest.raises(DomainError):
             ermakov_invariant(basis_phi1.v, basis_phi1.u, 1.0, 0.0)

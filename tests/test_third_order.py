@@ -68,6 +68,19 @@ class TestFirstIntegral:
         vals = [first_integral(cfg, tr, t) for t in grid(0.0, 10.0, 101)]
         assert drift(vals) <= 1e-7
 
+    @pytest.mark.parametrize("a_text", ["2*(1+0.5*sin(t))", "2.5/((1+t)^2)"])
+    def test_grid_equals_per_point_calls(self, a_text):
+        cfg = ThirdOrderConfig(time_function(a_text))
+        tr = integrate_third_order(cfg, (1.5, 0.2, -1.0), (0.0, 10.0))
+        basis = fundamental_pair(cfg.base_phi(), (0.0, 10.0))
+        ts = grid(0.0, 10.0, 101)
+        for w in (tr, product_solution(basis, 1.0, 0.3, 2.0)):
+            values = first_integral(cfg, w, ts)
+            assert values.shape == ts.shape
+            singles = [first_integral(cfg, w, t) for t in ts]
+            assert all(type(v) is float for v in singles)
+            assert np.array_equal(values, singles)
+
     def test_derivative_vanishes(self, cfg2):
         # finite differences of I along any trajectory stay at rounding level
         tr = integrate_third_order(cfg2, (2.0, -0.3, 0.6), (0.0, 10.0))
