@@ -31,8 +31,8 @@ one or more trees into a generated straight-line Python function over
 floats, with one local per distinct node in the post-order of a tree walk
 and every rule inline, so a DAG costs its distinct nodes, not its paths.
 Callers that evaluate often (an ODE system's ``rhs``,
-``TimeFunction.eval``, ``PointSymmetry.components`` at a point,
-``SecondOrderODE.w_at``) build their kernel once and keep it;
+``TimeFunction.eval``, ``PointSymmetry.components`` at a point) build
+their kernel once and keep it;
 ``Expr.eval(env)`` builds an uncached one per call.  Names, constants and
 curves reach a kernel through its namespace, never through its source, so
 the compiled code of a source is reused by every tree of that shape.
@@ -40,11 +40,15 @@ the compiled code of a source is reused by every tree of that shape.
 ``evaluate(exprs, env, positive=())`` computes one tree or a sequence of
 trees on whole NumPy arrays in one interpreted post-order walk, one
 function per operation (compiled from the table once, at import) and so
-one NumPy operation per distinct node, with the rules as mask checks: an
-error at any point raises, so it never returns NaN or inf.  It also
-refuses a non-finite input.  On a one-point grid it raises what the
-scalar kernel raises: a kernel checks no input, but once a rule has failed
-it names a non-finite input (or constant) as ``evaluate`` does.
+one NumPy operation per distinct node: an error at any point raises, so
+it never returns NaN or inf.  It refuses a non-finite input, so every
+operand in the walk is finite, and it leaves the rules to NumPy's IEEE
+754 exception flags, set to raise, save those IEEE does not signal
+(``_SILENT``), which stay masks; a node that raised a flag runs again
+with its whole rule as masks, which choose the message.  On a one-point
+grid it raises what the scalar kernel raises: a
+kernel checks no input, but once a rule has failed it names a non-finite
+input (or constant) as ``evaluate`` does.
 
 ``differentiate`` is purely structural and memoised per call (or per
 ``TimeFunction``, across its orders), never on the nodes: a subtree shared
@@ -481,14 +485,16 @@ def _first(bad, *values) -> list:
     return [np.broadcast_to(v, np.shape(bad))[bad][0].item() for v in values]
 
 
-def _rendered(op: str, check, catch: bool = False) -> tuple[str, ...]:
+def _rendered(op: str, check, catch: bool = False, keys=None) -> tuple[str, ...]:
     """Template lines of an ``op`` node: ``check`` of each condition around its value.
 
     With ``catch``, an OverflowError computing the value makes it inf, for
     the result check that follows (math.exp and math.pow raise where NumPy
-    returns inf).
+    returns inf).  With ``keys``, only the conditions whose message key is
+    in it are checked.
     """
     value, *conditions = _RULES[op]
+    conditions = [c for c in conditions if keys is None or c[1] in keys]
     lines = [line for c in conditions if "{r}" not in c[0] for line in check(*c)]
     if catch:
         lines += ["try: {r} = " + value, "except OverflowError: {r} = inf"]
@@ -524,10 +530,32 @@ _KERNEL_GLOBALS = {
 }
 
 
+# The conditions that NumPy's IEEE 754 exception flags do not signal.  Given
+# finite operands, every other condition fails exactly where its operation
+# raises overflow, invalid or divide-by-zero: a non-finite result of finite
+# operands always does.  Zero to a positive fractional power is 0 with no
+# flag, and the checks of a positive tree and of an input are no arithmetic.
+_SILENT = frozenset({"FRAC", "POSITIVE", "NONFINITE"})
+_FLAGS = {"over": "raise", "invalid": "raise", "divide": "raise", "under": "ignore"}
+
+
 def _grid_function(op: str):
-    """``op`` over arrays: its rule with each condition a mask that must hold everywhere."""
-    lines = (*_rendered(op, _grid_check), "return r")
-    body = "".join(f"    {line.format(r='r', a='a', b='b')}\n" for line in lines)
+    """``op`` over arrays, as the pair of functions (flagged, checked), compiled together.
+
+    ``checked`` states the rule with each condition a mask that must hold
+    everywhere.  ``flagged`` computes the value and checks as masks only the
+    conditions in ``_SILENT``; run under ``np.errstate(**_FLAGS)``, NumPy
+    raises FloatingPointError wherever another condition would fail.  A
+    rule lists its silent conditions first, so a mask that fails in
+    ``flagged`` is also the first to fail in ``checked``.
+    """
+    conditions = [c[1] in _SILENT for c in _RULES[op][1:]]
+    assert conditions == sorted(conditions, reverse=True), f"{op}: silent conditions must come first"
+    source = ""
+    for name, keys in (("flagged", _SILENT), ("checked", None)):
+        lines = (*_rendered(op, _grid_check, keys=keys), "return r")
+        body = "".join(f"    {line.format(r='r', a='a', b='b')}\n" for line in lines)
+        source += f"def {name}(a, b=None):\n{body}"
     # NumPy imports lazily through the builtins of its caller's frame, so
     # this namespace keeps the interpreter's own
     namespace = {
@@ -537,11 +565,24 @@ def _grid_function(op: str):
         "first": _first,
         **_MESSAGES,
     }
-    exec(compile(f"def op(a, b=None):\n{body}", f"<grid {op}>", "exec"), namespace)
-    return namespace["op"]
+    exec(compile(source, f"<grid {op}>", "exec"), namespace)
+    return namespace["flagged"], namespace["checked"]
 
 
-_GRID = {op: _grid_function(op) for op in _RULES}
+_GRID, _CHECKED = {}, {}
+for _op in _RULES:
+    _GRID[_op], _CHECKED[_op] = _grid_function(_op)
+
+
+def _rechecked(op: str, *operands):
+    """``op`` run again with every condition a mask, after NumPy raised a flag in it.
+
+    Raises the DomainError of the first condition that fails, at its first
+    bad point, as the masks alone would; a flag that no condition confirms
+    leaves the value standing.
+    """
+    with np.errstate(all="ignore"):
+        return _CHECKED[op](*operands)
 
 
 def evaluate(exprs, env, positive=()):
@@ -562,25 +603,36 @@ def evaluate(exprs, env, positive=()):
         value = values.get(node)
         if value is None:
             if isinstance(node, Binary):
-                value = _GRID[node.op](ev(node.left), ev(node.right))
+                a, b = ev(node.left), ev(node.right)
+                try:
+                    value = _GRID[node.op](a, b)
+                except FloatingPointError:
+                    value = _rechecked(node.op, a, b)
             elif isinstance(node, Unary):
-                value = _GRID[node.op](ev(node.arg))
+                a = ev(node.arg)
+                try:
+                    value = _GRID[node.op](a)
+                except FloatingPointError:
+                    value = _rechecked(node.op, a)
             elif isinstance(node, Const):
-                value = _GRID["finite"](np.float64(node.value), "constant")
+                if not math.isfinite(node.value):
+                    _fail(_MESSAGES["NONFINITE"], node.value, "constant")
+                value = np.float64(node.value)
             elif isinstance(node, Var):
                 if node.name not in grid:
                     _fail(_MESSAGES["UNBOUND"], node.name)
                 value = _GRID["finite"](grid[node.name], f"variable {node.name!r}")
             elif isinstance(node, CurveVal):
                 ts = ev(_T)
-                jet = node.curve.jet(ts.reshape(-1), node.order)[node.order]
+                with np.errstate(all="ignore"):
+                    jet = node.curve.jet(ts.reshape(-1), node.order)[node.order]
                 value = _GRID["finite"](jet.reshape(ts.shape), f"curve {node.label!r}")
             else:
                 raise TypeError(f"cannot evaluate node {node!r}")
             values[node] = value
         return value
 
-    with np.errstate(all="ignore"):
+    with np.errstate(**_FLAGS):
         for tree in positive:
             _GRID["positive"](ev(tree), _inner(tree))
         results = [ev(root) for root in ((exprs,) if isinstance(exprs, Expr) else exprs)]

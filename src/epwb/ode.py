@@ -364,6 +364,14 @@ class Trajectory:
         )
 
 
+def finite_interval(interval) -> tuple[float, float]:
+    """The ends of ``interval`` as floats; ValueError unless both are finite."""
+    t0, t1 = float(interval[0]), float(interval[1])
+    if not (math.isfinite(t0) and math.isfinite(t1)):
+        raise ValueError(f"interval must be finite, got {interval!r}")
+    return t0, t1
+
+
 def worst_residual(values) -> float:
     """Largest |value|: the one reduction behind every residual verdict.
 
@@ -525,7 +533,7 @@ def integrate(
     Returned states are always finite.
     """
     settings = settings or IntegrationSettings()
-    t0, t1 = float(interval[0]), float(interval[1])
+    t0, t1 = finite_interval(interval)
     if not (t0 < t1):
         raise ValueError(f"need t0 < t1, got {interval!r}")
     y = np.asarray(y0, dtype=float)

@@ -167,12 +167,14 @@ def autonomous_energy(phi0: float, h2: float, x: float, xdot: float) -> float:
 def drift(values) -> float:
     """Relative spread (max - min) / max(1, |mean|) of a sampled series.
 
-    Raises DomainError when the spread or the mean is NaN or infinite, so
-    no verdict or report rests on a non-finite number.
+    Raises ValueError for fewer than two values, whose spread is 0 by
+    construction, and DomainError when the spread or the mean is NaN or
+    infinite, so no verdict or report rests on a non-finite number or on
+    one value.
     """
     values = np.asarray(values, dtype=float)
-    if values.size == 0:
-        raise ValueError("empty series")
+    if values.size < 2:
+        raise ValueError(f"a spread needs at least two values, got {values.size}")
     with np.errstate(over="ignore", invalid="ignore"):
         spread, mean = values.max() - values.min(), values.mean()
     if not (math.isfinite(spread) and math.isfinite(mean)):

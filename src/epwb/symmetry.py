@@ -41,7 +41,7 @@ from .expressions import (
     sin,
     var,
 )
-from .ode import worst_residual
+from .ode import finite_interval, worst_residual
 from .oscillator import _X, DegenerateBasisError, OscillatorBasis
 from .pinney import ep_field
 
@@ -105,7 +105,6 @@ class SecondOrderODE:
         self.w_t = differentiate(w, "t")
         self.w_x = differentiate(w, "x")
         self.w_v = differentiate(w, "v")
-        self._kernel = None
 
     @classmethod
     def from_ep(cls, phi: TimeFunction, g: TimeFunction) -> "SecondOrderODE":
@@ -115,11 +114,6 @@ class SecondOrderODE:
     def from_text(cls, text: str) -> "SecondOrderODE":
         return cls(parse_expression(text, ("t", "x", "v")))
 
-    def w_at(self, t: float, x: float, v: float) -> float:
-        if self._kernel is None:
-            self._kernel = scalar_kernel(self.w, ("t", "x", "v"))
-        return self._kernel(t, x, v)
-
 
 def default_samples(
     interval: tuple[float, float],
@@ -128,7 +122,7 @@ def default_samples(
     n: int = 5,
 ) -> list[tuple[float, float, float]]:
     """Interior (t, x, v) lattice used by residual checks (n^3 points)."""
-    t0, t1 = interval
+    t0, t1 = finite_interval(interval)
     ts = t0 + (t1 - t0) * np.linspace(0.1, 0.9, n)
     xs = np.linspace(*x_range, n)
     vs = np.linspace(*v_range, n)
@@ -283,7 +277,7 @@ def compatible_family(
         raise ValueError("C0 must be nonzero")
     ge = g.expr
     g1 = g.derivative_expr(1)
-    ts = np.linspace(interval[0], interval[1], validation_samples)
+    ts = np.linspace(*finite_interval(interval), validation_samples)
     bad = evaluate(g1, {"t": ts}) <= 0.0
     if bad.any():
         raise ValueError(f"G' is not positive at t={float(ts[bad][0])!r}")

@@ -79,6 +79,12 @@ class TestAngularMomentum:
             assert tr.sample(t)[3] == pytest.approx(2.0 - math.cos(t), abs=1e-7)
         assert angular_momentum_check(tr, cfg) <= 1e-7
 
+    def test_one_sample_is_refused(self):
+        # a spread over one value is 0 by construction, so it would pass vacuously
+        tr = simulate_polar(config(), CIRCULAR, (0.0, 5.0))
+        with pytest.raises(ValueError, match="at least two values"):
+            angular_momentum_check(tr, config(), n=1)
+
     def test_k_integral_quadrature(self):
         cfg = config(k_text="sin(t)")
         quad = k_integral(cfg, (0.0, 10.0))

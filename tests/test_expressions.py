@@ -3,6 +3,7 @@ import copy
 import dataclasses
 import functools
 import gc
+import itertools
 import math
 import pickle
 import re
@@ -322,6 +323,14 @@ def _combine(children):
 
 _expr = st.recursive(_leaf, _combine, max_leaves=12)
 
+# operands at and around each rule's boundary: signed zeros and subnormals,
+# the ends of the float range, exp's overflow and underflow thresholds, and
+# fractional and integral exponents
+_SPECIAL = (
+    0.0, -0.0, 1.0, -1.0, 0.5, -0.5, 3.0, -3.0, 1e-300, -1e-300, 5e-324, 1e300, -1e300,
+    1.7e308, -1.7e308, 709.0, 710.0, -745.0, -746.0, 1 / 3, -2.5, 1e-8,
+)
+
 
 def _try_eval(e, t):
     try:
@@ -361,9 +370,13 @@ def test_print_parse_round_trip(e, t):
     e=_expr,
     t0=st.floats(min_value=-2.0, max_value=2.0),
     width=st.floats(min_value=0.0, max_value=3.0),
+    special=st.none() | st.sampled_from(_SPECIAL),
+    at=st.integers(min_value=0, max_value=8),
 )
-def test_grid_evaluation_matches_pointwise_eval(e, t0, width):
+def test_grid_evaluation_matches_pointwise_eval(e, t0, width, special, at):
     ts = np.linspace(t0, t0 + width, 9)
+    if special is not None:
+        ts[at] = special
     try:
         points = [e.eval({"t": float(t)}) for t in ts]
     except DomainError:
@@ -730,6 +743,22 @@ def test_curve_leaf_without_time_is_a_domain_error():
         scalar_kernel(leaf * var("x"), ("x",))(1.0)
 
 
+class _Log:
+    """A curve c(t) = log(t) whose jet lets NumPy make -inf and NaN."""
+
+    def jet(self, ts, k):
+        return np.log(np.asarray(ts, dtype=float))[None]
+
+
+def test_curve_jet_runs_without_flags():
+    # NumPy's flags are for evaluate's own operations; a curve's values are checked as inputs
+    leaf = CurveVal(_Log(), 0, "c")
+    with pytest.raises(DomainError, match="^non-finite value -inf in curve 'c'$"):
+        evaluate(leaf, {"t": np.array([1.0, 0.0, -1.0])})
+    with pytest.raises(DomainError, match="^non-finite value nan in curve 'c'$"):
+        evaluate(leaf, {"t": np.array([-1.0, 0.0])})
+
+
 def test_kernel_source_never_holds_expression_text(compiled):
     hostile = "t); import os; ("
     name_leaf = Var(hostile)
@@ -840,3 +869,72 @@ def test_time_function_differentiates_on_demand(diffs):
     f.eval(0.3, 1)
     f.jet(np.linspace(0.0, 1.0, 3), 2)
     assert len(diffs) == built
+
+
+# --- IEEE flags against the rules --------------------------------------------
+
+def _placements(value):
+    """``value`` as a 0-d array, then first, in the middle and last of arrays of 1.0.
+
+    The lengths reach past NumPy's SIMD widths, so vector loops and their
+    remainders both meet the value.
+    """
+    yield np.array(value)
+    for n in (7, 16, 64, 216, 1001):
+        for i in (0, n // 2, n - 1):
+            a = np.ones(n)
+            a[i] = value
+            yield a
+
+
+def _operand_pairs(a, b):
+    """(a, b) both 0-d or at one place of equal arrays, and each 0-d against the other in an array."""
+    yield from zip(_placements(a), _placements(b))
+    for y in itertools.islice(_placements(b), 1, None, 4):
+        yield np.array(a), y
+    for x in itertools.islice(_placements(a), 1, None, 4):
+        yield x, np.array(b)
+
+
+def _outcome(run):
+    """What ``run()`` returns, or the message of the DomainError it raises."""
+    try:
+        return run()
+    except DomainError as exc:
+        return str(exc)
+
+
+def _same_outcome(got, expected):
+    if isinstance(got, str) or isinstance(expected, str):
+        return got == expected
+    return np.shape(got) == np.shape(expected) and np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize("op", [op for op in expressions._RULES if op not in ("positive", "finite")])
+def test_flags_raise_exactly_where_the_rules_fail(op):
+    # evaluate leaves most rules to NumPy's IEEE flags; each must raise the
+    # message that all of the rule's masks raise, at the same point
+    if op in expressions.FUNCTIONS or op == "neg":
+        tree, cases = Unary(op, var("a")), ((x,) for v in _SPECIAL for x in _placements(v))
+    else:
+        tree = Binary(op, var("a"), var("b"))
+        cases = (xy for v in _SPECIAL for w in _SPECIAL for xy in _operand_pairs(v, w))
+    for operands in cases:
+        with np.errstate(all="ignore"):
+            expected = _outcome(lambda: expressions._CHECKED[op](*operands))
+        got = _outcome(lambda: evaluate(tree, dict(zip("ab", operands))))
+        assert _same_outcome(got, expected), (op, operands, got, expected)
+
+
+@pytest.mark.parametrize("value", [*_SPECIAL, math.inf, -math.inf, math.nan])
+def test_input_and_positive_checks_are_the_rules(value):
+    for x in _placements(value):
+
+        def masks():
+            expressions._CHECKED["finite"](x, "variable 'a'")
+            expressions._CHECKED["positive"](x, "a")
+            return []
+
+        with np.errstate(all="ignore"):
+            expected = _outcome(masks)
+        assert _outcome(lambda: evaluate([], {"a": x}, positive=(var("a"),))) == expected

@@ -80,6 +80,12 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             integrate(oscillator(), (1.0, 0.0), (1.0, 0.0))
 
+    @pytest.mark.parametrize("interval", [(0.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0)])
+    def test_nonfinite_interval_rejected(self, interval):
+        # an infinite end would spend the whole step budget before failing
+        with pytest.raises(ValueError, match="interval must be finite"):
+            integrate(oscillator(), (1.0, 0.0), interval)
+
     def test_nonfinite_initial_state_rejected(self):
         with pytest.raises(ValueError):
             integrate(oscillator(), (math.nan, 0.0), (0.0, 1.0))

@@ -295,6 +295,10 @@ class TestDriftAndAudit:
         with pytest.raises(ValueError):
             drift([])
 
+    def test_one_value_has_no_spread(self):
+        with pytest.raises(ValueError, match="at least two values"):
+            drift([1.0])
+
     def test_overflowing_series_raises(self):
         # the spread 2e308 is beyond float range
         with pytest.raises(DomainError, match="non-finite series"):

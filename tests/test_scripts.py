@@ -4,7 +4,9 @@ The scripts use the public API only; running them keeps an API change from
 breaking them silently.
 """
 
+import json
 import os
+import re
 import runpy
 import sys
 
@@ -20,3 +22,25 @@ def test_script_runs_with_defaults(name, tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(sys, "argv", [path])
     runpy.run_path(path, run_name="__main__")
     assert capsys.readouterr().out
+
+
+def test_output_digests_run_on_a_copy(monkeypatch, capsys):
+    scenarios = os.path.join(os.path.dirname(SCRIPTS), "scenarios")
+    tracked = sorted(os.listdir(os.path.join(scenarios, "out")))
+    names = sorted(n for n in os.listdir(scenarios) if n.endswith(".json"))
+    outputs = set()
+    for name in names:
+        with open(os.path.join(scenarios, name)) as fh:
+            outputs.update(json.load(fh)["outputs"].values())
+    path = os.path.join(SCRIPTS, "output_digests.py")
+    monkeypatch.setattr(sys, "argv", [path])
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the script puts its src/ first
+    runpy.run_path(path, run_name="__main__")
+    lines = capsys.readouterr().out.splitlines()
+    # every run wrote into the copy, none into the tracked outputs
+    assert sorted(os.listdir(os.path.join(scenarios, "out"))) == tracked
+    runs = [line.split(" exit=")[0] for line in lines if " exit=0 stdout=" in line]
+    assert runs == [*names, "audit-all"]
+    files = [line.split() for line in lines if line.startswith("out/")]
+    assert {name for name, _ in files} == outputs
+    assert all(re.fullmatch("[0-9a-f]{64}", digest) for _, digest in files)

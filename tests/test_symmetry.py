@@ -21,7 +21,7 @@ from epwb import (
     symmetry_residual,
     time_function,
 )
-from epwb.expressions import Binary, Const, TimeFunction, var
+from epwb.expressions import Binary, Const, TimeFunction, evaluate, var
 from epwb.symmetry import default_samples
 from tests.conftest import G_CATALOG, M_VALUES, POWER_LAW_G
 
@@ -241,6 +241,11 @@ class TestFamilies:
 
 
 class TestCompatibleFamily:
+    @pytest.mark.parametrize("interval", [(0.0, math.inf), (-math.inf, 1.0)])
+    def test_nonfinite_interval_rejected(self, interval):
+        with pytest.raises(ValueError, match="interval must be finite"):
+            compatible_family(time_function("exp(4*t)"), 1.0, 1.0, interval)
+
     def test_exponential_case_is_scaling(self):
         fam = compatible_family(time_function("exp(4*t)"), 1.0, 1.0, (0.0, 2.0))
         sym = surviving_symmetry(fam)
@@ -346,14 +351,25 @@ class TestSampleLattice:
         assert len(samples) == 27
         assert all(s[2] == 0.0 for s in samples)
 
+    @pytest.mark.parametrize("interval", [(0.0, math.inf), (math.nan, 1.0)])
+    def test_nonfinite_interval_rejected(self, interval):
+        with pytest.raises(ValueError, match="interval must be finite"):
+            default_samples(interval)
+
+
+def _w_at(ode, t, x, v):
+    """w at one point, through the grid evaluator."""
+    one = {"t": np.array([t]), "x": np.array([x]), "v": np.array([v])}
+    return float(evaluate(ode.w, one)[0])
+
 
 class TestSecondOrderODE:
     def test_from_text_matches_from_ep(self):
         a = SecondOrderODE.from_ep(time_function("1"), time_function("4"))
         b = SecondOrderODE.from_text("-x + 4/x^3")
         for t, x, v in default_samples((0.0, 2.0)):
-            assert a.w_at(t, x, v) == pytest.approx(b.w_at(t, x, v), rel=1e-12)
+            assert _w_at(a, t, x, v) == pytest.approx(_w_at(b, t, x, v), rel=1e-12)
 
     def test_velocity_dependence_allowed(self):
         ode = SecondOrderODE.from_text("-x - 0.5*v")
-        assert ode.w_at(0.0, 2.0, 4.0) == pytest.approx(-4.0)
+        assert _w_at(ode, 0.0, 2.0, 4.0) == pytest.approx(-4.0)
