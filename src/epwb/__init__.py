@@ -72,7 +72,6 @@ from .symmetry import (
     CompatibleFamily,
     PointSymmetry,
     SecondOrderODE,
-    SymmetryAnsatz,
     autonomous_family,
     basis_family,
     compatible_family,

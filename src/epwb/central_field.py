@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expressions import DomainError, TimeFunction, var
+from .expressions import DomainError, TimeFunction, fail_first, var
 from .ode import IntegrationSettings, ODESystem, Trajectory, integrate, worst_residual
 from .pinney import drift
 
@@ -116,10 +116,7 @@ def radial_ep_residual(
     ts = traj.grid(n)
     states = traj.sample(ts)
     r = states[:, 0]
-    close = r <= settings.x_min
-    if close.any():
-        i = int(np.argmax(close))
-        raise DomainError(f"radius {float(r[i])!r} too close to the axis at t={float(ts[i])!r}")
+    fail_first(r <= settings.x_min, "radius {!r} too close to the axis at t={!r}", r, ts)
     rddot = traj.system.slopes(ts, states)[:, 1]
     g = (ell0 + quad.sample(ts)[:, 0]) ** 2
     return worst_residual(rddot + cfg.phi.jet(ts, 0)[0] * r - g / r**3)

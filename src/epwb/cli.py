@@ -36,8 +36,6 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from .audit import audit_all, ledger_json
 from .central_field import (
     CentralFieldConfig,
@@ -54,7 +52,7 @@ from .expressions import (
     DomainError,
     ExprSyntaxError,
     TimeFunction,
-    parse_expression,
+    fail_first,
     time_function,
 )
 from .ode import COMPLETED, IntegrationSettings, integrate, write_csv
@@ -70,10 +68,10 @@ from .pinney import (
 )
 from .reduction import abel_residual, autonomous_residual, canonical_chart, transform_trajectory
 from .symmetry import (
-    PointSymmetry,
     SecondOrderODE,
     compatible_family,
     default_samples,
+    point_symmetry,
     surviving_symmetry,
     symmetry_residual,
 )
@@ -288,12 +286,7 @@ def _invariant_series(sc: dict, interval, settings):
         _completed(qt)
         grid = qt.grid(n)
         w2 = phi.jet(grid, 0)[0]
-        bad = w2 <= 0.0
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise DomainError(
-                f"frequency squared {float(w2[i])!r} not positive at t={float(grid[i])!r}"
-            )
+        fail_first(w2 <= 0.0, "frequency squared {!r} not positive at t={!r}", w2, grid)
         pairs = zip(w2.tolist(), qt.sample(grid).tolist())
         values = [lorentz_adiabatic(math.sqrt(w), *qp) for w, qp in pairs]
         return name, grid, values
@@ -317,9 +310,7 @@ def _run_verify_symmetry(sc: dict, base_dir: str) -> int:
     interval = _interval(sc)
     threshold = _number(sc, "threshold", _tol_default())
     if "tau" in sc or "xi" in sc:
-        tau = parse_expression(str(_require(sc, "tau")), ("t", "x"))
-        xi = parse_expression(str(_require(sc, "xi")), ("t", "x"))
-        sym = PointSymmetry(tau, xi, "scenario")
+        sym = point_symmetry(str(_require(sc, "tau")), str(_require(sc, "xi")), "scenario")
         ode = SecondOrderODE.from_ep(_tf(sc, "phi"), _tf(sc, "g"))
     else:
         fam = compatible_family(_tf(sc, "g"), _number(sc, "c0"), _number(sc, "m"), interval)

@@ -25,38 +25,43 @@ equality is identity.  The intern table holds no node alive.
 
 Each operation's domain rule is stated once, in ``_RULES``: its value and
 the conditions under which it is defined, each with the ``_MESSAGES`` key
-it raises.  Both evaluators render that table, so they raise the same
-message at the same node.  ``scalar_kernel(exprs, variables)`` compiles
-one or more trees into a generated straight-line Python function over
-floats, with one local per distinct node in the post-order of a tree walk
-and every rule inline, so a DAG costs its distinct nodes, not its paths.
-Callers that evaluate often (an ODE system's ``rhs``,
-``TimeFunction.eval``, ``PointSymmetry.components`` at a point) build
-their kernel once and keep it;
-``Expr.eval(env)`` builds an uncached one per call.  Names, constants and
-curves reach a kernel through its namespace, never through its source, so
-the compiled code of a source is reused by every tree of that shape.
+it raises.  Both evaluators render that table.
 
-``evaluate(exprs, env, positive=())`` computes one tree or a sequence of
-trees on whole NumPy arrays in one interpreted post-order walk, one
-function per operation (compiled from the table once, at import) and so
-one NumPy operation per distinct node: an error at any point raises, so
-it never returns NaN or inf.  It refuses a non-finite input, so every
-operand in the walk is finite, and it leaves the rules to NumPy's IEEE
-754 exception flags, set to raise, save those IEEE does not signal
-(``_SILENT``), which stay masks; a node that raised a flag runs again
-with its whole rule as masks, which choose the message.  On a one-point
-grid it raises what the scalar kernel raises: a
-kernel checks no input, but once a rule has failed it names a non-finite
-input (or constant) as ``evaluate`` does.
+``evaluate(exprs, env, positive=())`` is the evaluator: it computes one
+tree or a sequence of trees on whole NumPy arrays (or at one point) in one
+interpreted post-order walk, one function per operation (compiled from
+the table once, at import) and so one NumPy operation per distinct node:
+an error at any point raises, so it never returns NaN or inf.  It refuses
+a non-finite input, so every operand in the walk is finite, and it leaves
+the rules to NumPy's IEEE 754 exception flags, set to raise, save those
+IEEE does not signal (``_SILENT``), which stay masks; a node that raised
+a flag runs again with its whole rule as masks, which choose the message,
+naming the first bad point.  ``fail_first`` names it the same way for
+checks made outside a tree.
+
+``scalar_kernel(exprs, variables)`` serves the two hot single-point
+callers, an ODE system's ``rhs`` and ``PointSymmetry.components``, where
+one array call would cost more than the arithmetic: it compiles trees
+into a generated straight-line Python function over floats, with one
+local per distinct node in the post-order of a tree walk and every rule
+inline, so a DAG costs its distinct nodes, not its paths.  Names,
+constants and curves reach a kernel through its namespace, never through
+its source, so the compiled code of a source is reused by every tree of
+that shape.  On one point a kernel fails by the same rule at the same
+node as ``evaluate``, and the operands its message shows agree up to the
+last bit: libm's exp, log, sin and cos may differ there from NumPy's
+(``math.exp(1.20703125)`` is one bit above ``np.exp``'s).  A kernel
+checks no input, but once a rule has failed it names a non-finite input
+(or constant) as ``evaluate`` does.
 
 ``differentiate`` is purely structural and memoised per call (or per
 ``TimeFunction``, across its orders), never on the nodes: a subtree shared
 by several parents is differentiated once and its derivative is shared in
 the result.  Results are routed through light peephole constructors
 (constant folding, 0/1 identities) so repeated differentiation stays
-tractable; folding can only shrink the set of points where evaluation
-raises, never change a defined value.
+tractable; a constant node is folded to what ``evaluate`` gives it, so
+folding can only shrink the set of points where evaluation raises, never
+change a defined value.
 
 The canonical printed form is fully parenthesized infix, e.g.
 ``((2)*(cos((2)*(t))))``, and ``parse_expression`` of a canonical print
@@ -117,10 +122,6 @@ class Expr:
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
         return f"{type(self).__name__}({fields})"
-
-    def eval(self, env) -> float:
-        """Value at the single point ``env``; builds a kernel per call (hot callers keep theirs)."""
-        return scalar_kernel(self, tuple(env))(*env.values())
 
     def _diff(self, var: str, d) -> "Expr":
         """Derivative by ``var``; ``d`` differentiates a child (memoised)."""
@@ -351,10 +352,7 @@ def power(a: Expr, b: Expr) -> Expr:
     if _is_const(b, 0.0):
         return _ONE
     if isinstance(a, Const) and isinstance(b, Const):
-        try:
-            return Const(_fold_kernel("^")(a.value, b.value))
-        except DomainError:
-            pass
+        return _folded(Binary("^", a, b))
     return Binary("^", a, b)
 
 
@@ -368,20 +366,16 @@ def neg(e: Expr) -> Expr:
 
 def _fold_unary(op: str, e: Expr) -> Expr:
     if isinstance(e, Const):
-        try:
-            return Const(_fold_kernel(op)(e.value))
-        except DomainError:
-            pass
+        return _folded(Unary(op, e))
     return Unary(op, e)
 
 
-@functools.cache
-def _fold_kernel(op: str):
-    """``op`` applied to its one or two arguments; compiled once per op, not once per fold."""
-    a, b = Var("a"), Var("b")
-    if op in "+-*/^":
-        return scalar_kernel(Binary(op, a, b), ("a", "b"))
-    return scalar_kernel(Unary(op, a), ("a",))
+def _folded(node: Expr) -> Expr:
+    """``node`` of constants as its value, or as itself where it is undefined."""
+    try:
+        return Const(evaluate(node, {}))
+    except DomainError:
+        return node
 
 
 def sin(e: Expr) -> Expr:
@@ -483,6 +477,17 @@ def _fail(message: str, *values):
 def _first(bad, *values) -> list:
     """Each of ``values`` (an array, a scalar or a label) at the first point where ``bad`` holds."""
     return [np.broadcast_to(v, np.shape(bad))[bad][0].item() for v in values]
+
+
+def fail_first(bad, message: str, *values) -> None:
+    """Raise DomainError of ``message`` formatted with ``values`` at the first point where ``bad`` holds.
+
+    Returns if ``bad`` holds nowhere.  Each value is an array over the
+    grid, a scalar or a label, so a message names the first bad point the
+    way ``evaluate`` does.
+    """
+    if bad.any():
+        _fail(message, *_first(bad, *values))
 
 
 def _rendered(op: str, check, catch: bool = False, keys=None) -> tuple[str, ...]:
@@ -650,13 +655,15 @@ def scalar_kernel(exprs, variables=("t",), positive=()):
     sequence.  The trees in ``positive`` come first, each raising
     DomainError unless > 0.  Each distinct node is one local, computed once,
     in the post-order of a walk over the trees (left child first), with its
-    rule inline, so the first error raised and its message are those of
-    ``evaluate`` on a one-point grid of the same finite values; when a rule
-    fails with a non-finite value among the inputs or constants, the
-    function raises what ``evaluate`` raises there instead.  A variable
-    not in ``variables`` raises DomainError where it is first used.  Names,
-    constants and curves reach the function through its namespace, never
-    through its source, so trees of one shape share compiled code.
+    rule inline, so the first error raised is that of ``evaluate`` on a
+    one-point grid of the same finite values: the same rule at the same
+    node, its operands equal up to the last bit of libm's transcendental
+    functions against NumPy's.  When a rule fails with a non-finite value
+    among the inputs or constants, the function raises what ``evaluate``
+    raises there instead.  A variable not in ``variables`` raises
+    DomainError where it is first used.  Names, constants and curves reach
+    the function through its namespace, never through its source, so
+    trees of one shape share compiled code.
     """
     roots = (exprs,) if isinstance(exprs, Expr) else tuple(exprs)
     params = [f"a{i}" for i in range(len(variables))]
@@ -944,15 +951,14 @@ class TimeFunction:
 
     Each order is built when first requested, from the order before, with
     one differentiation memo per function, so successive orders share
-    their work.  ``eval`` (one point) and ``jet`` (a grid) surface
-    DomainError from subexpressions.
+    their work.  ``eval`` (one point) and ``jet`` (a grid) both run
+    ``evaluate`` and surface DomainError from subexpressions.
     """
 
     def __init__(self, expr: Expr):
         self.expr = expr
         self._derivs = [expr]
         self._memo = {}
-        self._kernels = {}
 
     def derivative_expr(self, order: int) -> Expr:
         if order < 0:
@@ -962,13 +968,7 @@ class TimeFunction:
         return self._derivs[order]
 
     def eval(self, t: float, order: int = 0) -> float:
-        kernel = self._kernels.get(order)
-        if kernel is None:
-            kernel = self._kernels[order] = scalar_kernel(self.derivative_expr(order), ("t",))
-        return kernel(t)
-
-    def __call__(self, t: float) -> float:
-        return self.eval(t, 0)
+        return float(evaluate(self.derivative_expr(order), {"t": t}))
 
     def jet(self, ts, k: int) -> np.ndarray:
         """Rows 0..k hold the derivatives over the grid ``ts``: shape (k+1, len(ts))."""

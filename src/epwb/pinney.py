@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expressions import DomainError, Expr, TimeFunction, evaluate
+from .expressions import DomainError, Expr, TimeFunction, evaluate, fail_first
 from .ode import IntegrationSettings, ODESystem, worst_residual
 from .oscillator import _V, _X, DegenerateBasisError, OscillatorBasis, QuadraticFormCurve
 
@@ -64,12 +64,7 @@ class SqrtCurve:
     def jet(self, ts, k: int) -> np.ndarray:
         ts = np.asarray(ts, dtype=float)
         w = self.base.jet(ts, k)
-        bad = w[0] <= 0.0
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise DomainError(
-                f"sqrt of non-positive curve value {float(w[0, i])!r} at t={float(ts[i])!r}"
-            )
+        fail_first(w[0] <= 0.0, "sqrt of non-positive curve value {!r} at t={!r}", w[0], ts)
         x = np.empty_like(w)
         x[0] = np.sqrt(w[0])
         for o in range(1, k + 1):
@@ -103,12 +98,7 @@ def ep_residual(cfg: EPConfig, x, grid, x_min: float = 1e-6) -> float:
     """max |x'' + phi x - g/x^3| over the grid for a curve or trajectory."""
     grid = np.asarray(grid, dtype=float)
     xx, _, xdd = x.jet(grid, 2)
-    low = xx < x_min
-    if low.any():
-        i = int(np.argmax(low))
-        raise DomainError(
-            f"x={float(xx[i])!r} below guard threshold {x_min!r} at t={float(grid[i])!r}"
-        )
+    fail_first(xx < x_min, "x={!r} below guard threshold {!r} at t={!r}", xx, x_min, grid)
     return worst_residual(xdd - evaluate(ep_field(cfg.phi.expr, cfg.g.expr), {"t": grid, "x": xx}))
 
 
@@ -126,11 +116,8 @@ def ermakov_invariant(x, y, h2: float, t):
         ratio = yv / xv
         value = 0.5 * (cross * cross + h2 * (ratio * ratio))
     bad = ~np.isfinite(value)  # x = 0 makes y/x, and so I, non-finite
-    if bad.any():
-        i = int(np.argmax(bad))
-        if xv[i] == 0.0:
-            raise DomainError(f"x(t)=0 at t={float(ts[i])!r}")
-        raise DomainError(f"Ermakov invariant is not finite at t={float(ts[i])!r}")
+    what = np.where(xv == 0.0, "x(t)=0", "Ermakov invariant is not finite")
+    fail_first(bad, "{} at t={!r}", what, ts)
     return float(value[0]) if np.ndim(t) == 0 else value
 
 

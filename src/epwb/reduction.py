@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from .expressions import DomainError
+from .expressions import DomainError, fail_first
 from .ode import Trajectory, worst_residual
 from .symmetry import CompatibleFamily, PointSymmetry
 
@@ -58,11 +58,7 @@ class CanonicalChart:
         ts = np.atleast_1d(np.asarray(t, dtype=float))
         g = self.fam.g.jet(ts, k)
         for order, name in ((0, "G"), (1, "G'")):
-            bad = g[order] <= 0.0
-            if bad.any():
-                i = int(np.argmax(bad))
-                value = float(g[order, i])
-                raise DomainError(f"{name}({float(ts[i])!r}) = {value!r} is not positive")
+            fail_first(g[order] <= 0.0, "{}({!r}) = {!r} is not positive", name, ts, g[order])
         return g
 
     def _rates(self, t):
@@ -93,12 +89,6 @@ class CanonicalChart:
 
     def position(self, t, x):
         return x * self.scale(t)
-
-    def velocity(self, t, x, xdot):
-        return _like(t, self.image(t, x, xdot, 0.0)[2])
-
-    def acceleration(self, t, x, xdot, xddot):
-        return _like(t, self.image(t, x, xdot, xddot)[3])
 
     def t_of(self, big_t: float) -> float:
         """Invert T(t) on the chart interval (T is strictly increasing)."""

@@ -309,18 +309,6 @@ def surviving_symmetry(fam: CompatibleFamily) -> PointSymmetry:
     return PointSymmetry(tau, xi, "Gamma_s")
 
 
-@dataclass(frozen=True)
-class SymmetryAnsatz:
-    """Ansatz tau = a(t), xi = (C0 + a'/2) x; closes the determining equations."""
-
-    a: TimeFunction
-    c0: float
-
-    def to_symmetry(self) -> PointSymmetry:
-        xi = (const(self.c0) + const(0.5) * self.a.derivative_expr(1)) * _X
-        return PointSymmetry(self.a.expr, xi, "ansatz")
-
-
 def ep_ode(fam: CompatibleFamily) -> SecondOrderODE:
     """The equation x'' = -Phi x + G/x^3 of a compatible family, as a field."""
     return SecondOrderODE.from_ep(fam.phi, fam.g)

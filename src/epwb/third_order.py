@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expressions import DomainError, TimeFunction, const, evaluate, var
+from .expressions import TimeFunction, const, evaluate, fail_first, var
 from .ode import IntegrationSettings, ODESystem, Trajectory, integrate, worst_residual
 from .oscillator import OscillatorBasis, QuadraticFormCurve
 from .pinney import SqrtCurve, ep_field
@@ -60,10 +60,7 @@ def first_integral(cfg: ThirdOrderConfig, w, t):
     w0, w1, w2 = w.jet(ts, 2)
     with np.errstate(all="ignore"):
         value = w0 * w2 - 0.5 * w1 * w1 + cfg.a.jet(ts, 0)[0] * w0 * w0
-    bad = ~np.isfinite(value)
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise DomainError(f"first integral is not finite at t={float(ts[i])!r}")
+    fail_first(~np.isfinite(value), "first integral is not finite at t={!r}", ts)
     return float(value[0]) if np.ndim(t) == 0 else value
 
 
@@ -92,11 +89,8 @@ def rho_substitution(cfg: ThirdOrderConfig, w, grid) -> tuple[SqrtCurve, float]:
     h2 = 0.5 * first_integral(cfg, w, float(grid[0]))
     rho = SqrtCurve(w, label="rho")
     r0, _, r2 = rho.jet(grid, 2)  # raises DomainError when w <= 0
-    small = r0 < 1e-6
-    if small.any():
-        # rho'' carries a 1/(2 rho) factor, so a vanishing w makes the
-        # residual pure rounding noise; same floor as the EP guard
-        i = int(np.argmax(small))
-        raise DomainError(f"w vanishes at t={float(grid[i])!r} (rho={float(r0[i])!r})")
+    # rho'' carries a 1/(2 rho) factor, so a vanishing w makes the
+    # residual pure rounding noise; same floor as the EP guard
+    fail_first(r0 < 1e-6, "w vanishes at t={!r} (rho={!r})", grid, r0)
     field = ep_field(cfg.base_phi().expr, const(h2))
     return rho, worst_residual(r2 - evaluate(field, {"t": grid, "x": r0}))

@@ -5,8 +5,8 @@ import pytest
 
 from epwb import (
     DegenerateBasisError,
+    PointSymmetry,
     SecondOrderODE,
-    SymmetryAnsatz,
     autonomous_family,
     basis_family,
     basis_with_ics,
@@ -21,7 +21,7 @@ from epwb import (
     symmetry_residual,
     time_function,
 )
-from epwb.expressions import Binary, Const, TimeFunction, evaluate, var
+from epwb.expressions import Binary, Const, TimeFunction, const, evaluate, var
 from epwb.symmetry import default_samples
 from tests.conftest import G_CATALOG, M_VALUES, POWER_LAW_G
 
@@ -296,7 +296,8 @@ class TestCompatibleFamily:
 
     def test_ansatz_is_c0_times_surviving(self):
         fam = compatible_family(time_function("(1+t)^4"), 2.0, 1.0, (0.0, 3.0))
-        ans = SymmetryAnsatz(fam.a, 2.0).to_symmetry()
+        # the ansatz tau = a(t), xi = (C0 + a'/2) x that closes the determining equations
+        ans = PointSymmetry(fam.a.expr, (const(2.0) + const(0.5) * fam.a.derivative_expr(1)) * var("x"))
         sym = surviving_symmetry(fam)
         assert component_distance(ans, sym, pair_samples((0.0, 3.0)), scale=2.0) <= 1e-10
 
