@@ -59,10 +59,10 @@ def main() -> None:
 
     damping, omega_fit, forcing = autonomy_fit(orbit)
     print(f"  autonomous fit: damping={damping:.6g}, omega={omega_fit:.6g}, forcing={forcing:.6g}")
-    print(f"  autonomous residual = {autonomous_residual(orbit, fam):.3e}")
+    print(f"  autonomous residual = {autonomous_residual(orbit, fam.omega):.3e}")
 
-    corrected = abel_residual(orbit, fam)
-    literal = abel_residual(orbit, fam, literal=True)
+    corrected = abel_residual(orbit, fam.omega)
+    literal = abel_residual(orbit, fam.omega, literal=True)
     print(f"  phase-plane residual (corrected) = {corrected.residual:.3e}"
           f"  [{corrected.samples_used} used, {corrected.samples_skipped} near turning points]")
     print(f"  phase-plane residual (literal)   = {literal.residual:.3e}")

@@ -123,8 +123,8 @@ def _chart_pipeline():
 
 
 def _chart_scale_entry(fam, orbit_quarter, orbit_literal) -> dict:
-    res_a = autonomous_residual(orbit_literal, fam)
-    res_b = autonomous_residual(orbit_quarter, fam)
+    res_a = autonomous_residual(orbit_literal, fam.omega)
+    res_b = autonomous_residual(orbit_quarter, fam.omega)
     return _entry(
         "chart-time-scale",
         "scale sigma in the rectifying time T = sigma log G",
@@ -138,8 +138,8 @@ def _chart_scale_entry(fam, orbit_quarter, orbit_literal) -> dict:
 
 
 def _abel_entry(fam, orbit_quarter) -> dict:
-    res_a = abel_residual(orbit_quarter, fam, literal=True).residual
-    res_b = abel_residual(orbit_quarter, fam).residual
+    res_a = abel_residual(orbit_quarter, fam.omega, literal=True).residual
+    res_b = abel_residual(orbit_quarter, fam.omega).residual
     return _entry(
         "abel-powers",
         "powers of u in the phase-plane relation for (u, v) = (X, dX/dT)",

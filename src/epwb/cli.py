@@ -154,13 +154,15 @@ def _settings(sc: dict) -> IntegrationSettings:
         raise ScenarioError(f"bad settings: {exc}")
 
 
-def _tf(sc: dict, key: str, default: str | None = None) -> TimeFunction:
-    text = sc.get(key, default)
-    if text is None:
-        raise ScenarioError(f"scenario is missing required key {key!r}")
+def _text(sc: dict, key: str, default: str | None = None) -> str:
+    text = sc.get(key, default) if default is not None else _require(sc, key)
     if not isinstance(text, str):
         raise ScenarioError(f"{key!r} must be an expression string, got {text!r}")
-    return time_function(text)
+    return text
+
+
+def _tf(sc: dict, key: str, default: str | None = None) -> TimeFunction:
+    return time_function(_text(sc, key, default))
 
 
 def _pair(sc: dict, key: str, default=None) -> tuple[float, float]:
@@ -310,7 +312,7 @@ def _run_verify_symmetry(sc: dict, base_dir: str) -> int:
     interval = _interval(sc)
     threshold = _number(sc, "threshold", _tol_default())
     if "tau" in sc or "xi" in sc:
-        sym = point_symmetry(str(_require(sc, "tau")), str(_require(sc, "xi")), "scenario")
+        sym = point_symmetry(_text(sc, "tau"), _text(sc, "xi"), "scenario")
         ode = SecondOrderODE.from_ep(_tf(sc, "phi"), _tf(sc, "g"))
     else:
         fam = compatible_family(_tf(sc, "g"), _number(sc, "c0"), _number(sc, "m"), interval)
@@ -346,8 +348,8 @@ def _run_reduce(sc: dict, base_dir: str) -> int:
     )
     _completed(traj)
     orbit = transform_trajectory(chart, traj, n=_count(sc, "n", 400, 2, _MAX_SAMPLES))
-    res = autonomous_residual(orbit, fam)
-    abel = abel_residual(orbit, fam)
+    res = autonomous_residual(orbit, fam.omega)
+    abel = abel_residual(orbit, fam.omega)
     report = {
         "kind": "reduce",
         "omega": fam.omega,

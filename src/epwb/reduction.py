@@ -28,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .expressions import DomainError, fail_first
 from .ode import Trajectory, worst_residual
@@ -91,7 +90,7 @@ class CanonicalChart:
         return x * self.scale(t)
 
     def t_of(self, big_t: float) -> float:
-        """Invert T(t) on the chart interval (T is strictly increasing)."""
+        """Invert the strictly increasing T(t) on the chart interval by bisection, to one ulp."""
         lo, hi = self.fam.interval
         t_lo, t_hi = self.time(lo), self.time(hi)
         if not t_lo <= big_t <= t_hi:
@@ -100,7 +99,9 @@ class CanonicalChart:
             return lo
         if big_t == t_hi:
             return hi
-        return float(brentq(lambda s: self.time(s) - big_t, lo, hi, xtol=1e-14))
+        while (mid := 0.5 * (lo + hi)) not in (lo, hi):  # bisect down to adjacent floats
+            lo, hi = (mid, hi) if self.time(mid) < big_t else (lo, mid)
+        return mid
 
     def x_of(self, t, big_x):
         return big_x / self.scale(t)
@@ -157,17 +158,10 @@ def transform_trajectory(
     return TransformedOrbit(t=ts, T=big_t, X=big_x, V=big_v, A=big_a)
 
 
-def _omega_of(fam_or_omega) -> float:
-    if isinstance(fam_or_omega, CompatibleFamily):
-        return fam_or_omega.omega
-    return float(fam_or_omega)
-
-
-def autonomous_residual(orbit: TransformedOrbit, fam_or_omega, x_min: float = 1e-6) -> float:
+def autonomous_residual(orbit: TransformedOrbit, omega: float, x_min: float = 1e-6) -> float:
     """max |X'' + 2 X' + Omega X - 16/X^3| along the transformed orbit."""
-    omega = _omega_of(fam_or_omega)
-    if np.min(orbit.X) <= x_min:
-        raise DomainError("transformed orbit approaches X = 0")
+    message = "transformed orbit approaches X = 0: X={!r} at T={!r}"
+    fail_first(orbit.X <= x_min, message, orbit.X, orbit.T)
     res = orbit.A + 2.0 * orbit.V + omega * orbit.X - FORCING_CONSTANT / orbit.X**3
     return worst_residual(res)
 
@@ -196,7 +190,7 @@ class AbelResult:
 
 def abel_residual(
     orbit: TransformedOrbit,
-    fam_or_omega,
+    omega: float,
     v_min: float = 1e-4,
     literal: bool = False,
 ) -> AbelResult:
@@ -207,14 +201,12 @@ def abel_residual(
     evaluates the rejected reading (linear term without u, 16/u instead of
     16/u^3) for the discriminator audit.
     """
-    omega = _omega_of(fam_or_omega)
     keep = ~(np.abs(orbit.V) < v_min)
     used = int(np.count_nonzero(keep))
     if used == 0:
         raise ValueError("every sample sits at a turning point; nothing to check")
     u, v, a = orbit.X[keep], orbit.V[keep], orbit.A[keep]
-    if np.any(u <= 1e-6):
-        raise DomainError("phase variable u approaches 0")
+    fail_first(u <= 1e-6, "phase variable u approaches 0: u={!r} at T={!r}", u, orbit.T[keep])
     dv_du = a / v
     if literal:
         r = v * dv_du + 2.0 * v + omega - FORCING_CONSTANT / u

@@ -32,6 +32,7 @@ from .expressions import (
     CurveVal,
     Expr,
     TimeFunction,
+    _first,
     const,
     cos,
     differentiate,
@@ -280,7 +281,7 @@ def compatible_family(
     ts = np.linspace(*finite_interval(interval), validation_samples)
     bad = evaluate(g1, {"t": ts}) <= 0.0
     if bad.any():
-        raise ValueError(f"G' is not positive at t={float(ts[bad][0])!r}")
+        raise ValueError("G' is not positive at t={!r}".format(*_first(bad, ts)))
     a_expr = (const(4.0 * c0) * ge) / g1
     a = TimeFunction(a_expr)
     a1 = a.derivative_expr(1)

@@ -132,6 +132,20 @@ class TestVerifySymmetry:
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["residual"] == 0.0
 
+    @pytest.mark.parametrize("tau", [1, None, [1, 2], True], ids=["number", "null", "list", "bool"])
+    def test_components_must_be_expression_strings(self, tmp_path, capsys, tau):
+        sc = {
+            "kind": "verify-symmetry",
+            "tau": tau,
+            "xi": "0",
+            "phi": "1",
+            "g": "1",
+            "interval": [0.0, 5.0],
+        }
+        path = write_scenario(tmp_path, sc)
+        assert run_cli(["run", str(path)]) == 1
+        assert "'tau' must be an expression string" in capsys.readouterr().err
+
 
 class TestVerifyInvariant:
     def lorentz_scenario(self, **extra):
@@ -222,6 +236,12 @@ class TestReduce:
         first = [float(s) for s in lines[1].split(",")]
         assert first[1] == pytest.approx(2.0, abs=1e-12)
         assert first[2] == pytest.approx(-3.0, abs=1e-10)
+
+    def test_decreasing_g_is_a_configuration_error(self, tmp_path, capsys):
+        path = write_scenario(tmp_path, self.reduce_scenario(g="5-(t-1)^2"))
+        assert run_cli(["run", str(path)]) == 1
+        assert "G' is not positive at t=" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
 
     def test_wrong_sigma_fails(self, tmp_path):
         path = write_scenario(tmp_path, self.reduce_scenario(sigma=0.75))

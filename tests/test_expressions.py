@@ -52,7 +52,7 @@ from epwb.expressions import (
 )
 from epwb.ode import IntegrationSettings, integrate, residual
 from epwb.pinney import EPConfig, SqrtCurve, ep_residual, ep_system, ermakov_invariant
-from epwb.reduction import CanonicalChart
+from epwb.reduction import CanonicalChart, TransformedOrbit, abel_residual, autonomous_residual
 from epwb.symmetry import basis_family, default_samples
 from epwb.third_order import ThirdOrderConfig, first_integral, rho_substitution
 
@@ -990,6 +990,12 @@ def _lorentz_series():
 _ONE = time_function("1")
 
 
+def _orbit(big_x, big_v=(1.0, 1.0, 1.0, 1.0)):
+    """A transformed orbit at T = 0, 1, 2, 3 with positions ``big_x`` and velocities ``big_v``."""
+    ts = np.arange(4.0)
+    return TransformedOrbit(t=ts, T=ts, X=np.array(big_x), V=np.array(big_v), A=np.ones(4))
+
+
 @pytest.mark.parametrize(
     "run, message",
     [
@@ -1030,10 +1036,20 @@ _ONE = time_function("1")
             "radius 0.0 too close to the axis at t=2.0",
         ),
         (_lorentz_series, "frequency squared 0.0 not positive at t=1.0"),
+        (
+            lambda: autonomous_residual(_orbit([1.0, 1e-7, 0.0, 1.0]), 1.0),
+            "transformed orbit approaches X = 0: X=1e-07 at T=1.0",
+        ),
+        (
+            # the turning point at T = 1 is skipped before u is checked
+            lambda: abel_residual(_orbit([1.0, 0.0, -1.0, 0.0], [1.0, 0.0, 1.0, 1.0]), 1.0),
+            "phase variable u approaches 0: u=-1.0 at T=2.0",
+        ),
     ],
     ids=[
         "sqrt_curve", "ep_residual", "ermakov_zero", "ermakov_nonfinite", "first_integral",
         "rho_substitution", "chart_g", "chart_g1", "radial_ep_residual", "lorentz",
+        "autonomous_residual", "abel_residual",
     ],
 )
 def test_grid_failures_name_the_first_bad_point(run, message):

@@ -286,6 +286,13 @@ class TestCompatibleFamily:
         with pytest.raises(ValueError):
             compatible_family(time_function("sin(t)"), 1.0, 1.0, (0.0, math.pi))
 
+    def test_decreasing_g_names_the_first_point(self):
+        # G' = -2 (t - 1) on the samples 0, 1, 2, 3 is not positive at 1, 2 and 3
+        with pytest.raises(ValueError) as exc:
+            compatible_family(time_function("5-(t-1)^2"), 1.0, 1.0, (0.0, 3.0), 4)
+        assert type(exc.value) is ValueError
+        assert str(exc.value) == "G' is not positive at t=1.0"
+
     def test_constant_g_rejected(self):
         with pytest.raises(ValueError):
             compatible_family(time_function("1"), 1.0, 1.0, (0.0, 1.0))
