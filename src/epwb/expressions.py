@@ -21,7 +21,9 @@ Trees are DAGs: one node may be the child of many.  Nodes are weakly
 interned: every way of building one (the parser, the smart constructors,
 the operators, copy and pickle) returns the live node of that structure if
 there is one, so structurally equal trees are one object and structural
-equality is identity.  The intern table holds no node alive.
+equality is identity.  The intern table is a plain dict from a node's
+structure to a weak reference to the node, whose callback removes the
+entry when the node goes, so the table holds no node alive.
 
 Each operation's domain rule is stated once, in ``_RULES``: its value and
 the conditions under which it is defined, each with the ``_MESSAGES`` key
@@ -162,21 +164,28 @@ class Expr:
         return neg(self)
 
 
-# Every live node, by its structure: class, op, children by identity and
-# leaf data.  Values are weak, so a node's entry goes when the node does.
-# Two threads racing on one key can only leave two equal nodes, which costs
-# sharing, never a value.
-_NODES = weakref.WeakValueDictionary()
+# Every live node, by its structure (class, op, children by identity and
+# leaf data), as a weak reference: the table holds no node alive.  The
+# reference's callback removes the entry when the node goes, unless a newer
+# node has taken the key by then.  Two threads racing on one key can only
+# leave two equal nodes, which costs sharing, never a value.
+_NODES = {}
+
+
+def _dropped(key, ref):
+    if _NODES.get(key) is ref:
+        _NODES.pop(key, None)
 
 
 def _interned(key, cls, *fields):
     """The live node under ``key``, or a new ``cls`` node of ``fields`` stored there."""
-    node = _NODES.get(key)
+    ref = _NODES.get(key)
+    node = None if ref is None else ref()
     if node is None:
         node = object.__new__(cls)
         for name, value in zip(cls.__slots__, fields):
             object.__setattr__(node, name, value)
-        _NODES[key] = node
+        _NODES[key] = weakref.ref(node, functools.partial(_dropped, key))
     return node
 
 
@@ -229,7 +238,17 @@ class Binary(Expr):
     __slots__ = ("op", "left", "right")
 
     def __new__(cls, op, left, right):
-        return _interned((cls, op, left, right), cls, op, left, right)
+        # the node built most often, so it skips _interned's generic loop
+        key = (cls, op, left, right)
+        ref = _NODES.get(key)
+        node = None if ref is None else ref()
+        if node is None:
+            node = object.__new__(cls)
+            object.__setattr__(node, "op", op)
+            object.__setattr__(node, "left", left)
+            object.__setattr__(node, "right", right)
+            _NODES[key] = weakref.ref(node, functools.partial(_dropped, key))
+        return node
 
     def _diff(self, var, d):
         a, b = self.left, self.right
@@ -271,8 +290,10 @@ class CurveVal(Expr):
         return _ZERO
 
 
-# built once: t for curve leaves, 0 and 1 for differentiation and folding
-_T, _ZERO, _ONE = Var("t"), Const(0.0), Const(1.0)
+# built once: t for curve leaves, the constants the smart constructors fold
+# by.  They live as long as the module, so every Const(0.0), Const(-0.0)
+# and Const(1.0) is one of them and a constructor tests for them by identity.
+_T, _ZERO, _NEG_ZERO, _ONE = Var("t"), Const(0.0), Const(-0.0), Const(1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -284,10 +305,6 @@ def _coerce(v) -> Expr:
     return Const(v)
 
 
-def _is_const(e: Expr, value: float | None = None) -> bool:
-    return isinstance(e, Const) and (value is None or e.value == value)
-
-
 def const(v: float) -> Const:
     return Const(v)
 
@@ -297,75 +314,75 @@ def var(name: str) -> Var:
 
 
 def add(a: Expr, b: Expr) -> Expr:
-    if isinstance(a, Const) and isinstance(b, Const):
+    if type(a) is Const and type(b) is Const:
         r = a.value + b.value
         if math.isfinite(r):
             return Const(r)
-    if _is_const(a, 0.0):
+    if a is _ZERO or a is _NEG_ZERO:
         return b
-    if _is_const(b, 0.0):
+    if b is _ZERO or b is _NEG_ZERO:
         return a
     return Binary("+", a, b)
 
 
 def sub(a: Expr, b: Expr) -> Expr:
-    if isinstance(a, Const) and isinstance(b, Const):
+    if type(a) is Const and type(b) is Const:
         r = a.value - b.value
         if math.isfinite(r):
             return Const(r)
-    if _is_const(b, 0.0):
+    if b is _ZERO or b is _NEG_ZERO:
         return a
-    if _is_const(a, 0.0):
+    if a is _ZERO or a is _NEG_ZERO:
         return neg(b)
     return Binary("-", a, b)
 
 
 def mul(a: Expr, b: Expr) -> Expr:
-    if isinstance(a, Const) and isinstance(b, Const):
+    if type(a) is Const and type(b) is Const:
         r = a.value * b.value
         if math.isfinite(r):
             return Const(r)
-    if _is_const(a, 0.0) or _is_const(b, 0.0):
+    if a is _ZERO or a is _NEG_ZERO or b is _ZERO or b is _NEG_ZERO:
         return _ZERO
-    if _is_const(a, 1.0):
+    if a is _ONE:
         return b
-    if _is_const(b, 1.0):
+    if b is _ONE:
         return a
     return Binary("*", a, b)
 
 
 def div(a: Expr, b: Expr) -> Expr:
-    if isinstance(a, Const) and isinstance(b, Const) and b.value != 0.0:
+    if type(a) is Const and type(b) is Const and b.value != 0.0:
         r = a.value / b.value
         if math.isfinite(r):
             return Const(r)
-    if _is_const(b, 1.0):
+    if b is _ONE:
         return a
-    if _is_const(a, 0.0):
+    if a is _ZERO or a is _NEG_ZERO:
         return _ZERO
     return Binary("/", a, b)
 
 
 def power(a: Expr, b: Expr) -> Expr:
-    if _is_const(b, 1.0):
+    if b is _ONE:
         return a
-    if _is_const(b, 0.0):
+    if b is _ZERO or b is _NEG_ZERO:
         return _ONE
-    if isinstance(a, Const) and isinstance(b, Const):
+    if type(a) is Const and type(b) is Const:
         return _folded(Binary("^", a, b))
     return Binary("^", a, b)
 
 
 def neg(e: Expr) -> Expr:
-    if isinstance(e, Const):
+    if type(e) is Const:
         return Const(-e.value)
-    if isinstance(e, Unary) and e.op == "neg":
+    if type(e) is Unary and e.op == "neg":
         return e.arg
     return Unary("neg", e)
 
 
 def _fold_unary(op: str, e: Expr) -> Expr:
-    if isinstance(e, Const):
+    if type(e) is Const:
         return _folded(Unary(op, e))
     return Unary(op, e)
 

@@ -844,6 +844,127 @@ class TestInterning:
         gc.collect()
         assert len(expressions._NODES) == baseline
 
+    def test_a_dead_nodes_callback_leaves_a_newer_node_alone(self):
+        old = Binary("+", Var("stale"), Const(0.125))
+        key = (Binary, "+", old.left, old.right)
+        stale = expressions._NODES[key]
+        callback = stale.__callback__
+        del old
+        gc.collect()
+        assert stale() is None and key not in expressions._NODES
+        new = Binary("+", Var("stale"), Const(0.125))
+        callback(stale)  # as if the dead node's callback ran after the new node took the key
+        assert expressions._NODES[key]() is new
+        assert Binary("+", Var("stale"), Const(0.125)) is new
+
+
+def test_a_check_leaves_the_table_as_it_found_it():
+    # every check builds its trees cold: once its results go, so do its nodes
+    gc.collect()
+    before = len(expressions._NODES)
+    fam = compatible_family(time_function("exp(4.1*t)"), 1.1, 0.7, (0.0, 2.0))
+    sym, equation = surviving_symmetry(fam), ep_ode(fam)
+    reading = symmetry_residual(sym, equation, default_samples((0.0, 2.0), n=4))
+    assert reading < 1e-6
+    assert len(expressions._NODES) > before
+    del fam, sym, equation
+    gc.collect()
+    assert len(expressions._NODES) == before
+
+
+# The constant rules stated by value, where 0.0 == -0.0: the reference that
+# the constructors, which test for the module's constants by identity, must match.
+def _by_value(e, value):
+    return isinstance(e, Const) and e.value == value
+
+
+def _reference_add(a, b):
+    if isinstance(a, Const) and isinstance(b, Const) and math.isfinite(a.value + b.value):
+        return Const(a.value + b.value)
+    if _by_value(a, 0.0):
+        return b
+    if _by_value(b, 0.0):
+        return a
+    return Binary("+", a, b)
+
+
+def _reference_sub(a, b):
+    if isinstance(a, Const) and isinstance(b, Const) and math.isfinite(a.value - b.value):
+        return Const(a.value - b.value)
+    if _by_value(b, 0.0):
+        return a
+    if _by_value(a, 0.0):
+        return _reference_neg(b)
+    return Binary("-", a, b)
+
+
+def _reference_mul(a, b):
+    if isinstance(a, Const) and isinstance(b, Const) and math.isfinite(a.value * b.value):
+        return Const(a.value * b.value)
+    if _by_value(a, 0.0) or _by_value(b, 0.0):
+        return Const(0.0)
+    if _by_value(a, 1.0):
+        return b
+    if _by_value(b, 1.0):
+        return a
+    return Binary("*", a, b)
+
+
+def _reference_div(a, b):
+    if isinstance(a, Const) and isinstance(b, Const) and b.value != 0.0:
+        if math.isfinite(a.value / b.value):
+            return Const(a.value / b.value)
+    if _by_value(b, 1.0):
+        return a
+    if _by_value(a, 0.0):
+        return Const(0.0)
+    return Binary("/", a, b)
+
+
+def _reference_power(a, b):
+    if _by_value(b, 1.0):
+        return a
+    if _by_value(b, 0.0):
+        return Const(1.0)
+    if isinstance(a, Const) and isinstance(b, Const):
+        return expressions._folded(Binary("^", a, b))
+    return Binary("^", a, b)
+
+
+def _reference_neg(e):
+    if isinstance(e, Const):
+        return Const(-e.value)
+    if isinstance(e, Unary) and e.op == "neg":
+        return e.arg
+    return Unary("neg", e)
+
+
+def _rule_operands():
+    # 1e308 * 1e308 overflows, so that product must not fold
+    constants = [Const(v) for v in (0.0, -0.0, 1.0, -1.0, 2.5, 1e308)]
+    return [*constants, Var("t"), sin(Var("t"))]
+
+
+@pytest.mark.parametrize(
+    "constructor, reference",
+    [
+        (expressions.add, _reference_add),
+        (expressions.sub, _reference_sub),
+        (expressions.mul, _reference_mul),
+        (expressions.div, _reference_div),
+        (expressions.power, _reference_power),
+    ],
+    ids=["add", "sub", "mul", "div", "power"],
+)
+def test_constant_rules_hold_for_both_zeros(constructor, reference):
+    for a, b in itertools.product(_rule_operands(), repeat=2):
+        assert constructor(a, b) is reference(a, b), (a, b)
+
+
+def test_neg_rules_hold_for_both_zeros():
+    for e in _rule_operands():
+        assert expressions.neg(e) is _reference_neg(e), e
+
 
 def test_integer_constant_agrees_on_both_paths():
     square = Binary("^", Var("t"), Const(2))

@@ -8,6 +8,7 @@ import json
 import os
 import re
 import runpy
+import subprocess
 import sys
 
 import pytest
@@ -44,3 +45,14 @@ def test_output_digests_run_on_a_copy(monkeypatch, capsys):
     files = [line.split() for line in lines if line.startswith("out/")]
     assert {name for name, _ in files} == outputs
     assert all(re.fullmatch("[0-9a-f]{64}", digest) for _, digest in files)
+
+
+def test_check_values_hold_and_repeat(tmp_path):
+    # a fresh interpreter: the script imports the benchmark's workloads module
+    path = os.path.join(SCRIPTS, "check_values.py")
+    argv = [sys.executable, path, "--workloads", "symmetry", "--seeds", "3"]
+    lines = subprocess.run(argv, cwd=tmp_path, capture_output=True, text=True, check=True).stdout.splitlines()
+    assert lines and all(line.startswith("symmetry seed=3 pass=") for line in lines)
+    assert all(line.endswith(" holds=True") for line in lines)
+    passes = [[line.replace(f" pass={n} ", " ") for line in lines if f" pass={n} " in line] for n in (1, 2)]
+    assert passes[0] == passes[1] and len(passes[0]) * 2 == len(lines)
