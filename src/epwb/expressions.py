@@ -54,7 +54,11 @@ node as ``evaluate``, and the operands its message shows agree up to the
 last bit: libm's exp, log, sin and cos may differ there from NumPy's
 (``math.exp(1.20703125)`` is one bit above ``np.exp``'s).  A kernel
 checks no input, but once a rule has failed it names a non-finite input
-(or constant) as ``evaluate`` does.
+(or constant) as ``evaluate`` does.  Like ``evaluate``'s flagged and
+checked pair, a kernel has two bodies: a fast one that checks only what
+float arithmetic does not signal and then tests one sum of its results
+and watched operands for finiteness, and a checked one that states every
+rule, which runs only when the fast one raises or that sum is not finite.
 
 ``differentiate`` is purely structural and memoised per call (or per
 ``TimeFunction``, across its orders), never on the nodes: a subtree shared
@@ -432,7 +436,12 @@ def differentiate(e: Expr, variable: str = "t", memo: dict | None = None) -> Exp
             derivative = memo[node] = node._diff(variable, d)
         return derivative
 
-    return d(e)
+    try:
+        return d(e)
+    finally:
+        # d refers to itself through its closure; without this the memo and
+        # every node in it would live until the next garbage collection
+        del d
 
 
 # ---------------------------------------------------------------------------
@@ -535,14 +544,32 @@ def _grid_check(cond: str, key: str, args: str):
     return (f"ok = {cond}", f"if not ok.all(): fail({key}, *first(~ok, {args}))")
 
 
-_SCALAR_LINES = {op: _rendered(op, _scalar_check, op in ("exp", "^")) for op in _RULES}
-_CURVE_LINES = ("{r} = float({c}.jet([{t}], {k})[{k}, 0])",)
-_UNBOUND_LINES = ("{r} = fail(UNBOUND, {name})",)
+# The conditions that IEEE 754 arithmetic does not signal.  Given finite
+# operands, every other condition fails exactly where its operation raises
+# NumPy's overflow, invalid or divide-by-zero flag, and where the float
+# operation raises or gives inf or NaN: a non-finite result of finite
+# operands always does.  Zero to a positive fractional power is 0 with no
+# flag, and the checks of a positive tree and of an input are no arithmetic.
+_SILENT = frozenset({"FRAC", "POSITIVE", "NONFINITE"})
+
+# Template lines of each operation in a kernel's two bodies, (fast,
+# checked): the fast body checks only the conditions in ``_SILENT``.
+_SCALAR_LINES = {
+    op: (_rendered(op, _scalar_check, keys=_SILENT), _rendered(op, _scalar_check, op in ("exp", "^")))
+    for op in _RULES
+}
+_SCALAR_LINES["curve"] = (("{r} = float({c}.jet([{t}], {k})[{k}, 0])",),) * 2
+_SCALAR_LINES["unbound"] = (("{r} = fail(UNBOUND, {name})",),) * 2
+# The operands that float arithmetic can turn from inf or NaN into a finite
+# value without raising (exp(-inf), x/inf, 0.5^inf, inf^-1, 1^nan, nan^0),
+# and a domain tree, whose value feeds no result: the fast body watches them.
+_WATCHED = {"exp": "a", "/": "b", "^": "ab", "positive": "a"}
 
 _KERNEL_GLOBALS = {
     "__builtins__": {},
     "float": float,
     "OverflowError": OverflowError,
+    "SIGNALLED": (ArithmeticError, ValueError),
     "inf": math.inf,
     **{name: getattr(math, name) for name in _FUNCTIONS},
     "pow": math.pow,
@@ -552,12 +579,6 @@ _KERNEL_GLOBALS = {
 }
 
 
-# The conditions that NumPy's IEEE 754 exception flags do not signal.  Given
-# finite operands, every other condition fails exactly where its operation
-# raises overflow, invalid or divide-by-zero: a non-finite result of finite
-# operands always does.  Zero to a positive fractional power is 0 with no
-# flag, and the checks of a positive tree and of an input are no arithmetic.
-_SILENT = frozenset({"FRAC", "POSITIVE", "NONFINITE"})
 _FLAGS = {"over": "raise", "invalid": "raise", "divide": "raise", "under": "ignore"}
 
 
@@ -681,28 +702,43 @@ def scalar_kernel(exprs, variables=("t",), positive=()):
     DomainError where it is first used.  Names, constants and curves reach
     the function through its namespace, never through its source, so
     trees of one shape share compiled code.
+
+    The function has two bodies.  The fast one computes the values and
+    checks only the ``_SILENT`` conditions; every other failure raises
+    (ArithmeticError or ValueError) or leaves inf or NaN in a node, which
+    reaches a result, a domain tree or a ``_WATCHED`` operand, so one
+    ``isfinite`` of their sum returns the values.  Anything else runs the
+    checked body, which states every rule and so raises or returns what it
+    would alone: a false alarm costs a second run, never another result.
     """
     roots = (exprs,) if isinstance(exprs, Expr) else tuple(exprs)
     params = [f"a{i}" for i in range(len(variables))]
-    args, lines = {}, []
+    args, unpack = {}, []
     for a, spec in zip(params, variables):
         if isinstance(spec, str):
             args[spec] = a
         else:  # a sequence, unpacked into one local per name
             args.update((name, f"{a}_{j}") for j, name in enumerate(spec))
-            lines.append("(" + "".join(f"{a}_{j}, " for j in range(len(spec))) + f") = {a}")
+            unpack.append("(" + "".join(f"{a}_{j}, " for j in range(len(spec))) + f") = {a}")
+    fast, checked = list(unpack), list(unpack)
     namespace = dict(_KERNEL_GLOBALS)
-    refs, computed, constants_finite = {}, 0, True
+    refs, watched, computed, constants_finite = {}, {}, 0, True
 
     def bind(value) -> str:
         name = f"k{len(namespace)}"
         namespace[name] = value
         return name
 
-    def compute(template, **operands) -> str:
+    def watch(*locals_):
+        # only operations can fail, so an input or a constant needs no watch
+        watched.update((local, None) for local in locals_ if local.startswith("v"))
+
+    def compute(op, **operands) -> str:
         nonlocal computed
         r, computed = f"v{computed}", computed + 1
-        lines.extend(line.format(r=r, **operands) for line in template)
+        for body, template in zip((fast, checked), _SCALAR_LINES[op]):
+            body.extend(line.format(r=r, **operands) for line in template)
+        watch(*(operands[name] for name in _WATCHED.get(op, "")))
         return r
 
     def emit(node: Expr) -> str:
@@ -713,13 +749,13 @@ def scalar_kernel(exprs, variables=("t",), positive=()):
         if isinstance(node, Var):
             if node.name in args:
                 return args[node.name]
-            return compute(_UNBOUND_LINES, name=bind(node.name))
+            return compute("unbound", name=bind(node.name))
         if isinstance(node, Unary):
-            return compute(_SCALAR_LINES[node.op], a=ref(node.arg))
+            return compute(node.op, a=ref(node.arg))
         if isinstance(node, Binary):
-            return compute(_SCALAR_LINES[node.op], a=ref(node.left), b=ref(node.right))
+            return compute(node.op, a=ref(node.left), b=ref(node.right))
         if isinstance(node, CurveVal):
-            return compute(_CURVE_LINES, t=ref(_T), c=bind(node.curve), k=bind(node.order))
+            return compute("curve", t=ref(_T), c=bind(node.curve), k=bind(node.order))
         raise TypeError(f"cannot compile node {node!r}")
 
     def ref(node: Expr) -> str:
@@ -729,21 +765,30 @@ def scalar_kernel(exprs, variables=("t",), positive=()):
         return local
 
     for tree in positive:
-        compute(_SCALAR_LINES["positive"], a=ref(tree), b=bind(_inner(tree)))
+        compute("positive", a=ref(tree), b=bind(_inner(tree)))
     results = [ref(root) for root in roots]
+    watch(*results)
     if isinstance(exprs, Expr):
         value = results[0]
     else:
         value = "(" + "".join(r + ", " for r in results) + ")"
+    if watched:
+        fast.append(f"if isfinite({' + '.join(watched)}): return {value}")
+    else:
+        fast.append(f"return {value}")
     namespace["explain"] = functools.partial(_explain, roots, variables, positive, constants_finite)
-    body = "".join(f"        {line}\n" for line in (*lines, "return " + value))
     args = ", ".join(params)
     source = (
-        f"def kernel({args}):\n    try:\n{body}"
+        f"def kernel({args}):\n    try:\n{_block(fast)}    except SIGNALLED:\n        pass\n"
+        f"    try:\n{_block(checked)}        return {value}\n"
         f"    except DomainError:\n        explain({args})\n        raise\n"
     )
     exec(_compiled(source), namespace)
     return namespace["kernel"]
+
+
+def _block(lines) -> str:
+    return "".join(f"        {line}\n" for line in lines)
 
 
 def _explain(roots, variables, positive, constants_finite, *args):

@@ -12,10 +12,14 @@ A system is data: one expression field per state component over
 ("t", *state names), and domain trees that must stay positive.  Its
 ``rhs(t, y)`` is the scalar kernel compiled from them: ``y`` a sequence of
 ``dim`` floats, the result a tuple of ``dim`` floats, and DomainError
-(never NaN or inf) where the system is undefined.  One attempted step is
-one generated straight-line Python function per state dimension (built
-once, then cached) that calls ``rhs`` once per stage; an ``rhs`` that
-raises or returns a non-finite value rejects the attempt.
+(never NaN or inf) where the system is undefined; it is compiled when
+first read.  One attempted step is one generated straight-line Python
+function per state dimension (built once, then cached) that calls ``rhs``
+once per stage; an ``rhs`` that raises or returns a non-finite value
+rejects the attempt.  The guard scan of an accepted step is generated
+beside it: straight-line calls of the guard at the step's end, then at
+1/4, 1/2 and 3/4 of the step on the interpolated states, stopping at the
+first that fires.
 
 Trajectories remember the system that produced them and carry a
 termination status:
@@ -218,25 +222,42 @@ _MAX_FACTOR = 10.0
 _RHS_ERRORS = (DomainError, ZeroDivisionError, OverflowError)
 
 
+class _CompiledOnFirstRead:
+    """``ODESystem.rhs`` when none is given: the kernel of the fields, compiled when first read.
+
+    A non-data descriptor, so the kernel it stores in the instance's
+    ``__dict__`` is found there on every later read.  Read on the class (as
+    the dataclass does for the field's default) it is None.
+    """
+
+    def __get__(self, system, owner=None):
+        if system is None:
+            return None
+        kernel = scalar_kernel(system.fields, ("t", system.names), positive=system.domain)
+        system.__dict__["rhs"] = kernel
+        return kernel
+
+
 @dataclass(frozen=True)
 class ODESystem:
     """First-order system y' = f(t, y), written once as expression fields.
 
     ``fields[i]`` is the tree of y_i' over ("t", *names); each tree in
-    ``domain`` must stay > 0.  ``rhs`` is compiled from them unless given
-    (only instrumentation passes one).  ``guard(t, y)`` returns True to stop.
+    ``domain`` must stay > 0.  ``rhs`` is compiled from them when first
+    read unless given (only instrumentation passes one), so a system that
+    is never integrated compiles nothing.  ``guard(t, y)`` returns True to
+    stop.
     """
 
     names: tuple[str, ...]
     fields: tuple[Expr, ...]
     domain: tuple[Expr, ...] = ()
     guard: Optional[Callable[[float, Sequence[float]], bool]] = None
-    rhs: Optional[Callable[[float, Sequence[float]], tuple[float, ...]]] = None
+    rhs: Optional[Callable[[float, Sequence[float]], tuple[float, ...]]] = _CompiledOnFirstRead()
 
     def __post_init__(self):
-        if self.rhs is None:
-            kernel = scalar_kernel(self.fields, ("t", self.names), positive=self.domain)
-            object.__setattr__(self, "rhs", kernel)
+        if self.__dict__["rhs"] is None:
+            del self.__dict__["rhs"]  # the class's descriptor compiles it when read
 
     @property
     def dim(self) -> int:
@@ -389,16 +410,22 @@ def worst_residual(values) -> float:
 
 
 def _initial_step(rhs, t0, y0, f0, t1, rtol, atol):
-    y0, f0 = np.asarray(y0, dtype=float), np.asarray(f0, dtype=float)
-    scale = atol + rtol * np.abs(y0)
-    d0 = _rms(y0 / scale)
-    d1 = _rms(f0 / scale)
+    # RMS norms over floats, each sum of squares taken in index order
+    scale = [atol + rtol * abs(y) for y in y0]
+    n = len(scale)
+    d0 = d1 = 0.0
+    for y, f, s in zip(y0, f0, scale):
+        d0 += (y / s) * (y / s)
+        d1 += (f / s) * (f / s)
+    d0, d1 = math.sqrt(d0 / n), math.sqrt(d1 / n)
     h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
     h0 = min(h0, abs(t1 - t0))
     try:
-        y1 = y0 + h0 * f0
-        f1 = np.asarray(rhs(t0 + h0, tuple(y1.tolist())), dtype=float)
-        d2 = _rms((f1 - f0) / scale) / h0
+        f1 = rhs(t0 + h0, tuple(y + h0 * f for y, f in zip(y0, f0)))
+        d2 = 0.0
+        for a, b, s in zip(f0, f1, scale):
+            d2 += ((b - a) / s) * ((b - a) / s)
+        d2 = math.sqrt(d2 / n) / h0
     except _RHS_ERRORS:
         d2 = math.inf
     if d1 <= 1e-15 and d2 <= 1e-15:
@@ -406,10 +433,6 @@ def _initial_step(rhs, t0, y0, f0, t1, rtol, atol):
     else:
         h1 = (0.01 / max(d1, d2)) ** (1 / 8)
     return min(100 * h0, h1, abs(t1 - t0))
-
-
-def _rms(v: np.ndarray) -> float:
-    return float(np.sqrt(np.mean(np.square(v))))
 
 
 def _terms(coeffs, names) -> str:
@@ -436,8 +459,10 @@ def _stepper(dim: int):
     and the 7*dim monomial coefficients of the interpolant, component by
     component; on rejection the last three are None.  A right-hand side
     that raises, or a non-finite stage or new state, gives err = inf.
-    ``scan(y, q)`` returns the states at the fractions ``_SCAN_AT`` of that
-    step, by Horner's rule.
+    ``scan(guard, t, h, y, y_new, q)`` is True when ``guard`` fires on that
+    step: it calls ``guard(t + h, y_new)``, then ``guard`` at the times
+    ``t + th*h`` for the fractions ``th`` of ``_SCAN_AT``, on the states
+    there by Horner's rule, and stops at the first call that fires.
     """
     comps = range(dim)
 
@@ -508,10 +533,16 @@ def _stepper(dim: int):
     ]
     lines += [
         f"    return err, {new}, {tup(f'k12_{i}' for i in comps)}, {tup(q)}",
-        "def scan(y, q):",
+        "def scan(guard, t, h, y, y_new, q):",
+        "    if guard(t + h, y_new):",
+        "        return True",
         f"    {ys} = y",
         f"    {tup(f'q{j}' for j in range(_DEGREE * dim))} = q",
-        f"    return {tup(tup(horner(i, th) for i in comps) for th in _SCAN_AT)}",
+        *(
+            f"    if guard(t + {th!r}*h, {tup(horner(i, th) for i in comps)}):\n        return True"
+            for th in _SCAN_AT
+        ),
+        "    return False",
     ]
     namespace = {
         "_RHS_ERRORS": _RHS_ERRORS, "inf": math.inf, "isfinite": math.isfinite, "sqrt": math.sqrt
@@ -568,45 +599,49 @@ def integrate(
     facold = 1e-4
     rejected = False
     step, scan = _stepper(sys.dim)
+    # the loop's constants and calls as locals; each min/max is written out
+    # as the conditional expression that returns what min/max would
+    isfinite, expo, beta, safety = math.isfinite, _EXPO, _BETA, _SAFETY
+    fac_lo, fac_hi = 1 / _MAX_FACTOR, 1 / _MIN_FACTOR
+    add_time, add_state, add_dense, add_step = times.append, states.append, dense.append, steps.append
 
     for _ in range(settings.max_steps):
         if t >= t1:
             return done(COMPLETED)
-        hmin = 1e-14 * max(1.0, abs(t))
-        if h < hmin:
+        a = abs(t)
+        if h < 1e-14 * (a if a > 1.0 else 1.0):
             return done(STEP_FAILURE, f"step size underflow at t={t!r}")
-        h = min(h, t1 - t)
+        rest = t1 - t
+        if rest < h:
+            h = rest
 
         err_norm, y_new, f_new, q = step(rhs, t, h, y, f, rtol, atol)
         if not (err_norm <= 1.0):
             # reject
-            fac11 = err_norm**_EXPO if math.isfinite(err_norm) else 10.0
-            h = h / min(1 / _MIN_FACTOR, fac11 / _SAFETY)
+            fac = (err_norm**expo if isfinite(err_norm) else 10.0) / safety
+            h = h / (fac if fac < fac_hi else fac_hi)
             rejected = True
             continue
 
         # accepted: guard scan over the step before committing it
-        if guard is not None and (
-            guard(t + h, y_new)
-            or any(guard(t + th * h, state) for th, state in zip(_SCAN_AT, scan(y, q)))
-        ):
+        if guard is not None and scan(guard, t, h, y, y_new, q):
             return done(GUARD_STOP, f"guard fired within step ending t={t + h!r}")
 
-        times.append(t + h)
-        states.append(y_new)
-        dense.append(q)
-        steps.append(h)
+        add_time(t + h)
+        add_state(y_new)
+        add_dense(q)
+        add_step(h)
         t = t + h
         y = y_new
         f = f_new  # FSAL
 
-        fac = err_norm**_EXPO / facold**_BETA
-        fac = max(1 / _MAX_FACTOR, min(1 / _MIN_FACTOR, fac / _SAFETY))
-        h_new = h / fac
+        fac = err_norm**expo / facold**beta / safety
+        fac = fac if fac < fac_hi else fac_hi
+        h_new = h / (fac if fac > fac_lo else fac_lo)
         if rejected:
-            h_new = min(h_new, h)
+            h_new = h if h < h_new else h_new
             rejected = False
-        facold = max(err_norm, 1e-4)
+        facold = 1e-4 if 1e-4 > err_norm else err_norm
         h = h_new
 
     if t >= t1:

@@ -9,6 +9,7 @@ import pickle
 import re
 import subprocess
 import sys
+from unittest import mock
 
 import hypothesis.strategies as st
 import numpy as np
@@ -51,6 +52,7 @@ from epwb.expressions import (
     var,
 )
 from epwb.ode import IntegrationSettings, integrate, residual
+from epwb.oscillator import basis_with_ics, oscillator_system
 from epwb.pinney import EPConfig, SqrtCurve, ep_residual, ep_system, ermakov_invariant
 from epwb.reduction import CanonicalChart, TransformedOrbit, abel_residual, autonomous_residual
 from epwb.symmetry import basis_family, default_samples
@@ -568,7 +570,7 @@ def test_scalar_callers_compile_once_and_reuse(kernels):
     fam = compatible_family(time_function("exp(4*t)"), 1.0, 1.0, (0.0, 2.0))
     assert kernels["builds"] == 0  # building trees compiles nothing
     system = ep_system(EPConfig(phi=fam.phi, g=fam.g))
-    assert kernels["builds"] == 1  # the whole EP field, phi and g inlined
+    assert kernels["builds"] == 0  # a system compiles its right-hand side when first read
     rhs_calls = 0
 
     def counting_rhs(t, y):
@@ -578,7 +580,7 @@ def test_scalar_callers_compile_once_and_reuse(kernels):
 
     traj = integrate(dataclasses.replace(system, rhs=counting_rhs), [1.0, 0.0], (0.0, 0.5))
     assert len(traj.times) > 10
-    assert kernels["builds"] == 1
+    assert kernels["builds"] == 1  # the whole EP field, phi and g inlined
     assert kernels["calls"] == rhs_calls > 10 * len(traj.times)  # one per right-hand side
     sym = surviving_symmetry(fam)
     built, called = kernels["builds"], kernels["calls"]
@@ -588,6 +590,22 @@ def test_scalar_callers_compile_once_and_reuse(kernels):
         fam.g.eval(t, 2)  # evaluate, not a kernel
     assert kernels["builds"] == built + 1  # tau and xi together
     assert kernels["calls"] == called + 3
+
+
+def test_a_system_compiles_its_right_hand_side_when_first_read(kernels):
+    phi = time_function("1+0.5*sin(3*t)")
+    system = oscillator_system(phi)
+    assert kernels["builds"] == 0
+    basis_with_ics(phi, (0.0, 2.0), (1.0, 0.0), (0.0, 1.0))
+    assert kernels["builds"] == 1  # the (u, u', v, v') pair; its u and v views compile nothing
+    integrate(system, (1.0, 0.0), (0.0, 1.0))
+    assert kernels["builds"] == 2
+    rhs = system.rhs
+    assert system.rhs is rhs and kernels["builds"] == 2
+    # instrumentation substitutes its own right-hand side, which is never compiled over
+    counted = dataclasses.replace(system, rhs=lambda t, y: rhs(t, y))
+    assert counted.rhs(0.5, (1.0, 0.0)) == rhs(0.5, (1.0, 0.0))
+    assert kernels["builds"] == 2
 
 
 def test_import_compiles_no_kernel():
@@ -624,7 +642,8 @@ def test_dag_compiles_to_one_operation_per_node(compiled):
     assert kernel(0.3) == math.sin(0.3)
     (source,) = compiled
     operations = [ln for ln in source.splitlines() if ln.lstrip().startswith("v")]
-    assert len(operations) == 1 + 80  # sin, then one '*' and one '-' per level
+    # in each of the fast and the checked body: sin, then one '*' and one '-' per level
+    assert len(operations) == 2 * (1 + 80)
 
 
 def test_equal_operations_share_a_local_and_shapes_share_code(compiled):
@@ -632,7 +651,7 @@ def test_equal_operations_share_a_local_and_shapes_share_code(compiled):
     kernel = scalar_kernel(parse_expression("sin(2*t) + t*sin(2*t)"), ("t",))
     assert kernel(0.4) == math.sin(0.8) + 0.4 * math.sin(0.8)
     (source,) = compiled
-    assert source.count("sin(") == 1
+    assert source.count("sin(") == 2  # once in each body
     # another tree of the same shape runs the same code with its own constants
     first = scalar_kernel(parse_expression("1+0.5*sin(3*t)"), ("t",))
     second = scalar_kernel(parse_expression("2+0.25*sin(5*t)"), ("t",))
@@ -678,6 +697,86 @@ def test_kernel_agrees_with_one_point_grid_evaluation(e, t):
             kernel(t)
         return
     np.testing.assert_allclose(kernel(t), expected, rtol=1e-12, atol=0.0)
+
+
+# trees whose nodes can overflow and whose later nodes can hide it again:
+# exp(-inf), x/inf, 0.5^inf and inf^-1 are finite
+_wild_leaf = st.one_of(
+    st.just(var("t")), st.sampled_from([0.0, -0.0, 0.5, -1.0, 2.0, 1.5, 400.0, 1e200]).map(const)
+)
+
+
+def _wild_combine(children):
+    return st.one_of(
+        st.tuples(st.sampled_from(["+", "-", "*", "/", "^"]), children, children).map(
+            lambda p: Binary(*p)
+        ),
+        st.tuples(_unops, children).map(lambda p: Unary(*p)),
+    )
+
+
+_wild = st.recursive(_wild_leaf, _wild_combine, max_leaves=8)
+_WILD_INPUTS = st.floats(min_value=-3.0, max_value=3.0) | st.sampled_from(
+    (*_SPECIAL, 400.0, -400.0, 1e200, -1e200, math.inf, -math.inf, math.nan)
+)
+
+
+def _kernel_outcome(kernel, *args):
+    """``repr`` of what ``kernel(*args)`` returns, or the message of the DomainError it raises."""
+    try:
+        return repr(kernel(*args))
+    except DomainError as exc:
+        return f"DomainError: {exc}"
+
+
+def _checked_only(exprs, variables=("t",), positive=()):
+    """A kernel whose fast body states every rule too, so it returns what the checked body does."""
+    checked = {op: (lines[1], lines[1]) for op, lines in expressions._SCALAR_LINES.items()}
+    with mock.patch.dict(expressions._SCALAR_LINES, checked):
+        return scalar_kernel(exprs, variables, positive)
+
+
+@settings(max_examples=400, deadline=None)
+@given(e=_wild, domain=st.none() | _wild, t=_WILD_INPUTS)
+@example(e=parse_expression("t^0.5"), domain=None, t=0.0)  # 0^0.5 is 0 and raises nothing
+def test_fast_body_returns_what_the_checked_body_returns(e, domain, t):
+    positive = () if domain is None else (domain,)
+    fast = scalar_kernel((e, -e), ("t",), positive)
+    assert _kernel_outcome(fast, t) == _kernel_outcome(_checked_only((e, -e), ("t",), positive), t)
+
+
+@pytest.mark.parametrize(
+    "expr, t, domain",
+    [
+        ("1/(exp(t)*exp(t))", 400.0, None),
+        ("exp(-(t*t))", 1e200, None),
+        ("0.5^(t*t)", 1e200, None),
+        ("(t*t)^(0-1)", 1e200, None),
+        ("t", 1e200, "t*t"),  # a domain tree that overflows, its value used by no result
+    ],
+)
+def test_an_overflow_that_a_later_node_hides_still_raises(expr, t, domain):
+    e = parse_expression(expr)
+    positive = () if domain is None else (parse_expression(domain),)
+    with pytest.raises(DomainError) as exc:
+        scalar_kernel(e, ("t",), positive)(t)
+    with pytest.raises(DomainError) as grid:
+        evaluate(e, {"t": np.array([t])}, positive)
+    (text, numbers), (grid_text, grid_numbers) = map(_rule_and_operands, (str(exc.value), str(grid.value)))
+    assert text == grid_text == "overflow in '*' of # and #"
+    np.testing.assert_allclose(numbers, grid_numbers, rtol=1e-12, atol=0.0)
+
+
+def test_a_non_finite_input_passes_through_unchecked():
+    # a kernel checks no input: one that reaches a result untouched, or
+    # through an operation whose rule holds, is returned as the checked body
+    # returns it; once a rule fails, the input is named as evaluate names it
+    t, x = var("t"), var("x")
+    kernel = scalar_kernel((x, 1.0 / x), ("t", "x"))
+    assert kernel(0.0, math.inf) == (math.inf, 0.0)
+    kernel = scalar_kernel((x, t * x), ("t", "x"))
+    with pytest.raises(DomainError, match="^non-finite value inf in variable 'x'$"):
+        kernel(2.0, math.inf)
 
 
 class _Line:
@@ -795,6 +894,20 @@ def test_kernel_source_never_holds_expression_text(compiled):
     assert len(compiled) == 2  # evaluate compiles nothing
     for source in compiled:
         assert "import" not in source and "'" not in source
+
+
+def test_a_dropped_derivative_leaves_the_table_without_a_collection():
+    gc.collect()
+    gc.disable()
+    try:
+        before = len(expressions._NODES)
+        e = parse_expression("exp(sin(3*t))*log(2+t^2)")
+        d = differentiate(e)
+        assert len(expressions._NODES) > before
+        del e, d
+        assert len(expressions._NODES) == before  # no reference cycle kept the memo
+    finally:
+        gc.enable()
 
 
 # --- interning ----------------------------------------------------------------

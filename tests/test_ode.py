@@ -463,13 +463,35 @@ class TestGeneratedStep:
         assert rest == [None, None, None]
 
     def test_scan_matches_the_dense_output(self):
-        # the guard sees the states that sample() interpolates at th = 1/4, 1/2, 3/4
+        # the guard sees the end of the step, then the states that sample()
+        # interpolates at th = 1/4, 1/2, 3/4
         tr = integrate(coupled(3), (0.4, 0.7, 1.0), (0.0, 1.0))
         _, scan = ode._stepper(3)
         t, h = tr.times[0], tr.times[1] - tr.times[0]
-        states = scan(tuple(tr.states[0]), tuple(tr._dense[0].ravel()))
-        for th, state in zip(ode._SCAN_AT, states):
+        seen = []
+
+        def guard(tg, state):
+            seen.append((tg, state))
+            return False
+
+        y, y_new = tuple(tr.states[0]), tuple(tr.states[1])
+        assert scan(guard, t, h, y, y_new, tuple(tr._dense[0].ravel())) is False
+        assert seen[0] == (t + h, y_new)
+        assert [tg for tg, _ in seen[1:]] == [t + th * h for th in ode._SCAN_AT]
+        for th, (_, state) in zip(ode._SCAN_AT, seen[1:]):
             assert_close(state, tr.sample(t + th * h), np.abs(state))
+
+    @pytest.mark.parametrize("fires", range(4))
+    def test_scan_stops_at_the_first_guard_that_fires(self, fires):
+        _, scan = ode._stepper(1)
+        calls = []
+
+        def guard(tg, state):
+            calls.append(tg)
+            return len(calls) == fires + 1
+
+        assert scan(guard, 0.0, 1.0, (0.0,), (1.0,), (1.0,) + (0.0,) * 6) is True
+        assert calls == [1.0, *ode._SCAN_AT][: fires + 1]
 
     def test_generated_once_per_dimension(self):
         code = ode._stepper(3)
@@ -481,6 +503,39 @@ class TestGeneratedStep:
         assert after.misses == before.misses
         assert after.hits >= before.hits + 2
         assert ode._stepper(2)[0] is not code[0]
+
+
+def numpy_initial_step(rhs, t0, y0, f0, t1, rtol, atol):
+    """Reference for ``ode._initial_step``: the same rule with NumPy's RMS norms."""
+    y0, f0 = np.asarray(y0, dtype=float), np.asarray(f0, dtype=float)
+    scale = atol + rtol * np.abs(y0)
+
+    def rms(v):
+        return float(np.sqrt(np.mean(np.square(v))))
+
+    d0, d1 = rms(y0 / scale), rms(f0 / scale)
+    h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
+    h0 = min(h0, abs(t1 - t0))
+    f1 = np.asarray(rhs(t0 + h0, tuple((y0 + h0 * f0).tolist())), dtype=float)
+    d2 = rms((f1 - f0) / scale) / h0
+    h1 = max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15 else (0.01 / max(d1, d2)) ** (1 / 8)
+    return min(100 * h0, h1, abs(t1 - t0))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_initial_step_equals_the_numpy_norms(dim):
+    # the first step sets the whole step sequence, so it must not move by a bit
+    rng = np.random.default_rng(dim)
+    for _ in range(2000):
+        y0 = tuple((rng.standard_normal(dim) * np.exp(rng.uniform(-12, 12, dim))).tolist())
+        f0 = tuple((rng.standard_normal(dim) * np.exp(rng.uniform(-12, 12, dim))).tolist())
+        m = rng.standard_normal((dim, dim))
+
+        def rhs(t, y):
+            return tuple((m @ np.asarray(y) + t).tolist())
+
+        args = (rhs, 0.0, y0, f0, float(rng.uniform(0.1, 100.0)), 1e-10, 1e-12)
+        assert ode._initial_step(*args) == numpy_initial_step(*args)
 
 
 def failing_once(call: int, failure: str) -> ODESystem:
