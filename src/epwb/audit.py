@@ -5,8 +5,14 @@ internal inconsistencies (conflicting readings of the same formula in
 different places, or a form that contradicts what a neighboring derivation
 forces).  Each entry below evaluates BOTH candidate readings against an
 independent numerical oracle and records the residuals and the verdict.
-Nothing here is tuned: the accepted reading lands at integrator accuracy,
-the rejected one fails by many orders of magnitude.
+Nothing here is tuned, and in every entry the rejected reading fails by
+many orders of magnitude.  Only wronskian-exponent depends on the
+integration: its accepted reading lands at integrator accuracy.  The other
+four are identities that hold at rounding level on any data, so they test
+the formula and not the orbit: the bracket is algebra over the symmetry
+fields, the product entry builds z'' = -a z from z and z' by Leibniz's
+rule, and the chart and Abel entries take x'' from the producing
+right-hand side at each sampled state.
 
 Entries, in fixed order:
   wronskian-exponent        h^2 = (AC - B^2) W   vs   (AC - B^2) W^2

@@ -45,20 +45,19 @@ checks made outside a tree.
 callers, an ODE system's ``rhs`` and ``PointSymmetry.components``, where
 one array call would cost more than the arithmetic: it compiles trees
 into a generated straight-line Python function over floats, with one
-local per distinct node in the post-order of a tree walk and every rule
-inline, so a DAG costs its distinct nodes, not its paths.  Names,
+local per distinct node in the post-order of a tree walk, so a DAG
+costs its distinct nodes, not its paths.  Names,
 constants and curves reach a kernel through its namespace, never through
 its source, so the compiled code of a source is reused by every tree of
-that shape.  On one point a kernel fails by the same rule at the same
-node as ``evaluate``, and the operands its message shows agree up to the
-last bit: libm's exp, log, sin and cos may differ there from NumPy's
-(``math.exp(1.20703125)`` is one bit above ``np.exp``'s).  A kernel
-checks no input, but once a rule has failed it names a non-finite input
-(or constant) as ``evaluate`` does.  Like ``evaluate``'s flagged and
-checked pair, a kernel has two bodies: a fast one that checks only what
-float arithmetic does not signal and then tests one sum of its results
-and watched operands for finiteness, and a checked one that states every
-rule, which runs only when the fast one raises or that sum is not finite.
+that shape.  A kernel checks only what float arithmetic does not signal
+and then tests one sum of its results and watched operands for
+finiteness.  When an operation raises or that sum is not finite, it runs
+``evaluate`` on the one point, which raises if a rule fails there; so a
+kernel fails by the same rule at the same node as ``evaluate``, with the
+same message (a non-finite input or constant named as such), by
+construction.  Its values agree with ``evaluate``'s up to the last bit,
+where libm's exp, log, sin and cos may differ from NumPy's
+(``math.exp(1.20703125)`` is one bit above ``np.exp``'s).
 
 ``differentiate`` is purely structural and memoised per call (or per
 ``TimeFunction``, across its orders), never on the nodes: a subtree shared
@@ -516,21 +515,15 @@ def fail_first(bad, message: str, *values) -> None:
         _fail(message, *_first(bad, *values))
 
 
-def _rendered(op: str, check, catch: bool = False, keys=None) -> tuple[str, ...]:
+def _rendered(op: str, check, keys=None) -> tuple[str, ...]:
     """Template lines of an ``op`` node: ``check`` of each condition around its value.
 
-    With ``catch``, an OverflowError computing the value makes it inf, for
-    the result check that follows (math.exp and math.pow raise where NumPy
-    returns inf).  With ``keys``, only the conditions whose message key is
-    in it are checked.
+    With ``keys``, only the conditions whose message key is in it are checked.
     """
     value, *conditions = _RULES[op]
     conditions = [c for c in conditions if keys is None or c[1] in keys]
     lines = [line for c in conditions if "{r}" not in c[0] for line in check(*c)]
-    if catch:
-        lines += ["try: {r} = " + value, "except OverflowError: {r} = inf"]
-    else:
-        lines.append("{r} = " + value)
+    lines.append("{r} = " + value)
     lines += [line for c in conditions if "{r}" in c[0] for line in check(*c)]
     return tuple(lines)
 
@@ -552,29 +545,23 @@ def _grid_check(cond: str, key: str, args: str):
 # flag, and the checks of a positive tree and of an input are no arithmetic.
 _SILENT = frozenset({"FRAC", "POSITIVE", "NONFINITE"})
 
-# Template lines of each operation in a kernel's two bodies, (fast,
-# checked): the fast body checks only the conditions in ``_SILENT``.
-_SCALAR_LINES = {
-    op: (_rendered(op, _scalar_check, keys=_SILENT), _rendered(op, _scalar_check, op in ("exp", "^")))
-    for op in _RULES
-}
-_SCALAR_LINES["curve"] = (("{r} = float({c}.jet([{t}], {k})[{k}, 0])",),) * 2
-_SCALAR_LINES["unbound"] = (("{r} = fail(UNBOUND, {name})",),) * 2
+# Template lines of each operation in a kernel, which checks only the
+# conditions in ``_SILENT``.
+_SCALAR_LINES = {op: _rendered(op, _scalar_check, keys=_SILENT) for op in _RULES}
+_SCALAR_LINES["curve"] = ("{r} = float({c}.jet([{t}], {k})[{k}, 0])",)
+_SCALAR_LINES["unbound"] = ("{r} = fail(UNBOUND, {name})",)
 # The operands that float arithmetic can turn from inf or NaN into a finite
 # value without raising (exp(-inf), x/inf, 0.5^inf, inf^-1, 1^nan, nan^0),
-# and a domain tree, whose value feeds no result: the fast body watches them.
+# and a domain tree, whose value feeds no result: a kernel watches them.
 _WATCHED = {"exp": "a", "/": "b", "^": "ab", "positive": "a"}
 
 _KERNEL_GLOBALS = {
     "__builtins__": {},
     "float": float,
-    "OverflowError": OverflowError,
     "SIGNALLED": (ArithmeticError, ValueError),
-    "inf": math.inf,
     **{name: getattr(math, name) for name in _FUNCTIONS},
     "pow": math.pow,
     "fail": _fail,
-    "DomainError": DomainError,
     **_MESSAGES,
 }
 
@@ -675,10 +662,15 @@ def evaluate(exprs, env, positive=()):
             values[node] = value
         return value
 
-    with np.errstate(**_FLAGS):
-        for tree in positive:
-            _GRID["positive"](ev(tree), _inner(tree))
-        results = [ev(root) for root in ((exprs,) if isinstance(exprs, Expr) else exprs)]
+    try:
+        with np.errstate(**_FLAGS):
+            for tree in positive:
+                _GRID["positive"](ev(tree), _inner(tree))
+            results = [ev(root) for root in ((exprs,) if isinstance(exprs, Expr) else exprs)]
+    finally:
+        # ev refers to itself through its closure; without this the memo and
+        # every array in it would live until the next garbage collection
+        del ev
     shape = np.broadcast_shapes(*(a.shape for a in grid.values()))
     results = [v if v.shape == shape else np.broadcast_to(v, shape).copy() for v in results]
     return results[0] if isinstance(exprs, Expr) else results
@@ -692,37 +684,33 @@ def scalar_kernel(exprs, variables=("t",), positive=()):
     state), and returns a float for a single tree or a tuple for a
     sequence.  The trees in ``positive`` come first, each raising
     DomainError unless > 0.  Each distinct node is one local, computed once,
-    in the post-order of a walk over the trees (left child first), with its
-    rule inline, so the first error raised is that of ``evaluate`` on a
-    one-point grid of the same finite values: the same rule at the same
-    node, its operands equal up to the last bit of libm's transcendental
-    functions against NumPy's.  When a rule fails with a non-finite value
-    among the inputs or constants, the function raises what ``evaluate``
-    raises there instead.  A variable not in ``variables`` raises
-    DomainError where it is first used.  Names, constants and curves reach
-    the function through its namespace, never through its source, so
-    trees of one shape share compiled code.
+    in the post-order of a walk over the trees (left child first).  Names,
+    constants and curves reach the function through its namespace, never
+    through its source, so trees of one shape share compiled code.
 
-    The function has two bodies.  The fast one computes the values and
-    checks only the ``_SILENT`` conditions; every other failure raises
-    (ArithmeticError or ValueError) or leaves inf or NaN in a node, which
-    reaches a result, a domain tree or a ``_WATCHED`` operand, so one
-    ``isfinite`` of their sum returns the values.  Anything else runs the
-    checked body, which states every rule and so raises or returns what it
-    would alone: a false alarm costs a second run, never another result.
+    The function checks only the ``_SILENT`` conditions; every other
+    failure raises (ArithmeticError or ValueError) or leaves inf or NaN in
+    a node, which reaches a result, a domain tree or a ``_WATCHED``
+    operand, so one ``isfinite`` of their sum returns the values.  Anything
+    else runs ``evaluate`` on the one point (``_fallback``), so the function
+    raises exactly the DomainError ``evaluate`` raises there, a variable
+    not in ``variables`` or a non-finite input included; a false alarm
+    costs that run, never another result.  Its values agree with
+    ``evaluate``'s up to the last bit of libm's transcendental functions
+    against NumPy's.
     """
     roots = (exprs,) if isinstance(exprs, Expr) else tuple(exprs)
     params = [f"a{i}" for i in range(len(variables))]
-    args, unpack = {}, []
+    args, unpack = {}, ""
     for a, spec in zip(params, variables):
         if isinstance(spec, str):
             args[spec] = a
         else:  # a sequence, unpacked into one local per name
             args.update((name, f"{a}_{j}") for j, name in enumerate(spec))
-            unpack.append("(" + "".join(f"{a}_{j}, " for j in range(len(spec))) + f") = {a}")
-    fast, checked = list(unpack), list(unpack)
+            unpack += "    (" + "".join(f"{a}_{j}, " for j in range(len(spec))) + f") = {a}\n"
+    lines = []
     namespace = dict(_KERNEL_GLOBALS)
-    refs, watched, computed, constants_finite = {}, {}, 0, True
+    refs, watched, computed = {}, {}, 0
 
     def bind(value) -> str:
         name = f"k{len(namespace)}"
@@ -736,15 +724,12 @@ def scalar_kernel(exprs, variables=("t",), positive=()):
     def compute(op, **operands) -> str:
         nonlocal computed
         r, computed = f"v{computed}", computed + 1
-        for body, template in zip((fast, checked), _SCALAR_LINES[op]):
-            body.extend(line.format(r=r, **operands) for line in template)
+        lines.extend(line.format(r=r, **operands) for line in _SCALAR_LINES[op])
         watch(*(operands[name] for name in _WATCHED.get(op, "")))
         return r
 
     def emit(node: Expr) -> str:
-        nonlocal constants_finite
         if isinstance(node, Const):
-            constants_finite = constants_finite and math.isfinite(node.value)
             return bind(node.value)
         if isinstance(node, Var):
             if node.name in args:
@@ -764,48 +749,48 @@ def scalar_kernel(exprs, variables=("t",), positive=()):
             local = refs[node] = emit(node)
         return local
 
-    for tree in positive:
-        compute("positive", a=ref(tree), b=bind(_inner(tree)))
-    results = [ref(root) for root in roots]
+    try:
+        for tree in positive:
+            compute("positive", a=ref(tree), b=bind(_inner(tree)))
+        results = [ref(root) for root in roots]
+    finally:
+        # emit and ref refer to each other through their closures
+        del emit, ref
     watch(*results)
     if isinstance(exprs, Expr):
         value = results[0]
     else:
         value = "(" + "".join(r + ", " for r in results) + ")"
-    if watched:
-        fast.append(f"if isfinite({' + '.join(watched)}): return {value}")
-    else:
-        fast.append(f"return {value}")
-    namespace["explain"] = functools.partial(_explain, roots, variables, positive, constants_finite)
+    lines.append(f"if isfinite({' + '.join(watched)}): return {value}" if watched else f"return {value}")
+    namespace["fallback"] = functools.partial(_fallback, roots, variables, positive, isinstance(exprs, Expr))
     args = ", ".join(params)
+    body = "".join(f"        {line}\n" for line in lines)
     source = (
-        f"def kernel({args}):\n    try:\n{_block(fast)}    except SIGNALLED:\n        pass\n"
-        f"    try:\n{_block(checked)}        return {value}\n"
-        f"    except DomainError:\n        explain({args})\n        raise\n"
+        f"def kernel({args}):\n{unpack}    try:\n{body}"
+        f"    except SIGNALLED:\n        return fallback(None, {args})\n"
+        f"    return fallback({value}, {args})\n"
     )
     exec(_compiled(source), namespace)
-    return namespace["kernel"]
+    # popped, so that the kernel's globals do not hold the kernel itself
+    return namespace.pop("kernel")
 
 
-def _block(lines) -> str:
-    return "".join(f"        {line}\n" for line in lines)
+def _fallback(roots, variables, positive, single, values, *args):
+    """What a kernel returns or raises at ``args`` once its body raised or its sum was not finite.
 
-
-def _explain(roots, variables, positive, constants_finite, *args):
-    """Raise what ``evaluate`` raises on the point ``args`` if a value there is not finite.
-
-    A kernel checks neither its inputs nor its constants, so a non-finite
-    one would be blamed on the first operation to meet it; ``evaluate``
-    names it.  Kernels call this only after a rule has failed, so a call
-    that does not raise pays nothing.  Returns when every value is finite:
-    the kernel's own error then stands, as it is ``evaluate``'s too.
+    Runs ``evaluate`` on the one-point grid of ``args``, which raises the
+    DomainError of the first rule that fails.  If none does, the alarm was
+    false: the kernel's ``values`` stand, or, where its body raised
+    (``values`` is None), ``evaluate``'s values are returned as floats.
     """
     env = {}
     for spec, arg in zip(variables, args):
         env.update([(spec, arg)] if isinstance(spec, str) else zip(spec, arg))
-    if constants_finite and all(map(math.isfinite, env.values())):
-        return
-    evaluate(roots, {name: np.array([value]) for name, value in env.items()}, positive)
+    found = evaluate(roots, {name: np.array([value]) for name, value in env.items()}, positive)
+    if values is None:
+        values = tuple(v.item() for v in found)
+        return values[0] if single else values
+    return values
 
 
 @functools.lru_cache(maxsize=256)

@@ -147,9 +147,11 @@ def transform_trajectory(
 ) -> TransformedOrbit:
     """Sample an EP trajectory and push (t, x, x', x'') through the chart.
 
-    x'' comes from the producing right-hand side at interpolated states, so
-    the residual of the autonomous image measures the transformation and the
-    integration, never a differenced interpolant.
+    x'' comes from the producing right-hand side at interpolated states,
+    never from a differenced interpolant.  The chart's identity then holds
+    at each sampled (t, x, x') whether or not it lies on an orbit, so the
+    residual of the autonomous image tests the transformation formulas, at
+    rounding level, and not the integration.
     """
     if traj.dim != 2:
         raise ValueError("expected a 2-component (x, xdot) trajectory")
