@@ -37,7 +37,7 @@ SAMPLES = 201
 
 def sample_grid(interval: tuple[float, float] = INTERVAL, n: int = SAMPLES) -> np.ndarray:
     a, b = interval
-    return np.array([a + (b - a) * i / (n - 1) for i in range(n)])
+    return a + (b - a) * np.arange(n) / (n - 1)
 
 
 def exact_invariant_row(phi_text: str) -> tuple[str, float, float]:
@@ -50,8 +50,7 @@ def exact_invariant_row(phi_text: str) -> tuple[str, float, float]:
 
     rho = integrate(ep_system(EPConfig(phi, time_function("1"))), (1.0, 0.0), INTERVAL)
     q = integrate(oscillator_system(phi), (0.5, 1.0), INTERVAL)
-    pairs = zip(q.sample(grid).tolist(), rho.sample(grid).tolist())
-    lewis = [lewis_invariant(LewisState(*qp, *r)) for qp, r in pairs]
+    lewis = lewis_invariant(LewisState(*q.sample(grid).T, *rho.sample(grid).T))
     return phi_text, drift(ermakov), drift(lewis)
 
 
@@ -59,8 +58,8 @@ def adiabatic_row(label: str, omega2_text: str, interval: tuple[float, float]) -
     omega2 = time_function(omega2_text)
     q = integrate(oscillator_system(omega2), (1.0, 0.0), interval)
     grid = sample_grid(interval)
-    pairs = zip(omega2.jet(grid, 0)[0].tolist(), q.sample(grid).tolist())
-    return label, drift([lorentz_adiabatic(math.sqrt(w2), *qp) for w2, qp in pairs])
+    omega = np.sqrt(omega2.jet(grid, 0)[0])
+    return label, drift(lorentz_adiabatic(omega, *q.sample(grid).T))
 
 
 def main() -> None:

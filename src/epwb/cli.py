@@ -36,6 +36,8 @@ import math
 import os
 import sys
 
+import numpy as np
+
 from .audit import audit_all, ledger_json
 from .central_field import (
     CentralFieldConfig,
@@ -55,7 +57,7 @@ from .expressions import (
     fail_first,
     time_function,
 )
-from .ode import COMPLETED, IntegrationSettings, integrate, write_csv
+from .ode import COMPLETED, IntegrationSettings, integrate, write_table
 from .oscillator import DegenerateBasisError, oscillator_system
 from .pinney import (
     EPConfig,
@@ -194,29 +196,20 @@ def _write_report(path: str, payload: dict) -> None:
         fh.write(text)
 
 
-def _write_dat(path: str, names, rows) -> None:
-    """gnuplot-friendly whitespace table with a comment header."""
-    with open(path, "w") as fh:
-        fh.write("# " + " ".join(names) + "\n")
-        for row in rows:
-            fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
-
-
-def _emit(outputs: dict, base_dir: str, report: dict, csv_writer=None, dat_writer=None) -> None:
-    if "csv" in outputs:
-        if csv_writer is None:
-            raise ScenarioError("this kind produces no csv output")
-        csv_writer(_out_path(base_dir, outputs["csv"]))
-    if "dat" in outputs:
-        if dat_writer is None:
-            raise ScenarioError("this kind produces no dat output")
-        dat_writer(_out_path(base_dir, outputs["dat"]))
+def _emit(outputs: dict, base_dir: str, report: dict, table=None) -> None:
+    for key, sep, prefix in (("csv", ",", ""), ("dat", " ", "# ")):
+        if key in outputs:
+            if table is None:
+                raise ScenarioError(f"this kind produces no {key} output")
+            names, columns = table
+            write_table(_out_path(base_dir, outputs[key]), prefix + sep.join(names), columns, sep)
     if "report" in outputs:
         _write_report(_out_path(base_dir, outputs["report"]), report)
 
 
-def _verdict(report: dict, outputs: dict, base_dir: str, **writers) -> int:
-    _emit(outputs, base_dir, report, **writers)
+def _verdict(report: dict, outputs: dict, base_dir: str, table=None) -> int:
+    """Write the outputs the scenario asks for; ``table`` is (column names, columns) or None."""
+    _emit(outputs, base_dir, report, table)
     if not report.get("pass", False):
         sys.stderr.write(f"epwb: check failed: {json.dumps(report, sort_keys=True)}\n")
         return 2
@@ -238,15 +231,8 @@ def _run_simulate(sc: dict, base_dir: str) -> int:
         "final_state": [float(v) for v in traj.states[-1]],
         "pass": traj.status == COMPLETED,
     }
-    return _verdict(
-        report,
-        _outputs(sc),
-        base_dir,
-        csv_writer=lambda p: write_csv(traj, p, ("x", "xdot")),
-        dat_writer=lambda p: _write_dat(
-            p, ("t", "x", "xdot"), [(t, *y) for t, y in zip(traj.times, traj.states)]
-        ),
-    )
+    table = (("t", "x", "xdot"), (traj.times, *traj.states.T))
+    return _verdict(report, _outputs(sc), base_dir, table)
 
 
 def _completed(*trajectories) -> None:
@@ -278,9 +264,9 @@ def _invariant_series(sc: dict, interval, settings):
         rt = integrate(ep_system(EPConfig(phi=phi, g=TimeFunction(Const(1.0))), settings), rho0, interval, settings)
         _completed(qt, rt)
         grid = qt.grid(n)
-        pairs = zip(qt.sample(grid).tolist(), rt.sample(grid).tolist())
-        values = [lewis_invariant(LewisState(*qp, *rho)) for qp, rho in pairs]
-        return name, grid, values
+        q, p = qt.sample(grid).T
+        rho, rho_dot = rt.sample(grid).T
+        return name, grid, lewis_invariant(LewisState(q, p, rho, rho_dot))
 
     if name == "lorentz":
         q0 = _pair(sc, "initial")
@@ -289,9 +275,8 @@ def _invariant_series(sc: dict, interval, settings):
         grid = qt.grid(n)
         w2 = phi.jet(grid, 0)[0]
         fail_first(w2 <= 0.0, "frequency squared {!r} not positive at t={!r}", w2, grid)
-        pairs = zip(w2.tolist(), qt.sample(grid).tolist())
-        values = [lorentz_adiabatic(math.sqrt(w), *qp) for w, qp in pairs]
-        return name, grid, values
+        q, p = qt.sample(grid).T
+        return name, grid, lorentz_adiabatic(np.sqrt(w2), q, p)
 
     raise ScenarioError(f"unknown invariant {name!r} (want ermakov, lewis or lorentz)")
 
@@ -362,15 +347,8 @@ def _run_reduce(sc: dict, base_dir: str) -> int:
         "abel_threshold": abel_threshold,
         "pass": bool(res <= threshold and abel.residual <= abel_threshold),
     }
-    return _verdict(
-        report,
-        _outputs(sc),
-        base_dir,
-        csv_writer=orbit.write_csv,
-        dat_writer=lambda p: _write_dat(
-            p, ("T", "X", "V"), list(zip(orbit.T, orbit.X, orbit.V))
-        ),
-    )
+    table = (("T", "X", "V"), (orbit.T, orbit.X, orbit.V))
+    return _verdict(report, _outputs(sc), base_dir, table)
 
 
 def _run_eliezer_grey(sc: dict, base_dir: str) -> int:
@@ -405,15 +383,8 @@ def _run_eliezer_grey(sc: dict, base_dir: str) -> int:
         "threshold": threshold,
         "pass": bool(am_drift <= threshold and radial <= threshold),
     }
-    return _verdict(
-        report,
-        _outputs(sc),
-        base_dir,
-        csv_writer=lambda p: write_csv(traj, p, ("r", "rdot", "theta", "L")),
-        dat_writer=lambda p: _write_dat(
-            p, ("t", "r", "rdot", "theta", "L"), [(t, *y) for t, y in zip(traj.times, traj.states)]
-        ),
-    )
+    table = (("t", "r", "rdot", "theta", "L"), (traj.times, *traj.states.T))
+    return _verdict(report, _outputs(sc), base_dir, table)
 
 
 def _run_audit_all(sc: dict, base_dir: str) -> int:

@@ -665,7 +665,7 @@ def evaluate(exprs, env, positive=()):
     try:
         with np.errstate(**_FLAGS):
             for tree in positive:
-                _GRID["positive"](ev(tree), _inner(tree))
+                _GRID["positive"](ev(tree), canonical(tree)[1:-1])
             results = [ev(root) for root in ((exprs,) if isinstance(exprs, Expr) else exprs)]
     finally:
         # ev refers to itself through its closure; without this the memo and
@@ -751,7 +751,7 @@ def scalar_kernel(exprs, variables=("t",), positive=()):
 
     try:
         for tree in positive:
-            compute("positive", a=ref(tree), b=bind(_inner(tree)))
+            compute("positive", a=ref(tree), b=bind(canonical(tree)[1:-1]))
         results = [ref(root) for root in roots]
     finally:
         # emit and ref refer to each other through their closures
@@ -808,25 +808,29 @@ def _format_number(v: float) -> str:
     return repr(v)
 
 
-def canonical(e: Expr) -> str:
-    """Fully parenthesized infix form; parseable back to a pointwise-equal tree."""
-    return "(" + _inner(e) + ")"
+def canonical(e: Expr, memo: dict | None = None) -> str:
+    """Fully parenthesized infix form; parseable back to a pointwise-equal tree.
 
-
-def _inner(e: Expr) -> str:
-    if isinstance(e, Const):
-        return _format_number(e.value)
-    if isinstance(e, Var):
-        return e.name
-    if isinstance(e, Unary):
-        if e.op == "neg":
-            return "-" + canonical(e.arg)
-        return e.op + "(" + _inner(e.arg) + ")"
-    if isinstance(e, Binary):
-        return canonical(e.left) + e.op + canonical(e.right)
-    if isinstance(e, CurveVal):
-        return e.label + "'" * e.order
-    raise AssertionError(f"unprintable node {e!r}")
+    Each distinct node is printed once per call and its text kept in
+    ``memo``, so a subtree shared by several parents costs one print.
+    """
+    memo = {} if memo is None else memo
+    text = memo.get(e)
+    if text is None:
+        if isinstance(e, Binary):
+            text = canonical(e.left, memo) + e.op + canonical(e.right, memo)
+        elif isinstance(e, Unary):
+            text = ("-" if e.op == "neg" else e.op) + canonical(e.arg, memo)
+        elif isinstance(e, Const):
+            text = _format_number(e.value)
+        elif isinstance(e, Var):
+            text = e.name
+        elif isinstance(e, CurveVal):
+            text = e.label + "'" * e.order
+        else:
+            raise AssertionError(f"unprintable node {e!r}")
+        text = memo[e] = "(" + text + ")"
+    return text
 
 
 # ---------------------------------------------------------------------------

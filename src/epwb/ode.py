@@ -356,8 +356,8 @@ class Trajectory:
         return self.states[k] + np.einsum("ndk,nk->nd", self._dense[k : k + 1], th**_POWERS)[0]
 
     def _outside(self, t: float):
-        times = self.times
-        raise DomainError(f"t={t!r} outside trajectory range [{times[0]!r}, {times[-1]!r}]")
+        lo, hi = self.times[[0, -1]].tolist()
+        raise DomainError(f"t={t!r} outside trajectory range [{lo!r}, {hi!r}]")
 
     def jet(self, ts, k: int) -> np.ndarray:
         """Derivatives 0..k of a derivative-chain state on the grid ``ts``.
@@ -667,12 +667,21 @@ def residual(sys: ODESystem, tr: Trajectory, grid: Sequence[float]) -> float:
     return worst_residual(slopes[:, : own.dim] - slopes[:, own.dim :])
 
 
+def write_table(path, header: str, columns, sep: str) -> None:
+    """Write the line ``header``, then one row per sample of ``columns``.
+
+    ``columns`` are equal-length value sequences, one per column, and each
+    value is printed to 17 significant digits, so it reads back exactly.
+    ``sep`` is "," for CSV and " " for whitespace tables.
+    """
+    row = sep.join(["{:.17g}"] * len(columns)) + "\n"
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        fh.writelines(row.format(*values) for values in np.column_stack(columns).tolist())
+
+
 def write_csv(tr: Trajectory, path, names: Sequence[str] = ("x", "xdot")) -> None:
     """Node-by-node CSV dump: header ``t,<names...>``, 17 significant digits."""
     if len(names) != tr.dim:
         raise ValueError(f"{len(names)} names for state dimension {tr.dim}")
-    lines = ["t," + ",".join(names)]
-    for t, y in zip(tr.times, tr.states):
-        lines.append(",".join(f"{v:.17g}" for v in (t, *y)))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_table(path, ",".join(("t", *names)), (tr.times, *tr.states.T), ",")

@@ -123,7 +123,7 @@ def ermakov_invariant(x, y, h2: float, t):
 
 @dataclass(frozen=True)
 class LewisState:
-    """Oscillator phase point (q, p) plus the auxiliary amplitude rho, rho'."""
+    """Oscillator phase point (q, p) and auxiliary amplitude (rho, rho'): floats or grid arrays."""
 
     q: float
     p: float
@@ -131,19 +131,29 @@ class LewisState:
     rho_dot: float
 
 
-def lewis_invariant(state: LewisState) -> float:
-    """I = ((rho p - rho' q)^2 + (q/rho)^2) / 2; needs rho solving the h=1 equation."""
-    if state.rho == 0.0:
-        raise DomainError("rho = 0")
-    a = state.rho * state.p - state.rho_dot * state.q
-    return 0.5 * (a * a + (state.q / state.rho) ** 2)
+def lewis_invariant(state: LewisState):
+    """I = ((rho p - rho' q)^2 + (q/rho)^2) / 2; needs rho solving the h=1 equation.
+
+    The fields are floats or arrays over one grid, and so is I.
+    DomainError if rho = 0 anywhere.
+    """
+    fail_first(np.asarray(state.rho) == 0.0, "rho = 0")
+    with np.errstate(over="ignore", invalid="ignore"):  # inf reaches drift, which names it
+        a = state.rho * state.p - state.rho_dot * state.q
+        return 0.5 * (a * a + (state.q / state.rho) ** 2)
 
 
-def lorentz_adiabatic(omega: float, q: float, p: float) -> float:
-    """Adiabatic ratio E/omega = (p^2 + omega^2 q^2) / (2 omega)."""
-    if omega <= 0.0:
-        raise DomainError(f"omega must be positive, got {omega!r}")
-    return (p * p + omega * omega * q * q) / (2.0 * omega)
+def lorentz_adiabatic(omega, q, p):
+    """Adiabatic ratio E/omega = (p^2 + omega^2 q^2) / (2 omega).
+
+    ``omega``, ``q`` and ``p`` are floats or arrays over one grid, and so is
+    the ratio.  DomainError names the first omega that is not positive (NaN
+    included).
+    """
+    w = np.asarray(omega)
+    fail_first(~(w > 0.0), "omega must be positive, got {!r}", w)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (p * p + omega * omega * q * q) / (2.0 * omega)
 
 
 def autonomous_energy(phi0: float, h2: float, x: float, xdot: float) -> float:
@@ -163,10 +173,10 @@ def drift(values) -> float:
     if values.size < 2:
         raise ValueError(f"a spread needs at least two values, got {values.size}")
     with np.errstate(over="ignore", invalid="ignore"):
-        spread, mean = values.max() - values.min(), values.mean()
+        spread, mean = float(values.max() - values.min()), float(values.mean())
     if not (math.isfinite(spread) and math.isfinite(mean)):
         raise DomainError(f"non-finite series (spread {spread!r}, mean {mean!r})")
-    return float(spread / max(1.0, abs(mean)))
+    return spread / max(1.0, abs(mean))
 
 
 def invariant_audit(name: str, interval, times, values) -> dict:

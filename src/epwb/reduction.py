@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expressions import DomainError, fail_first
-from .ode import Trajectory, worst_residual
+from .ode import Trajectory, worst_residual, write_table
 from .symmetry import CompatibleFamily, PointSymmetry
 
 FORCING_CONSTANT = 16.0
@@ -136,10 +136,7 @@ class TransformedOrbit:
         return len(self.t)
 
     def write_csv(self, path: str) -> None:
-        with open(path, "w") as fh:
-            fh.write("T,X,V\n")
-            for i in range(len(self.T)):
-                fh.write(f"{self.T[i]:.17g},{self.X[i]:.17g},{self.V[i]:.17g}\n")
+        write_table(path, "T,X,V", (self.T, self.X, self.V), ",")
 
 
 def transform_trajectory(

@@ -121,13 +121,13 @@ def default_samples(
     x_range: tuple[float, float] = (0.5, 2.0),
     v_range: tuple[float, float] = (-1.0, 1.0),
     n: int = 5,
-) -> list[tuple[float, float, float]]:
-    """Interior (t, x, v) lattice used by residual checks (n^3 points)."""
+) -> np.ndarray:
+    """Interior (t, x, v) lattice used by residual checks: an (n^3, 3) array, t-major."""
     t0, t1 = finite_interval(interval)
     ts = t0 + (t1 - t0) * np.linspace(0.1, 0.9, n)
     xs = np.linspace(*x_range, n)
     vs = np.linspace(*v_range, n)
-    return [(float(t), float(x), float(v)) for t in ts for x in xs for v in vs]
+    return np.stack(np.meshgrid(ts, xs, vs, indexing="ij"), axis=-1).reshape(-1, 3)
 
 
 def symmetry_residual(sym: PointSymmetry, ode: SecondOrderODE, samples) -> float:
@@ -136,7 +136,7 @@ def symmetry_residual(sym: PointSymmetry, ode: SecondOrderODE, samples) -> float
     All 16 trees are evaluated over the whole sample set in one call, so
     subtrees common to the equation and the symmetry run once.
     """
-    t, x, v = np.array(samples, dtype=float).reshape(-1, 3).T.copy()
+    t, x, v = np.asarray(samples, dtype=float).reshape(-1, 3).T.copy()
     trees = (ode.w, ode.w_t, ode.w_x, ode.w_v, *sym.partials["tau"], *sym.partials["xi"])
     (
         w, w_t, w_x, w_v,

@@ -300,6 +300,51 @@ class TestEliezerGrey:
         assert run_cli(["run", str(path)]) == 1
 
 
+_TABLES = {
+    "simulate": simulate_scenario(),
+    "reduce": {
+        "kind": "reduce",
+        "g": "(1+t)^4",
+        "c0": 1.0,
+        "m": 2.0,
+        "interval": [0.0, 3.0],
+        "initial": [1.0, 0.0],
+    },
+    "eliezer-grey": {
+        "kind": "eliezer-grey",
+        "phi": "1",
+        "k": "0.1",
+        "initial": [1.0, 0.0, 0.0, 1.0],
+        "interval": [0.0, 10.0],
+    },
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_TABLES))
+def test_dat_table_is_the_csv_table_with_spaces(tmp_path, kind):
+    sc = dict(_TABLES[kind], outputs={"csv": "orbit.csv", "dat": "orbit.dat"})
+    assert run_cli(["run", str(write_scenario(tmp_path, sc))]) == 0
+    csv_lines = (tmp_path / "orbit.csv").read_text().splitlines()
+    dat_lines = (tmp_path / "orbit.dat").read_text().splitlines()
+    assert len(csv_lines) > 2
+    assert dat_lines[0] == "# " + csv_lines[0].replace(",", " ")
+    assert dat_lines[1:] == [line.replace(",", " ") for line in csv_lines[1:]]
+
+
+def test_a_kind_without_a_table_refuses_a_csv(tmp_path, capsys):
+    sc = {
+        "kind": "verify-symmetry",
+        "g": "exp(4*t)",
+        "c0": 1.0,
+        "m": 1.0,
+        "interval": [0.0, 2.0],
+        "outputs": {"csv": "table.csv"},
+    }
+    assert run_cli(["run", str(write_scenario(tmp_path, sc))]) == 1
+    assert "this kind produces no csv output" in capsys.readouterr().err
+    assert not (tmp_path / "table.csv").exists()
+
+
 class TestAuditLedger:
     def test_subcommand_writes_file(self, tmp_path):
         out = tmp_path / "ledger.json"
@@ -424,6 +469,22 @@ class TestErrors:
         err = capsys.readouterr().err
         assert "integration stopped: step-failure" in err
         assert "overflow in '^' of 1e+300 and 3.0" in err
+        assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("invariant", ["lewis", "lorentz"])
+    def test_overflowing_oscillator_invariant_is_a_run_failure(self, tmp_path, capsys, invariant):
+        # q = 1e200 squares beyond float range, so the series is not finite
+        scenario = {
+            "kind": "verify-invariant",
+            "invariant": invariant,
+            "phi": "1",
+            "initial": [1e200, 1e200],
+            "interval": [0.0, 1.0],
+            "outputs": {"report": "report.json"},
+        }
+        path = write_scenario(tmp_path, scenario)
+        assert run_cli(["run", str(path)]) == 2
+        assert "run failed: non-finite series (spread nan, mean inf)" in capsys.readouterr().err
         assert not (tmp_path / "report.json").exists()
 
     def test_expression_error_reports_offset(self, tmp_path, capsys):

@@ -369,6 +369,41 @@ def test_print_parse_round_trip(e, t):
     assert evaluate(back, {"t": t}) == pytest.approx(v, rel=1e-12, abs=1e-12)
 
 
+def _reference_canonical(e):
+    """The printer as two mutually recursive functions, without a memo."""
+
+    def inner(e):
+        if isinstance(e, Const):
+            return expressions._format_number(e.value)
+        if isinstance(e, Var):
+            return e.name
+        if isinstance(e, Unary):
+            if e.op == "neg":
+                return "-" + _reference_canonical(e.arg)
+            return e.op + "(" + inner(e.arg) + ")"
+        if isinstance(e, Binary):
+            return _reference_canonical(e.left) + e.op + _reference_canonical(e.right)
+        if isinstance(e, CurveVal):
+            return e.label + "'" * e.order
+        raise AssertionError(f"unprintable node {e!r}")
+
+    return "(" + inner(e) + ")"
+
+
+@settings(max_examples=200, deadline=None)
+@given(e=_expr)
+def test_canonical_prints_what_the_reference_printer_does(e):
+    assert canonical(e) == _reference_canonical(e)
+
+
+def test_canonical_prints_a_shared_subtree_dag_as_the_reference_does():
+    # a derived phi reuses G and its derivatives in many places
+    fam = compatible_family(time_function("exp(4*t)"), 1.0, 1.0, (0.0, 2.0))
+    u = -Unary("sin", fam.phi.expr) * CurveVal(_Line(), 2, "c")
+    dag = u * u + differentiate(u, "t") / u
+    assert canonical(dag) == _reference_canonical(dag)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     e=_expr,

@@ -108,6 +108,13 @@ class TestSample:
         with pytest.raises(DomainError):
             tr.sample(-0.1)
 
+    def test_out_of_range_message_prints_plain_floats(self):
+        tr = integrate(oscillator(), (1.0, 0.0), (0.0, 2.0))
+        for t in (3.0, [3.0]):
+            with pytest.raises(DomainError) as exc:
+                tr.sample(t)
+            assert str(exc.value) == "t=3.0 outside trajectory range [0.0, 2.0]"
+
     def test_beyond_guard_stop(self):
         sys, y0 = GUARD_STOPS[0]
         tr = integrate(sys, y0, (0.0, 10.0))

@@ -273,6 +273,47 @@ class TestLorentzAdiabatic:
         assert drift(slow) <= 0.597 / 10.0
 
 
+class TestInvariantsOnGrids:
+    ts = np.linspace(0.0, 6.0, 13)
+    q, p = np.sin(ts), np.cos(ts)
+    rho, rho_dot = 1.0 + 0.1 * ts, np.full_like(ts, 0.1)
+    omega = 1.0 + 0.2 * ts
+
+    def test_a_grid_gives_each_scalar_value(self):
+        rows = zip(self.q.tolist(), self.p.tolist(), self.rho.tolist(), self.rho_dot.tolist())
+        lewis = [lewis_invariant(LewisState(*row)) for row in rows]
+        # a float squares through pow and a grid by x*x; they may differ in the last bit
+        np.testing.assert_allclose(
+            lewis_invariant(LewisState(self.q, self.p, self.rho, self.rho_dot)),
+            lewis,
+            rtol=4 * np.finfo(float).eps,
+            atol=0.0,
+        )
+        rows = zip(self.omega.tolist(), self.q.tolist(), self.p.tolist())
+        lorentz = [lorentz_adiabatic(*row) for row in rows]
+        assert lorentz_adiabatic(self.omega, self.q, self.p).tolist() == lorentz
+        assert type(lorentz[0]) is float
+
+    def test_zero_rho_on_a_grid_rejected(self):
+        rho = self.rho.copy()
+        rho[[4, 7]] = 0.0
+        with pytest.raises(DomainError, match="^rho = 0$"):
+            lewis_invariant(LewisState(self.q, self.p, rho, self.rho_dot))
+
+    @pytest.mark.parametrize(
+        "bad, named", [((-2.0, -3.0), "-2.0"), ((0.0, -1.0), "0.0"), ((math.nan, -1.0), "nan")]
+    )
+    def test_first_bad_omega_on_a_grid_is_named(self, bad, named):
+        omega = self.omega.copy()
+        omega[[3, 9]] = bad
+        with pytest.raises(DomainError, match=f"^omega must be positive, got {named}$"):
+            lorentz_adiabatic(omega, self.q, self.p)
+
+    def test_nan_omega_raises(self):
+        with pytest.raises(DomainError, match="^omega must be positive, got nan$"):
+            lorentz_adiabatic(math.nan, 1.0, 0.0)
+
+
 class TestAutonomousEnergy:
     def test_conserved_for_constant_coefficients(self):
         cfg = const_cfg("1", 4.0)

@@ -354,6 +354,16 @@ class TestSampleLattice:
         assert min(xs) >= 0.5 and max(xs) <= 2.0
         assert min(vs) >= -1.0 and max(vs) <= 1.0
 
+    @pytest.mark.parametrize("n", [1, 3, 5])
+    def test_lattice_is_the_t_major_tuple_list(self, n):
+        interval, x_range, v_range = (0.5, 7.0), (0.25, 3.0), (-2.0, 1.5)
+        ts = 0.5 + 6.5 * np.linspace(0.1, 0.9, n)
+        xs, vs = np.linspace(*x_range, n), np.linspace(*v_range, n)
+        tuples = [(float(t), float(x), float(v)) for t in ts for x in xs for v in vs]
+        samples = default_samples(interval, x_range, v_range, n)
+        assert samples.shape == (n**3, 3) and samples.dtype == np.float64
+        assert samples.tolist() == [list(p) for p in tuples]
+
     def test_custom_ranges(self):
         samples = default_samples((0.0, 1.0), x_range=(1.0, 2.0), v_range=(0.0, 0.0), n=3)
         assert len(samples) == 27
