@@ -73,6 +73,7 @@ from .symmetry import (
     SecondOrderODE,
     compatible_family,
     default_samples,
+    ep_ode,
     point_symmetry,
     surviving_symmetry,
     symmetry_residual,
@@ -302,8 +303,7 @@ def _run_verify_symmetry(sc: dict, base_dir: str) -> int:
     else:
         fam = compatible_family(_tf(sc, "g"), _number(sc, "c0"), _number(sc, "m"), interval)
         sym = surviving_symmetry(fam)
-        phi = _tf(sc, "phi") if "phi" in sc else fam.phi
-        ode = SecondOrderODE.from_ep(phi, fam.g)
+        ode = SecondOrderODE.from_ep(_tf(sc, "phi"), fam.g) if "phi" in sc else ep_ode(fam)
     samples = default_samples(
         interval,
         x_range=_pair(sc, "x_range", (0.5, 2.0)),

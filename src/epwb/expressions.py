@@ -60,9 +60,12 @@ where libm's exp, log, sin and cos may differ from NumPy's
 (``math.exp(1.20703125)`` is one bit above ``np.exp``'s).
 
 ``differentiate`` is purely structural and memoised per call (or per
-``TimeFunction``, across its orders), never on the nodes: a subtree shared
-by several parents is differentiated once and its derivative is shared in
-the result.  Results are routed through light peephole constructors
+``TimeFunction``, across its orders and any functions built over the same
+memo), never on the nodes: a subtree shared by several parents is
+differentiated once and its derivative is shared in the result.  Each node
+carries the set of variables it depends on, built with it from its
+children's, so a subtree free of the variable is zero at once, never
+walked.  Results are routed through light peephole constructors
 (constant folding, 0/1 identities) so repeated differentiation stays
 tractable; a constant node is folded to what ``evaluate`` gives it, so
 folding can only shrink the set of points where evaluation raises, never
@@ -108,9 +111,14 @@ class Expr:
     Nodes are interned and immutable: each subclass's ``__new__`` returns the
     live node of that structure if there is one, so equal trees are one
     object and ``==`` and ``hash`` are those of identity.
+
+    ``vars`` is the frozenset of the variable names the node depends on (a
+    curve leaf depends on "t"), computed from the children when the node is
+    built.  It is structure, like ``op``: it holds no node, and it is not a
+    field of ``__new__``, which each subclass lists in its own ``__slots__``.
     """
 
-    __slots__ = ("__weakref__",)
+    __slots__ = ("__weakref__", "vars")
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} nodes are immutable")
@@ -180,16 +188,20 @@ def _dropped(key, ref):
         _NODES.pop(key, None)
 
 
-def _interned(key, cls, *fields):
-    """The live node under ``key``, or a new ``cls`` node of ``fields`` stored there."""
+def _interned(key, cls, free, *fields):
+    """The live node under ``key``, or a new ``cls`` node of ``fields`` and ``vars`` ``free``."""
     ref = _NODES.get(key)
     node = None if ref is None else ref()
     if node is None:
         node = object.__new__(cls)
         for name, value in zip(cls.__slots__, fields):
             object.__setattr__(node, name, value)
+        object.__setattr__(node, "vars", free)
         _NODES[key] = weakref.ref(node, functools.partial(_dropped, key))
     return node
+
+
+_NO_VARS = frozenset()
 
 
 class Const(Expr):
@@ -198,7 +210,7 @@ class Const(Expr):
     def __new__(cls, value):
         value = float(value)
         # 0.0 == -0.0, so the key keeps the sign apart
-        return _interned((cls, value, math.copysign(1.0, value)), cls, value)
+        return _interned((cls, value, math.copysign(1.0, value)), cls, _NO_VARS, value)
 
     def _diff(self, var, d):
         return _ZERO
@@ -208,7 +220,7 @@ class Var(Expr):
     __slots__ = ("name",)
 
     def __new__(cls, name):
-        return _interned((cls, name), cls, name)
+        return _interned((cls, name), cls, frozenset((name,)), name)
 
     def _diff(self, var, d):
         return _ONE if self.name == var else _ZERO
@@ -218,7 +230,7 @@ class Unary(Expr):
     __slots__ = ("op", "arg")
 
     def __new__(cls, op, arg):
-        return _interned((cls, op, arg), cls, op, arg)
+        return _interned((cls, op, arg), cls, arg.vars, op, arg)
 
     def _diff(self, var, d):
         u, du = self.arg, d(self.arg)
@@ -250,6 +262,9 @@ class Binary(Expr):
             object.__setattr__(node, "op", op)
             object.__setattr__(node, "left", left)
             object.__setattr__(node, "right", right)
+            # a child's own set wherever it holds the other's, so few sets are built
+            lv, rv = left.vars, right.vars
+            object.__setattr__(node, "vars", lv if lv is rv or rv <= lv else rv if lv <= rv else lv | rv)
             _NODES[key] = weakref.ref(node, functools.partial(_dropped, key))
         return node
 
@@ -285,7 +300,7 @@ class CurveVal(Expr):
 
     def __new__(cls, curve, order=0, label="curve"):
         # the node holds its curve, so the curve's id is not reused while the entry lives
-        return _interned((cls, id(curve), order, label), cls, curve, order, label)
+        return _interned((cls, id(curve), order, label), cls, _T.vars, curve, order, label)
 
     def _diff(self, var, d):
         if var == "t":
@@ -421,15 +436,19 @@ def sqrt(e: Expr) -> Expr:
 def differentiate(e: Expr, variable: str = "t", memo: dict | None = None) -> Expr:
     """Exact structural derivative of ``e`` with respect to ``variable``.
 
-    Each distinct node is differentiated once, so a subtree shared by
-    several parents gets one shared derivative.  Calls by the same
-    ``variable`` may share a ``memo`` to reuse each other's work.  Nothing
-    is cached on the nodes: the derivative of exp(u) contains exp(u), so a
-    cache there would form a reference cycle.
+    A node whose ``vars`` lacks ``variable`` is zero at once: its subtree
+    is neither walked nor looked up.  Each other distinct node is
+    differentiated once, so a subtree shared by several parents gets one
+    shared derivative.  Calls by the same ``variable`` may share a ``memo``
+    to reuse each other's work.  No derivative is cached on the nodes: the
+    derivative of exp(u) contains exp(u), so a cache there would form a
+    reference cycle.
     """
     memo = {} if memo is None else memo
 
     def d(node: Expr) -> Expr:
+        if variable not in node.vars:
+            return _ZERO
         derivative = memo.get(node)
         if derivative is None:
             derivative = memo[node] = node._diff(variable, d)
@@ -1001,21 +1020,23 @@ class TimeFunction:
     """Scalar function of t with exact derivative expressions.
 
     Each order is built when first requested, from the order before, with
-    one differentiation memo per function, so successive orders share
-    their work.  ``eval`` (one point) and ``jet`` (a grid) both run
-    ``evaluate`` and surface DomainError from subexpressions.
+    one differentiation ``memo`` by t, so successive orders share their
+    work.  The memo is the function's own unless one is given: functions
+    built over one memo, and any caller differentiating by t with it, derive
+    each node they share once.  ``eval`` (one point) and ``jet`` (a grid)
+    both run ``evaluate`` and surface DomainError from subexpressions.
     """
 
-    def __init__(self, expr: Expr):
+    def __init__(self, expr: Expr, memo: dict | None = None):
         self.expr = expr
         self._derivs = [expr]
-        self._memo = {}
+        self.memo = {} if memo is None else memo
 
     def derivative_expr(self, order: int) -> Expr:
         if order < 0:
             raise ValueError("derivative order must be >= 0")
         while len(self._derivs) <= order:
-            self._derivs.append(differentiate(self._derivs[-1], "t", self._memo))
+            self._derivs.append(differentiate(self._derivs[-1], "t", self.memo))
         return self._derivs[order]
 
     def eval(self, t: float, order: int = 0) -> float:

@@ -140,7 +140,8 @@ def lewis_invariant(state: LewisState):
     fail_first(np.asarray(state.rho) == 0.0, "rho = 0")
     with np.errstate(over="ignore", invalid="ignore"):  # inf reaches drift, which names it
         a = state.rho * state.p - state.rho_dot * state.q
-        return 0.5 * (a * a + (state.q / state.rho) ** 2)
+        r = state.q / state.rho
+        return 0.5 * (a * a + r * r)
 
 
 def lorentz_adiabatic(omega, q, p):

@@ -55,14 +55,16 @@ class PointSymmetry:
     ``partials[comp]`` holds the trees (f, f_t, f_x, f_tt, f_tx, f_xx) of
     ``comp`` in ("tau", "xi"); one differentiation memo per variable is
     shared by both components, so their common subtrees are derived once.
+    The t-memo is ``t_memo`` if given, as a compatible family's, whose
+    functions of t the components are built from.
     """
 
-    def __init__(self, tau: Expr, xi: Expr, name: str = ""):
+    def __init__(self, tau: Expr, xi: Expr, name: str = "", t_memo: dict | None = None):
         self.tau = tau
         self.xi = xi
         self.name = name
         self._kernel = None
-        memo_t, memo_x = {}, {}
+        memo_t, memo_x = ({} if t_memo is None else t_memo), {}
         self.partials = {}
         for comp, tree in (("tau", tau), ("xi", xi)):
             dt = differentiate(tree, "t", memo_t)
@@ -99,11 +101,14 @@ def point_symmetry(tau_text: str, xi_text: str, name: str = "") -> PointSymmetry
 
 
 class SecondOrderODE:
-    """Right-hand side w(t, x, v) of x'' = w as an expression field."""
+    """Right-hand side w(t, x, v) of x'' = w as an expression field.
 
-    def __init__(self, w: Expr):
+    ``w_t`` is derived with ``t_memo`` if given, as a compatible family's.
+    """
+
+    def __init__(self, w: Expr, t_memo: dict | None = None):
         self.w = w
-        self.w_t = differentiate(w, "t")
+        self.w_t = differentiate(w, "t", t_memo)
         self.w_x = differentiate(w, "x")
         self.w_v = differentiate(w, "v")
 
@@ -124,10 +129,11 @@ def default_samples(
 ) -> np.ndarray:
     """Interior (t, x, v) lattice used by residual checks: an (n^3, 3) array, t-major."""
     t0, t1 = finite_interval(interval)
-    ts = t0 + (t1 - t0) * np.linspace(0.1, 0.9, n)
-    xs = np.linspace(*x_range, n)
-    vs = np.linspace(*v_range, n)
-    return np.stack(np.meshgrid(ts, xs, vs, indexing="ij"), axis=-1).reshape(-1, 3)
+    lattice = np.empty((n, n, n, 3))
+    lattice[..., 0] = (t0 + (t1 - t0) * np.linspace(0.1, 0.9, n))[:, None, None]
+    lattice[..., 1] = np.linspace(*x_range, n)[:, None]
+    lattice[..., 2] = np.linspace(*v_range, n)
+    return lattice.reshape(-1, 3)
 
 
 def symmetry_residual(sym: PointSymmetry, ode: SecondOrderODE, samples) -> float:
@@ -156,17 +162,22 @@ def symmetry_residual(sym: PointSymmetry, ode: SecondOrderODE, samples) -> float
 
 
 def lie_bracket(s1: PointSymmetry, s2: PointSymmetry) -> PointSymmetry:
-    """[X, Y] = (X tau_Y - Y tau_X) d_t + (X xi_Y - Y xi_X) d_x, built structurally."""
+    """[X, Y] = (X tau_Y - Y tau_X) d_t + (X xi_Y - Y xi_X) d_x, built structurally.
 
-    def apply(sym: PointSymmetry, f: Expr) -> Expr:
-        return sym.tau * differentiate(f, "t") + sym.xi * differentiate(f, "x")
+    X f = tau_X f_t + xi_X f_x takes f_t and f_x from the operands' own
+    ``partials``, so nothing is differentiated again.
+    """
+
+    def apply(sym: PointSymmetry, of: PointSymmetry, comp: str) -> Expr:
+        f_t, f_x = of.partials[comp][1:3]
+        return sym.tau * f_t + sym.xi * f_x
 
     name = ""
     if s1.name and s2.name:
         name = f"[{s1.name},{s2.name}]"
     return PointSymmetry(
-        apply(s1, s2.tau) - apply(s2, s1.tau),
-        apply(s1, s2.xi) - apply(s2, s1.xi),
+        apply(s1, s2, "tau") - apply(s2, s1, "tau"),
+        apply(s1, s2, "xi") - apply(s2, s1, "xi"),
         name,
     )
 
@@ -272,7 +283,11 @@ def compatible_family(
     """Derive a(t) = 4 C0 G/G' and the compatible Phi(t) on the interval.
 
     Requires G' > 0 throughout (checked by sampling); a monotone G is what
-    makes the canonical chart T = log(G)/4 well-defined later.
+    makes the canonical chart T = log(G)/4 well-defined later.  ``a`` and
+    ``Phi`` are built over G's t-memo, and ``surviving_symmetry`` and
+    ``ep_ode`` differentiate by t with it too, so the family derives each
+    node by t once.  The memo lives as long as G: a G built for one family
+    shares nothing with the next.
     """
     if c0 == 0.0:
         raise ValueError("C0 must be nonzero")
@@ -283,13 +298,13 @@ def compatible_family(
     if bad.any():
         raise ValueError("G' is not positive at t={!r}".format(*_first(bad, ts)))
     a_expr = (const(4.0 * c0) * ge) / g1
-    a = TimeFunction(a_expr)
+    a = TimeFunction(a_expr, g.memo)
     a1 = a.derivative_expr(1)
     a2 = a.derivative_expr(2)
     phi_expr = const(m) / (a_expr * a_expr) - const(0.5) * (
         a2 / a_expr - const(0.5) * ((a1 / a_expr) * (a1 / a_expr))
     )
-    phi = TimeFunction(phi_expr)
+    phi = TimeFunction(phi_expr, g.memo)
     return CompatibleFamily(
         g=g,
         c0=float(c0),
@@ -307,9 +322,9 @@ def surviving_symmetry(fam: CompatibleFamily) -> PointSymmetry:
     g2 = fam.g.derivative_expr(2)
     tau = const(4) * ge / g1
     xi = _X * (const(3) - const(2) * ge * g2 / (g1 * g1))
-    return PointSymmetry(tau, xi, "Gamma_s")
+    return PointSymmetry(tau, xi, "Gamma_s", fam.g.memo)
 
 
 def ep_ode(fam: CompatibleFamily) -> SecondOrderODE:
     """The equation x'' = -Phi x + G/x^3 of a compatible family, as a field."""
-    return SecondOrderODE.from_ep(fam.phi, fam.g)
+    return SecondOrderODE(ep_field(fam.phi.expr, fam.g.expr), fam.g.memo)

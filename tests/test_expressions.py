@@ -14,7 +14,7 @@ from unittest import mock
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 
 from epwb import (
     DomainError,
@@ -1167,13 +1167,13 @@ def test_integer_constant_agrees_on_both_paths():
 
 @pytest.fixture
 def diffs(monkeypatch):
-    """Every node that ``_diff`` is called on from here on (kept alive in the list)."""
+    """Every (node, variable) that ``_diff`` is called on from here on (nodes kept alive in the list)."""
     calls = []
     for cls in (Const, Var, Unary, Binary, CurveVal):
 
-        def counting(self, *args, original=cls._diff):
-            calls.append(self)
-            return original(self, *args)
+        def counting(self, variable, d, original=cls._diff):
+            calls.append((self, variable))
+            return original(self, variable, d)
 
         monkeypatch.setattr(cls, "_diff", counting)
     return calls
@@ -1205,6 +1205,101 @@ def test_time_function_differentiates_on_demand(diffs):
     f.eval(0.3, 1)
     f.jet(np.linspace(0.0, 1.0, 3), 2)
     assert len(diffs) == built
+
+
+@pytest.mark.parametrize("g_text, interval", [("exp(4.1*t)", (0.0, 2.0)), ("(1.1+t)^4", (0.0, 3.0))])
+def test_a_compatible_family_differentiates_each_node_by_t_once(diffs, g_text, interval):
+    # a, phi, the surviving symmetry and the equation share G's t-memo
+    fam = compatible_family(time_function(g_text), 1.1, 0.7, interval)
+    fam.phi.derivative_expr(2)
+    surviving_symmetry(fam)
+    ep_ode(fam)
+    by_t = [node for node, variable in diffs if variable == "t"]
+    assert by_t and len(set(by_t)) == len(by_t)
+
+
+class _Exp:
+    """A curve c(t) = exp(t), every derivative of any order, with the ``jet`` protocol."""
+
+    def jet(self, ts, k):
+        return np.tile(np.exp(np.asarray(ts, dtype=float)), (k + 1, 1))
+
+
+_EXP_LEAF = CurveVal(_Exp(), 0, "c")
+_txv_leaf = st.one_of(
+    st.sampled_from(["t", "x", "v"]).map(var),
+    st.integers(min_value=-3, max_value=3).map(lambda k: const(float(k))),
+    st.just(_EXP_LEAF),
+)
+_txv_text = st.recursive(
+    st.sampled_from(["t", "x", "v", "2", "0.5", "3"]),
+    lambda children: st.one_of(
+        st.tuples(children, st.sampled_from("+-*/^"), children).map(lambda p: f"({p[0]}){p[1]}({p[2]})"),
+        st.tuples(st.sampled_from((*expressions.FUNCTIONS, "-")), children).map(lambda p: f"{p[0]}({p[1]})"),
+    ),
+    max_leaves=12,
+)
+# trees over (t, x, v) as built in code, with curve leaves, and as parsed
+_txv = st.recursive(_txv_leaf, _combine, max_leaves=12) | _txv_text.map(
+    lambda text: parse_expression(text, ("t", "x", "v"))
+)
+
+
+def _subtrees(e):
+    yield e
+    for child in (e.arg,) if isinstance(e, Unary) else (e.left, e.right) if isinstance(e, Binary) else ():
+        yield from _subtrees(child)
+
+
+def _leaf_names(e) -> set:
+    """The names of the ``Var`` leaves under ``e``, and "t" if a curve leaf is there."""
+    return {n.name if isinstance(n, Var) else "t" for n in _subtrees(e) if isinstance(n, (Var, CurveVal))}
+
+
+@settings(max_examples=200, deadline=None)
+@given(e=_expr | _txv)
+def test_every_node_carries_the_names_it_depends_on(e):
+    for node in _subtrees(e):
+        assert type(node.vars) is frozenset and node.vars == _leaf_names(node)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(e=_txv)
+def test_a_tree_free_of_the_variable_is_zero_without_a_walk(diffs, e):
+    for name in {"t", "x", "v"} - e.vars:
+        diffs.clear()
+        assert differentiate(e, name) is expressions._ZERO
+        assert diffs == []
+
+
+def _reference_differentiate(e, variable):
+    """The walk without free-variable sets: every distinct node under ``e`` is differentiated."""
+    memo = {}
+
+    def d(node):
+        derivative = memo.get(node)
+        if derivative is None:
+            derivative = memo[node] = node._diff(variable, d)
+        return derivative
+
+    try:
+        return d(e)
+    finally:
+        del d
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    e=_txv,
+    points=st.lists(st.tuples(*3 * [st.floats(min_value=-2.0, max_value=3.0)]), min_size=1, max_size=4),
+)
+def test_derivatives_equal_the_reference_walk(e, points):
+    # values compare with ==: a zero the walk skips may differ from the reference's in sign only
+    env = dict(zip("txv", np.array(points).T))
+    for name in ("t", "x", "v"):
+        got = _outcome(lambda: evaluate(differentiate(e, name), env))
+        expected = _outcome(lambda: evaluate(_reference_differentiate(e, name), env))
+        assert _same_outcome(got, expected), (canonical(e), name, got, expected)
 
 
 # --- IEEE flags against the rules --------------------------------------------

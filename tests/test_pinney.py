@@ -282,17 +282,22 @@ class TestInvariantsOnGrids:
     def test_a_grid_gives_each_scalar_value(self):
         rows = zip(self.q.tolist(), self.p.tolist(), self.rho.tolist(), self.rho_dot.tolist())
         lewis = [lewis_invariant(LewisState(*row)) for row in rows]
-        # a float squares through pow and a grid by x*x; they may differ in the last bit
-        np.testing.assert_allclose(
-            lewis_invariant(LewisState(self.q, self.p, self.rho, self.rho_dot)),
-            lewis,
-            rtol=4 * np.finfo(float).eps,
-            atol=0.0,
-        )
+        assert lewis_invariant(LewisState(self.q, self.p, self.rho, self.rho_dot)).tolist() == lewis
         rows = zip(self.omega.tolist(), self.q.tolist(), self.p.tolist())
         lorentz = [lorentz_adiabatic(*row) for row in rows]
         assert lorentz_adiabatic(self.omega, self.q, self.p).tolist() == lorentz
         assert type(lorentz[0]) is float
+
+    def test_lewis_scalar_calls_equal_the_grid_bit_for_bit(self):
+        # the phi = 1 row of scripts/invariant_drift_catalog.py, whose point 194
+        # came out one ulp apart while a float squared through pow
+        phi, interval = time_function("1"), (0.0, 20.0)
+        ts = 20.0 * np.arange(201) / 200
+        q = integrate(oscillator_system(phi), (0.5, 1.0), interval).sample(ts)
+        rho = integrate(ep_system(EPConfig(phi, time_function("1"))), (1.0, 0.0), interval).sample(ts)
+        fields = np.concatenate([q, rho], axis=1)
+        grid = lewis_invariant(LewisState(*fields.T)).tolist()
+        assert [lewis_invariant(LewisState(*row)) for row in fields.tolist()] == grid
 
     def test_zero_rho_on_a_grid_rejected(self):
         rho = self.rho.copy()

@@ -56,3 +56,20 @@ def test_check_values_hold_and_repeat(tmp_path):
     assert all(line.endswith(" holds=True") for line in lines)
     passes = [[line.replace(f" pass={n} ", " ") for line in lines if f" pass={n} " in line] for n in (1, 2)]
     assert passes[0] == passes[1] and len(passes[0]) * 2 == len(lines)
+
+
+def test_cold_census_counts_repeat(tmp_path):
+    # a fresh interpreter: the script imports the benchmark's workloads module and patches _diff
+    path = os.path.join(SCRIPTS, "cold_census.py")
+    out = subprocess.run([sys.executable, path], cwd=tmp_path, capture_output=True, text=True, check=True)
+    counts = {}
+    for line in out.stdout.splitlines():
+        found = re.fullmatch(r"(\w+ seed=\d+) pass=(\d+) diff_calls=(\d+) nodes_stored=(\d+)", line)
+        assert found, line
+        counts.setdefault(found[1], []).append((found[2], int(found[3]), int(found[4])))
+    workloads = [key.split()[0] for key in counts]
+    assert workloads[::3] == ["superposition", "long_orbit", "symmetry", "scenarios"]
+    for key, (second, third) in counts.items():
+        assert (second[0], third[0]) == ("2", "3")
+        assert second[1:] == third[1:], key  # every pass starts cold
+    assert counts["symmetry seed=3"][0][1] > 0

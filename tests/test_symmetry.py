@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -21,7 +22,8 @@ from epwb import (
     symmetry_residual,
     time_function,
 )
-from epwb.expressions import Binary, Const, TimeFunction, const, evaluate, var
+from epwb import symmetry
+from epwb.expressions import Binary, Const, TimeFunction, const, differentiate, evaluate, var
 from epwb.symmetry import default_samples
 from tests.conftest import G_CATALOG, M_VALUES, POWER_LAW_G
 
@@ -78,7 +80,36 @@ class TestSymmetryResidual:
                 assert symmetry_residual(s, ode, samples) <= 1e-8
 
 
+def _reference_bracket(s1, s2):
+    """[X, Y] as built by differentiating each operand's components afresh."""
+
+    def apply(sym, f):
+        return sym.tau * differentiate(f, "t") + sym.xi * differentiate(f, "x")
+
+    return apply(s1, s2.tau) - apply(s2, s1.tau), apply(s1, s2.xi) - apply(s2, s1.xi)
+
+
 class TestLieBracket:
+    def test_bracket_reuses_the_operands_partials(self, monkeypatch):
+        fam = compatible_family(time_function("(1.1+t)^4"), 1.2, 0.5, (0.0, 3.0))
+        members = [*autonomous_family(1.3), surviving_symmetry(fam), point_symmetry("t*x", "x^2*sin(t)")]
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return differentiate(*args)
+
+        monkeypatch.setattr(symmetry, "differentiate", counting)
+        for s1, s2 in itertools.permutations(members, 2):
+            calls.clear()
+            br = lie_bracket(s1, s2)
+            bracket_calls = len(calls)
+            assert (br.tau, br.xi) == _reference_bracket(s1, s2)
+            # the very nodes, and no derivative beyond the bracket's own partials
+            calls.clear()
+            PointSymmetry(br.tau, br.xi)
+            assert bracket_calls == len(calls)
+
     def test_self_bracket_vanishes(self, unit_family):
         pts = pair_samples((0.0, 6.0))
         for s in unit_family:
@@ -363,6 +394,7 @@ class TestSampleLattice:
         samples = default_samples(interval, x_range, v_range, n)
         assert samples.shape == (n**3, 3) and samples.dtype == np.float64
         assert samples.tolist() == [list(p) for p in tuples]
+        assert samples.tobytes() == np.array(tuples).tobytes()
 
     def test_custom_ranges(self):
         samples = default_samples((0.0, 1.0), x_range=(1.0, 2.0), v_range=(0.0, 0.0), n=3)
