@@ -36,7 +36,6 @@ from .ode import (
     write_csv,
 )
 from .oscillator import (
-    BasisCurve,
     DegenerateBasisError,
     OscillatorBasis,
     QuadraticFormCurve,
@@ -62,7 +61,6 @@ from .pinney import (
 from .third_order import (
     ThirdOrderConfig,
     first_integral,
-    integrate_third_order,
     product_solution,
     rho_substitution,
     third_order_residual,
@@ -82,6 +80,7 @@ from .symmetry import (
     point_symmetry,
     structure_constants,
     surviving_symmetry,
+    symmetry_condition,
     symmetry_residual,
 )
 from .reduction import (

@@ -256,7 +256,7 @@ def _invariant_series(sc: dict, interval, settings):
         yt = integrate(oscillator_system(phi), y0, interval, settings)
         _completed(xt, yt)
         grid = xt.grid(n)
-        return name, grid, ermakov_invariant(xt, yt, h2, grid)
+        return name, ermakov_invariant(xt, yt, h2, grid)
 
     if name == "lewis":
         q0 = _pair(sc, "initial")
@@ -267,7 +267,7 @@ def _invariant_series(sc: dict, interval, settings):
         grid = qt.grid(n)
         q, p = qt.sample(grid).T
         rho, rho_dot = rt.sample(grid).T
-        return name, grid, lewis_invariant(LewisState(q, p, rho, rho_dot))
+        return name, lewis_invariant(LewisState(q, p, rho, rho_dot))
 
     if name == "lorentz":
         q0 = _pair(sc, "initial")
@@ -277,7 +277,7 @@ def _invariant_series(sc: dict, interval, settings):
         w2 = phi.jet(grid, 0)[0]
         fail_first(w2 <= 0.0, "frequency squared {!r} not positive at t={!r}", w2, grid)
         q, p = qt.sample(grid).T
-        return name, grid, lorentz_adiabatic(np.sqrt(w2), q, p)
+        return name, lorentz_adiabatic(np.sqrt(w2), q, p)
 
     raise ScenarioError(f"unknown invariant {name!r} (want ermakov, lewis or lorentz)")
 
@@ -286,8 +286,8 @@ def _run_verify_invariant(sc: dict, base_dir: str) -> int:
     interval = _interval(sc)
     settings = _settings(sc)
     threshold = _number(sc, "threshold", _tol_default())
-    name, grid, values = _invariant_series(sc, interval, settings)
-    report = invariant_audit(name, interval, grid, values)
+    name, values = _invariant_series(sc, interval, settings)
+    report = invariant_audit(name, interval, values)
     report["kind"] = "verify-invariant"
     report["threshold"] = threshold
     report["pass"] = bool(report["drift"] <= threshold)

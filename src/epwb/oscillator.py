@@ -66,9 +66,6 @@ class OscillatorBasis:
     def interval(self) -> tuple[float, float]:
         return (self.pair.t0, self.pair.t_end)
 
-    def curve(self, component: str) -> "BasisCurve":
-        return BasisCurve(self, component)
-
 
 def basis_with_ics(
     phi: TimeFunction,
@@ -118,29 +115,12 @@ def _product_jet(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     )
 
 
-class BasisCurve:
-    """One basis solution as a curve with derivatives of every order."""
-
-    def __init__(self, basis: OscillatorBasis, component: str):
-        if component not in ("u", "v"):
-            raise ValueError("component must be 'u' or 'v'")
-        self.basis = basis
-        self.label = component
-        self._traj = basis.u if component == "u" else basis.v
-
-    def jet(self, ts, k: int) -> np.ndarray:
-        ts = np.asarray(ts, dtype=float)
-        phi = self.basis.phi.jet(ts, k - 2) if k >= 2 else None
-        return _component_jet(self._traj.sample(ts).T, phi, k)
-
-
 class QuadraticFormCurve:
     """w(t) = A u^2 + 2B uv + C v^2 over a basis; derivatives to any order."""
 
     def __init__(self, basis: OscillatorBasis, A: float, B: float, C: float):
         self.basis = basis
         self.A, self.B, self.C = float(A), float(B), float(C)
-        self.label = "w"
 
     def jet(self, ts, k: int) -> np.ndarray:
         ts = np.asarray(ts, dtype=float)

@@ -57,9 +57,8 @@ def ep_system(cfg: EPConfig, settings: IntegrationSettings | None = None) -> ODE
 class SqrtCurve:
     """x = sqrt(w) for a positive curve w, with derivatives of every order."""
 
-    def __init__(self, base, label: str = "x"):
+    def __init__(self, base):
         self.base = base
-        self.label = label
 
     def jet(self, ts, k: int) -> np.ndarray:
         ts = np.asarray(ts, dtype=float)
@@ -180,7 +179,7 @@ def drift(values) -> float:
     return spread / max(1.0, abs(mean))
 
 
-def invariant_audit(name: str, interval, times, values) -> dict:
+def invariant_audit(name: str, interval, values) -> dict:
     """JSON-ready drift report for a sampled invariant series."""
     values = np.asarray(values, dtype=float)
     return {

@@ -34,6 +34,7 @@ from .ode import Trajectory, worst_residual, write_table
 from .symmetry import CompatibleFamily, PointSymmetry
 
 FORCING_CONSTANT = 16.0
+_VALIDATION_SAMPLES = 100  # points of the interval on which canonical_chart checks G
 
 
 def _like(t, values):
@@ -113,12 +114,10 @@ class CanonicalChart:
         return _like(t, tau * t1), _like(t, tau * x * mu1 + xi * mu)
 
 
-def canonical_chart(
-    fam: CompatibleFamily, sigma: float = 0.25, validation_samples: int = 100
-) -> CanonicalChart:
+def canonical_chart(fam: CompatibleFamily, sigma: float = 0.25) -> CanonicalChart:
     """Build the chart, checking across the interval that G > 0, G' > 0 and G'', G''' exist."""
     chart = CanonicalChart(fam=fam, sigma=float(sigma))
-    chart._g_checked(np.linspace(fam.interval[0], fam.interval[1], validation_samples), 3)
+    chart._g_checked(np.linspace(fam.interval[0], fam.interval[1], _VALIDATION_SAMPLES), 3)
     return chart
 
 

@@ -8,10 +8,11 @@ linearized symmetry condition with the second prolongation taken on-shell:
     xi2 = xi_tt + v (2 xi_tx - tau_tt) + v^2 (xi_xx - 2 tau_tx)
           - v^3 tau_xx + w (xi_x - 2 tau_t - 3 v tau_x)
 
-and symmetry_residual reports the worst violation over a sample set.
-Coefficients are expression trees over (t, x); fields built over numeric
-basis solutions enter through CurveVal leaves, so structural derivatives
-stay exact either way.
+``symmetry_condition`` builds xi2 - (tau w_t + xi w_x + xi1 w_v) as one
+expression tree over (t, x, v), and symmetry_residual reports its worst
+value over a sample set.  Coefficients are expression trees over (t, x);
+fields built over numeric basis solutions enter through CurveVal leaves,
+so structural derivatives stay exact either way.
 
 Equations x'' + Phi x = G/x^3 with Phi, G compatible in the sense
 
@@ -43,40 +44,33 @@ from .expressions import (
     var,
 )
 from .ode import finite_interval, worst_residual
-from .oscillator import _X, DegenerateBasisError, OscillatorBasis
+from .oscillator import _V, _X, DegenerateBasisError, OscillatorBasis, QuadraticFormCurve
 from .pinney import ep_field
 
 _T = var("t")
+_VALIDATION_SAMPLES = 200  # points of the interval on which compatible_family checks G' > 0
 
 
 class PointSymmetry:
-    """tau(t,x) d_t + xi(t,x) d_x with partial derivatives precomputed.
+    """tau(t,x) d_t + xi(t,x) d_x, with partial derivatives taken on first use.
 
-    ``partials[comp]`` holds the trees (f, f_t, f_x, f_tt, f_tx, f_xx) of
-    ``comp`` in ("tau", "xi"); one differentiation memo per variable is
-    shared by both components, so their common subtrees are derived once.
-    The t-memo is ``t_memo`` if given, as a compatible family's, whose
-    functions of t the components are built from.
+    ``partial`` differentiates a tree by "t" or "x" with one memo per
+    variable, kept here, so the components' common subtrees are derived
+    once however many conditions and brackets read them.  The t-memo is
+    ``t_memo`` if given, as a compatible family's, whose functions of t the
+    components are built from.
     """
 
     def __init__(self, tau: Expr, xi: Expr, name: str = "", t_memo: dict | None = None):
         self.tau = tau
         self.xi = xi
         self.name = name
+        self._memos = {"t": {} if t_memo is None else t_memo, "x": {}}
         self._kernel = None
-        memo_t, memo_x = ({} if t_memo is None else t_memo), {}
-        self.partials = {}
-        for comp, tree in (("tau", tau), ("xi", xi)):
-            dt = differentiate(tree, "t", memo_t)
-            dx = differentiate(tree, "x", memo_x)
-            self.partials[comp] = (
-                tree,
-                dt,
-                dx,
-                differentiate(dt, "t", memo_t),
-                differentiate(dt, "x", memo_x),
-                differentiate(dx, "x", memo_x),
-            )
+
+    def partial(self, tree: Expr, variable: str) -> Expr:
+        """``tree`` differentiated by ``variable`` ("t" or "x") with this symmetry's memo."""
+        return differentiate(tree, variable, self._memos[variable])
 
     def components(self, t, x):
         """(tau, xi) at one point as floats, or over arrays ``t``, ``x`` as arrays."""
@@ -136,20 +130,25 @@ def default_samples(
     return lattice.reshape(-1, 3)
 
 
-def symmetry_residual(sym: PointSymmetry, ode: SecondOrderODE, samples) -> float:
-    """Worst on-shell violation of the linearized symmetry condition.
+def _columns(samples, n: int, what: str) -> np.ndarray:
+    """The ``n`` columns of a 2-D sample array, each contiguous; ValueError for any other shape."""
+    points = np.asarray(samples, dtype=float)
+    if points.ndim != 2 or points.shape[1] != n:
+        raise ValueError(f"samples must be an (N, {n}) array of {what} points, got shape {points.shape}")
+    return points.T.copy()
 
-    All 16 trees are evaluated over the whole sample set in one call, so
-    subtrees common to the equation and the symmetry run once.
+
+def symmetry_condition(sym: PointSymmetry, ode: SecondOrderODE) -> Expr:
+    """xi2 - (tau w_t + xi w_x + xi1 w_v) as one tree over (t, x, v); zero where ``sym`` holds.
+
+    Built by the peephole constructors, so a partial that is structurally
+    zero takes its terms with it.
     """
-    t, x, v = np.asarray(samples, dtype=float).reshape(-1, 3).T.copy()
-    trees = (ode.w, ode.w_t, ode.w_x, ode.w_v, *sym.partials["tau"], *sym.partials["xi"])
-    (
-        w, w_t, w_x, w_v,
-        tau, tau_t, tau_x, tau_tt, tau_tx, tau_xx,
-        xi, xi_t, xi_x, xi_tt, xi_tx, xi_xx,
-    ) = evaluate(trees, {"t": t, "x": x, "v": v})
-
+    tau, xi, d = sym.tau, sym.xi, sym.partial
+    tau_t, tau_x, xi_t, xi_x = d(tau, "t"), d(tau, "x"), d(xi, "t"), d(xi, "x")
+    tau_tt, tau_tx, tau_xx = d(tau_t, "t"), d(tau_t, "x"), d(tau_x, "x")
+    xi_tt, xi_tx, xi_xx = d(xi_t, "t"), d(xi_t, "x"), d(xi_x, "x")
+    v, w = _V, ode.w
     xi1 = xi_t + v * (xi_x - tau_t) - v * v * tau_x
     xi2 = (
         xi_tt
@@ -158,19 +157,30 @@ def symmetry_residual(sym: PointSymmetry, ode: SecondOrderODE, samples) -> float
         - v**3 * tau_xx
         + w * (xi_x - 2.0 * tau_t - 3.0 * v * tau_x)
     )
-    return worst_residual(xi2 - (tau * w_t + xi * w_x + xi1 * w_v))
+    return xi2 - (tau * ode.w_t + xi * ode.w_x + xi1 * ode.w_v)
+
+
+def symmetry_residual(sym: PointSymmetry, ode: SecondOrderODE, samples) -> float:
+    """Worst on-shell violation of the linearized symmetry condition over (N, 3) (t, x, v) samples.
+
+    The condition is one tree, evaluated over the whole sample set in one
+    call, so subtrees common to the equation and the symmetry run once.
+    """
+    t, x, v = _columns(samples, 3, "(t, x, v)")
+    return worst_residual(evaluate(symmetry_condition(sym, ode), {"t": t, "x": x, "v": v}))
 
 
 def lie_bracket(s1: PointSymmetry, s2: PointSymmetry) -> PointSymmetry:
     """[X, Y] = (X tau_Y - Y tau_X) d_t + (X xi_Y - Y xi_X) d_x, built structurally.
 
-    X f = tau_X f_t + xi_X f_x takes f_t and f_x from the operands' own
-    ``partials``, so nothing is differentiated again.
+    X f = tau_X f_t + xi_X f_x takes f_t and f_x through the ``partial`` of
+    f's own symmetry, so each is derived once per operand and the bracket
+    differentiates nothing of its own.
     """
 
     def apply(sym: PointSymmetry, of: PointSymmetry, comp: str) -> Expr:
-        f_t, f_x = of.partials[comp][1:3]
-        return sym.tau * f_t + sym.xi * f_x
+        f = getattr(of, comp)
+        return sym.tau * of.partial(f, "t") + sym.xi * of.partial(f, "x")
 
     name = ""
     if s1.name and s2.name:
@@ -185,13 +195,14 @@ def lie_bracket(s1: PointSymmetry, s2: PointSymmetry) -> PointSymmetry:
 def structure_constants(basis: list[PointSymmetry], samples) -> tuple[np.ndarray, float]:
     """Fit every bracket back onto the basis: [e_i, e_j] = sum_k c[i,j,k] e_k.
 
-    ``samples`` is a set of (t, x) points on which the basis must be
-    pointwise linearly independent.  Returns the (3,3,3) array and the worst
-    pointwise fit residual.  Raises DegenerateBasisError on rank deficiency.
+    ``samples`` is an (N, 2) set of (t, x) points on which the basis must
+    be pointwise linearly independent.  Returns the (3,3,3) array and the
+    worst pointwise fit residual.  Raises DegenerateBasisError on rank
+    deficiency.
     """
     if len(basis) != 3:
         raise ValueError("need exactly three symmetries")
-    t, x = np.array(list(samples), dtype=float).reshape(-1, 2).T.copy()
+    t, x = _columns(list(samples), 2, "(t, x)")
 
     def stacked(sym: PointSymmetry) -> np.ndarray:
         # tau and xi interleaved point by point: tau(p0), xi(p0), tau(p1), ...
@@ -241,19 +252,17 @@ def autonomous_family(f: float) -> list[PointSymmetry]:
 def basis_family(basis: OscillatorBasis) -> list[PointSymmetry]:
     """Symmetries of x'' + Phi(t) x = G/x^3 built over an oscillator basis.
 
-    Gamma_1 = u^2 d_t + u u' x d_x, Gamma_2 = uv d_t + (u'v + uv')/2 x d_x,
-    Gamma_3 = v^2 d_t + v v' x d_x.  Brackets close with the basis Wronskian
-    as scale: {W Gamma_1, 2W Gamma_2, W Gamma_3}.
+    Gamma_i = a d_t + (a'/2) x d_x for a = u^2, uv and v^2, each a
+    ``QuadraticFormCurve`` leaf: the ansatz tau = a(t), xi = (a'/2) x of
+    the symmetry census.  Brackets close with the basis Wronskian as scale:
+    {W Gamma_1, 2W Gamma_2, W Gamma_3}.
     """
-    cu = basis.curve("u")
-    cv = basis.curve("v")
-    u0, u1 = CurveVal(cu, 0, "u"), CurveVal(cu, 1, "u")
-    v0, v1 = CurveVal(cv, 0, "v"), CurveVal(cv, 1, "v")
-    return [
-        PointSymmetry(u0 * u0, u0 * u1 * _X, "Gamma1"),
-        PointSymmetry(u0 * v0, const(0.5) * (u1 * v0 + u0 * v1) * _X, "Gamma2"),
-        PointSymmetry(v0 * v0, v0 * v1 * _X, "Gamma3"),
-    ]
+
+    def member(name: str, A: float, B: float, C: float) -> PointSymmetry:
+        a = QuadraticFormCurve(basis, A, B, C)
+        return PointSymmetry(CurveVal(a, 0, "a"), const(0.5) * CurveVal(a, 1, "a") * _X, name)
+
+    return [member("Gamma1", 1.0, 0.0, 0.0), member("Gamma2", 0.0, 0.5, 0.0), member("Gamma3", 0.0, 0.0, 1.0)]
 
 
 @dataclass(frozen=True)
@@ -278,22 +287,21 @@ def compatible_family(
     c0: float,
     m: float,
     interval: tuple[float, float],
-    validation_samples: int = 200,
 ) -> CompatibleFamily:
     """Derive a(t) = 4 C0 G/G' and the compatible Phi(t) on the interval.
 
-    Requires G' > 0 throughout (checked by sampling); a monotone G is what
-    makes the canonical chart T = log(G)/4 well-defined later.  ``a`` and
-    ``Phi`` are built over G's t-memo, and ``surviving_symmetry`` and
-    ``ep_ode`` differentiate by t with it too, so the family derives each
-    node by t once.  The memo lives as long as G: a G built for one family
-    shares nothing with the next.
+    Requires G' > 0 throughout (checked at ``_VALIDATION_SAMPLES`` points);
+    a monotone G is what makes the canonical chart T = log(G)/4
+    well-defined later.  ``a`` and ``Phi`` are built over G's t-memo, and
+    ``surviving_symmetry`` and ``ep_ode`` differentiate by t with it too,
+    so the family derives each node by t once.  The memo lives as long as
+    G: a G built for one family shares nothing with the next.
     """
     if c0 == 0.0:
         raise ValueError("C0 must be nonzero")
     ge = g.expr
     g1 = g.derivative_expr(1)
-    ts = np.linspace(*finite_interval(interval), validation_samples)
+    ts = np.linspace(*finite_interval(interval), _VALIDATION_SAMPLES)
     bad = evaluate(g1, {"t": ts}) <= 0.0
     if bad.any():
         raise ValueError("G' is not positive at t={!r}".format(*_first(bad, ts)))

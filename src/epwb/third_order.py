@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expressions import TimeFunction, const, evaluate, fail_first, var
-from .ode import IntegrationSettings, ODESystem, Trajectory, integrate, worst_residual
+from .ode import ODESystem, worst_residual
 from .oscillator import OscillatorBasis, QuadraticFormCurve
 from .pinney import SqrtCurve, ep_field
 
@@ -40,15 +40,6 @@ def third_order_system(cfg: ThirdOrderConfig) -> ODESystem:
     names = ("w", "w1", "w2")
     w0, w1, w2 = map(var, names)
     return ODESystem(names, (w1, w2, const(-2.0) * cfg.a.expr * w1 - cfg.a.derivative_expr(1) * w0))
-
-
-def integrate_third_order(
-    cfg: ThirdOrderConfig,
-    y0,
-    interval,
-    settings: IntegrationSettings | None = None,
-) -> Trajectory:
-    return integrate(third_order_system(cfg), y0, interval, settings)
 
 
 def first_integral(cfg: ThirdOrderConfig, w, t):
@@ -87,7 +78,7 @@ def rho_substitution(cfg: ThirdOrderConfig, w, grid) -> tuple[SqrtCurve, float]:
     if grid.size == 0:
         raise ValueError("empty grid")
     h2 = 0.5 * first_integral(cfg, w, float(grid[0]))
-    rho = SqrtCurve(w, label="rho")
+    rho = SqrtCurve(w)
     r0, _, r2 = rho.jet(grid, 2)  # raises DomainError when w <= 0
     # rho'' carries a 1/(2 rho) factor, so a vanishing w makes the
     # residual pure rounding noise; same floor as the EP guard

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import settings
 
 import epwb
+from epwb.expressions import Binary, Const, CurveVal, Unary, Var
 
 # every run draws the same examples, so two checkouts are compared on equal inputs
 settings.register_profile("derandomized", derandomize=True, database=None)
@@ -51,3 +52,17 @@ def basis_phi1(phi_one):
 @pytest.fixture(scope="session")
 def basis_sin(phi_sin):
     return epwb.fundamental_pair(phi_sin, (0.0, 20.0))
+
+
+@pytest.fixture
+def diffs(monkeypatch):
+    """Every (node, variable) that ``_diff`` is called on from here on (nodes kept alive in the list)."""
+    calls = []
+    for cls in (Const, Var, Unary, Binary, CurveVal):
+
+        def counting(self, variable, d, original=cls._diff):
+            calls.append((self, variable))
+            return original(self, variable, d)
+
+        monkeypatch.setattr(cls, "_diff", counting)
+    return calls

@@ -55,7 +55,7 @@ from epwb.ode import IntegrationSettings, integrate, residual
 from epwb.oscillator import basis_with_ics, oscillator_system
 from epwb.pinney import EPConfig, SqrtCurve, ep_residual, ep_system, ermakov_invariant
 from epwb.reduction import CanonicalChart, TransformedOrbit, abel_residual, autonomous_residual
-from epwb.symmetry import basis_family, default_samples
+from epwb.symmetry import basis_family, default_samples, symmetry_condition
 from epwb.third_order import ThirdOrderConfig, first_integral, rho_substitution
 
 
@@ -1165,20 +1165,6 @@ def test_integer_constant_agrees_on_both_paths():
     assert evaluate(square, {"t": 3.0}) == 9.0
 
 
-@pytest.fixture
-def diffs(monkeypatch):
-    """Every (node, variable) that ``_diff`` is called on from here on (nodes kept alive in the list)."""
-    calls = []
-    for cls in (Const, Var, Unary, Binary, CurveVal):
-
-        def counting(self, variable, d, original=cls._diff):
-            calls.append((self, variable))
-            return original(self, variable, d)
-
-        monkeypatch.setattr(cls, "_diff", counting)
-    return calls
-
-
 def test_every_pass_differentiates_from_cold(diffs):
     # the derivatives of exp(u) and a^b contain their own node, so a
     # derivative cached on a node would outlive the check and warm the next
@@ -1209,11 +1195,10 @@ def test_time_function_differentiates_on_demand(diffs):
 
 @pytest.mark.parametrize("g_text, interval", [("exp(4.1*t)", (0.0, 2.0)), ("(1.1+t)^4", (0.0, 3.0))])
 def test_a_compatible_family_differentiates_each_node_by_t_once(diffs, g_text, interval):
-    # a, phi, the surviving symmetry and the equation share G's t-memo
+    # a, phi, the surviving symmetry's partials and the equation share G's t-memo
     fam = compatible_family(time_function(g_text), 1.1, 0.7, interval)
     fam.phi.derivative_expr(2)
-    surviving_symmetry(fam)
-    ep_ode(fam)
+    symmetry_condition(surviving_symmetry(fam), ep_ode(fam))
     by_t = [node for node, variable in diffs if variable == "t"]
     assert by_t and len(set(by_t)) == len(by_t)
 

@@ -87,32 +87,6 @@ class TestBasisChange:
         assert coeff == pytest.approx([0.7, -0.3], abs=1e-7)
 
 
-class TestBasisCurve:
-    def test_rejects_unknown_component(self, basis_phi1):
-        with pytest.raises(ValueError):
-            basis_phi1.curve("w")
-
-    def test_high_order_matches_closed_form(self, basis_phi1):
-        # u = cos t, so u^(k)(t) cycles through -sin, -cos, sin, cos
-        cu = basis_phi1.curve("u")
-        t = 1.3
-        z = cu.jet([t], 4)[:, 0]
-        assert z[2] == pytest.approx(-math.cos(t), abs=1e-8)
-        assert z[3] == pytest.approx(math.sin(t), abs=1e-8)
-        assert z[4] == pytest.approx(math.cos(t), abs=1e-8)
-
-    def test_recursion_with_varying_coefficient(self, phi_sin):
-        # zddot = -(1 + 0.5 sin t) z, so order 3 = -(phi' z + phi z')
-        basis = fundamental_pair(phi_sin, (0.0, 20.0))
-        cu = basis.curve("u")
-        t = 2.1
-        phi0 = phi_sin.eval(t)
-        phi1 = phi_sin.eval(t, 1)
-        z0, z1, z2, z3 = cu.jet([t], 3)[:, 0]
-        assert z2 == pytest.approx(-phi0 * z0, rel=1e-10)
-        assert z3 == pytest.approx(-(phi1 * z0 + phi0 * z1), rel=1e-9)
-
-
 class TestQuadraticFormCurve:
     def test_matches_closed_form(self, basis_phi1):
         # A=4, B=0, C=1 over (cos, sin): w = 4cos^2 + sin^2 = 2.5 + 1.5 cos 2t
@@ -123,6 +97,25 @@ class TestQuadraticFormCurve:
             assert w1 == pytest.approx(-3.0 * math.sin(2 * t), abs=1e-8)
             assert w2 == pytest.approx(-6.0 * math.cos(2 * t), abs=1e-8)
             assert w3 == pytest.approx(12.0 * math.sin(2 * t), abs=1e-7)
+
+    def test_high_order_matches_closed_form(self, basis_phi1):
+        # w = 4cos^2 t + sin^2 t = 2.5 + 1.5 cos 2t, so the fourth derivative is 24 cos 2t
+        w = QuadraticFormCurve(basis_phi1, 4.0, 0.0, 1.0)
+        t = 1.3
+        assert w.jet([t], 4)[4, 0] == pytest.approx(24.0 * math.cos(2 * t), abs=1e-7)
+
+    def test_recursion_with_varying_coefficient(self, phi_sin):
+        # w = u^2 with u'' = -phi u: w'' = 2u'^2 - 2 phi u^2, w''' = -8 phi u u' - 2 phi' u^2
+        basis = fundamental_pair(phi_sin, (0.0, 20.0))
+        t = 2.1
+        phi0 = phi_sin.eval(t)
+        phi1 = phi_sin.eval(t, 1)
+        u0, u1 = basis.u.sample(t)
+        w0, w1, w2, w3 = QuadraticFormCurve(basis, 1.0, 0.0, 0.0).jet([t], 3)[:, 0]
+        assert w0 == pytest.approx(u0 * u0, rel=1e-12)
+        assert w1 == pytest.approx(2.0 * u0 * u1, rel=1e-12)
+        assert w2 == pytest.approx(2.0 * u1 * u1 - 2.0 * phi0 * u0 * u0, rel=1e-10)
+        assert w3 == pytest.approx(-8.0 * phi0 * u0 * u1 - 2.0 * phi1 * u0 * u0, rel=1e-9)
 
     def test_cross_term(self, basis_phi1):
         # A=C=0, B=1/2: w = uv = cos t sin t = 0.5 sin 2t

@@ -351,7 +351,7 @@ class TestDriftAndAudit:
             drift([1e308, -1e308])
 
     def test_audit_shape(self):
-        rep = invariant_audit("demo", (0.0, 1.0), [0.0, 0.5, 1.0], [2.0, 2.0, 2.0])
+        rep = invariant_audit("demo", (0.0, 1.0), [2.0, 2.0, 2.0])
         assert rep == {
             "name": "demo",
             "interval": [0.0, 1.0],

@@ -1,11 +1,14 @@
 import itertools
 import math
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from epwb import (
     DegenerateBasisError,
+    DomainError,
     PointSymmetry,
     SecondOrderODE,
     autonomous_family,
@@ -19,11 +22,13 @@ from epwb import (
     point_symmetry,
     structure_constants,
     surviving_symmetry,
+    symmetry_condition,
     symmetry_residual,
     time_function,
 )
 from epwb import symmetry
-from epwb.expressions import Binary, Const, TimeFunction, const, differentiate, evaluate, var
+from epwb.expressions import Binary, Const, Expr, TimeFunction, Unary, const, differentiate, evaluate, var
+from epwb.ode import worst_residual
 from epwb.symmetry import default_samples
 from tests.conftest import G_CATALOG, M_VALUES, POWER_LAW_G
 
@@ -80,6 +85,201 @@ class TestSymmetryResidual:
                 assert symmetry_residual(s, ode, samples) <= 1e-8
 
 
+def _children(node):
+    return (node.arg,) if isinstance(node, Unary) else (node.left, node.right) if isinstance(node, Binary) else ()
+
+
+def _nodes(*trees) -> set:
+    """Every node of ``trees``."""
+    seen, stack = set(), list(trees)
+    while stack:
+        node = stack.pop()
+        if node not in seen:
+            seen.add(node)
+            stack.extend(_children(node))
+    return seen
+
+
+def _reference_trees(sym, ode):
+    """w, w_t, w_x, w_v, then f, f_t, f_x, f_tt, f_tx, f_xx of tau and of xi, each differentiated afresh."""
+    trees = [ode.w, ode.w_t, ode.w_x, ode.w_v]
+    for f in (sym.tau, sym.xi):
+        f_t, f_x = differentiate(f, "t"), differentiate(f, "x")
+        trees += (f, f_t, f_x, differentiate(f_t, "t"), differentiate(f_t, "x"), differentiate(f_x, "x"))
+    return trees
+
+
+def _reference_residuals(sym, ode, samples):
+    """The condition as 16 evaluated trees, prolonged in NumPy: the residual before it was one tree."""
+    t, x, v = np.asarray(samples, dtype=float).T.copy()
+    (
+        w, w_t, w_x, w_v,
+        tau, tau_t, tau_x, tau_tt, tau_tx, tau_xx,
+        xi, xi_t, xi_x, xi_tt, xi_tx, xi_xx,
+    ) = evaluate(_reference_trees(sym, ode), {"t": t, "x": x, "v": v})
+    with np.errstate(all="ignore"):
+        xi1 = xi_t + v * (xi_x - tau_t) - v * v * tau_x
+        xi2 = (
+            xi_tt
+            + v * (2.0 * xi_tx - tau_tt)
+            + v * v * (xi_xx - 2.0 * tau_tx)
+            - v**3 * tau_xx
+            + w * (xi_x - 2.0 * tau_t - 3.0 * v * tau_x)
+        )
+        return xi2 - (tau * w_t + xi * w_x + xi1 * w_v)
+
+
+def _failing_nodes(tree, env) -> set:
+    """The nodes of ``tree`` that raise DomainError on ``env`` while their children evaluate."""
+
+    def raises(node):
+        try:
+            evaluate(node, env)
+        except DomainError:
+            return True
+        return False
+
+    failing = {node for node in _nodes(tree) if raises(node)}
+    return {node for node in failing if not _nodes(*_children(node)) & failing}
+
+
+def _condition_matches_reference(sym, ode, samples):
+    """The condition tree gives the reference's values exactly, or raises where it raises."""
+    t, x, v = np.asarray(samples, dtype=float).T.copy()
+    env = {"t": t, "x": x, "v": v}
+    condition = symmetry_condition(sym, ode)
+    try:
+        reference = _reference_residuals(sym, ode, samples)
+    except DomainError:
+        try:
+            evaluate(condition, env)
+        except DomainError:
+            return
+        # folding removed every term holding a failing node, so the condition stands
+        failing = set().union(*(_failing_nodes(f, env) for f in _reference_trees(sym, ode)))
+        assert failing and not failing & _nodes(condition)
+        return
+    if not np.isfinite(reference).all():
+        with pytest.raises(DomainError):
+            evaluate(condition, env)
+        return
+    values = evaluate(condition, env)
+    assert values.shape == reference.shape and (values == reference).all()
+    assert symmetry_residual(sym, ode, samples) == worst_residual(reference)
+
+
+def _trees(names):
+    """Trees over ``names`` that depend on every one of them, with small constants."""
+    constants = (-2.0, -1.0, 0.0, 0.5, 1.0, 1.5, 3.0)
+    leaf = st.one_of(st.sampled_from(names).map(var), st.sampled_from(constants).map(const))
+
+    def combine(children):
+        return st.one_of(
+            st.tuples(st.sampled_from("+-*/"), children, children).map(lambda p: Binary(*p)),
+            st.tuples(st.sampled_from(("neg", "sin", "cos", "exp", "sqrt", "log")), children).map(lambda p: Unary(*p)),
+            st.tuples(children, st.integers(min_value=0, max_value=3)).map(lambda p: Binary("^", p[0], const(p[1]))),
+        )
+
+    def joined(p):
+        # each variable joined in by an operation, so the tree depends on all of them
+        tree, ops = p
+        for op, name in zip(ops, names):
+            tree = Binary(op, tree, var(name))
+        return tree
+
+    ops = st.lists(st.sampled_from("+-*/"), min_size=len(names), max_size=len(names))
+    return st.tuples(st.recursive(leaf, combine, max_leaves=8), ops).map(joined)
+
+
+class TestSymmetryCondition:
+    """The condition tree against the 16-tree NumPy prolongation it replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        tau=_trees(("t", "x")),
+        xi=_trees(("t", "x")),
+        w=_trees(("t", "x", "v")),
+        x_range=st.sampled_from(((0.6, 2.1), (-1.2, 2.1))),
+    )
+    def test_equals_the_reference_prolongation(self, tau, xi, w, x_range):
+        # no sample is a short binary fraction, so a change in the order of the arithmetic shows
+        samples = default_samples((0.3, 2.0), x_range=x_range, v_range=(-1.3, 1.7), n=4)
+        _condition_matches_reference(PointSymmetry(tau, xi), SecondOrderODE(w), samples)
+
+    @pytest.mark.parametrize("f, g", [(1.0, 1.0), (1.3, 0.7)])
+    def test_autonomous_family(self, f, g):
+        ode = SecondOrderODE.from_ep(time_function(repr(f * f)), time_function(repr(g)))
+        for sym in autonomous_family(f):
+            _condition_matches_reference(sym, ode, default_samples((0.0, 6.0)))
+
+    @pytest.mark.parametrize("g_text,interval", G_CATALOG, ids=[g for g, _ in G_CATALOG])
+    def test_surviving_symmetry(self, g_text, interval):
+        fam = compatible_family(time_function(g_text), 1.1, 0.7, interval)
+        sym, samples = surviving_symmetry(fam), default_samples(interval)
+        _condition_matches_reference(sym, ep_ode(fam), samples)
+        _condition_matches_reference(sym, SecondOrderODE.from_ep(fam.phi.scaled(1.1), fam.g), samples)
+
+    def test_basis_family(self):
+        phi = time_function("1+0.5*sin(t)")
+        ode = SecondOrderODE.from_ep(phi, time_function("1"))
+        for sym in basis_family(fundamental_pair(phi, (0.0, 10.0))):
+            _condition_matches_reference(sym, ode, default_samples((0.0, 10.0)))
+
+    def test_folding_can_drop_a_failing_node(self):
+        # tau = log(t - 1) fails on t < 1, but w_t = 0 drops tau, and its
+        # partials, which the condition keeps, hold no log
+        sym = PointSymmetry(Unary("log", var("t") - const(1.0)), const(0.0))
+        ode = SecondOrderODE.from_text("-x")
+        samples = default_samples((0.0, 1.0))
+        with pytest.raises(DomainError, match="log of non-positive"):
+            _reference_residuals(sym, ode, samples)
+        assert symmetry_residual(sym, ode, samples) > 0.0
+        _condition_matches_reference(sym, ode, samples)
+
+    def test_a_structural_zero_takes_its_terms_with_it(self, unit_ode):
+        shift = point_symmetry("1", "0")
+        assert symmetry_condition(shift, unit_ode) is const(0.0)
+
+    def test_residual_evaluates_one_tree(self, unit_family, unit_ode, monkeypatch):
+        calls = []
+        original = symmetry.evaluate
+        monkeypatch.setattr(symmetry, "evaluate", lambda *a, **k: calls.append(a[0]) or original(*a, **k))
+        symmetry_residual(unit_family[1], unit_ode, default_samples((0.0, 6.0)))
+        assert len(calls) == 1 and isinstance(calls[0], Expr)
+        assert calls[0] is symmetry_condition(unit_family[1], unit_ode)
+
+    def test_a_symmetry_holds_only_its_fields(self, diffs):
+        fam = compatible_family(time_function("(1+t)^4"), 1.0, 1.0, (0.0, 3.0))
+        members = (surviving_symmetry(fam), *autonomous_family(1.0), point_symmetry("t*x", "x^2"))
+        diffs.clear()
+        for s in members:
+            sym = PointSymmetry(s.tau, s.xi, s.name, fam.g.memo)
+            assert not hasattr(sym, "partials")
+        assert diffs == []
+
+
+class TestSampleShapes:
+    # three (t, x) pairs are not two (t, x, v) triples, nor is an (8, 3)
+    # lattice twelve (t, x) points
+    @pytest.mark.parametrize(
+        "samples",
+        [[(0.5, 1.0), (1.0, 1.5), (1.5, 2.0)], np.ones(6), np.ones((2, 2, 3)), np.ones((4, 6))],
+        ids=["pairs", "flat", "3-d", "6-columns"],
+    )
+    def test_residual_refuses_other_shapes(self, unit_family, unit_ode, samples):
+        with pytest.raises(ValueError, match=r"\(N, 3\) array"):
+            symmetry_residual(unit_family[1], unit_ode, samples)
+
+    @pytest.mark.parametrize(
+        "samples",
+        [default_samples((0.0, 3.0), n=2), np.arange(1.0, 7.0), np.arange(1.0, 13.0).reshape(3, 2, 2)],
+        ids=["lattice", "flat", "3-d"],
+    )
+    def test_structure_constants_refuse_other_shapes(self, unit_family, samples):
+        with pytest.raises(ValueError, match=r"\(N, 2\) array"):
+            structure_constants(unit_family, samples)
+
+
 def _reference_bracket(s1, s2):
     """[X, Y] as built by differentiating each operand's components afresh."""
 
@@ -90,25 +290,24 @@ def _reference_bracket(s1, s2):
 
 
 class TestLieBracket:
-    def test_bracket_reuses_the_operands_partials(self, monkeypatch):
+    def test_bracket_reuses_the_operands_partials(self, diffs):
         fam = compatible_family(time_function("(1.1+t)^4"), 1.2, 0.5, (0.0, 3.0))
         members = [*autonomous_family(1.3), surviving_symmetry(fam), point_symmetry("t*x", "x^2*sin(t)")]
-        calls = []
-
-        def counting(*args):
-            calls.append(args)
-            return differentiate(*args)
-
-        monkeypatch.setattr(symmetry, "differentiate", counting)
         for s1, s2 in itertools.permutations(members, 2):
-            calls.clear()
+            diffs.clear()
             br = lie_bracket(s1, s2)
-            bracket_calls = len(calls)
+            # the very nodes, derived from the operands' components alone
             assert (br.tau, br.xi) == _reference_bracket(s1, s2)
-            # the very nodes, and no derivative beyond the bracket's own partials
-            calls.clear()
+            assert {node for node, _ in diffs} <= _nodes(s1.tau, s1.xi, s2.tau, s2.xi)
+            diffs.clear()
             PointSymmetry(br.tau, br.xi)
-            assert bracket_calls == len(calls)
+            assert diffs == []
+
+    @pytest.mark.parametrize("f", [1.0, 1.3])
+    def test_structure_constants_differentiate_no_bracket(self, diffs, f):
+        fam = autonomous_family(f)
+        structure_constants(fam, pair_samples((0.0, 6.0)))
+        assert diffs and {node for node, _ in diffs} <= _nodes(*(c for s in fam for c in (s.tau, s.xi)))
 
     def test_self_bracket_vanishes(self, unit_family):
         pts = pair_samples((0.0, 6.0))
@@ -317,10 +516,11 @@ class TestCompatibleFamily:
         with pytest.raises(ValueError):
             compatible_family(time_function("sin(t)"), 1.0, 1.0, (0.0, math.pi))
 
-    def test_decreasing_g_names_the_first_point(self):
+    def test_decreasing_g_names_the_first_point(self, monkeypatch):
         # G' = -2 (t - 1) on the samples 0, 1, 2, 3 is not positive at 1, 2 and 3
+        monkeypatch.setattr(symmetry, "_VALIDATION_SAMPLES", 4)
         with pytest.raises(ValueError) as exc:
-            compatible_family(time_function("5-(t-1)^2"), 1.0, 1.0, (0.0, 3.0), 4)
+            compatible_family(time_function("5-(t-1)^2"), 1.0, 1.0, (0.0, 3.0))
         assert type(exc.value) is ValueError
         assert str(exc.value) == "G' is not positive at t=1.0"
 

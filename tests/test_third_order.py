@@ -9,10 +9,11 @@ from epwb import (
     drift,
     first_integral,
     fundamental_pair,
-    integrate_third_order,
+    integrate,
     product_solution,
     rho_substitution,
     third_order_residual,
+    third_order_system,
     time_function,
 )
 from tests.conftest import grid
@@ -31,23 +32,23 @@ def basis_half(cfg2):
 
 class TestTrajectories:
     def test_constant_solution(self, cfg2):
-        tr = integrate_third_order(cfg2, (1.0, 0.0, 0.0), (0.0, 10.0))
+        tr = integrate(third_order_system(cfg2), (1.0, 0.0, 0.0), (0.0, 10.0))
         for t in grid(0.0, 10.0, 41):
             assert tr.sample(t)[0] == pytest.approx(1.0, abs=1e-9)
 
     def test_cos_double_angle(self, cfg2):
         # w = cos 2t has (w, w', w'')(0) = (1, 0, -4)
-        tr = integrate_third_order(cfg2, (1.0, 0.0, -4.0), (0.0, 10.0))
+        tr = integrate(third_order_system(cfg2), (1.0, 0.0, -4.0), (0.0, 10.0))
         for t in grid(0.0, 10.0, 41):
             assert tr.sample(t)[0] == pytest.approx(math.cos(2 * t), abs=1e-8)
 
     def test_sin_double_angle(self, cfg2):
-        tr = integrate_third_order(cfg2, (0.0, 2.0, 0.0), (0.0, 10.0))
+        tr = integrate(third_order_system(cfg2), (0.0, 2.0, 0.0), (0.0, 10.0))
         for t in grid(0.0, 10.0, 41):
             assert tr.sample(t)[0] == pytest.approx(math.sin(2 * t), abs=1e-8)
 
     def test_residual_self_consistency(self, cfg2):
-        tr = integrate_third_order(cfg2, (1.0, 0.5, -2.0), (0.0, 10.0))
+        tr = integrate(third_order_system(cfg2), (1.0, 0.5, -2.0), (0.0, 10.0))
         assert third_order_residual(cfg2, tr, grid(0.0, 10.0)) <= 1e-7
 
 
@@ -64,14 +65,14 @@ class TestFirstIntegral:
 
     def test_conserved_along_trajectory(self):
         cfg = ThirdOrderConfig(time_function("2*(1+0.5*sin(t))"))
-        tr = integrate_third_order(cfg, (1.5, 0.2, -1.0), (0.0, 10.0))
+        tr = integrate(third_order_system(cfg), (1.5, 0.2, -1.0), (0.0, 10.0))
         vals = [first_integral(cfg, tr, t) for t in grid(0.0, 10.0, 101)]
         assert drift(vals) <= 1e-7
 
     @pytest.mark.parametrize("a_text", ["2*(1+0.5*sin(t))", "2.5/((1+t)^2)"])
     def test_grid_equals_per_point_calls(self, a_text):
         cfg = ThirdOrderConfig(time_function(a_text))
-        tr = integrate_third_order(cfg, (1.5, 0.2, -1.0), (0.0, 10.0))
+        tr = integrate(third_order_system(cfg), (1.5, 0.2, -1.0), (0.0, 10.0))
         basis = fundamental_pair(cfg.base_phi(), (0.0, 10.0))
         ts = grid(0.0, 10.0, 101)
         for w in (tr, product_solution(basis, 1.0, 0.3, 2.0)):
@@ -83,7 +84,7 @@ class TestFirstIntegral:
 
     def test_derivative_vanishes(self, cfg2):
         # finite differences of I along any trajectory stay at rounding level
-        tr = integrate_third_order(cfg2, (2.0, -0.3, 0.6), (0.0, 10.0))
+        tr = integrate(third_order_system(cfg2), (2.0, -0.3, 0.6), (0.0, 10.0))
         h = 1e-3
         for t in grid(0.5, 9.5, 19):
             d = (first_integral(cfg2, tr, t + h) - first_integral(cfg2, tr, t - h)) / (
