@@ -1,12 +1,14 @@
-"""Count the expression work of a benchmark pass: derivatives taken and nodes built.
+"""Count the expression work of a benchmark pass: derivatives taken, nodes built, text parsed.
 
 Builds the batch of each workload at each seed from ``perfbench/workloads.py``
 of the checkout that holds this script, which it imports and never writes,
 and runs it in a temporary working directory: one warm-up pass, then two
 counted ones, each with fresh state, as the benchmark's worker does.  For
 each counted pass it prints one line: workload, seed, pass, the
-calls of a node's ``_diff`` (one per node differentiated) and the nodes
-stored into the intern table ``expressions._NODES`` (one per node built).
+calls of a node's ``_diff`` (one per node differentiated), the nodes
+stored into the intern table ``expressions._NODES`` (one per node built),
+and the ``parse_expression`` calls with the characters they parsed, from
+every module that holds the function, whatever name it was imported by.
 A check that raises counts what it did before it raised.  Every check
 starts cold, so the two counted passes of a batch print equal counts, and
 two checkouts are compared by one diff:
@@ -52,10 +54,10 @@ class _CountingTable(dict):
 
 
 class _Census:
-    """Counts ``_diff`` calls and intern-table stores from ``install`` on."""
+    """Counts ``_diff`` calls, intern-table stores and parses from ``install`` on."""
 
     def __init__(self):
-        self.diffs = 0
+        self.diffs = self.parses = self.parsed_chars = 0
         self.table = _CountingTable(expressions._NODES)
 
     def install(self) -> None:
@@ -69,8 +71,21 @@ class _Census:
 
             cls._diff = counting
 
-    def counts(self) -> tuple[int, int]:
-        return self.diffs, self.table.stores
+        original = expressions.parse_expression
+
+        def parsing(text, *args, **kwargs):
+            self.parses += 1
+            self.parsed_chars += len(text)
+            return original(text, *args, **kwargs)
+
+        # the package and its modules imported the function by name, and
+        # time_function looks it up in its own module
+        for module in list(sys.modules.values()):
+            if getattr(module, "parse_expression", None) is original:
+                module.parse_expression = parsing
+
+    def counts(self) -> tuple[int, int, int, int]:
+        return self.diffs, self.table.stores, self.parses, self.parsed_chars
 
 
 def census_lines(census: _Census, workload: str, seed: int, workdir: str) -> list[str]:
@@ -86,9 +101,12 @@ def census_lines(census: _Census, workload: str, seed: int, workdir: str) -> lis
                 check.run(state)
             except Exception:  # a raising check still did the work it counted
                 pass
-        diffs, stores = (now - then for now, then in zip(census.counts(), before))
+        diffs, stores, parses, chars = (now - then for now, then in zip(census.counts(), before))
         if pass_no:
-            lines.append(f"{workload} seed={seed} pass={pass_no + 1} diff_calls={diffs} nodes_stored={stores}")
+            lines.append(
+                f"{workload} seed={seed} pass={pass_no + 1} diff_calls={diffs} nodes_stored={stores}"
+                f" parse_calls={parses} parsed_chars={chars}"
+            )
     return lines
 
 

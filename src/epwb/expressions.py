@@ -10,7 +10,12 @@ Grammar (infix, whitespace-insensitive):
 
 so precedence is pow > unary minus > mul/div > add/sub.  Recognized
 identifiers are the variable names passed to ``parse_expression`` (``t`` by
-default) and the functions sin, cos, exp, log, sqrt.  Everything evaluates
+default) and the functions sin, cos, exp, log, sqrt.  The parser scans the
+text once and parses its tokens in one operator-precedence loop over an
+operand stack and an operator stack, without recursion: a parenthesis
+costs a push and a pop and no tree level.  It refuses a tree deeper than
+``MAX_DEPTH`` levels, since every walk of a tree below recurses once per
+level and a derivative is deeper than its tree.  Everything evaluates
 in float64.  Evaluation at a point where a subexpression is undefined (log
 of a non-positive value, division by zero, sqrt of a negative value,
 fractional power of a non-positive base, zero to a negative power, sin or
@@ -38,7 +43,9 @@ a non-finite input, so every operand in the walk is finite, and it leaves
 the rules to NumPy's IEEE 754 exception flags, set to raise, save those
 IEEE does not signal (``_SILENT``), which stay masks; a node that raised
 a flag runs again with its whole rule as masks, which choose the message,
-naming the first bad point.  ``fail_first`` names it the same way for
+naming the first bad point.  It reads each curve leaf's curve once per
+call, at the highest order it meets first, and takes lower orders from
+that jet's rows.  ``fail_first`` names a bad point the same way for
 checks made outside a tree.
 
 ``scalar_kernel(exprs, variables)`` serves the two hot single-point
@@ -73,7 +80,7 @@ change a defined value.
 
 The canonical printed form is fully parenthesized infix, e.g.
 ``((2)*(cos((2)*(t))))``, and ``parse_expression`` of a canonical print
-reproduces a pointwise-equal expression.
+of a tree within ``MAX_DEPTH`` reproduces a pointwise-equal expression.
 """
 
 from __future__ import annotations
@@ -646,7 +653,9 @@ def evaluate(exprs, env, positive=()):
     inf is ever returned.
     """
     grid = {name: np.asarray(value, dtype=float) for name, value in env.items()}
-    values = {}
+    # jets: the highest-order jet read so far of each curve, by id; the rows
+    # of a curve's jet of order k are its jets of every lower order
+    values, jets = {}, {}
 
     def ev(node: Expr):
         value = values.get(node)
@@ -673,9 +682,11 @@ def evaluate(exprs, env, positive=()):
                 value = _GRID["finite"](grid[node.name], f"variable {node.name!r}")
             elif isinstance(node, CurveVal):
                 ts = ev(_T)
-                with np.errstate(all="ignore"):
-                    jet = node.curve.jet(ts.reshape(-1), node.order)[node.order]
-                value = _GRID["finite"](jet.reshape(ts.shape), f"curve {node.label!r}")
+                jet = jets.get(id(node.curve))
+                if jet is None or len(jet) <= node.order:
+                    with np.errstate(all="ignore"):
+                        jet = jets[id(node.curve)] = node.curve.jet(ts.reshape(-1), node.order)
+                value = _GRID["finite"](jet[node.order].reshape(ts.shape), f"curve {node.label!r}")
             else:
                 raise TypeError(f"cannot evaluate node {node!r}")
             values[node] = value
@@ -855,22 +866,68 @@ def canonical(e: Expr, memo: dict | None = None) -> str:
 # ---------------------------------------------------------------------------
 # parser
 
+# The deepest tree the parser builds, a leaf counting one level.  Every
+# walk of a tree (evaluate, differentiate, scalar_kernel, canonical)
+# recurses once per level, and each derivative of a chain of square roots is
+# several levels deeper per level of the chain: one of 76 levels exhausts
+# the recursion limit when verify-symmetry differentiates G four times.
+MAX_DEPTH = 64
+
 _NUMBER_START = set("0123456789.")
+# What a token opens where a value is expected: a group, a negation, or the
+# function of a call, which its own "(" token follows.
+_PREFIX = {"(": "(", "-": "neg", **{f + "(": f for f in FUNCTIONS}}
+# Each binary operator reduces the stacked operators of at least this
+# precedence before it is pushed; '^' reduces only functions, so it is
+# right-associative.
+_REDUCES = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 5}
+# The precedence of each stacked operator.  The bottom of the stack ("") and
+# an open group are never reduced; a function is applied to its group by the
+# first reduction after the group's ')'.
+_PRECEDENCE = {"": -1, "(": 0, "+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4, **dict.fromkeys(FUNCTIONS, 5)}
 
 
-def _tokenize(text: str):
-    tokens = []
+def _byte_offset(text: str, char_pos: int) -> int:
+    return len(text[:char_pos].encode("utf-8"))
+
+
+def parse_expression(text: str, variables: tuple[str, ...] = ("t",)) -> Expr:
+    """Parse ``text`` into an Expr over the given variable names.
+
+    Raises ExprSyntaxError (with a byte offset) on malformed input, and on a
+    tree deeper than ``MAX_DEPTH`` at the first token after the subtree that
+    passes it; UnknownIdentifierError for identifiers outside ``variables``
+    + functions.  The whole text is scanned before the grammar is checked,
+    so a bad character or number literal anywhere comes first.
+
+    One scan makes the tokens: an operator character, the node of a number
+    or variable (built once per call for each distinct literal or name), a
+    call's "name(" or an unknown name.  One loop parses them by operator
+    precedence, with an operand stack (each node with its depth) and an
+    operator stack, so a parenthesis costs one push and one pop.
+    """
+    if not text or text.isspace():
+        raise ExprSyntaxError("empty expression", 0)
+    tokens, starts, leaves = [], [], {}
     i, n = 0, len(text)
     while i < n:
         ch = text[i]
-        if ch.isspace():
+        if ch in "()+-*/^":
+            starts.append(i)
             i += 1
+            if ch == "*" and text.startswith("*", i):
+                ch, i = "^", i + 1
+            tokens.append(ch)
             continue
+        j = i + 1
         if ch in _NUMBER_START:
-            j = i
-            seen_dot = False
-            while j < n and (text[j].isdigit() or (text[j] == "." and not seen_dot)):
-                seen_dot = seen_dot or text[j] == "."
+            dot = ch == "."
+            while j < n:
+                c = text[j]
+                if c == "." and not dot:
+                    dot = True
+                elif not c.isdigit():
+                    break
                 j += 1
             if j < n and text[j] in "eE":
                 k = j + 1
@@ -881,136 +938,85 @@ def _tokenize(text: str):
                         k += 1
                     j = k
             lit = text[i:j]
-            try:
-                value = float(lit)
-            except ValueError:
-                raise ExprSyntaxError(f"bad number literal {lit!r}", _byte_offset(text, i))
-            if not math.isfinite(value):
-                raise ExprSyntaxError(f"number literal {lit!r} overflows", _byte_offset(text, i))
-            tokens.append(("num", value, i))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
+            token = leaves.get(lit)
+            if token is None:
+                try:
+                    value = float(lit)
+                except ValueError:
+                    raise ExprSyntaxError(f"bad number literal {lit!r}", _byte_offset(text, i))
+                if not math.isfinite(value):
+                    raise ExprSyntaxError(f"number literal {lit!r} overflows", _byte_offset(text, i))
+                token = leaves[lit] = Const(value)
+        elif ch.isalpha() or ch == "_":
             while j < n and (text[j].isalnum() or text[j] == "_"):
                 j += 1
-            tokens.append(("ident", text[i:j], i))
-            i = j
-            continue
-        if ch == "*" and i + 1 < n and text[i + 1] == "*":
-            tokens.append(("op", "^", i))
-            i += 2
-            continue
-        if ch in "+-*/^()":
-            tokens.append(("op", ch, i))
+            name = text[i:j]
+            k = j
+            while k < n and text[k].isspace():
+                k += 1
+            if k < n and text[k] == "(":
+                token = name + "("
+            else:
+                token = leaves.get(name)
+                if token is None:
+                    token = leaves[name] = Var(name) if name in variables else name
+        elif ch.isspace():
             i += 1
             continue
-        raise ExprSyntaxError(f"unexpected character {ch!r}", _byte_offset(text, i))
-    tokens.append(("end", "", n))
-    return tokens
+        else:
+            raise ExprSyntaxError(f"unexpected character {ch!r}", _byte_offset(text, i))
+        tokens.append(token)
+        starts.append(i)
+        i = j
+    tokens.append("")  # the end of the input
+    starts.append(n)
 
-
-def _byte_offset(text: str, char_pos: int) -> int:
-    return len(text[:char_pos].encode("utf-8"))
-
-
-class _Parser:
-    def __init__(self, text: str, variables):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.pos = 0
-        self.variables = variables
-
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def next(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def error(self, message, tok):
-        raise ExprSyntaxError(message, _byte_offset(self.text, tok[2]))
-
-    def parse(self) -> Expr:
-        e = self.expr()
-        tok = self.peek()
-        if tok[0] != "end":
-            self.error(f"unexpected trailing input {tok[1]!r}", tok)
-        return e
-
-    def expr(self) -> Expr:
-        e = self.term()
-        while True:
-            tok = self.peek()
-            if tok[0] == "op" and tok[1] in "+-":
-                self.next()
-                e = Binary(tok[1], e, self.term())
+    operands, depths, ops = [], [], [""]
+    value_next = True
+    for pos, token in enumerate(tokens):
+        if value_next:
+            # prefixes, then a number or a variable
+            opener = _PREFIX.get(token)
+            if opener is not None:
+                ops.append(opener)
+            elif type(token) is not str:
+                operands.append(token)
+                depths.append(1)
+                value_next = False
+            elif not token:
+                raise ExprSyntaxError("unexpected end of input", _byte_offset(text, starts[pos]))
+            elif token in _REDUCES or token == ")":
+                raise ExprSyntaxError(f"expected a value, got {token!r}", _byte_offset(text, starts[pos]))
             else:
-                return e
-
-    def term(self) -> Expr:
-        e = self.factor()
-        while True:
-            tok = self.peek()
-            if tok[0] == "op" and tok[1] in "*/":
-                self.next()
-                e = Binary(tok[1], e, self.factor())
+                raise UnknownIdentifierError(token.rstrip("("), _byte_offset(text, starts[pos]))
+            continue
+        # after a value: apply what binds tighter, then close a group, push an operator or end
+        floor = _REDUCES.get(token, 1)
+        while _PRECEDENCE[ops[-1]] >= floor:
+            op = ops.pop()
+            node, depth = operands.pop(), depths.pop() + 1
+            if op in _REDUCES:
+                node = Binary(op, operands.pop(), node)
+                left = depths.pop() + 1
+                if left > depth:
+                    depth = left
             else:
-                return e
-
-    def factor(self) -> Expr:
-        tok = self.peek()
-        if tok[0] == "op" and tok[1] == "-":
-            self.next()
-            return Unary("neg", self.factor())
-        return self.power()
-
-    def power(self) -> Expr:
-        e = self.atom()
-        tok = self.peek()
-        if tok[0] == "op" and tok[1] == "^":
-            self.next()
-            return Binary("^", e, self.factor())
-        return e
-
-    def atom(self) -> Expr:
-        tok = self.next()
-        if tok[0] == "num":
-            return Const(tok[1])
-        if tok[0] == "ident":
-            name = tok[1]
-            nxt = self.peek()
-            if nxt[0] == "op" and nxt[1] == "(":
-                if name not in FUNCTIONS:
-                    raise UnknownIdentifierError(name, _byte_offset(self.text, tok[2]))
-                self.next()
-                arg = self.expr()
-                close = self.next()
-                if close[0] != "op" or close[1] != ")":
-                    self.error("expected ')'", close)
-                return Unary(name, arg)
-            if name not in self.variables:
-                raise UnknownIdentifierError(name, _byte_offset(self.text, tok[2]))
-            return Var(name)
-        if tok[0] == "op" and tok[1] == "(":
-            e = self.expr()
-            close = self.next()
-            if close[0] != "op" or close[1] != ")":
-                self.error("expected ')'", close)
-            return e
-        self.error(f"expected a value, got {tok[1]!r}" if tok[0] != "end" else "unexpected end of input", tok)
-
-
-def parse_expression(text: str, variables: tuple[str, ...] = ("t",)) -> Expr:
-    """Parse ``text`` into an Expr over the given variable names.
-
-    Raises ExprSyntaxError (with a byte offset) on malformed input and
-    UnknownIdentifierError for identifiers outside ``variables`` + functions.
-    """
-    if not text or text.isspace():
-        raise ExprSyntaxError("empty expression", 0)
-    return _Parser(text, variables).parse()
+                node = Unary(op, node)
+            if depth > MAX_DEPTH:
+                raise ExprSyntaxError(f"expression deeper than {MAX_DEPTH} levels", _byte_offset(text, starts[pos]))
+            operands.append(node)
+            depths.append(depth)
+        if token == ")" and ops[-1] == "(":
+            ops.pop()
+        elif token in _REDUCES:
+            ops.append(token)
+            value_next = True
+        elif ops[-1] == "(":
+            raise ExprSyntaxError("expected ')'", _byte_offset(text, starts[pos]))
+        elif token:  # a value or a '(', shown as a number, a name (a call's too) or '('
+            shown = token.value if type(token) is Const else getattr(token, "name", None) or token.rstrip("(") or "("
+            raise ExprSyntaxError(f"unexpected trailing input {shown!r}", _byte_offset(text, starts[pos]))
+    return operands[0]
 
 
 # ---------------------------------------------------------------------------
@@ -1057,7 +1063,7 @@ def time_function(text: str) -> TimeFunction:
     return TimeFunction(parse_expression(text))
 
 
-GRAMMAR_HELP = """\
+GRAMMAR_HELP = f"""\
 expression grammar
 ------------------
   expr   := term (('+' | '-') term)*
@@ -1067,7 +1073,9 @@ expression grammar
   atom   := NUMBER | IDENT | IDENT '(' expr ')' | '(' expr ')'
 
 precedence: pow > unary minus > mul/div > add/sub (left-associative
-except pow).  NUMBER is a decimal float literal (optional fraction and
+except pow).  A tree may be at most {MAX_DEPTH} levels deep (a number or a
+variable is one level, each operator or function one more; parentheses
+add none).  NUMBER is a decimal float literal (optional fraction and
 exponent).  IDENT is the variable 't' (equation fields may also use 'x'
 and 'v' for position and velocity) or one of the functions:
   sin cos exp log sqrt

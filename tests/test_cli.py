@@ -509,6 +509,7 @@ class TestPrintGrammar:
         out = capsys.readouterr().out
         assert "expression grammar" in out
         assert "expr" in out
+        assert "at most 64 levels deep" in out
 
 
 def _reject_constant(name):

@@ -52,10 +52,10 @@ from epwb.expressions import (
     var,
 )
 from epwb.ode import IntegrationSettings, integrate, residual
-from epwb.oscillator import basis_with_ics, oscillator_system
+from epwb.oscillator import QuadraticFormCurve, basis_with_ics, oscillator_system
 from epwb.pinney import EPConfig, SqrtCurve, ep_residual, ep_system, ermakov_invariant
 from epwb.reduction import CanonicalChart, TransformedOrbit, abel_residual, autonomous_residual
-from epwb.symmetry import basis_family, default_samples, symmetry_condition
+from epwb.symmetry import SecondOrderODE, basis_family, default_samples, symmetry_condition
 from epwb.third_order import ThirdOrderConfig, first_integral, rho_substitution
 
 
@@ -499,6 +499,40 @@ class TestGridEvaluation:
         trees = [sin(t) ** 3.5 - exp(-t) / (1.0 + sqrt(t)), log(cos(t) + 2.0) * t ** t]
         evaluate(trees, {"t": np.linspace(0.1, 1.0, 4)})
         assert compiled == []
+
+
+class TestCurveJets:
+    """``evaluate`` reads each curve once per call, and takes lower orders from that jet's rows."""
+
+    TS = np.linspace(0.3, 9.7, 11)
+
+    @pytest.fixture
+    def curves(self, basis_sin, phi_sin):
+        w = QuadraticFormCurve(basis_sin, 1.0, 0.3, 2.0)
+        # each curve of the package with the highest order it gives
+        return [(w, 5), (SqrtCurve(w), 4), (basis_sin.u, 2), (phi_sin, 3)]
+
+    def test_rows_are_the_lower_orders(self, curves):
+        for curve, top in curves:
+            high = curve.jet(self.TS, top)
+            for k in range(top):
+                np.testing.assert_array_equal(high[: k + 1], curve.jet(self.TS, k))
+
+    @pytest.mark.parametrize("descending", [True, False])
+    def test_values_are_each_order_read_alone(self, curves, descending):
+        for curve, top in curves:
+            orders = sorted(range(top + 1), reverse=descending)
+            values = evaluate([CurveVal(curve, k) for k in orders], {"t": self.TS})
+            for k, value in zip(orders, values):
+                np.testing.assert_array_equal(value, curve.jet(self.TS, k)[k])
+
+    def test_a_basis_member_reads_its_curve_once(self, monkeypatch, basis_sin, phi_sin):
+        orders = []
+        jet = QuadraticFormCurve.jet
+        monkeypatch.setattr(QuadraticFormCurve, "jet", lambda self, ts, k: orders.append(k) or jet(self, ts, k))
+        ode = SecondOrderODE.from_ep(phi_sin, time_function("1"))
+        symmetry_residual(basis_family(basis_sin)[0], ode, default_samples((0.0, 10.0)))
+        assert orders == [3]
 
 
 def _bounded_calls(monkeypatch, cls, name, limit):

@@ -64,12 +64,15 @@ def test_cold_census_counts_repeat(tmp_path):
     out = subprocess.run([sys.executable, path], cwd=tmp_path, capture_output=True, text=True, check=True)
     counts = {}
     for line in out.stdout.splitlines():
-        found = re.fullmatch(r"(\w+ seed=\d+) pass=(\d+) diff_calls=(\d+) nodes_stored=(\d+)", line)
+        found = re.fullmatch(
+            r"(\w+ seed=\d+) pass=(\d+) diff_calls=(\d+) nodes_stored=(\d+) parse_calls=(\d+) parsed_chars=(\d+)", line
+        )
         assert found, line
-        counts.setdefault(found[1], []).append((found[2], int(found[3]), int(found[4])))
+        counts.setdefault(found[1], []).append((found[2], *map(int, found.groups()[2:])))
     workloads = [key.split()[0] for key in counts]
     assert workloads[::3] == ["superposition", "long_orbit", "symmetry", "scenarios"]
     for key, (second, third) in counts.items():
         assert (second[0], third[0]) == ("2", "3")
         assert second[1:] == third[1:], key  # every pass starts cold
     assert counts["symmetry seed=3"][0][1] > 0
+    assert counts["symmetry seed=3"][0][3] > 0  # parse_expression calls
