@@ -78,6 +78,7 @@ from .symmetry import (
     killing_form,
     lie_bracket,
     point_symmetry,
+    relation,
     structure_constants,
     surviving_symmetry,
     symmetry_condition,

@@ -31,6 +31,7 @@ byte-identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -458,7 +459,9 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built on the first main call and kept: parsing leaves the parser as it was
     parser = _ArgumentParser(prog="epwb", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
     run_p = sub.add_parser("run", help="execute a scenario file")

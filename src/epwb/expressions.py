@@ -27,8 +27,11 @@ interned: every way of building one (the parser, the smart constructors,
 the operators, copy and pickle) returns the live node of that structure if
 there is one, so structurally equal trees are one object and structural
 equality is identity.  The intern table is a plain dict from a node's
-structure to a weak reference to the node, whose callback removes the
-entry when the node goes, so the table holds no node alive.
+structure to an entry: a weak reference to the node that carries the
+node's key.  Every entry shares one callback, which removes the entry when
+its node goes, so the table holds no node alive and no node costs a
+callback object of its own.  A new node's fields are written through its
+slots' descriptors, at about half the cost of ``object.__setattr__``.
 
 Each operation's domain rule is stated once, in ``_RULES``: its value and
 the conditions under which it is defined, each with the ``_MESSAGES`` key
@@ -183,28 +186,42 @@ class Expr:
 
 
 # Every live node, by its structure (class, op, children by identity and
-# leaf data), as a weak reference: the table holds no node alive.  The
-# reference's callback removes the entry when the node goes, unless a newer
-# node has taken the key by then.  Two threads racing on one key can only
-# leave two equal nodes, which costs sharing, never a value.
+# leaf data), as an _Entry: a weak reference to the node that carries the
+# node's key, so the table holds no node alive.  Every entry has the one
+# callback _dropped, which removes the entry when its node goes, unless a
+# newer node has taken the key by then.  The constructors and _dropped look
+# the table up by its global name on every call.  Two threads racing on one
+# key can only leave two equal nodes, which costs sharing, never a value.
 _NODES = {}
 
 
-def _dropped(key, ref):
-    if _NODES.get(key) is ref:
-        _NODES.pop(key, None)
+class _Entry(weakref.ref):
+    """The intern table's weak reference to a node, with the node's key."""
+
+    __slots__ = ("key",)
+
+
+def _dropped(entry):
+    if _NODES.get(entry.key) is entry:
+        _NODES.pop(entry.key, None)
 
 
 def _interned(key, cls, free, *fields):
-    """The live node under ``key``, or a new ``cls`` node of ``fields`` and ``vars`` ``free``."""
-    ref = _NODES.get(key)
-    node = None if ref is None else ref()
+    """The live node under ``key``, or a new ``cls`` node of ``fields`` and ``vars`` ``free``.
+
+    Const, Unary and Binary, the nodes built most often, take the same
+    steps inline; Var and CurveVal come here.
+    """
+    entry = _NODES.get(key)
+    node = None if entry is None else entry()
     if node is None:
         node = object.__new__(cls)
         for name, value in zip(cls.__slots__, fields):
-            object.__setattr__(node, name, value)
-        object.__setattr__(node, "vars", free)
-        _NODES[key] = weakref.ref(node, functools.partial(_dropped, key))
+            getattr(cls, name).__set__(node, value)
+        _set_vars(node, free)
+        entry = _Entry(node, _dropped)
+        _set_key(entry, key)
+        _NODES[key] = entry
     return node
 
 
@@ -217,7 +234,17 @@ class Const(Expr):
     def __new__(cls, value):
         value = float(value)
         # 0.0 == -0.0, so the key keeps the sign apart
-        return _interned((cls, value, math.copysign(1.0, value)), cls, _NO_VARS, value)
+        key = (cls, value, math.copysign(1.0, value))
+        entry = _NODES.get(key)
+        node = None if entry is None else entry()
+        if node is None:
+            node = object.__new__(cls)
+            _set_value(node, value)
+            _set_vars(node, _NO_VARS)
+            entry = _Entry(node, _dropped)
+            _set_key(entry, key)
+            _NODES[key] = entry
+        return node
 
     def _diff(self, var, d):
         return _ZERO
@@ -237,7 +264,18 @@ class Unary(Expr):
     __slots__ = ("op", "arg")
 
     def __new__(cls, op, arg):
-        return _interned((cls, op, arg), cls, arg.vars, op, arg)
+        key = (cls, op, arg)
+        entry = _NODES.get(key)
+        node = None if entry is None else entry()
+        if node is None:
+            node = object.__new__(cls)
+            _set_unary_op(node, op)
+            _set_arg(node, arg)
+            _set_vars(node, arg.vars)
+            entry = _Entry(node, _dropped)
+            _set_key(entry, key)
+            _NODES[key] = entry
+        return node
 
     def _diff(self, var, d):
         u, du = self.arg, d(self.arg)
@@ -260,19 +298,20 @@ class Binary(Expr):
     __slots__ = ("op", "left", "right")
 
     def __new__(cls, op, left, right):
-        # the node built most often, so it skips _interned's generic loop
         key = (cls, op, left, right)
-        ref = _NODES.get(key)
-        node = None if ref is None else ref()
+        entry = _NODES.get(key)
+        node = None if entry is None else entry()
         if node is None:
             node = object.__new__(cls)
-            object.__setattr__(node, "op", op)
-            object.__setattr__(node, "left", left)
-            object.__setattr__(node, "right", right)
+            _set_binary_op(node, op)
+            _set_left(node, left)
+            _set_right(node, right)
             # a child's own set wherever it holds the other's, so few sets are built
             lv, rv = left.vars, right.vars
-            object.__setattr__(node, "vars", lv if lv is rv or rv <= lv else rv if lv <= rv else lv | rv)
-            _NODES[key] = weakref.ref(node, functools.partial(_dropped, key))
+            _set_vars(node, lv if lv is rv or rv <= lv else rv if lv <= rv else lv | rv)
+            entry = _Entry(node, _dropped)
+            _set_key(entry, key)
+            _NODES[key] = entry
         return node
 
     def _diff(self, var, d):
@@ -314,6 +353,12 @@ class CurveVal(Expr):
             return CurveVal(self.curve, self.order + 1, self.label)
         return _ZERO
 
+
+# Each field is written through its slot's descriptor, which bypasses the
+# nodes' refusing __setattr__ at about half the cost of object.__setattr__.
+_set_vars, _set_key, _set_value = Expr.vars.__set__, _Entry.key.__set__, Const.value.__set__
+_set_unary_op, _set_arg = Unary.op.__set__, Unary.arg.__set__
+_set_binary_op, _set_left, _set_right = Binary.op.__set__, Binary.left.__set__, Binary.right.__set__
 
 # built once: t for curve leaves, the constants the smart constructors fold
 # by.  They live as long as the module, so every Const(0.0), Const(-0.0)

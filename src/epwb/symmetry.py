@@ -323,6 +323,28 @@ def compatible_family(
     )
 
 
+def relation(phi: TimeFunction, g: TimeFunction) -> Expr:
+    """R = a''' + 4 Phi a' + 2 Phi' a with a = 4G/G', one tree in t: zero where Phi and G are related.
+
+    On the census ansatz tau = a(t), xi = (a'/2 + k) x, a symmetry of
+    x'' + Phi x = G/x^3 needs a''' + 4 Phi a' + 2 Phi' a = 0 and a G' = 4k G.
+    Where G' is not identically zero, k = 0 forces a = 0, so a = 4kG/G' and
+    at most one symmetry survives, up to the scale k: it survives exactly
+    where R vanishes.  ``a`` is built over G's t-memo, as
+    ``compatible_family`` builds it.  Evaluating R raises DomainError where
+    G' = 0; a G free of t, whose G' is zero everywhere, is refused with
+    ValueError.
+    """
+    if "t" not in g.expr.vars:
+        raise ValueError("G' is identically zero")
+    a = TimeFunction(const(4.0) * g.expr / g.derivative_expr(1), g.memo)
+    return (
+        a.derivative_expr(3)
+        + const(4.0) * phi.expr * a.derivative_expr(1)
+        + const(2.0) * phi.derivative_expr(1) * a.expr
+    )
+
+
 def surviving_symmetry(fam: CompatibleFamily) -> PointSymmetry:
     """Gamma_s = (4G/G') d_t + x (3 - 2 G G''/G'^2) d_x (C0-independent)."""
     ge = fam.g.expr

@@ -512,6 +512,20 @@ class TestPrintGrammar:
         assert "at most 64 levels deep" in out
 
 
+def test_one_parser_serves_successive_calls(tmp_path, capsys):
+    # the parser is built once per process, so each call must find it as the last one left it
+    assert run_cli(["run"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "epwb run: error: the following arguments are required: scenario" in captured.err
+    path = write_scenario(tmp_path, simulate_scenario())
+    assert run_cli(["run", str(path)]) == 0
+    assert json.loads((tmp_path / "report.json").read_text())["pass"] is True
+    assert capsys.readouterr().err == ""
+    assert run_cli(["print-grammar"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == epwb.cli.GRAMMAR_HELP and captured.err == ""
+
+
 def _reject_constant(name):
     raise ValueError(f"report holds non-standard JSON {name}")
 

@@ -1070,6 +1070,29 @@ class TestInterning:
         gc.collect()
         assert len(expressions._NODES) == baseline
 
+    def test_every_entry_shares_one_callback(self):
+        e = parse_expression("exp(-t)/(1+t^2) - 0.5*t")
+        d = differentiate(e)
+        leaf = Var("x") * CurveVal(_Line(), 2, "c")  # Var and CurveVal take the generic path
+        entries = list(expressions._NODES.values())
+        assert {leaf, leaf.left, leaf.right} <= {entry() for entry in entries}
+        assert all(entry.__callback__ is expressions._dropped for entry in entries)
+        assert all(expressions._NODES[entry.key] is entry for entry in entries)
+        del e, d, leaf
+
+    def test_a_dropped_tree_leaves_no_cycle(self):
+        gc.collect()
+        gc.disable()
+        try:
+            e = sin(var("t"))
+            for _ in range(40):
+                e = Binary("-", Binary("*", Const(2.0), e), e)
+            d = differentiate(e)
+            del e, d
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
     def test_a_dead_nodes_callback_leaves_a_newer_node_alone(self):
         old = Binary("+", Var("stale"), Const(0.125))
         key = (Binary, "+", old.left, old.right)

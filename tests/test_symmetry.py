@@ -20,6 +20,7 @@ from epwb import (
     killing_form,
     lie_bracket,
     point_symmetry,
+    relation,
     structure_constants,
     surviving_symmetry,
     symmetry_condition,
@@ -27,7 +28,7 @@ from epwb import (
     time_function,
 )
 from epwb import symmetry
-from epwb.expressions import Binary, Const, Expr, TimeFunction, Unary, const, differentiate, evaluate, var
+from epwb.expressions import Binary, Const, Expr, TimeFunction, Unary, const, differentiate, evaluate, sin, var
 from epwb.ode import worst_residual
 from epwb.symmetry import default_samples
 from tests.conftest import G_CATALOG, M_VALUES, POWER_LAW_G
@@ -418,6 +419,20 @@ class TestStructureConstants:
         assert eigs == pytest.approx([-8.0, 8.0, 8.0], abs=1e-6)
         assert np.sum(eigs < 0) == 1 and np.sum(eigs > 0) == 2
 
+    @pytest.mark.parametrize("phi_text", ["1", "1+0.5*sin(t)", "1+0.5*sin(3*t)", "2+t"])
+    def test_sl2_survives_a_time_dependent_phi(self, phi_text):
+        # paper claim 1: over any phi(t) the basis family closes with the table of W = 1
+        basis = fundamental_pair(time_function(phi_text), (0.0, 10.0))
+        assert basis.wronskian0 == 1.0
+        pts10 = [(t, x) for t in np.linspace(0.3, 9.7, 7) for x in (0.7, 1.1, 1.9)]
+        c, fit = structure_constants(basis_family(basis), pts10)
+        assert fit <= 1e-9
+        assert c[0, 1] == pytest.approx([1.0, 0.0, 0.0], abs=1e-9)
+        assert c[0, 2] == pytest.approx([0.0, 2.0, 0.0], abs=1e-9)
+        assert c[1, 2] == pytest.approx([0.0, 0.0, 1.0], abs=1e-9)
+        # indefinite, so sl(2,R) and not so(3)
+        assert np.linalg.eigvalsh(killing_form(c)) == pytest.approx([-4.0, 2.0, 4.0], abs=1e-8)
+
     def test_basis_family_killing_signature(self):
         basis = fundamental_pair(time_function("1"), (0.0, 10.0))
         c, _ = structure_constants(basis_family(basis), pair_samples((0.0, 10.0)))
@@ -538,6 +553,57 @@ class TestCompatibleFamily:
         ans = PointSymmetry(fam.a.expr, (const(2.0) + const(0.5) * fam.a.derivative_expr(1)) * var("x"))
         sym = surviving_symmetry(fam)
         assert component_distance(ans, sym, pair_samples((0.0, 3.0)), scale=2.0) <= 1e-10
+
+
+_RELATION_GRID = np.linspace(0.5, 3.0, 201)
+_RELATION_G = ["exp(t)", "exp(4*t)", "(1+t)^4", "(2+t)^3"]
+
+
+def _relation_reading(phi, g, a):
+    """max|R| over the grid, and the largest sum there of |a'''|, |4 phi a'| and |2 phi' a|."""
+    r = evaluate(relation(phi, g), {"t": _RELATION_GRID})
+    aj, pj = a.jet(_RELATION_GRID, 3), phi.jet(_RELATION_GRID, 1)
+    terms = np.abs(aj[3]) + np.abs(4.0 * pj[0] * aj[1]) + np.abs(2.0 * pj[1] * aj[0])
+    return float(np.max(np.abs(r))), float(np.max(terms))
+
+
+class TestRelation:
+    """Paper claim 3: a symmetry survives a time-dependent G only where R[phi, G] vanishes."""
+
+    @pytest.mark.parametrize("g_text", _RELATION_G)
+    def test_the_compatible_phi_is_a_root(self, g_text):
+        g = time_function(g_text)
+        fam = compatible_family(g, 1.0, 0.5, (0.5, 3.0))
+        worst, scale = _relation_reading(fam.phi, g, fam.a)
+        assert worst <= 8.0 * np.finfo(float).eps * scale
+        if g_text.startswith("exp"):
+            assert worst == 0.0  # a = 4G/G' is 4 at every point
+
+    @pytest.mark.parametrize("g_text", _RELATION_G)
+    def test_a_perturbed_phi_is_not(self, g_text):
+        g = time_function(g_text)
+        fam = compatible_family(g, 1.0, 0.5, (0.5, 3.0))
+        perturbed = TimeFunction(fam.phi.expr + const(0.01) * sin(var("t")), g.memo)
+        worst, _ = _relation_reading(perturbed, g, fam.a)
+        assert worst >= 1e-2
+
+    @pytest.mark.parametrize("g_text", _RELATION_G)
+    @pytest.mark.parametrize("c0,m", [(1.0, 0.5), (1.3, 0.7), (0.8, 1.9)])
+    def test_the_family_gives_back_its_m(self, g_text, c0, m):
+        # the converse: a^2 phi + a a''/2 - a'^2/4 is the constant M the family was built with
+        fam = compatible_family(time_function(g_text), c0, m, (0.5, 3.0))
+        a, phi = fam.a.jet(_RELATION_GRID, 2), fam.phi.jet(_RELATION_GRID, 0)[0]
+        assert np.max(np.abs(a[0] ** 2 * phi + a[0] * a[2] / 2.0 - a[1] ** 2 / 4.0 - m)) <= 1e-14
+
+    def test_a_vanishing_g_prime_raises_where_it_vanishes(self):
+        r = relation(time_function("1+0.5*sin(t)"), time_function("1+t^2"))
+        assert np.isfinite(evaluate(r, {"t": np.array([0.5, 1.0, 2.0])})).all()
+        with pytest.raises(DomainError, match="division by zero"):
+            evaluate(r, {"t": np.array([0.5, 0.0, 2.0])})
+
+    def test_a_constant_g_is_refused(self):
+        with pytest.raises(ValueError, match="G' is identically zero"):
+            relation(time_function("1+0.5*sin(t)"), time_function("2"))
 
 
 class TestCoefficientPerturbation:
