@@ -13,11 +13,14 @@ identifiers are the variable names passed to ``parse_expression`` (``t`` by
 default) and the functions sin, cos, exp, log, sqrt.  The parser scans the
 text once and parses its tokens in one operator-precedence loop over an
 operand stack and an operator stack, without recursion: a parenthesis
-costs a push and a pop and no tree level.  It refuses a tree deeper than
-``MAX_DEPTH`` levels, since every walk of a tree below recurses once per
-level and a derivative is deeper than its tree.  Everything evaluates
-in float64.  Evaluation at a point where a subexpression is undefined (log
-of a non-positive value, division by zero, sqrt of a negative value,
+costs a push and a pop and no tree level.  No walk of a tree below
+recurses either: ``differentiate``, ``evaluate`` and ``scalar_kernel``
+each loop over one post-order of the distinct nodes under a root, and
+``canonical`` over a stack of its own.  So no tree is too deep, a
+derivative, deeper than its tree, included: an expression's limit is the
+size of its text, not its depth.  Everything evaluates in float64.
+Evaluation at a point where a subexpression is undefined (log of a
+non-positive value, division by zero, sqrt of a negative value,
 fractional power of a non-positive base, zero to a negative power, sin or
 cos of a non-finite value, overflow) raises DomainError instead of
 producing a silent NaN or inf.
@@ -83,7 +86,7 @@ change a defined value.
 
 The canonical printed form is fully parenthesized infix, e.g.
 ``((2)*(cos((2)*(t))))``, and ``parse_expression`` of a canonical print
-of a tree within ``MAX_DEPTH`` reproduces a pointwise-equal expression.
+of a tree without curve leaves reproduces a pointwise-equal expression.
 """
 
 from __future__ import annotations
@@ -143,11 +146,10 @@ class Expr:
         return None  # everything is in __getnewargs__
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{type(self).__name__}({fields})"
+        return f"<{type(self).__name__} {canonical(self)}>"
 
     def _diff(self, var: str, d) -> "Expr":
-        """Derivative by ``var``; ``d`` differentiates a child (memoised)."""
+        """Derivative by ``var``; ``d`` gives a child's derivative, taken before its parent's."""
         raise NotImplementedError
 
     def __str__(self) -> str:
@@ -485,33 +487,50 @@ def sqrt(e: Expr) -> Expr:
     return _fold_unary("sqrt", e)
 
 
+def _post_order(root, known, variable=None):
+    """Each distinct node under ``root`` that ``known`` lacks, children first, left child first.
+
+    The caller puts each node it takes into ``known`` before it takes the
+    next, so no node comes twice.  With ``variable``, a node free of it is
+    skipped, subtree and all, and a curve leaf's t is no child.  A node met
+    goes back on the explicit stack under a None, its children above, and
+    comes out with the None, so a tree of any depth is walked.
+    """
+    if not isinstance(root, Expr):
+        raise TypeError(f"not an expression node: {root!r}")
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if node is None:
+            yield stack.pop()
+        elif (variable is None or variable in node.vars) and node not in known:
+            cls = type(node)
+            if cls is Binary:
+                stack += (node, None, node.right, node.left)
+            elif cls is Unary:
+                stack += (node, None, node.arg)
+            elif cls is CurveVal and variable is None:
+                stack += (node, None, _T)
+            else:
+                yield node
+
+
 def differentiate(e: Expr, variable: str = "t", memo: dict | None = None) -> Expr:
     """Exact structural derivative of ``e`` with respect to ``variable``.
 
     A node whose ``vars`` lacks ``variable`` is zero at once: its subtree
     is neither walked nor looked up.  Each other distinct node is
-    differentiated once, so a subtree shared by several parents gets one
-    shared derivative.  Calls by the same ``variable`` may share a ``memo``
-    to reuse each other's work.  No derivative is cached on the nodes: the
-    derivative of exp(u) contains exp(u), so a cache there would form a
-    reference cycle.
+    differentiated once, after its children, so a subtree shared by several
+    parents gets one shared derivative.  Calls by the same ``variable`` may
+    share a ``memo`` to reuse each other's work.  No derivative is cached on
+    the nodes: the derivative of exp(u) contains exp(u), so a cache there
+    would form a reference cycle.
     """
     memo = {} if memo is None else memo
-
-    def d(node: Expr) -> Expr:
-        if variable not in node.vars:
-            return _ZERO
-        derivative = memo.get(node)
-        if derivative is None:
-            derivative = memo[node] = node._diff(variable, d)
-        return derivative
-
-    try:
-        return d(e)
-    finally:
-        # d refers to itself through its closure; without this the memo and
-        # every node in it would live until the next garbage collection
-        del d
+    d = lambda node: memo[node] if variable in node.vars else _ZERO
+    for node in _post_order(e, memo, variable):
+        memo[node] = node._diff(variable, d)
+    return d(e)
 
 
 # ---------------------------------------------------------------------------
@@ -698,54 +717,44 @@ def evaluate(exprs, env, positive=()):
     inf is ever returned.
     """
     grid = {name: np.asarray(value, dtype=float) for name, value in env.items()}
+    roots = (exprs,) if isinstance(exprs, Expr) else tuple(exprs)
     # jets: the highest-order jet read so far of each curve, by id; the rows
     # of a curve's jet of order k are its jets of every lower order
     values, jets = {}, {}
-
-    def ev(node: Expr):
-        value = values.get(node)
-        if value is None:
-            if isinstance(node, Binary):
-                a, b = ev(node.left), ev(node.right)
-                try:
-                    value = _GRID[node.op](a, b)
-                except FloatingPointError:
-                    value = _rechecked(node.op, a, b)
-            elif isinstance(node, Unary):
-                a = ev(node.arg)
-                try:
-                    value = _GRID[node.op](a)
-                except FloatingPointError:
-                    value = _rechecked(node.op, a)
-            elif isinstance(node, Const):
-                if not math.isfinite(node.value):
-                    _fail(_MESSAGES["NONFINITE"], node.value, "constant")
-                value = np.float64(node.value)
-            elif isinstance(node, Var):
-                if node.name not in grid:
-                    _fail(_MESSAGES["UNBOUND"], node.name)
-                value = _GRID["finite"](grid[node.name], f"variable {node.name!r}")
-            elif isinstance(node, CurveVal):
-                ts = ev(_T)
-                jet = jets.get(id(node.curve))
-                if jet is None or len(jet) <= node.order:
-                    with np.errstate(all="ignore"):
-                        jet = jets[id(node.curve)] = node.curve.jet(ts.reshape(-1), node.order)
-                value = _GRID["finite"](jet[node.order].reshape(ts.shape), f"curve {node.label!r}")
-            else:
-                raise TypeError(f"cannot evaluate node {node!r}")
-            values[node] = value
-        return value
-
-    try:
-        with np.errstate(**_FLAGS):
-            for tree in positive:
-                _GRID["positive"](ev(tree), canonical(tree)[1:-1])
-            results = [ev(root) for root in ((exprs,) if isinstance(exprs, Expr) else exprs)]
-    finally:
-        # ev refers to itself through its closure; without this the memo and
-        # every array in it would live until the next garbage collection
-        del ev
+    with np.errstate(**_FLAGS):
+        for i, tree in enumerate((*positive, *roots)):
+            for node in _post_order(tree, values):
+                if isinstance(node, Binary):
+                    a, b = values[node.left], values[node.right]
+                    try:
+                        value = _GRID[node.op](a, b)
+                    except FloatingPointError:
+                        value = _rechecked(node.op, a, b)
+                elif isinstance(node, Unary):
+                    a = values[node.arg]
+                    try:
+                        value = _GRID[node.op](a)
+                    except FloatingPointError:
+                        value = _rechecked(node.op, a)
+                elif isinstance(node, Const):
+                    if not math.isfinite(node.value):
+                        _fail(_MESSAGES["NONFINITE"], node.value, "constant")
+                    value = np.float64(node.value)
+                elif isinstance(node, Var):
+                    if node.name not in grid:
+                        _fail(_MESSAGES["UNBOUND"], node.name)
+                    value = _GRID["finite"](grid[node.name], f"variable {node.name!r}")
+                else:  # a curve leaf, after its t
+                    ts = values[_T]
+                    jet = jets.get(id(node.curve))
+                    if jet is None or len(jet) <= node.order:
+                        with np.errstate(all="ignore"):
+                            jet = jets[id(node.curve)] = node.curve.jet(ts.reshape(-1), node.order)
+                    value = _GRID["finite"](jet[node.order].reshape(ts.shape), f"curve {node.label!r}")
+                values[node] = value
+            if i < len(positive):
+                _GRID["positive"](values[tree], canonical(tree)[1:-1])
+    results = [values[root] for root in roots]
     shape = np.broadcast_shapes(*(a.shape for a in grid.values()))
     results = [v if v.shape == shape else np.broadcast_to(v, shape).copy() for v in results]
     return results[0] if isinstance(exprs, Expr) else results
@@ -803,40 +812,31 @@ def scalar_kernel(exprs, variables=("t",), positive=()):
         watch(*(operands[name] for name in _WATCHED.get(op, "")))
         return r
 
-    def emit(node: Expr) -> str:
-        if isinstance(node, Const):
-            return bind(node.value)
-        if isinstance(node, Var):
-            if node.name in args:
-                return args[node.name]
-            return compute("unbound", name=bind(node.name))
-        if isinstance(node, Unary):
-            return compute(node.op, a=ref(node.arg))
-        if isinstance(node, Binary):
-            return compute(node.op, a=ref(node.left), b=ref(node.right))
-        if isinstance(node, CurveVal):
-            return compute("curve", t=ref(_T), c=bind(node.curve), k=bind(node.order))
-        raise TypeError(f"cannot compile node {node!r}")
-
-    def ref(node: Expr) -> str:
-        local = refs.get(node)
-        if local is None:
-            local = refs[node] = emit(node)
-        return local
-
-    try:
-        for tree in positive:
-            compute("positive", a=ref(tree), b=bind(canonical(tree)[1:-1]))
-        results = [ref(root) for root in roots]
-    finally:
-        # emit and ref refer to each other through their closures
-        del emit, ref
+    for i, tree in enumerate((*positive, *roots)):
+        for node in _post_order(tree, refs):
+            if isinstance(node, Binary):
+                refs[node] = compute(node.op, a=refs[node.left], b=refs[node.right])
+            elif isinstance(node, Unary):
+                refs[node] = compute(node.op, a=refs[node.arg])
+            elif isinstance(node, Const):
+                refs[node] = bind(node.value)
+            elif isinstance(node, Var):
+                refs[node] = args[node.name] if node.name in args else compute("unbound", name=bind(node.name))
+            else:  # a curve leaf, after its t
+                refs[node] = compute("curve", t=refs[_T], c=bind(node.curve), k=bind(node.order))
+        if i < len(positive):
+            compute("positive", a=refs[tree], b=bind(canonical(tree)[1:-1]))
+    results = [refs[root] for root in roots]
     watch(*results)
     if isinstance(exprs, Expr):
         value = results[0]
     else:
         value = "(" + "".join(r + ", " for r in results) + ")"
-    lines.append(f"if isfinite({' + '.join(watched)}): return {value}" if watched else f"return {value}")
+    terms = list(watched)
+    while len(terms) > 100:  # CPython compiles a sum recursing once per term: 100 a line, in order
+        lines.append("w = " + " + ".join(terms[:100]))
+        terms[:100] = ["w"]
+    lines.append(f"if isfinite({' + '.join(terms)}): return {value}" if terms else f"return {value}")
     namespace["fallback"] = functools.partial(_fallback, roots, variables, positive, isinstance(exprs, Expr))
     args = ", ".join(params)
     body = "".join(f"        {line}\n" for line in lines)
@@ -878,45 +878,51 @@ def _compiled(source: str):
 # canonical printing
 
 def _format_number(v: float) -> str:
-    if v == int(v) and abs(v) < 1e16:
+    if abs(v) < 1e16 and v == int(v):  # so inf and nan print as themselves
         return str(int(v))
     return repr(v)
 
 
-def canonical(e: Expr, memo: dict | None = None) -> str:
+def canonical(e: Expr) -> str:
     """Fully parenthesized infix form; parseable back to a pointwise-equal tree.
 
-    Each distinct node is printed once per call and its text kept in
-    ``memo``, so a subtree shared by several parents costs one print.
+    Printed in text order over a stack: a subtree met again is appended as
+    one piece, joined from the ``spans`` of its first print, so a DAG costs
+    its distinct nodes and a chain its text's length, not the square.
     """
-    memo = {} if memo is None else memo
-    text = memo.get(e)
-    if text is None:
-        if isinstance(e, Binary):
-            text = canonical(e.left, memo) + e.op + canonical(e.right, memo)
-        elif isinstance(e, Unary):
-            text = ("-" if e.op == "neg" else e.op) + canonical(e.arg, memo)
-        elif isinstance(e, Const):
-            text = _format_number(e.value)
-        elif isinstance(e, Var):
-            text = e.name
-        elif isinstance(e, CurveVal):
-            text = e.label + "'" * e.order
+    if not isinstance(e, Expr):
+        raise TypeError(f"not an expression node: {e!r}")
+    pieces, spans, stack = [], {}, [e]
+    while stack:
+        node = stack.pop()
+        cls = type(node)
+        if cls is str:
+            pieces.append(node)
+        elif cls is tuple:  # the end of a node's first print
+            node, start = node
+            pieces.append(")")
+            spans[node] = start, len(pieces)
+        elif node in spans:
+            start, end = spans[node]
+            spans[node] = len(pieces), len(pieces) + 1
+            pieces.append("".join(pieces[start:end]))
+        elif cls is Binary:
+            stack += ((node, len(pieces)), node.right, node.op, node.left)
+            pieces.append("(")
+        elif cls is Unary:
+            stack += ((node, len(pieces)), node.arg)
+            pieces.append("(-" if node.op == "neg" else "(" + node.op)
+        elif cls is Const:
+            pieces.append("(" + _format_number(node.value) + ")")
+        elif cls is Var:
+            pieces.append("(" + node.name + ")")
         else:
-            raise AssertionError(f"unprintable node {e!r}")
-        text = memo[e] = "(" + text + ")"
-    return text
+            pieces.append("(" + node.label + "'" * node.order + ")")
+    return "".join(pieces)
 
 
 # ---------------------------------------------------------------------------
 # parser
-
-# The deepest tree the parser builds, a leaf counting one level.  Every
-# walk of a tree (evaluate, differentiate, scalar_kernel, canonical)
-# recurses once per level, and each derivative of a chain of square roots is
-# several levels deeper per level of the chain: one of 76 levels exhausts
-# the recursion limit when verify-symmetry differentiates G four times.
-MAX_DEPTH = 64
 
 _NUMBER_START = set("0123456789.")
 # What a token opens where a value is expected: a group, a negation, or the
@@ -939,17 +945,17 @@ def _byte_offset(text: str, char_pos: int) -> int:
 def parse_expression(text: str, variables: tuple[str, ...] = ("t",)) -> Expr:
     """Parse ``text`` into an Expr over the given variable names.
 
-    Raises ExprSyntaxError (with a byte offset) on malformed input, and on a
-    tree deeper than ``MAX_DEPTH`` at the first token after the subtree that
-    passes it; UnknownIdentifierError for identifiers outside ``variables``
-    + functions.  The whole text is scanned before the grammar is checked,
-    so a bad character or number literal anywhere comes first.
+    Raises ExprSyntaxError (with a byte offset) on malformed input, and
+    UnknownIdentifierError for identifiers outside ``variables`` +
+    functions.  The whole text is scanned before the grammar is checked, so
+    a bad character or number literal anywhere comes first.  No tree is too
+    deep: what bounds an expression is the size of its text.
 
     One scan makes the tokens: an operator character, the node of a number
     or variable (built once per call for each distinct literal or name), a
     call's "name(" or an unknown name.  One loop parses them by operator
-    precedence, with an operand stack (each node with its depth) and an
-    operator stack, so a parenthesis costs one push and one pop.
+    precedence, with an operand stack and an operator stack, so a
+    parenthesis costs one push and one pop.
     """
     if not text or text.isspace():
         raise ExprSyntaxError("empty expression", 0)
@@ -1016,7 +1022,7 @@ def parse_expression(text: str, variables: tuple[str, ...] = ("t",)) -> Expr:
     tokens.append("")  # the end of the input
     starts.append(n)
 
-    operands, depths, ops = [], [], [""]
+    operands, ops = [], [""]
     value_next = True
     for pos, token in enumerate(tokens):
         if value_next:
@@ -1026,7 +1032,6 @@ def parse_expression(text: str, variables: tuple[str, ...] = ("t",)) -> Expr:
                 ops.append(opener)
             elif type(token) is not str:
                 operands.append(token)
-                depths.append(1)
                 value_next = False
             elif not token:
                 raise ExprSyntaxError("unexpected end of input", _byte_offset(text, starts[pos]))
@@ -1039,18 +1044,12 @@ def parse_expression(text: str, variables: tuple[str, ...] = ("t",)) -> Expr:
         floor = _REDUCES.get(token, 1)
         while _PRECEDENCE[ops[-1]] >= floor:
             op = ops.pop()
-            node, depth = operands.pop(), depths.pop() + 1
+            node = operands.pop()
             if op in _REDUCES:
                 node = Binary(op, operands.pop(), node)
-                left = depths.pop() + 1
-                if left > depth:
-                    depth = left
             else:
                 node = Unary(op, node)
-            if depth > MAX_DEPTH:
-                raise ExprSyntaxError(f"expression deeper than {MAX_DEPTH} levels", _byte_offset(text, starts[pos]))
             operands.append(node)
-            depths.append(depth)
         if token == ")" and ops[-1] == "(":
             ops.pop()
         elif token in _REDUCES:
@@ -1108,7 +1107,7 @@ def time_function(text: str) -> TimeFunction:
     return TimeFunction(parse_expression(text))
 
 
-GRAMMAR_HELP = f"""\
+GRAMMAR_HELP = """\
 expression grammar
 ------------------
   expr   := term (('+' | '-') term)*
@@ -1118,11 +1117,11 @@ expression grammar
   atom   := NUMBER | IDENT | IDENT '(' expr ')' | '(' expr ')'
 
 precedence: pow > unary minus > mul/div > add/sub (left-associative
-except pow).  A tree may be at most {MAX_DEPTH} levels deep (a number or a
-variable is one level, each operator or function one more; parentheses
-add none).  NUMBER is a decimal float literal (optional fraction and
-exponent).  IDENT is the variable 't' (equation fields may also use 'x'
-and 'v' for position and velocity) or one of the functions:
+except pow).  Nesting has no bound: an expression is limited by the
+size of its text, not by its depth.  NUMBER is a decimal float literal
+(optional fraction and exponent).  IDENT is the variable 't' (equation
+fields may also use 'x' and 'v' for position and velocity) or one of the
+functions:
   sin cos exp log sqrt
 
 evaluation is float64.  log of a non-positive value, division by zero,

@@ -509,7 +509,7 @@ class TestPrintGrammar:
         out = capsys.readouterr().out
         assert "expression grammar" in out
         assert "expr" in out
-        assert "at most 64 levels deep" in out
+        assert "size of its text, not by its depth" in out
 
 
 def test_one_parser_serves_successive_calls(tmp_path, capsys):

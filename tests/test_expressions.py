@@ -725,6 +725,71 @@ def test_equal_operations_share_a_local_and_shapes_share_code(compiled):
     assert second(0.7) == 2 + 0.25 * math.sin(5 * 0.7)
 
 
+def test_a_kernel_keeps_the_order_of_its_walk(compiled):
+    # one tree of each thing a walk meets: a shared subtree, a curve leaf and
+    # its t, a domain tree, an unbound name and a state; locals and namespace
+    # names are numbered in the order the walk meets them, so trees of one
+    # shape share compiled code only while that order holds
+    t, x, v = var("t"), var("x"), var("v")
+    shared = exp(t * x)
+    trees = (shared / v + CurveVal(_Line(), 1, "c") * var("w"), shared - 2.0)
+    scalar_kernel(trees, ("t", ("x", "v")), positive=(x * shared,))
+    (source,) = compiled
+    assert source == (
+        "def kernel(a0, a1):\n"
+        "    (a1_0, a1_1, ) = a1\n"
+        "    try:\n"
+        "        v0 = a0 * a1_0\n"
+        "        v1 = exp(v0)\n"
+        "        v2 = a1_0 * v1\n"
+        "        if not (v2 > 0.0): fail(POSITIVE, k27, v2)\n"
+        "        v3 = v2\n"
+        "        v4 = v1 / a1_1\n"
+        "        v5 = float(k28.jet([a0], k29)[k29, 0])\n"
+        "        v6 = fail(UNBOUND, k30)\n"
+        "        v7 = v5 * v6\n"
+        "        v8 = v4 + v7\n"
+        "        v9 = v1 - k31\n"
+        "        if isfinite(v0 + v2 + v8 + v9): return (v8, v9, )\n"
+        "    except SIGNALLED:\n"
+        "        return fallback(None, a0, a1)\n"
+        "    return fallback((v8, v9, ), a0, a1)\n"
+    )
+
+
+def test_a_kernel_of_many_watched_operands_compiles():
+    # 4,096 quotients in a tree of 13 levels: CPython compiles a sum by
+    # recursing once per term, so one sum of every divisor would exhaust it
+    t = var("t")
+    terms = [Const(1.0) / (t + Const(float(k))) for k in range(1, 4097)]
+    while len(terms) > 1:
+        terms = [a + b for a, b in zip(terms[::2], terms[1::2])]
+    kernel = scalar_kernel(terms[0])
+    assert kernel(0.5) == pytest.approx(float(evaluate(terms[0], {"t": 0.5})), rel=1e-14)
+    with pytest.raises(DomainError, match="^division by zero$"):
+        kernel(-3.0)
+
+
+@pytest.mark.parametrize("foreign", [1.5, "t", None, object()])
+def test_a_foreign_root_is_one_type_error(foreign):
+    walks = (
+        differentiate,
+        canonical,
+        lambda root: evaluate([root], {"t": 1.0}),
+        lambda root: scalar_kernel([root]),
+    )
+    for walk in walks:
+        with pytest.raises(TypeError) as exc:
+            walk(foreign)
+        assert str(exc.value) == f"not an expression node: {foreign!r}"
+
+
+def test_a_non_finite_constant_prints_and_shows():
+    # a tree built in code may hold one, though evaluate refuses it
+    assert canonical(Const(math.inf) * var("t")) == "((inf)*(t))"
+    assert repr(Const(math.nan)) == "<Const (nan)>"
+
+
 def test_kernel_returns_a_tuple_for_several_trees():
     t, x = var("t"), var("x")
     shared = sin(t) * x

@@ -1,9 +1,12 @@
 """The operator-precedence parser against the recursive-descent parser it replaced.
 
 ``_tokenize`` and ``_Parser`` below are that parser, verbatim, kept as the
-reference: on every text whose tree stays within ``MAX_DEPTH`` the two must
-return the same node or raise the same error (class, message, offset and
-name).  The depth bound itself is tested through ``epwb run``.
+reference: on every text the two must return the same node or raise the
+same error (class, message, offset and name).  The reference recurses once
+per level, so it reads short texts only.  An expression is limited by the
+size of its text, not by its depth: deep texts are checked against trees
+built in code and through ``epwb run``, and trees far deeper than the
+interpreter's recursion limit go through every walk.
 """
 
 import json
@@ -13,22 +16,32 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import example, given, settings
 
-from epwb import cli, compatible_family, time_function
+from epwb import (
+    SecondOrderODE,
+    cli,
+    compatible_family,
+    ep_ode,
+    surviving_symmetry,
+    symmetry_residual,
+    time_function,
+)
 from epwb.expressions import (
     FUNCTIONS,
-    MAX_DEPTH,
     Binary,
     Const,
     ExprSyntaxError,
     UnknownIdentifierError,
     Unary,
+    TimeFunction,
     Var,
     canonical,
     differentiate,
     evaluate,
     parse_expression,
     scalar_kernel,
+    sin,
 )
+from epwb.symmetry import default_samples
 
 # ---------------------------------------------------------------------------
 # the reference parser
@@ -271,36 +284,40 @@ def test_the_compatible_phi_parses_back():
 
 
 # ---------------------------------------------------------------------------
-# the depth bound
+# deep trees: no walk recurses, so no depth is refused
 
 
 def test_redundant_parentheses_cost_no_depth():
     assert parse_expression("(" * 300 + "t" + ")" * 300) is Var("t")
 
 
+def _chain(levels: int, level):
+    """The tree of ``levels`` levels that ``level`` builds over t, one level at a time."""
+    tree = Var("t")
+    for _ in range(levels - 1):
+        tree = level(tree)
+    return tree
+
+
 @pytest.mark.parametrize(
-    "text, offset",
+    "text, level",
     [
-        # a sum's node of 64 '+' is reduced at the 65th, at offset 129
-        ("t" + "+t" * 64 + "+t", 129),
-        ("t" + "+t" * 1500, 129),
-        # these are reduced at the end of the input
-        ("-" * MAX_DEPTH + "t", MAX_DEPTH + 1),
-        ("sqrt(" * MAX_DEPTH + "t" + ")" * MAX_DEPTH, 6 * MAX_DEPTH + 1),
+        # left-deep: each '+' takes the sum before it
+        ("t" + "+t" * 1500, lambda e: Binary("+", e, Var("t"))),
+        # right-deep: '^' is right-associative
+        ("t" + "^t" * 1500, lambda e: Binary("^", Var("t"), e)),
+        ("-" * 1500 + "t", lambda e: Unary("neg", e)),
+        ("sqrt(" * 1500 + "t" + ")" * 1500, lambda e: Unary("sqrt", e)),
     ],
 )
-def test_a_deeper_tree_is_refused_where_it_is_complete(text, offset):
-    assert MAX_DEPTH == 64
-    with pytest.raises(ExprSyntaxError) as exc:
-        parse_expression(text)
-    assert str(exc.value) == f"expression deeper than {MAX_DEPTH} levels (byte offset {offset})"
+def test_a_deep_text_parses_to_the_tree_built_in_code(text, level):
+    tree = _chain(1501, level)
+    assert parse_expression(text) is tree
+    assert parse_expression(canonical(tree)) is tree
 
 
-def _nested_sqrt(levels: int) -> str:
-    # the shallowest shape found to exhaust the interpreter's recursion: each
-    # derivative of a chain of square roots is several times deeper than the
-    # chain, and verify-symmetry differentiates G four times
-    return "sqrt(" * (levels - 2) + "1+t" + ")" * (levels - 2)
+def _nested(function: str, levels: int) -> str:
+    return (function + "(") * (levels - 2) + "1+t" + ")" * (levels - 2)
 
 
 def _scenarios(text: str):
@@ -324,28 +341,39 @@ def _run(tmp_path, scenario, capsys):
 
 @pytest.mark.parametrize("index", range(6))
 def test_the_deepest_tree_runs_every_kind(tmp_path, capsys, index):
-    text = _nested_sqrt(MAX_DEPTH)
-    e = parse_expression(text)
-    assert len(canonical(e)) > len(text)
+    # 1,500 levels of sin, so G' stays positive where a chain of sqrt that
+    # deep underflows it to 0; verify-symmetry differentiates G four times
+    text = _nested("sin", 1500)
     code, err = _run(tmp_path, _scenarios(text)[index], capsys)
     assert code in (0, 2), err  # a verdict or a failed run, never a configuration error
     assert err == "" or err.startswith("epwb: ") and err.count("\n") == 1, err
 
 
-@pytest.mark.parametrize("index", range(6))
-def test_one_level_deeper_is_an_expression_error(tmp_path, capsys, index):
-    text = _nested_sqrt(MAX_DEPTH + 1)
-    code, err = _run(tmp_path, _scenarios(text)[index], capsys)
-    assert code == 1
-    assert err == f"epwb: expression error: expression deeper than {MAX_DEPTH} levels (byte offset {len(text)})\n"
-
-
 def test_every_walk_takes_the_deepest_tree_to_third_order():
-    derivatives = [parse_expression(_nested_sqrt(MAX_DEPTH))]
+    # 10,000 levels, ten times the default recursion limit, each adding the
+    # one shared sin(t): every derivative is a chain of 10,000 levels too,
+    # and the kernel of the four trees stays at 40,000 lines
+    shared = sin(Var("t"))
+    tree = shared
+    for _ in range(9999):
+        tree = Binary("+", tree, shared)
+    derivatives = [tree]
     for _ in range(3):
         derivatives.append(differentiate(derivatives[-1]))
-    values = evaluate(derivatives, {"t": [0.0, 0.1]})
-    assert scalar_kernel(derivatives)(0.1) == pytest.approx([v[1] for v in values], rel=1e-12)
-    assert parse_expression(canonical(derivatives[0])) is derivatives[0]
-    for tree in derivatives[1:]:
-        canonical(tree)  # deeper than the parser takes back, but printable
+    values = [v[1] for v in evaluate(derivatives, {"t": [0.0, 0.1]})]
+    expected = [10000 * math.sin(0.1), 10000 * math.cos(0.1), -10000 * math.sin(0.1), -10000 * math.cos(0.1)]
+    assert values == pytest.approx(expected, rel=1e-9)
+    assert list(scalar_kernel(derivatives)(0.1)) == pytest.approx(values, rel=1e-12)
+    assert parse_expression(canonical(tree)) is tree
+    assert repr(tree) == f"<Binary {canonical(tree)}>"
+
+
+def test_a_deep_g_reaches_the_symmetry_residual():
+    # the G of 85 levels whose G'''' exhausted the interpreter's recursion
+    # while every walk recursed: the compatible equation keeps Gamma_s up to
+    # rounding, and a shift of phi breaks it
+    fam = compatible_family(time_function(_nested("sqrt", 85)), 1.0, 1.0, (0.0, 0.2))
+    sym, samples = surviving_symmetry(fam), default_samples((0.0, 0.2), n=4)
+    kept = symmetry_residual(sym, ep_ode(fam), samples)
+    broken = symmetry_residual(sym, SecondOrderODE.from_ep(TimeFunction(fam.phi.expr + 0.1), fam.g), samples)
+    assert math.isfinite(broken) and kept <= 1e-12 * broken
