@@ -71,6 +71,9 @@ same message (a non-finite input or constant named as such), by
 construction.  Its values agree with ``evaluate``'s up to the last bit,
 where libm's exp, log, sin and cos may differ from NumPy's
 (``math.exp(1.20703125)`` is one bit above ``np.exp``'s).
+``kernel_parts`` is the same walk without the assembly: the kernel's text
+(body lines, result locals, watched sum) and its namespace, from which
+the integrator emits the body into each stage of a step.
 
 ``differentiate`` is purely structural and memoised per call (or per
 ``TimeFunction``, across its orders and any functions built over the same
@@ -94,6 +97,7 @@ from __future__ import annotations
 import functools
 import math
 import weakref
+from typing import NamedTuple
 
 import numpy as np
 
@@ -138,12 +142,21 @@ class Expr:
 
     __delattr__ = __setattr__
 
-    def __getnewargs__(self):
-        # copy and pickle rebuild a node through __new__, so they get the interned one
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __getstate__(self):
-        return None  # everything is in __getnewargs__
+    def __reduce__(self):
+        # copy and pickle get the tree as a flat post-order, children by
+        # index, and rebuild it in one loop through the interning
+        # constructors, so they get the interned node, at any depth
+        index, entries = {}, []
+        for node in _post_order(self, index):
+            index[node] = len(entries)
+            cls = type(node)
+            if cls is Binary:
+                entries.append((cls, node.op, index[node.left], index[node.right]))
+            elif cls is Unary:
+                entries.append((cls, node.op, index[node.arg]))
+            else:  # a leaf: a curve leaf's curve is copied as any other object
+                entries.append((cls, *(getattr(node, name) for name in cls.__slots__)))
+        return _rebuilt, (entries,)
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {canonical(self)}>"
@@ -515,6 +528,16 @@ def _post_order(root, known, variable=None):
                 yield node
 
 
+def _rebuilt(entries) -> Expr:
+    """The root of the flat post-order that ``Expr.__reduce__`` hands over."""
+    nodes = []
+    for cls, *fields in entries:
+        if cls is Binary or cls is Unary:
+            fields[1:] = [nodes[i] for i in fields[1:]]
+        nodes.append(cls(*fields))
+    return nodes[-1]
+
+
 def differentiate(e: Expr, variable: str = "t", memo: dict | None = None) -> Expr:
     """Exact structural derivative of ``e`` with respect to ``variable``.
 
@@ -783,15 +806,83 @@ def scalar_kernel(exprs, variables=("t",), positive=()):
     ``evaluate``'s up to the last bit of libm's transcendental functions
     against NumPy's.
     """
+    return kernel_parts(exprs, variables, positive).kernel()
+
+
+class KernelText(NamedTuple):
+    """What a scalar kernel's source is made of, without its namespace.
+
+    Equal texts assemble one source, so a text keys code built from it.
+    Parameter ``params[i]`` unpacks into the locals ``unpacked[i]``, or is
+    None for a single value.  ``lines`` compute each node and the partial
+    sums of the watched operands; ``results`` name the values returned,
+    one (``single``) or a tuple, when ``isfinite(watched)`` holds or
+    nothing is ``watched`` ("").
+    """
+
+    params: tuple[str, ...]
+    unpacked: tuple[tuple[str, ...] | None, ...]
+    lines: tuple[str, ...]
+    results: tuple[str, ...]
+    single: bool
+    watched: str
+
+    @property
+    def value(self) -> str:
+        return self.results[0] if self.single else "(" + "".join(r + ", " for r in self.results) + ")"
+
+    @property
+    def source(self) -> str:
+        args, value = ", ".join(self.params), self.value
+        unpack = "".join(
+            "    (" + "".join(f"{name}, " for name in names) + f") = {param}\n"
+            for param, names in zip(self.params, self.unpacked)
+            if names is not None
+        )
+        last = f"if isfinite({self.watched}): return {value}" if self.watched else f"return {value}"
+        body = "".join(f"        {line}\n" for line in (*self.lines, last))
+        return (
+            f"def kernel({args}):\n{unpack}    try:\n{body}"
+            f"    except SIGNALLED:\n        return fallback(None, {args})\n"
+            f"    return fallback({value}, {args})\n"
+        )
+
+
+class KernelParts(NamedTuple):
+    """A scalar kernel before assembly: its ``text`` and the ``namespace`` its code runs in.
+
+    The namespace holds the constants, curves and names the text refers
+    to, the kernel's functions and its ``fallback``.
+    """
+
+    text: KernelText
+    namespace: dict
+
+    def kernel(self):
+        """The function ``scalar_kernel`` returns: the text's shared code over this namespace."""
+        exec(_compiled(self.text.source), self.namespace)
+        # popped, so that the kernel's globals do not hold the kernel itself
+        return self.namespace.pop("kernel")
+
+
+def kernel_parts(exprs, variables=("t",), positive=()) -> KernelParts:
+    """The kernel of ``scalar_kernel(exprs, variables, positive)``, walked but not assembled.
+
+    One walk over the trees builds the text and the namespace; a caller
+    may assemble the kernel (``KernelParts.kernel``) or emit its lines
+    into code of its own, as the integrator's steps do.
+    """
     roots = (exprs,) if isinstance(exprs, Expr) else tuple(exprs)
     params = [f"a{i}" for i in range(len(variables))]
-    args, unpack = {}, ""
+    args, unpacked = {}, []
     for a, spec in zip(params, variables):
         if isinstance(spec, str):
             args[spec] = a
+            unpacked.append(None)
         else:  # a sequence, unpacked into one local per name
-            args.update((name, f"{a}_{j}") for j, name in enumerate(spec))
-            unpack += "    (" + "".join(f"{a}_{j}, " for j in range(len(spec))) + f") = {a}\n"
+            names = tuple(f"{a}_{j}" for j in range(len(spec)))
+            args.update(zip(spec, names))
+            unpacked.append(names)
     lines = []
     namespace = dict(_KERNEL_GLOBALS)
     refs, watched, computed = {}, {}, 0
@@ -828,26 +919,14 @@ def scalar_kernel(exprs, variables=("t",), positive=()):
             compute("positive", a=refs[tree], b=bind(canonical(tree)[1:-1]))
     results = [refs[root] for root in roots]
     watch(*results)
-    if isinstance(exprs, Expr):
-        value = results[0]
-    else:
-        value = "(" + "".join(r + ", " for r in results) + ")"
     terms = list(watched)
     while len(terms) > 100:  # CPython compiles a sum recursing once per term: 100 a line, in order
         lines.append("w = " + " + ".join(terms[:100]))
         terms[:100] = ["w"]
-    lines.append(f"if isfinite({' + '.join(terms)}): return {value}" if terms else f"return {value}")
-    namespace["fallback"] = functools.partial(_fallback, roots, variables, positive, isinstance(exprs, Expr))
-    args = ", ".join(params)
-    body = "".join(f"        {line}\n" for line in lines)
-    source = (
-        f"def kernel({args}):\n{unpack}    try:\n{body}"
-        f"    except SIGNALLED:\n        return fallback(None, {args})\n"
-        f"    return fallback({value}, {args})\n"
-    )
-    exec(_compiled(source), namespace)
-    # popped, so that the kernel's globals do not hold the kernel itself
-    return namespace.pop("kernel")
+    single = isinstance(exprs, Expr)
+    namespace["fallback"] = functools.partial(_fallback, roots, variables, positive, single)
+    text = KernelText(tuple(params), tuple(unpacked), tuple(lines), tuple(results), single, " + ".join(terms))
+    return KernelParts(text, namespace)
 
 
 def _fallback(roots, variables, positive, single, values, *args):

@@ -14,12 +14,18 @@ A system is data: one expression field per state component over
 ``dim`` floats, the result a tuple of ``dim`` floats, and DomainError
 (never NaN or inf) where the system is undefined; it is compiled when
 first read.  One attempted step is one generated straight-line Python
-function per state dimension (built once, then cached) that calls ``rhs``
-once per stage; an ``rhs`` that raises or returns a non-finite value
-rejects the attempt.  The guard scan of an accepted step is generated
-beside it: straight-line calls of the guard at the step's end, then at
-1/4, 1/2 and 3/4 of the step on the interpolated states, stopping at the
-first that fires.
+function, built beside ``rhs`` from the same walk of the fields: each of
+its 15 stages is the kernel's body on that stage's (t, state) locals,
+wrapped as the kernel wraps it, so a stage gets exactly what ``rhs``
+would return, without a call.  Its code is generated once per kernel
+text and shared by every system of that shape, each running it over its
+own constants.  A system given an ``rhs`` (instrumentation), or whose
+kernel is longer than ``_INLINED_LINES``, steps by calling ``rhs`` once
+per stage instead, with code generated once per state dimension.  A
+stage that raises or is not finite rejects the attempt.  The guard scan
+of an accepted step is generated once per dimension: straight-line calls
+of the guard at the step's end, then at 1/4, 1/2 and 3/4 of the step on
+the interpolated states, stopping at the first that fires.
 
 Trajectories remember the system that produced them and carry a
 termination status:
@@ -51,12 +57,13 @@ import bisect
 import functools
 import math
 import numbers
+import types
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .expressions import DomainError, Expr, evaluate, scalar_kernel
+from .expressions import DomainError, Expr, KernelText, evaluate, kernel_parts
 
 COMPLETED = "completed"
 GUARD_STOP = "guard-stop"
@@ -223,19 +230,29 @@ _RHS_ERRORS = (DomainError, ZeroDivisionError, OverflowError)
 
 
 class _CompiledOnFirstRead:
-    """``ODESystem.rhs`` when none is given: the kernel of the fields, compiled when first read.
+    """``ODESystem.rhs`` when none is given, and ``ODESystem.step``: built together when first read.
 
-    A non-data descriptor, so the kernel it stores in the instance's
-    ``__dict__`` is found there on every later read.  Read on the class (as
-    the dataclass does for the field's default) it is None.
+    A non-data descriptor, so what it stores in the instance's ``__dict__``
+    is found there on every later read.  Read on the class (as the dataclass
+    does for the field's default) it is None.  The fields are walked once:
+    ``rhs`` is their kernel and ``step`` the step with that kernel inlined
+    (``_inlined_step``).  A system given its ``rhs`` steps by calling it.
     """
+
+    def __set_name__(self, owner, name):
+        self.name = name
 
     def __get__(self, system, owner=None):
         if system is None:
             return None
-        kernel = scalar_kernel(system.fields, ("t", system.names), positive=system.domain)
-        system.__dict__["rhs"] = kernel
-        return kernel
+        built = system.__dict__
+        if "rhs" in built:
+            built["step"] = _stepper(system.dim)[0]
+        else:
+            parts = kernel_parts(system.fields, ("t", system.names), positive=system.domain)
+            built["rhs"] = parts.kernel()
+            built["step"] = _inlined_step(system.dim, parts)
+        return built[self.name]
 
 
 @dataclass(frozen=True)
@@ -245,8 +262,9 @@ class ODESystem:
     ``fields[i]`` is the tree of y_i' over ("t", *names); each tree in
     ``domain`` must stay > 0.  ``rhs`` is compiled from them when first
     read unless given (only instrumentation passes one), so a system that
-    is never integrated compiles nothing.  ``guard(t, y)`` returns True to
-    stop.
+    is never integrated compiles nothing; ``step``, the DOP853 attempt that
+    ``integrate`` makes, is built beside it.  ``guard(t, y)`` returns True
+    to stop.
     """
 
     names: tuple[str, ...]
@@ -254,6 +272,7 @@ class ODESystem:
     domain: tuple[Expr, ...] = ()
     guard: Optional[Callable[[float, Sequence[float]], bool]] = None
     rhs: Optional[Callable[[float, Sequence[float]], tuple[float, ...]]] = _CompiledOnFirstRead()
+    step = _CompiledOnFirstRead()  # not a field: built with rhs, or calling a given one
 
     def __post_init__(self):
         if self.__dict__["rhs"] is None:
@@ -364,11 +383,14 @@ class Trajectory:
 
         For a state (x, x', ..., x^(dim-1)) row j < dim is state column j and
         row dim is the last field of the producing system, so
-        k may be at most dim.  Returns shape (k+1, len(ts)).
+        k may be at most dim.  Returns shape (k+1, len(ts)).  A scalar t
+        is the grid [t], and one time is read through ``sample(t)``, which
+        equals the grid read bit for bit.
         """
         if not 0 <= k <= self.dim:
             raise ValueError(f"derivative order {k} unavailable from this trajectory")
-        states = self.sample(ts)
+        ts = np.asarray(ts, dtype=float).reshape(-1)
+        states = self._sample_at(float(ts[0]))[None] if len(ts) == 1 else self.sample(ts)
         rows = states.T
         if k == self.dim:
             rows = np.vstack([rows, self.system.slopes(ts, states)[:, -1]])
@@ -445,8 +467,22 @@ def _terms(coeffs, names) -> str:
     return src[3:] if src.startswith(" + ") else "-" + src[3:]
 
 
-@functools.cache
-def _stepper(dim: int):
+# The names a generated step refers to besides its locals; a step with a
+# kernel inlined runs over these and the kernel's namespace.
+_STEP_NAMES = {
+    "_RHS_ERRORS": _RHS_ERRORS, "inf": math.inf, "isfinite": math.isfinite, "sqrt": math.sqrt,
+    "abs": abs, "max": max,
+}
+# A kernel of more body lines than this is called from each stage, not
+# inlined: each of the 15 stages repeats the body, and compiling a step
+# holds a few KB per generated line until it is done, which sets a run's
+# peak memory.  Every kernel of the long_orbit and superposition
+# benchmarks has at most 13; two of scenarios' have 45 and 53.
+_INLINED_LINES = 20
+
+
+@functools.lru_cache(maxsize=256)
+def _stepper(dim: int, kernel: KernelText | None = None):
     """Generated straight-line code for DOP853 steps on a ``dim``-float state.
 
     Returns ``(step, scan)``.  ``step(rhs, t, h, y, f, rtol, atol)`` makes one
@@ -463,6 +499,18 @@ def _stepper(dim: int):
     step: it calls ``guard(t + h, y_new)``, then ``guard`` at the times
     ``t + th*h`` for the fractions ``th`` of ``_SCAN_AT``, on the states
     there by Horner's rule, and stops at the first call that fires.
+
+    Each stage calls ``rhs(t, state)``, unless ``kernel`` is the text of a
+    system's kernel over ("t", names): then each stage is that kernel's
+    body on the stage's locals, wrapped as the kernel wraps it, so a
+    signalled exception or a failed ``isfinite`` runs the kernel's
+    ``fallback`` at that point, and the stage takes exactly what ``rhs``
+    returns, or raises what it raises.  That step ignores its ``rhs`` and
+    refers to the kernel's constants by name, so it runs bound to the
+    kernel's namespace (``_inlined_step``): systems of one shape share its
+    code, each with its own constants.  The last 256 steps are kept, keyed
+    by (dim, kernel text) as ``expressions._compiled`` keys a kernel by its
+    source.
     """
     comps = range(dim)
 
@@ -474,8 +522,25 @@ def _stepper(dim: int):
 
     def stage(s, state=None):
         state = state or [f"y_{i} + h*({row(_A[s], i)})" for i in comps]
-        slopes = tup(f"k{s}_{i}" for i in comps)
-        return f"        {slopes} = rhs(t + {float(_C[s])!r}*h, {tup(state)})"
+        slopes, time = [f"k{s}_{i}" for i in comps], f"t + {float(_C[s])!r}*h"
+        if kernel is None:
+            return [f"        {tup(slopes)} = rhs({time}, {tup(state)})"]
+        (t_arg, _), (_, names) = kernel.params, kernel.unpacked
+        point = f"{t_arg}, {tup(names)}"
+        taken = [f"{k} = {r}" for k, r in zip(slopes, kernel.results)]
+        if kernel.watched:
+            taken = [
+                f"if isfinite({kernel.watched}):", *(f"    {line}" for line in taken),
+                "else:", f"    {tup(slopes)} = fallback({kernel.value}, {point})",
+            ]
+        if kernel.lines:  # else nothing is computed that could raise
+            taken = [
+                "try:", *(f"    {line}" for line in kernel.lines),
+                "except SIGNALLED:", f"    {tup(slopes)} = fallback(None, {point})",
+                "else:", *(f"    {line}" for line in taken),
+            ]
+        lines = [f"{t_arg} = {time}", *(f"{name} = {value}" for name, value in zip(names, state)), *taken]
+        return [f"        {line}" for line in lines]
 
     def all_finite(names):
         # 0*v is 0 for finite v and NaN otherwise, so the sum is finite iff all are
@@ -494,7 +559,7 @@ def _stepper(dim: int):
         f"    {ys} = y",
         f"    {k0} = f",
         "    try:",
-        *(stage(s) for s in range(1, 12)),
+        *(line for s in range(1, 12) for line in stage(s)),
         "    except _RHS_ERRORS:",
         reject,
         *(f"    n_{i} = y_{i} + h*({row(_B, i)})" for i in comps),
@@ -512,8 +577,8 @@ def _stepper(dim: int):
         "    if not err <= 1.0:",
         "        return err, None, None, None",
         "    try:",
-        stage(12, [f"n_{i}" for i in comps]),
-        *(stage(s) for s in range(13, 16)),
+        *stage(12, [f"n_{i}" for i in comps]),
+        *(line for s in range(13, 16) for line in stage(s)),
         "    except _RHS_ERRORS:",
         reject,
         all_finite([f"k{s}_{i}" for s in range(12, 16) for i in comps]),
@@ -531,24 +596,37 @@ def _stepper(dim: int):
         for i in comps
         for j in range(_DEGREE)
     ]
-    lines += [
-        f"    return err, {new}, {tup(f'k12_{i}' for i in comps)}, {tup(q)}",
-        "def scan(guard, t, h, y, y_new, q):",
-        "    if guard(t + h, y_new):",
-        "        return True",
-        f"    {ys} = y",
-        f"    {tup(f'q{j}' for j in range(_DEGREE * dim))} = q",
-        *(
-            f"    if guard(t + {th!r}*h, {tup(horner(i, th) for i in comps)}):\n        return True"
-            for th in _SCAN_AT
-        ),
-        "    return False",
-    ]
-    namespace = {
-        "_RHS_ERRORS": _RHS_ERRORS, "inf": math.inf, "isfinite": math.isfinite, "sqrt": math.sqrt
-    }
-    exec(compile("\n".join(lines) + "\n", f"<DOP853 step, dim {dim}>", "exec"), namespace)
-    return namespace["step"], namespace["scan"]
+    lines.append(f"    return err, {new}, {tup(f'k12_{i}' for i in comps)}, {tup(q)}")
+    if kernel is None:
+        lines += [
+            "def scan(guard, t, h, y, y_new, q):",
+            "    if guard(t + h, y_new):",
+            "        return True",
+            f"    {ys} = y",
+            f"    {tup(f'q{j}' for j in range(_DEGREE * dim))} = q",
+            *(
+                f"    if guard(t + {th!r}*h, {tup(horner(i, th) for i in comps)}):\n        return True"
+                for th in _SCAN_AT
+            ),
+            "    return False",
+        ]
+    name = f"<DOP853 step, dim {dim}>" if kernel is None else f"<DOP853 step, dim {dim}, kernel inlined>"
+    namespace = dict(_STEP_NAMES)
+    exec(compile("\n".join(lines) + "\n", name, "exec"), namespace)
+    return namespace["step"], namespace.get("scan") or _stepper(dim)[1]
+
+
+def _inlined_step(dim: int, parts):
+    """The step of a system whose ``rhs`` is the kernel of ``parts``: its body in each stage.
+
+    The step's code is shared by every kernel of the same text and bound
+    here to this kernel's namespace.  A kernel longer than
+    ``_INLINED_LINES`` is called from each stage instead.
+    """
+    if len(parts.text.lines) > _INLINED_LINES:
+        return _stepper(dim)[0]
+    code = _stepper(dim, parts.text)[0].__code__
+    return types.FunctionType(code, {**_STEP_NAMES, **parts.namespace})
 
 
 def integrate(
@@ -598,7 +676,7 @@ def integrate(
     h = _initial_step(rhs, t0, y, f, t1, rtol, atol)
     facold = 1e-4
     rejected = False
-    step, scan = _stepper(sys.dim)
+    step, scan = sys.step, _stepper(sys.dim)[1]
     # the loop's constants and calls as locals; each min/max is written out
     # as the conditional expression that returns what min/max would
     isfinite, expo, beta, safety = math.isfinite, _EXPO, _BETA, _SAFETY

@@ -34,7 +34,7 @@ from epwb import (
     symmetry_residual,
     time_function,
 )
-from epwb import cli, expressions, ode, symmetry
+from epwb import cli, expressions
 from epwb.central_field import CentralFieldConfig, PolarState, radial_ep_residual, simulate_polar
 from epwb.expressions import (
     Binary,
@@ -584,10 +584,10 @@ def _counted_grid_ops(monkeypatch, limit):
 def kernels(monkeypatch):
     """Count the scalar kernels built, and the calls of any of them, from here on."""
     log = {"builds": 0, "calls": 0}
-    original = expressions.scalar_kernel
+    original = expressions.KernelParts.kernel
 
-    def counting(exprs, variables=("t",), positive=()):
-        kernel = original(exprs, variables, positive)
+    def counting(parts):
+        kernel = original(parts)
         log["builds"] += 1
 
         def call(*args):
@@ -596,8 +596,8 @@ def kernels(monkeypatch):
 
         return call
 
-    for module in (expressions, symmetry, ode):
-        monkeypatch.setattr(module, "scalar_kernel", counting)
+    # every kernel is assembled here, whether built by scalar_kernel or by a system
+    monkeypatch.setattr(expressions.KernelParts, "kernel", counting)
     return log
 
 
@@ -1116,6 +1116,28 @@ class TestInterning:
         e = parse_expression("exp(-t)/(1+t^2) - 0.5*t")
         assert clone(e) is e
         assert clone(Const(-0.0)) is Const(-0.0)
+
+    @pytest.mark.parametrize(
+        "clone",
+        [copy.copy, copy.deepcopy, lambda e: pickle.loads(pickle.dumps(e))],
+        ids=["copy", "deepcopy", "pickle"],
+    )
+    def test_a_deep_copy_is_the_interned_node(self, clone):
+        # ten times the recursion limit: the tree goes over as a flat post-order
+        e = var("t")
+        for _ in range(10_000):
+            e = Unary("sin", e)
+        assert clone(e) is e
+
+    def test_a_curve_leaf_copies_its_curve(self):
+        curve = _Line()
+        e = CurveVal(curve, 1, "c") * CurveVal(curve, 0, "c") + var("t")
+        assert copy.copy(e) is e
+        twin = copy.deepcopy(e)
+        first, second = twin.left.left, twin.left.right
+        assert twin is not e and isinstance(first.curve, _Line)
+        assert first.curve is not curve and first.curve is second.curve  # one copy, shared
+        assert (first.order, second.order, first.label) == (1, 0, "c")
 
     def test_nodes_are_immutable(self):
         e = parse_expression("t+1")

@@ -28,7 +28,7 @@ from epwb.central_field import (
     simulate_polar,
 )
 from epwb.expressions import const, sin, var
-from epwb.oscillator import QuadraticFormCurve, fundamental_pair, oscillator_system
+from epwb.oscillator import QuadraticFormCurve, _pair_system, fundamental_pair, oscillator_system
 from epwb.pinney import EPConfig, ep_system
 from epwb.third_order import ThirdOrderConfig, third_order_system
 from tests.conftest import grid
@@ -159,6 +159,18 @@ class TestSample:
         tr = integrate(oscillator(), (1.0, 0.0), (0.0, 3.0))
         assert tr.sample(2).shape == (2,)
         assert np.array_equal(tr.sample(2), tr.sample([2.0])[0])
+
+    def test_jet_at_one_time_is_the_grid_read(self):
+        # one time, as a scalar or a one-point grid, reads one step's
+        # interpolant; the slope row of k = dim is the fields on that point
+        cfg = EPConfig(time_function("1+0.5*sin(3*t)"), time_function("2"))
+        tr = integrate(ep_system(cfg), (1.0, 0.0), (0.0, 10.0))
+        ts = np.concatenate([np.random.default_rng(3).uniform(0.0, 10.0, 50), tr.times[:5]])
+        for k in range(tr.dim + 1):
+            rows = tr.jet(ts, k)
+            for i, t in enumerate(ts.tolist()):
+                assert np.array_equal(tr.jet(t, k), tr.jet([t], k))
+                assert np.array_equal(tr.jet([t], k)[: tr.dim], rows[: tr.dim, i : i + 1])
 
     def test_dense_output_tracks_cosine(self):
         tr = integrate(oscillator(), (1.0, 0.0), (0.0, 20.0))
@@ -501,14 +513,21 @@ class TestGeneratedStep:
         assert calls == [1.0, *ode._SCAN_AT][: fires + 1]
 
     def test_generated_once_per_dimension(self):
+        # the calling step and the scan once per dimension, and the step
+        # with a kernel inlined once per kernel text, so systems of one
+        # shape share its code
         code = ode._stepper(3)
+        coupled(3).step  # builds the step of coupled(3)'s kernel, if no test has
         before = ode._stepper.cache_info()
-        for y0 in ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0)):
-            integrate(coupled(3), y0, (0.0, 1.0))
+        systems = (coupled(3), coupled(3))
+        for sys, y0 in zip(systems, ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0))):
+            integrate(sys, y0, (0.0, 1.0))
         after = ode._stepper.cache_info()
         assert ode._stepper(3) is code
         assert after.misses == before.misses
-        assert after.hits >= before.hits + 2
+        assert after.hits >= before.hits + 4  # a scan and a step per integration
+        assert systems[0].step.__code__ is systems[1].step.__code__
+        assert systems[0].step.__code__ is not code[0].__code__
         assert ode._stepper(2)[0] is not code[0]
 
 
@@ -661,3 +680,90 @@ class TestShippedSystems:
         (slope,) = tr.system.slopes(ts, tr.sample(ts))
         assert slope.shape == (2,)
         assert slope.tolist() == pytest.approx(list(sys.rhs(0.5, tuple(tr.sample(0.5)))))
+
+
+def calling(sys: ODESystem) -> ODESystem:
+    """``sys`` stepping by calls of its own kernel: the step that a given ``rhs`` gets."""
+    return dataclasses.replace(sys, rhs=sys.rhs)
+
+
+def chain(levels: int) -> ODESystem:
+    """y' = sin(sin(...sin(t))): a kernel of one line per level."""
+    field = var("t")
+    for _ in range(levels):
+        field = sin(field)
+    return ODESystem(("y",), (field,))
+
+
+INLINED = {
+    **SHIPPED,
+    "basis-pair": _pair_system(time_function("1+0.5*sin(3*t)")),
+    "k-integral": k_integral(FORCED, (0.0, 5.0)).system,
+}
+
+
+class TestInlinedStep:
+    @pytest.mark.parametrize("name", list(INLINED))
+    def test_returns_what_the_calling_step_returns(self, name):
+        sys = INLINED[name]
+        step, called = sys.step, ode._stepper(sys.dim)[0]
+        assert step.__code__ is not called.__code__  # every shipped kernel is inlined
+        rng = np.random.default_rng(11)
+        accepted = rejected = 0
+        for _ in range(40):
+            t = float(rng.uniform(0.0, 5.0))
+            y = tuple(rng.uniform(0.5, 2.0, sys.dim).tolist())
+            h = float(10.0 ** rng.uniform(-4.0, 0.5))
+            f = sys.rhs(t, y)
+            got = step(sys.rhs, t, h, y, f, 1e-10, 1e-12)
+            assert got == called(sys.rhs, t, h, y, f, 1e-10, 1e-12)
+            accepted += got[0] <= 1.0
+            rejected += got[1] is None
+        assert accepted and rejected
+
+    @pytest.mark.parametrize("case", list(OUTSIDE))
+    def test_outside_the_domain_rejects_on_both_steps(self, case):
+        name, t, y, _ = OUTSIDE[case]
+        sys = SHIPPED[name]
+        f = (0.0,) * sys.dim  # so the first stage is at the state itself
+        for step in (sys.step, ode._stepper(sys.dim)[0]):
+            assert step(sys.rhs, t, 1e-3, y, f, 1e-10, 1e-12) == (math.inf, None, None, None)
+
+    def test_a_false_alarm_keeps_its_values_on_both_steps(self):
+        # each divisor is finite, but their sum, which the kernel watches, overflows
+        sys = ODESystem(("x", "v"), (const(1.0) / (X * const(1e300)), const(1.0) / (V * const(1e300))))
+        calls = []
+        for function in (sys.step, sys.rhs):
+            fallback = function.__globals__["fallback"]
+            function.__globals__["fallback"] = lambda *args, fallback=fallback: calls.append(args) or fallback(*args)
+        t, y = 0.0, (1.5e8, 1.6e8)
+        f = sys.rhs(t, y)
+        assert f == (1.0 / (1.5e8 * 1e300), 1.0 / (1.6e8 * 1e300)) and len(calls) == 1
+        got = sys.step(sys.rhs, t, 0.5, y, f, 1e-10, 1e-12)
+        assert got[0] <= 1.0 and len(calls) == 1 + 15  # every stage of the accepted step
+        assert got == ode._stepper(2)[0](sys.rhs, t, 0.5, y, f, 1e-10, 1e-12)
+        assert len(calls) == 1 + 15 + 15
+        assert all(values is not None for values, *_ in calls)
+
+    def test_systems_of_one_shape_share_the_code(self):
+        first = oscillator_system(time_function("1+0.5*sin(3*t)"))
+        second = oscillator_system(time_function("2+0.25*sin(5*t)"))
+        assert first.step.__code__ is second.step.__code__
+        assert first.step.__globals__ is not second.step.__globals__  # each its own constants
+        for sys in (first, second):
+            tr, ref = (integrate(s, (1.0, 0.0), (0.0, 20.0)) for s in (sys, calling(sys)))
+            assert (tr.status, tr.message) == (ref.status, ref.message) == (COMPLETED, "")
+            assert np.array_equal(tr.times, ref.times) and np.array_equal(tr.states, ref.states)
+            assert np.array_equal(tr._dense, ref._dense)
+        assert not np.array_equal(*(integrate(s, (1.0, 0.0), (0.0, 1.0)).states[-1] for s in (first, second)))
+
+    def test_a_kernel_above_the_bound_is_called(self):
+        inlined, called = chain(ode._INLINED_LINES), chain(ode._INLINED_LINES + 1)
+        assert inlined.step.__code__ is not ode._stepper(1)[0].__code__
+        assert called.step is ode._stepper(1)[0]
+        tr, ref = (integrate(s, (0.0,), (0.0, 2.0)) for s in (called, calling(called)))
+        assert np.array_equal(tr.times, ref.times) and np.array_equal(tr._dense, ref._dense)
+
+    def test_a_given_rhs_is_called(self):
+        sys = calling(SHIPPED["ep"])
+        assert sys.step is ode._stepper(2)[0]

@@ -76,3 +76,17 @@ def test_cold_census_counts_repeat(tmp_path):
         assert second[1:] == third[1:], key  # every pass starts cold
     assert counts["symmetry seed=3"][0][1] > 0
     assert counts["symmetry seed=3"][0][3] > 0  # parse_expression calls
+
+
+def test_trajectory_digests_repeat(tmp_path):
+    # a fresh interpreter per run: the script imports the benchmark's workloads module
+    path = os.path.join(SCRIPTS, "trajectory_digests.py")
+    argv = [sys.executable, path, "--workloads", "long_orbit", "symmetry", "--seeds", "3"]
+    first, second = (
+        subprocess.run(argv, cwd=tmp_path, capture_output=True, text=True, check=True).stdout for _ in range(2)
+    )
+    assert first == second
+    lines = first.splitlines()
+    assert [line.split(" integrations=")[0] for line in lines] == ["long_orbit seed=3", "symmetry seed=3"]
+    found = [re.fullmatch(r".* integrations=(\d+) sha256=([0-9a-f]{64})", line) for line in lines]
+    assert all(found) and int(found[0][1]) > 0 and found[1][1] == "0"  # symmetry integrates nothing
