@@ -1172,7 +1172,8 @@ class TimeFunction:
         return float(evaluate(self.derivative_expr(order), {"t": t}))
 
     def jet(self, ts, k: int) -> np.ndarray:
-        """Rows 0..k hold the derivatives over the grid ``ts``: shape (k+1, len(ts))."""
+        """Rows 0..k hold the derivatives over the grid ``ts`` (a scalar t is [t]): shape (k+1, len(ts))."""
+        ts = np.asarray(ts, dtype=float).reshape(-1)
         return np.array(evaluate([self.derivative_expr(j) for j in range(k + 1)], {"t": ts}))
 
     def scaled(self, factor: float) -> "TimeFunction":

@@ -342,13 +342,16 @@ class Trajectory:
 
         Node times reproduce the stored state exactly; a time outside the
         trajectory's range raises DomainError.  A scalar t (a float or an
-        int) bisects the node times as a list and reads one step's
-        interpolant with the grid's arithmetic, so ``sample(t)`` equals
-        ``sample([t])[0]`` bit for bit.
+        int) or a one-point grid bisects the node times as a list and reads
+        one step's interpolant with the grid's arithmetic, so it equals the
+        read of t within any longer grid bit for bit.
         """
         if isinstance(t, (float, int)):
             return self._sample_at(float(t))
         ts = np.asarray(t, dtype=float).reshape(-1)
+        if len(ts) == 1:
+            out = self._sample_at(float(ts[0]))
+            return out if np.ndim(t) == 0 else out[None]
         times = self.times
         outside = ~((times[0] <= ts) & (ts <= times[-1]))
         if outside.any():
@@ -383,14 +386,13 @@ class Trajectory:
 
         For a state (x, x', ..., x^(dim-1)) row j < dim is state column j and
         row dim is the last field of the producing system, so
-        k may be at most dim.  Returns shape (k+1, len(ts)).  A scalar t
-        is the grid [t], and one time is read through ``sample(t)``, which
-        equals the grid read bit for bit.
+        k may be at most dim.  Returns shape (k+1, len(ts)); a scalar t is
+        the grid [t].
         """
         if not 0 <= k <= self.dim:
             raise ValueError(f"derivative order {k} unavailable from this trajectory")
         ts = np.asarray(ts, dtype=float).reshape(-1)
-        states = self._sample_at(float(ts[0]))[None] if len(ts) == 1 else self.sample(ts)
+        states = self.sample(ts)
         rows = states.T
         if k == self.dim:
             rows = np.vstack([rows, self.system.slopes(ts, states)[:, -1]])

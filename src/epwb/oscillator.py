@@ -123,7 +123,8 @@ class QuadraticFormCurve:
         self.A, self.B, self.C = float(A), float(B), float(C)
 
     def jet(self, ts, k: int) -> np.ndarray:
-        ts = np.asarray(ts, dtype=float)
+        """Rows 0..k hold the derivatives over the grid ``ts`` (a scalar t is [t]): shape (k+1, len(ts))."""
+        ts = np.asarray(ts, dtype=float).reshape(-1)
         phi = self.basis.phi.jet(ts, k - 2) if k >= 2 else None  # shared by u and v
         rows = self.basis.pair.sample(ts).T  # one read of (u, u', v, v')
         u = _component_jet(rows[:2], phi, k)

@@ -61,7 +61,8 @@ class SqrtCurve:
         self.base = base
 
     def jet(self, ts, k: int) -> np.ndarray:
-        ts = np.asarray(ts, dtype=float)
+        """Rows 0..k hold the derivatives over the grid ``ts`` (a scalar t is [t]): shape (k+1, len(ts))."""
+        ts = np.asarray(ts, dtype=float).reshape(-1)
         w = self.base.jet(ts, k)
         fail_first(w[0] <= 0.0, "sqrt of non-positive curve value {!r} at t={!r}", w[0], ts)
         x = np.empty_like(w)

@@ -359,3 +359,20 @@ class TestDriftAndAudit:
             "mean": 2.0,
             "drift": 0.0,
         }
+
+
+@pytest.mark.parametrize("kind", ["trajectory", "time_function", "quadratic_form", "sqrt"])
+def test_every_curve_reads_a_scalar_as_the_one_point_grid(kind, basis_sin, phi_sin):
+    x, h2 = pinney_solution(basis_sin, 1.0, 0.3, 2.0)
+    curve = {
+        "trajectory": integrate(ep_system(const_cfg("1+0.5*sin(t)", h2)), (1.0, 0.0), (0.0, 20.0)),
+        "time_function": phi_sin,
+        "quadratic_form": x.base,
+        "sqrt": x,
+    }[kind]
+    top = curve.dim if kind == "trajectory" else 3
+    for t in (0.0, 0.37, 11.5, 20.0):  # both ends and between
+        for k in range(top + 1):
+            jet = curve.jet(t, k)
+            assert jet.shape == (k + 1, 1)
+            assert np.array_equal(jet, curve.jet([t], k))
