@@ -46,16 +46,12 @@ class PolarState:
         return self.r * self.r * self.thetadot
 
 
-def polar_system(cfg: CentralFieldConfig, settings: IntegrationSettings) -> ODESystem:
-    """(r, r', theta, L) with r'' = -Phi r + L^2/r^3, theta' = L/r^2, L' = k, on r > 0."""
+def polar_system(cfg: CentralFieldConfig) -> ODESystem:
+    """(r, r', theta, L) with r'' = -Phi r + L^2/r^3, theta' = L/r^2, L' = k, on r >= x_min."""
     names = ("r", "rdot", "theta", "L")
     r, rdot, _, ell = map(var, names)
     fields = (rdot, -cfg.phi.expr * r + ell * ell / (r * r * r), ell / (r * r), cfg.k.expr)
-
-    def guard(t: float, y) -> bool:
-        return y[0] < settings.x_min
-
-    return ODESystem(names, fields, domain=(r,), guard=guard)
+    return ODESystem(names, fields, domain=(r,))
 
 
 def simulate_polar(
@@ -67,7 +63,7 @@ def simulate_polar(
     if init.r <= 0.0:
         raise ValueError("initial radius must be positive")
     y0 = [init.r, init.rdot, init.theta, init.angular_momentum]
-    return integrate(polar_system(cfg, settings), y0, interval, settings)
+    return integrate(polar_system(cfg), y0, interval, settings)
 
 
 def k_integral(
@@ -122,17 +118,13 @@ def radial_ep_residual(
     return worst_residual(rddot + cfg.phi.jet(ts, 0)[0] * r - g / r**3)
 
 
-def cartesian_system(cfg: CentralFieldConfig, settings: IntegrationSettings) -> ODESystem:
-    """(x, x', y, y') with acceleration -Phi pos + (k/r) e_theta, on x^2 + y^2 > 0."""
+def cartesian_system(cfg: CentralFieldConfig) -> ODESystem:
+    """(x, x', y, y') with acceleration -Phi pos + (k/r) e_theta, on x^2 + y^2 > 0 (no floor)."""
     names = ("x", "xdot", "y", "ydot")
     x, xdot, y, ydot = map(var, names)
     minus_phi, k, r2 = -cfg.phi.expr, cfg.k.expr, x * x + y * y
     fields = (xdot, minus_phi * x - k * y / r2, ydot, minus_phi * y + k * x / r2)
-
-    def guard(t: float, state) -> bool:
-        return math.hypot(state[0], state[2]) < settings.x_min
-
-    return ODESystem(names, fields, domain=(r2,), guard=guard)
+    return ODESystem(names, fields, domain=(r2,))
 
 
 def simulate_cartesian(
@@ -149,7 +141,7 @@ def simulate_cartesian(
     y = init.r * s
     xdot = init.rdot * c - init.r * init.thetadot * s
     ydot = init.rdot * s + init.r * init.thetadot * c
-    return integrate(cartesian_system(cfg, settings), [x, xdot, y, ydot], interval, settings)
+    return integrate(cartesian_system(cfg), [x, xdot, y, ydot], interval, settings)
 
 
 def polar_from_cartesian(state) -> PolarState:

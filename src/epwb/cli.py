@@ -223,7 +223,7 @@ def _run_simulate(sc: dict, base_dir: str) -> int:
     settings = _settings(sc)
     interval = _interval(sc)
     initial = _pair(sc, "initial")
-    traj = integrate(ep_system(cfg, settings), initial, interval, settings)
+    traj = integrate(ep_system(cfg), initial, interval, settings)
     report = {
         "kind": "simulate",
         "status": traj.status,
@@ -253,7 +253,7 @@ def _invariant_series(sc: dict, interval, settings):
         x0 = _pair(sc, "initial")
         y0 = _pair(sc, "aux_initial", (1.0, 0.0))
         cfg = EPConfig(phi=phi, g=TimeFunction(Const(h2)))
-        xt = integrate(ep_system(cfg, settings), x0, interval, settings)
+        xt = integrate(ep_system(cfg), x0, interval, settings)
         yt = integrate(oscillator_system(phi), y0, interval, settings)
         _completed(xt, yt)
         grid = xt.grid(n)
@@ -263,7 +263,7 @@ def _invariant_series(sc: dict, interval, settings):
         q0 = _pair(sc, "initial")
         rho0 = _pair(sc, "aux_initial", (1.0, 0.0))
         qt = integrate(oscillator_system(phi), q0, interval, settings)
-        rt = integrate(ep_system(EPConfig(phi=phi, g=TimeFunction(Const(1.0))), settings), rho0, interval, settings)
+        rt = integrate(ep_system(EPConfig(phi=phi, g=TimeFunction(Const(1.0)))), rho0, interval, settings)
         _completed(qt, rt)
         grid = qt.grid(n)
         q, p = qt.sample(grid).T
@@ -330,7 +330,7 @@ def _run_reduce(sc: dict, base_dir: str) -> int:
     fam = compatible_family(_tf(sc, "g"), _number(sc, "c0"), _number(sc, "m"), interval)
     chart = canonical_chart(fam, sigma=_number(sc, "sigma", 0.25))
     traj = integrate(
-        ep_system(EPConfig(phi=fam.phi, g=fam.g), settings), _pair(sc, "initial"), interval, settings
+        ep_system(EPConfig(phi=fam.phi, g=fam.g)), _pair(sc, "initial"), interval, settings
     )
     _completed(traj)
     orbit = transform_trajectory(chart, traj, n=_count(sc, "n", 400, 2, _MAX_SAMPLES))

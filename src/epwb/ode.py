@@ -9,7 +9,9 @@ th^1..th^7 (th the fraction of the step), one (n_steps, dim, 7) array per
 trajectory.
 
 A system is data: one expression field per state component over
-("t", *state names), and domain trees that must stay positive.  Its
+("t", *state names), and domain trees that must stay positive; a domain
+tree that is one state variable (the EP x, the polar r) is floored: it
+must stay >= ``settings.x_min``, or the run stops.  Its
 ``rhs(t, y)`` is the scalar kernel compiled from them: ``y`` a sequence of
 ``dim`` floats, the result a tuple of ``dim`` floats, and DomainError
 (never NaN or inf) where the system is undefined; it is compiled when
@@ -22,17 +24,17 @@ text and shared by every system of that shape, each running it over its
 own constants.  A system given an ``rhs`` (instrumentation), or whose
 kernel is longer than ``_INLINED_LINES``, steps by calling ``rhs`` once
 per stage instead, with code generated once per state dimension.  A
-stage that raises or is not finite rejects the attempt.  The guard scan
-of an accepted step is generated once per dimension: straight-line calls
-of the guard at the step's end, then at 1/4, 1/2 and 3/4 of the step on
-the interpolated states, stopping at the first that fires.
+stage that raises or is not finite rejects the attempt.  The floor scan
+of an accepted step, generated once per set of floored components, is
+one chain of comparisons with x_min: at the step's end, then at 1/4, 1/2
+and 3/4 of the step on the interpolated states.
 
 Trajectories remember the system that produced them and carry a
 termination status:
 
     "completed"     reached the end of the requested interval
-    "guard-stop"    a guard predicate fired; the offending step is discarded,
-                    so no retained or interpolated sample violates the guard
+    "guard-stop"    a state fell below the floor; the offending step is discarded,
+                    so no retained or interpolated sample is below it
     "step-failure"  step size underflow or step budget exhausted; the
                     trajectory holds everything up to the last good node
 
@@ -63,7 +65,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .expressions import DomainError, Expr, KernelText, evaluate, kernel_parts
+from .expressions import DomainError, Expr, KernelText, Var, evaluate, kernel_parts
 
 COMPLETED = "completed"
 GUARD_STOP = "guard-stop"
@@ -217,8 +219,9 @@ _MONOMIAL = np.array(
     dtype=float,
 )
 _POWERS = np.arange(1, _DEGREE + 1)
-# interior points of the guard scan, as fractions of the step
+# interior points of the floor scan, as fractions of the step
 _SCAN_AT = (0.25, 0.5, 0.75)
+X_MIN = 1e-6  # default floor: how near the singular axis x = 0 runs and checks may come
 
 _SAFETY = 0.9
 _BETA = 0.04  # PI stabilization
@@ -247,7 +250,7 @@ class _CompiledOnFirstRead:
             return None
         built = system.__dict__
         if "rhs" in built:
-            built["step"] = _stepper(system.dim)[0]
+            built["step"] = _stepper(system.dim)
         else:
             parts = kernel_parts(system.fields, ("t", system.names), positive=system.domain)
             built["rhs"] = parts.kernel()
@@ -260,17 +263,16 @@ class ODESystem:
     """First-order system y' = f(t, y), written once as expression fields.
 
     ``fields[i]`` is the tree of y_i' over ("t", *names); each tree in
-    ``domain`` must stay > 0.  ``rhs`` is compiled from them when first
-    read unless given (only instrumentation passes one), so a system that
-    is never integrated compiles nothing; ``step``, the DOP853 attempt that
-    ``integrate`` makes, is built beside it.  ``guard(t, y)`` returns True
-    to stop.
+    ``domain`` must stay > 0, and a state variable among them >= x_min.
+    ``rhs`` is compiled from them when first read unless given (only
+    instrumentation passes one), so a system that is never integrated
+    compiles nothing; ``step``, the DOP853 attempt that ``integrate``
+    makes, is built beside it.
     """
 
     names: tuple[str, ...]
     fields: tuple[Expr, ...]
     domain: tuple[Expr, ...] = ()
-    guard: Optional[Callable[[float, Sequence[float]], bool]] = None
     rhs: Optional[Callable[[float, Sequence[float]], tuple[float, ...]]] = _CompiledOnFirstRead()
     step = _CompiledOnFirstRead()  # not a field: built with rhs, or calling a given one
 
@@ -281,6 +283,12 @@ class ODESystem:
     @property
     def dim(self) -> int:
         return len(self.fields)
+
+    @property
+    def floored(self) -> tuple[int, ...]:
+        """The indices of the state variables that are domain trees, in state order."""
+        bounded = {tree.name for tree in self.domain if type(tree) is Var}
+        return tuple(i for i, name in enumerate(self.names) if name in bounded)
 
     def slopes(self, ts, ys) -> np.ndarray:
         """The fields at the points (ts[i], ys[i]), as an (n, dim) array.
@@ -297,7 +305,7 @@ class IntegrationSettings:
     rtol: float = 1e-10
     atol: float = 1e-12
     max_steps: int = 1_000_000
-    x_min: float = 1e-6  # guard threshold used by positivity-guarded systems
+    x_min: float = X_MIN  # floor of the state variables that are domain trees
 
     def __post_init__(self):
         for name in ("rtol", "atol"):
@@ -487,7 +495,7 @@ _INLINED_LINES = 20
 def _stepper(dim: int, kernel: KernelText | None = None):
     """Generated straight-line code for DOP853 steps on a ``dim``-float state.
 
-    Returns ``(step, scan)``.  ``step(rhs, t, h, y, f, rtol, atol)`` makes one
+    ``step(rhs, t, h, y, f, rtol, atol)``, the function returned, makes one
     attempted step from the state ``y`` with slope ``f`` (sequences of
     floats), keeping every stage value in a float local; the stage sums, the
     error estimators and the dense-output rows are unrolled over the nonzero
@@ -497,10 +505,6 @@ def _stepper(dim: int, kernel: KernelText | None = None):
     and the 7*dim monomial coefficients of the interpolant, component by
     component; on rejection the last three are None.  A right-hand side
     that raises, or a non-finite stage or new state, gives err = inf.
-    ``scan(guard, t, h, y, y_new, q)`` is True when ``guard`` fires on that
-    step: it calls ``guard(t + h, y_new)``, then ``guard`` at the times
-    ``t + th*h`` for the fractions ``th`` of ``_SCAN_AT``, on the states
-    there by Horner's rule, and stops at the first call that fires.
 
     Each stage calls ``rhs(t, state)``, unless ``kernel`` is the text of a
     system's kernel over ("t", names): then each stage is that kernel's
@@ -548,12 +552,6 @@ def _stepper(dim: int, kernel: KernelText | None = None):
         # 0*v is 0 for finite v and NaN otherwise, so the sum is finite iff all are
         return "    if not isfinite(" + " + ".join(f"0.0*{name}" for name in names) + "):"
 
-    def horner(i, th):
-        src = f"q{_DEGREE * i + _DEGREE - 1}"
-        for j in reversed(range(_DEGREE - 1)):
-            src = f"q{_DEGREE * i + j} + {th!r}*({src})"
-        return f"y_{i} + {th!r}*({src})"
-
     ys, k0, new = (tup(f"{v}_{i}" for i in comps) for v in ("y", "k0", "n"))
     reject = "        return inf, None, None, None"
     lines = [
@@ -599,23 +597,31 @@ def _stepper(dim: int, kernel: KernelText | None = None):
         for j in range(_DEGREE)
     ]
     lines.append(f"    return err, {new}, {tup(f'k12_{i}' for i in comps)}, {tup(q)}")
-    if kernel is None:
-        lines += [
-            "def scan(guard, t, h, y, y_new, q):",
-            "    if guard(t + h, y_new):",
-            "        return True",
-            f"    {ys} = y",
-            f"    {tup(f'q{j}' for j in range(_DEGREE * dim))} = q",
-            *(
-                f"    if guard(t + {th!r}*h, {tup(horner(i, th) for i in comps)}):\n        return True"
-                for th in _SCAN_AT
-            ),
-            "    return False",
-        ]
     name = f"<DOP853 step, dim {dim}>" if kernel is None else f"<DOP853 step, dim {dim}, kernel inlined>"
     namespace = dict(_STEP_NAMES)
     exec(compile("\n".join(lines) + "\n", name, "exec"), namespace)
-    return namespace["step"], namespace.get("scan") or _stepper(dim)[1]
+    return namespace["step"]
+
+
+@functools.lru_cache(maxsize=None)
+def _scan(floored: tuple[int, ...]):
+    """``scan(x_min, y, y_new, q)``: whether the components ``floored`` of a step go below x_min.
+
+    It compares ``y_new``, then the states at ``_SCAN_AT`` of the step by
+    Horner's rule on ``y`` and ``step``'s coefficients ``q``, in that order.
+    """
+
+    def horner(i, th):
+        src = f"q[{_DEGREE * i + _DEGREE - 1}]"
+        for j in reversed(range(_DEGREE - 1)):
+            src = f"q[{_DEGREE * i + j}] + {th!r}*({src})"
+        return f"y[{i}] + {th!r}*({src})"
+
+    values = [f"y_new[{i}]" for i in floored] + [horner(i, th) for th in _SCAN_AT for i in floored]
+    source = "def scan(x_min, y, y_new, q):\n    return " + " or ".join(f"{v} < x_min" for v in values)
+    namespace: dict = {}
+    exec(compile(source + "\n", f"<floor scan of {floored}>", "exec"), namespace)
+    return namespace["scan"]
 
 
 def _inlined_step(dim: int, parts):
@@ -626,8 +632,8 @@ def _inlined_step(dim: int, parts):
     ``_INLINED_LINES`` is called from each stage instead.
     """
     if len(parts.text.lines) > _INLINED_LINES:
-        return _stepper(dim)[0]
-    code = _stepper(dim, parts.text)[0].__code__
+        return _stepper(dim)
+    code = _stepper(dim, parts.text).__code__
     return types.FunctionType(code, {**_STEP_NAMES, **parts.namespace})
 
 
@@ -639,9 +645,10 @@ def integrate(
 ) -> Trajectory:
     """Integrate forward over ``interval``; never raises for step failures.
 
-    Guard violations and step-size underflow are reported through the
-    trajectory status so callers always get the prefix that was computed.
-    Returned states are always finite.
+    A floored component (``ODESystem.floored``) below ``settings.x_min``
+    and step-size underflow are reported through the trajectory status so
+    callers always get the prefix that was computed.  Returned states are
+    always finite.
     """
     settings = settings or IntegrationSettings()
     t0, t1 = finite_interval(interval)
@@ -653,7 +660,7 @@ def integrate(
     if not np.all(np.isfinite(y)):
         raise ValueError("initial state must be finite")
     y = tuple(y.tolist())
-    rhs, guard = sys.rhs, sys.guard
+    rhs, floored, x_min = sys.rhs, sys.floored, settings.x_min
 
     times = [t0]
     states = [y]
@@ -663,7 +670,7 @@ def integrate(
     def done(status, message=""):
         return Trajectory(times, states, dense, steps, sys, status, message)
 
-    if guard is not None and guard(t0, y):
+    if any(y[i] < x_min for i in floored):
         return done(GUARD_STOP, f"guard fired at initial state t={t0!r}")
 
     t = t0
@@ -678,7 +685,7 @@ def integrate(
     h = _initial_step(rhs, t0, y, f, t1, rtol, atol)
     facold = 1e-4
     rejected = False
-    step, scan = sys.step, _stepper(sys.dim)[1]
+    step, scan = sys.step, _scan(floored) if floored else None
     # the loop's constants and calls as locals; each min/max is written out
     # as the conditional expression that returns what min/max would
     isfinite, expo, beta, safety = math.isfinite, _EXPO, _BETA, _SAFETY
@@ -703,8 +710,8 @@ def integrate(
             rejected = True
             continue
 
-        # accepted: guard scan over the step before committing it
-        if guard is not None and scan(guard, t, h, y, y_new, q):
+        # accepted: floor scan over the step before committing it
+        if scan is not None and scan(x_min, y, y_new, q):
             return done(GUARD_STOP, f"guard fired within step ending t={t + h!r}")
 
         add_time(t + h)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expressions import DomainError, Expr, TimeFunction, evaluate, fail_first
-from .ode import IntegrationSettings, ODESystem, worst_residual
+from .ode import X_MIN, ODESystem, worst_residual
 from .oscillator import _V, _X, DegenerateBasisError, OscillatorBasis, QuadraticFormCurve
 
 
@@ -44,14 +44,9 @@ def ep_field(phi: Expr, g: Expr) -> Expr:
     return -phi * _X + g / _X**3
 
 
-def ep_system(cfg: EPConfig, settings: IntegrationSettings | None = None) -> ODESystem:
-    """State (x, v) on x > 0, guarded at x < x_min."""
-    x_min = (settings or IntegrationSettings()).x_min
-
-    def guard(t, y):
-        return y[0] < x_min
-
-    return ODESystem(("x", "v"), (_V, ep_field(cfg.phi.expr, cfg.g.expr)), domain=(_X,), guard=guard)
+def ep_system(cfg: EPConfig) -> ODESystem:
+    """State (x, v) on x > 0; ``integrate`` stops it before x < ``settings.x_min``."""
+    return ODESystem(("x", "v"), (_V, ep_field(cfg.phi.expr, cfg.g.expr)), domain=(_X,))
 
 
 class SqrtCurve:
@@ -94,7 +89,7 @@ def pinney_solution(
     return SqrtCurve(QuadraticFormCurve(basis, A, B, C)), h2
 
 
-def ep_residual(cfg: EPConfig, x, grid, x_min: float = 1e-6) -> float:
+def ep_residual(cfg: EPConfig, x, grid, x_min: float = X_MIN) -> float:
     """max |x'' + phi x - g/x^3| over the grid for a curve or trajectory."""
     grid = np.asarray(grid, dtype=float)
     xx, _, xdd = x.jet(grid, 2)

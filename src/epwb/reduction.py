@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expressions import DomainError, fail_first
-from .ode import Trajectory, worst_residual, write_table
+from .ode import X_MIN, Trajectory, worst_residual, write_table
 from .symmetry import CompatibleFamily, PointSymmetry
 
 FORCING_CONSTANT = 16.0
@@ -156,7 +156,7 @@ def transform_trajectory(
     return TransformedOrbit(t=ts, T=big_t, X=big_x, V=big_v, A=big_a)
 
 
-def autonomous_residual(orbit: TransformedOrbit, omega: float, x_min: float = 1e-6) -> float:
+def autonomous_residual(orbit: TransformedOrbit, omega: float, x_min: float = X_MIN) -> float:
     """max |X'' + 2 X' + Omega X - 16/X^3| along the transformed orbit."""
     message = "transformed orbit approaches X = 0: X={!r} at T={!r}"
     fail_first(orbit.X <= x_min, message, orbit.X, orbit.T)
@@ -204,7 +204,7 @@ def abel_residual(
     if used == 0:
         raise ValueError("every sample sits at a turning point; nothing to check")
     u, v, a = orbit.X[keep], orbit.V[keep], orbit.A[keep]
-    fail_first(u <= 1e-6, "phase variable u approaches 0: u={!r} at T={!r}", u, orbit.T[keep])
+    fail_first(u <= X_MIN, "phase variable u approaches 0: u={!r} at T={!r}", u, orbit.T[keep])
     dv_du = a / v
     if literal:
         r = v * dv_du + 2.0 * v + omega - FORCING_CONSTANT / u

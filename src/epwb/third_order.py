@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expressions import TimeFunction, const, evaluate, fail_first, var
-from .ode import ODESystem, worst_residual
+from .ode import X_MIN, ODESystem, worst_residual
 from .oscillator import OscillatorBasis, QuadraticFormCurve
 from .pinney import SqrtCurve, ep_field
 
@@ -81,7 +81,7 @@ def rho_substitution(cfg: ThirdOrderConfig, w, grid) -> tuple[SqrtCurve, float]:
     rho = SqrtCurve(w)
     r0, _, r2 = rho.jet(grid, 2)  # raises DomainError when w <= 0
     # rho'' carries a 1/(2 rho) factor, so a vanishing w makes the
-    # residual pure rounding noise; same floor as the EP guard
-    fail_first(r0 < 1e-6, "w vanishes at t={!r} (rho={!r})", grid, r0)
+    # residual pure rounding noise; the same floor as the EP run's default
+    fail_first(r0 < X_MIN, "w vanishes at t={!r} (rho={!r})", grid, r0)
     field = ep_field(cfg.base_phi().expr, const(h2))
     return rho, worst_residual(r2 - evaluate(field, {"t": grid, "x": r0}))

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from epwb import (
+    COMPLETED,
     GUARD_STOP,
     CentralFieldConfig,
+    IntegrationSettings,
     PolarState,
     angular_momentum_check,
     chart_qualified,
@@ -51,6 +53,16 @@ class TestPolarSimulation:
         tr = simulate_polar(config(), init, (0.0, 10.0))
         assert tr.status == GUARD_STOP
         assert np.all(np.isfinite(tr.states))
+
+    def test_inward_fall_in_cartesian_coordinates_is_not_floored(self):
+        # x^2 + y^2 is no state variable, so x_min does not apply: the
+        # near-radial fall passes the origin at r = 0.042 (nodes) and completes
+        init = PolarState(r=1.0, rdot=-2.0, theta=0.0, thetadot=1e-8)
+        for settings in (IntegrationSettings(), IntegrationSettings(x_min=0.1)):
+            tr = simulate_cartesian(config(), init, (0.0, 10.0), settings)
+            assert (tr.status, tr.message, tr.t_end) == (COMPLETED, "", 10.0)
+            assert np.all(np.isfinite(tr.states))
+            assert np.min(np.hypot(tr.states[:, 0], tr.states[:, 2])) < 0.1
 
     def test_csv_column_names(self, tmp_path):
         tr = simulate_polar(config(), CIRCULAR, (0.0, 1.0))

@@ -5,6 +5,7 @@ import functools
 import gc
 import itertools
 import math
+import os
 import pickle
 import re
 import subprocess
@@ -16,6 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 
+import epwb
 from epwb import (
     DomainError,
     ExprSyntaxError,
@@ -683,7 +685,8 @@ def test_import_compiles_no_kernel():
         "import epwb, epwb.cli\n"
         "assert '<scalar kernel>' not in seen, seen\n"
     )
-    subprocess.run([sys.executable, "-c", code], check=True)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(epwb.__file__)))
+    subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src}, check=True)
 
 
 @pytest.fixture

@@ -42,21 +42,27 @@ def oscillator(omega2: float = 1.0) -> ODESystem:
 
 
 def pinney_type(g: float) -> ODESystem:
-    """xddot + x = g / x^3, guarded away from the axis."""
-    return ODESystem(("x", "v"), (V, -X + const(g) / X**3), guard=lambda t, y: y[0] < 1e-6)
+    """xddot + x = g / x^3 on x > 0, so floored away from the axis."""
+    return ODESystem(("x", "v"), (V, -X + const(g) / X**3), domain=(X,))
 
 
-def collapse(power: int, x_min: float) -> ODESystem:
-    """xddot = -1 / x^power, guarded at x < x_min (the guard takes arrays too)."""
-    return ODESystem(("x", "v"), (V, const(-1.0) / X**power), guard=lambda t, y: y[0] < x_min)
+def collapse(power: int) -> ODESystem:
+    """xddot = -1 / x^power on x > 0, floored at settings.x_min."""
+    return ODESystem(("x", "v"), (V, const(-1.0) / X**power), domain=(X,))
 
 
-# (system, initial state): each falls toward the axis and stops on [0, 10]
+# (system, initial state, floor): each falls toward the axis and stops on [0, 10]
 GUARD_STOPS = (
-    (collapse(1, 0.1), (1.0, -1.0)),
-    (collapse(1, 1e-6), (1.0, -1.0)),
-    (collapse(3, 1e-6), (0.5, -2.0)),
+    (collapse(1), (1.0, -1.0), 0.1),
+    (collapse(1), (1.0, -1.0), 1e-6),
+    (collapse(3), (0.5, -2.0), 1e-6),
 )
+
+
+def stop(case) -> ode.Trajectory:
+    """The trajectory of a ``GUARD_STOPS`` case over [0, 10]."""
+    sys, y0, x_min = case
+    return integrate(sys, y0, (0.0, 10.0), IntegrationSettings(x_min=x_min))
 
 
 class TestIntegrate:
@@ -116,8 +122,7 @@ class TestSample:
             assert str(exc.value) == "t=3.0 outside trajectory range [0.0, 2.0]"
 
     def test_beyond_guard_stop(self):
-        sys, y0 = GUARD_STOPS[0]
-        tr = integrate(sys, y0, (0.0, 10.0))
+        tr = stop(GUARD_STOPS[0])
         assert tr.status == GUARD_STOP
         assert tr.t_end < 10.0
         with pytest.raises(DomainError):
@@ -279,8 +284,7 @@ class TestToleranceScaling:
 
 class TestGuardAndFailure:
     def test_collapse_toward_axis_guard_stops(self):
-        sys, y0 = GUARD_STOPS[1]
-        tr = integrate(sys, y0, (0.0, 10.0))
+        tr = stop(GUARD_STOPS[1])
         assert tr.status == GUARD_STOP
         assert np.all(np.isfinite(tr.states))
         assert np.all(np.isfinite(tr.times))
@@ -298,17 +302,50 @@ class TestGuardAndFailure:
         assert tr.t_end < 100.0
 
     def test_guard_never_returns_nan(self):
-        sys, y0 = GUARD_STOPS[2]
-        tr = integrate(sys, y0, (0.0, 10.0))
+        tr = stop(GUARD_STOPS[2])
         assert tr.status in (GUARD_STOP, STEP_FAILURE)
         assert np.all(np.isfinite(tr.states))
 
-    @pytest.mark.parametrize("sys,y0", GUARD_STOPS, ids=["x<0.1", "x<1e-6", "cubic"])
-    def test_no_sample_of_a_stopped_trajectory_violates_the_guard(self, sys, y0):
-        tr = integrate(sys, y0, (0.0, 10.0))
+    @pytest.mark.parametrize("case", GUARD_STOPS, ids=["x<0.1", "x<1e-6", "cubic"])
+    def test_no_sample_of_a_stopped_trajectory_violates_the_guard(self, case):
+        tr = stop(case)
         assert tr.status != COMPLETED
         ts = np.linspace(tr.t0, tr.t_end, 200_001)
-        assert not np.any(sys.guard(ts, tr.sample(ts).T))
+        assert not np.any(tr.sample(ts)[:, 0] < case[2])
+
+    def test_the_floor_is_the_integration_setting(self):
+        # x_min reaches the run only through integrate's settings: the EP
+        # orbit from (3, 0) with phi = g = 1 dips to x = 1/3 on [0, 10]
+        sys = ep_system(EPConfig(time_function("1"), time_function("1")))
+        assert integrate(sys, (3.0, 0.0), (0.0, 10.0)).status == COMPLETED
+        tr = integrate(sys, (3.0, 0.0), (0.0, 10.0), IntegrationSettings(x_min=0.5))
+        assert tr.status == GUARD_STOP
+        assert tr.message.startswith("guard fired within step ending t=")
+        ts = np.linspace(tr.t0, tr.t_end, 200_001)
+        assert np.min(tr.sample(ts)[:, 0]) >= 0.5
+
+    def test_the_polar_floor_is_the_integration_setting(self):
+        # with L = 0.1 the radius swings in to r = 0.1 and back to 1
+        init = PolarState(r=1.0, rdot=0.0, theta=0.0, thetadot=0.1)
+        cfg = CentralFieldConfig(time_function("1"), time_function("0"))
+        assert simulate_polar(cfg, init, (0.0, 10.0)).status == COMPLETED
+        tr = integrate(polar_system(cfg), (1.0, 0.0, 0.0, 0.1), (0.0, 10.0), IntegrationSettings(x_min=0.5))
+        assert tr.status == GUARD_STOP
+        ts = np.linspace(tr.t0, tr.t_end, 200_001)
+        assert np.min(tr.sample(ts)[:, 0]) >= 0.5
+
+    def test_a_state_below_the_floor_stops_at_once(self):
+        tr = integrate(collapse(1), (0.05, 1.0), (0.0, 1.0), IntegrationSettings(x_min=0.1))
+        assert (tr.status, tr.message) == (GUARD_STOP, "guard fired at initial state t=0.0")
+        assert len(tr.times) == 1
+
+    def test_only_domain_variables_are_floored(self):
+        assert ep_system(EPConfig(time_function("1"), time_function("1"))).floored == (0,)
+        assert polar_system(FORCED).floored == (0,)
+        assert cartesian_system(FORCED).floored == ()
+        assert oscillator().floored == ()
+        floored = ODESystem(("v", "x"), (X, V), domain=(X, V * V + X))
+        assert floored.floored == (1,)
 
 
 class TestSettings:
@@ -457,7 +494,7 @@ class TestGeneratedStep:
         y = tuple(0.4 + 0.3 * i for i in range(dim))
         rhs = coupled(dim).rhs
         f = rhs(t, y)
-        step, _ = ode._stepper(dim)
+        step = ode._stepper(dim)
         err, y_new, f_new, q = step(rhs, t, h, y, f, rtol, atol)
         ref, K = reference_step(rhs, t, h, y, f, rtol, atol)
         err_mag, q_mag = term_magnitudes(h, y, K, rtol, atol)
@@ -474,7 +511,7 @@ class TestGeneratedStep:
         y = tuple(1.0 + i for i in range(dim))
         rhs = coupled(dim).rhs
         f = rhs(t, y)
-        step, _ = ode._stepper(dim)
+        step = ode._stepper(dim)
         err, *rest = step(rhs, t, h, y, f, rtol, atol)
         ref, K = reference_step(rhs, t, h, y, f, rtol, atol)
         assert err > 1.0
@@ -482,53 +519,63 @@ class TestGeneratedStep:
         assert rest == [None, None, None]
 
     def test_scan_matches_the_dense_output(self):
-        # the guard sees the end of the step, then the states that sample()
-        # interpolates at th = 1/4, 1/2, 3/4
+        # the floor is compared with the end of the step, then with the
+        # states that sample() interpolates at th = 1/4, 1/2, 3/4
         tr = integrate(coupled(3), (0.4, 0.7, 1.0), (0.0, 1.0))
-        _, scan = ode._stepper(3)
+        floor = Floor()
         t, h = tr.times[0], tr.times[1] - tr.times[0]
-        seen = []
-
-        def guard(tg, state):
-            seen.append((tg, state))
-            return False
-
         y, y_new = tuple(tr.states[0]), tuple(tr.states[1])
-        assert scan(guard, t, h, y, y_new, tuple(tr._dense[0].ravel())) is False
-        assert seen[0] == (t + h, y_new)
-        assert [tg for tg, _ in seen[1:]] == [t + th * h for th in ode._SCAN_AT]
-        for th, (_, state) in zip(ode._SCAN_AT, seen[1:]):
+        assert ode._scan((0, 1, 2))(floor, y, y_new, tuple(tr._dense[0].ravel())) is False
+        assert floor.seen[:3] == list(y_new)
+        for th, state in zip(ode._SCAN_AT, np.reshape(floor.seen[3:], (3, 3))):
             assert_close(state, tr.sample(t + th * h), np.abs(state))
+
+    def test_scan_reads_only_the_floored_components(self):
+        floor = Floor()
+        q = (1.0,) + (0.0,) * 6 + (2.0,) + (0.0,) * 6
+        assert ode._scan((1,))(floor, (-5.0, 0.0), (-5.0, 2.0), q) is False
+        assert floor.seen == [2.0, 0.5, 1.0, 1.5]
 
     @pytest.mark.parametrize("fires", range(4))
     def test_scan_stops_at_the_first_guard_that_fires(self, fires):
-        _, scan = ode._stepper(1)
-        calls = []
-
-        def guard(tg, state):
-            calls.append(tg)
-            return len(calls) == fires + 1
-
-        assert scan(guard, 0.0, 1.0, (0.0,), (1.0,), (1.0,) + (0.0,) * 6) is True
-        assert calls == [1.0, *ode._SCAN_AT][: fires + 1]
+        floor = Floor(fires)
+        assert ode._scan((0,))(floor, (0.0,), (1.0,), (1.0,) + (0.0,) * 6) is True
+        assert floor.seen == [1.0, *ode._SCAN_AT][: fires + 1]
 
     def test_generated_once_per_dimension(self):
-        # the calling step and the scan once per dimension, and the step
-        # with a kernel inlined once per kernel text, so systems of one
-        # shape share its code
+        # the calling step once per dimension, the step with a kernel
+        # inlined once per kernel text, so systems of one shape share its
+        # code, and the floor scan once per set of floored components
         code = ode._stepper(3)
         coupled(3).step  # builds the step of coupled(3)'s kernel, if no test has
-        before = ode._stepper.cache_info()
+        scan = ode._scan((0,))
+        before, scans = ode._stepper.cache_info(), ode._scan.cache_info()
         systems = (coupled(3), coupled(3))
         for sys, y0 in zip(systems, ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0))):
             integrate(sys, y0, (0.0, 1.0))
+        for x0 in (1.0, 2.0):
+            integrate(pinney_type(1.0), (x0, 0.0), (0.0, 1.0))
         after = ode._stepper.cache_info()
         assert ode._stepper(3) is code
-        assert after.misses == before.misses
-        assert after.hits >= before.hits + 4  # a scan and a step per integration
+        assert after.misses <= before.misses + 1  # pinney_type's kernel, if no test has built it
+        assert after.hits >= before.hits + 3  # a step per system
         assert systems[0].step.__code__ is systems[1].step.__code__
-        assert systems[0].step.__code__ is not code[0].__code__
-        assert ode._stepper(2)[0] is not code[0]
+        assert systems[0].step.__code__ is not code.__code__
+        assert ode._stepper(2) is not code
+        assert ode._scan((0,)) is scan
+        assert ode._scan.cache_info().misses == scans.misses
+        assert ode._scan.cache_info().hits == scans.hits + 3  # the two integrations and the read above
+
+
+class Floor:
+    """An ``x_min`` that records each value a scan compares with it and fires at the ``fires``-th."""
+
+    def __init__(self, fires: int = -1):
+        self.fires, self.seen = fires, []
+
+    def __gt__(self, value):  # ``value < floor`` asks the floor, as float does not know it
+        self.seen.append(value)
+        return len(self.seen) == self.fires + 1
 
 
 def numpy_initial_step(rhs, t0, y0, f0, t1, rtol, atol):
@@ -620,8 +667,8 @@ SHIPPED = {
     ),
     "oscillator": oscillator_system(time_function("1+0.5*sin(t)")),
     "third-order": third_order_system(ThirdOrderConfig(time_function("2+sin(t)"))),
-    "polar": polar_system(FORCED, IntegrationSettings()),
-    "cartesian": cartesian_system(FORCED, IntegrationSettings()),
+    "polar": polar_system(FORCED),
+    "cartesian": cartesian_system(FORCED),
 }
 # (system, t, state outside its domain, the domain named in the error)
 OUTSIDE = {
@@ -706,7 +753,7 @@ class TestInlinedStep:
     @pytest.mark.parametrize("name", list(INLINED))
     def test_returns_what_the_calling_step_returns(self, name):
         sys = INLINED[name]
-        step, called = sys.step, ode._stepper(sys.dim)[0]
+        step, called = sys.step, ode._stepper(sys.dim)
         assert step.__code__ is not called.__code__  # every shipped kernel is inlined
         rng = np.random.default_rng(11)
         accepted = rejected = 0
@@ -726,7 +773,7 @@ class TestInlinedStep:
         name, t, y, _ = OUTSIDE[case]
         sys = SHIPPED[name]
         f = (0.0,) * sys.dim  # so the first stage is at the state itself
-        for step in (sys.step, ode._stepper(sys.dim)[0]):
+        for step in (sys.step, ode._stepper(sys.dim)):
             assert step(sys.rhs, t, 1e-3, y, f, 1e-10, 1e-12) == (math.inf, None, None, None)
 
     def test_a_false_alarm_keeps_its_values_on_both_steps(self):
@@ -741,7 +788,7 @@ class TestInlinedStep:
         assert f == (1.0 / (1.5e8 * 1e300), 1.0 / (1.6e8 * 1e300)) and len(calls) == 1
         got = sys.step(sys.rhs, t, 0.5, y, f, 1e-10, 1e-12)
         assert got[0] <= 1.0 and len(calls) == 1 + 15  # every stage of the accepted step
-        assert got == ode._stepper(2)[0](sys.rhs, t, 0.5, y, f, 1e-10, 1e-12)
+        assert got == ode._stepper(2)(sys.rhs, t, 0.5, y, f, 1e-10, 1e-12)
         assert len(calls) == 1 + 15 + 15
         assert all(values is not None for values, *_ in calls)
 
@@ -759,11 +806,11 @@ class TestInlinedStep:
 
     def test_a_kernel_above_the_bound_is_called(self):
         inlined, called = chain(ode._INLINED_LINES), chain(ode._INLINED_LINES + 1)
-        assert inlined.step.__code__ is not ode._stepper(1)[0].__code__
-        assert called.step is ode._stepper(1)[0]
+        assert inlined.step.__code__ is not ode._stepper(1).__code__
+        assert called.step is ode._stepper(1)
         tr, ref = (integrate(s, (0.0,), (0.0, 2.0)) for s in (called, calling(called)))
         assert np.array_equal(tr.times, ref.times) and np.array_equal(tr._dense, ref._dense)
 
     def test_a_given_rhs_is_called(self):
         sys = calling(SHIPPED["ep"])
-        assert sys.step is ode._stepper(2)[0]
+        assert sys.step is ode._stepper(2)

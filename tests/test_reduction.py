@@ -33,9 +33,8 @@ def family(g_text: str, interval, c0: float = 1.0, m: float = 1.0):
     return compatible_family(time_function(g_text), c0, m, interval)
 
 
-def ep_orbit(fam, y0, settings=None):
-    cfg = EPConfig(fam.phi, fam.g)
-    return integrate(ep_system(cfg, settings), y0, fam.interval)
+def ep_orbit(fam, y0):
+    return integrate(ep_system(EPConfig(fam.phi, fam.g)), y0, fam.interval)
 
 
 @pytest.fixture(scope="module")
