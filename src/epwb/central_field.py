@@ -133,7 +133,11 @@ def simulate_cartesian(
     interval: tuple[float, float],
     settings: IntegrationSettings = IntegrationSettings(),
 ) -> Trajectory:
-    """Integrate the same system in Cartesian coordinates (cross-check)."""
+    """Integrate the same system in Cartesian coordinates (cross-check).
+
+    ``settings.x_min`` does not apply: the domain x^2 + y^2 is no state
+    variable, so nothing is floored; the domain check keeps states finite.
+    """
     if init.r <= 0.0:
         raise ValueError("initial radius must be positive")
     c, s = math.cos(init.theta), math.sin(init.theta)
