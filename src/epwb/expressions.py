@@ -64,16 +64,16 @@ constants and curves reach a kernel through its namespace, never through
 its source, so the compiled code of a source is reused by every tree of
 that shape.  A kernel checks only what float arithmetic does not signal
 and then tests one sum of its results and watched operands for
-finiteness.  When an operation raises or that sum is not finite, it runs
-``evaluate`` on the one point, which raises if a rule fails there; so a
-kernel fails by the same rule at the same node as ``evaluate``, with the
-same message (a non-finite input or constant named as such), by
-construction.  Its values agree with ``evaluate``'s up to the last bit,
-where libm's exp, log, sin and cos may differ from NumPy's
+finiteness.  When an operation raises or that sum is not finite, it
+returns what ``evaluate`` gives on the one point, which raises if a rule
+fails there; so a kernel fails by the same rule at the same node as
+``evaluate``, with the same message (a non-finite input or constant named
+as such), by construction.  Its values agree with ``evaluate``'s up to
+the last bit, where libm's exp, log, sin and cos may differ from NumPy's
 (``math.exp(1.20703125)`` is one bit above ``np.exp``'s).
 ``kernel_parts`` is the same walk without the assembly: the kernel's text
 (body lines, result locals, watched sum) and its namespace, from which
-the integrator emits the body into each stage of a step.
+the integrator emits the bare body into each stage of a step.
 
 ``differentiate`` is purely structural and memoised per call (or per
 ``TimeFunction``, across its orders and any functions built over the same
@@ -799,12 +799,12 @@ def scalar_kernel(exprs, variables=("t",), positive=()):
     failure raises (ArithmeticError or ValueError) or leaves inf or NaN in
     a node, which reaches a result, a domain tree or a ``_WATCHED``
     operand, so one ``isfinite`` of their sum returns the values.  Anything
-    else runs ``evaluate`` on the one point (``_fallback``), so the function
+    else returns ``_fallback``, ``evaluate`` on the one point: the function
     raises exactly the DomainError ``evaluate`` raises there, a variable
-    not in ``variables`` or a non-finite input included; a false alarm
-    costs that run, never another result.  Its values agree with
-    ``evaluate``'s up to the last bit of libm's transcendental functions
-    against NumPy's.
+    not in ``variables`` or a non-finite input included, or, where no rule
+    fails (a false alarm, such as finite operands whose sum overflows),
+    returns ``evaluate``'s values.  Its values agree with ``evaluate``'s up
+    to the last bit of libm's transcendental functions against NumPy's.
     """
     return kernel_parts(exprs, variables, positive).kernel()
 
@@ -817,7 +817,8 @@ class KernelText(NamedTuple):
     None for a single value.  ``lines`` compute each node and the partial
     sums of the watched operands; ``results`` name the values returned,
     one (``single``) or a tuple, when ``isfinite(watched)`` holds or
-    nothing is ``watched`` ("").
+    nothing is ``watched`` (""); otherwise, or where a line raised, the
+    kernel returns ``fallback`` of its parameters.
     """
 
     params: tuple[str, ...]
@@ -828,12 +829,9 @@ class KernelText(NamedTuple):
     watched: str
 
     @property
-    def value(self) -> str:
-        return self.results[0] if self.single else "(" + "".join(r + ", " for r in self.results) + ")"
-
-    @property
     def source(self) -> str:
-        args, value = ", ".join(self.params), self.value
+        args = ", ".join(self.params)
+        value = self.results[0] if self.single else "(" + "".join(r + ", " for r in self.results) + ")"
         unpack = "".join(
             "    (" + "".join(f"{name}, " for name in names) + f") = {param}\n"
             for param, names in zip(self.params, self.unpacked)
@@ -841,11 +839,8 @@ class KernelText(NamedTuple):
         )
         last = f"if isfinite({self.watched}): return {value}" if self.watched else f"return {value}"
         body = "".join(f"        {line}\n" for line in (*self.lines, last))
-        return (
-            f"def kernel({args}):\n{unpack}    try:\n{body}"
-            f"    except SIGNALLED:\n        return fallback(None, {args})\n"
-            f"    return fallback({value}, {args})\n"
-        )
+        tail = f"    except SIGNALLED:\n        pass\n    return fallback({args})\n"
+        return f"def kernel({args}):\n{unpack}    try:\n{body}{tail}"
 
 
 class KernelParts(NamedTuple):
@@ -929,22 +924,18 @@ def kernel_parts(exprs, variables=("t",), positive=()) -> KernelParts:
     return KernelParts(text, namespace)
 
 
-def _fallback(roots, variables, positive, single, values, *args):
+def _fallback(roots, variables, positive, single, *args):
     """What a kernel returns or raises at ``args`` once its body raised or its sum was not finite.
 
     Runs ``evaluate`` on the one-point grid of ``args``, which raises the
     DomainError of the first rule that fails.  If none does, the alarm was
-    false: the kernel's ``values`` stand, or, where its body raised
-    (``values`` is None), ``evaluate``'s values are returned as floats.
+    false, and ``evaluate``'s values are returned as floats.
     """
     env = {}
     for spec, arg in zip(variables, args):
         env.update([(spec, arg)] if isinstance(spec, str) else zip(spec, arg))
     found = evaluate(roots, {name: np.array([value]) for name, value in env.items()}, positive)
-    if values is None:
-        values = tuple(v.item() for v in found)
-        return values[0] if single else values
-    return values
+    return found[0].item() if single else tuple(v.item() for v in found)
 
 
 @functools.lru_cache(maxsize=256)

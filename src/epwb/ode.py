@@ -17,14 +17,17 @@ must stay >= ``settings.x_min``, or the run stops.  Its
 (never NaN or inf) where the system is undefined; it is compiled when
 first read.  One attempted step is one generated straight-line Python
 function, built beside ``rhs`` from the same walk of the fields: each of
-its 15 stages is the kernel's body on that stage's (t, state) locals,
-wrapped as the kernel wraps it, so a stage gets exactly what ``rhs``
-would return, without a call.  Its code is generated once per kernel
+its 15 stages is the kernel's bare body on that stage's (t, state)
+locals, without a call.  Where the kernel would fall back (its body
+raises, or its watched sum is not finite) the step hands the whole
+attempt to its reference, the calling step, so every attempt returns
+what the calling step returns.  Its code is generated once per kernel
 text and shared by every system of that shape, each running it over its
-own constants.  A system given an ``rhs`` (instrumentation), or whose
-kernel is longer than ``_INLINED_LINES``, steps by calling ``rhs`` once
-per stage instead, with code generated once per state dimension.  A
-stage that raises or is not finite rejects the attempt.  The floor scan
+own constants.  The calling step calls ``rhs`` once per stage, with code
+generated once per state dimension when first needed; a system given an
+``rhs`` (instrumentation), or whose kernel is longer than
+``_INLINED_LINES``, steps with it.  A stage whose ``rhs`` raises, or a
+non-finite stage, rejects the attempt.  The floor scan
 of an accepted step, generated once per set of floored components, is
 one chain of comparisons with x_min: at the step's end, then at 1/4, 1/2
 and 3/4 of the step on the interpolated states.
@@ -478,7 +481,7 @@ def _terms(coeffs, names) -> str:
 
 
 # The names a generated step refers to besides its locals; a step with a
-# kernel inlined runs over these and the kernel's namespace.
+# kernel inlined runs over these, the kernel's namespace and ``stepper``.
 _STEP_NAMES = {
     "_RHS_ERRORS": _RHS_ERRORS, "inf": math.inf, "isfinite": math.isfinite, "sqrt": math.sqrt,
     "abs": abs, "max": max,
@@ -506,19 +509,20 @@ def _stepper(dim: int, kernel: KernelText | None = None):
     component; on rejection the last three are None.  A right-hand side
     that raises, or a non-finite stage or new state, gives err = inf.
 
-    Each stage calls ``rhs(t, state)``, unless ``kernel`` is the text of a
-    system's kernel over ("t", names): then each stage is that kernel's
-    body on the stage's locals, wrapped as the kernel wraps it, so a
-    signalled exception or a failed ``isfinite`` runs the kernel's
-    ``fallback`` at that point, and the stage takes exactly what ``rhs``
-    returns, or raises what it raises.  That step ignores its ``rhs`` and
-    refers to the kernel's constants by name, so it runs bound to the
-    kernel's namespace (``_inlined_step``): systems of one shape share its
-    code, each with its own constants.  The last 256 steps are kept, keyed
-    by (dim, kernel text) as ``expressions._compiled`` keys a kernel by its
-    source.
+    Each stage calls ``rhs(t, state)``, unless ``kernel`` is the text of
+    ``rhs``, a system's kernel over ("t", names): then each stage is that
+    kernel's bare body on the stage's locals, and where the kernel would
+    doubt (a ``SIGNALLED`` exception, or a watched sum that is not
+    finite) the step returns what ``stepper(dim)``, the calling step,
+    returns for the same attempt.  It reads ``rhs`` only then, and refers
+    to ``stepper`` and to the kernel's constants by name, so it runs bound
+    to the kernel's namespace (``_inlined_step``): systems of one shape
+    share its code, each with its own constants.  The last 256 steps are
+    kept, keyed by (dim, kernel text) as ``expressions._compiled`` keys a
+    kernel by its source.
     """
     comps = range(dim)
+    redo = f"return stepper({dim})(rhs, t, h, y, f, rtol, atol)"
 
     def tup(names):
         return "(" + "".join(f"{name}, " for name in names) + ")"
@@ -532,20 +536,11 @@ def _stepper(dim: int, kernel: KernelText | None = None):
         if kernel is None:
             return [f"        {tup(slopes)} = rhs({time}, {tup(state)})"]
         (t_arg, _), (_, names) = kernel.params, kernel.unpacked
-        point = f"{t_arg}, {tup(names)}"
-        taken = [f"{k} = {r}" for k, r in zip(slopes, kernel.results)]
-        if kernel.watched:
-            taken = [
-                f"if isfinite({kernel.watched}):", *(f"    {line}" for line in taken),
-                "else:", f"    {tup(slopes)} = fallback({kernel.value}, {point})",
-            ]
-        if kernel.lines:  # else nothing is computed that could raise
-            taken = [
-                "try:", *(f"    {line}" for line in kernel.lines),
-                "except SIGNALLED:", f"    {tup(slopes)} = fallback(None, {point})",
-                "else:", *(f"    {line}" for line in taken),
-            ]
-        lines = [f"{t_arg} = {time}", *(f"{name} = {value}" for name, value in zip(names, state)), *taken]
+        doubt = [f"if not isfinite({kernel.watched}): {redo}"] if kernel.watched else []
+        lines = [
+            f"{t_arg} = {time}", *(f"{name} = {value}" for name, value in zip(names, state)),
+            *kernel.lines, *doubt, *(f"{k} = {r}" for k, r in zip(slopes, kernel.results)),
+        ]
         return [f"        {line}" for line in lines]
 
     def all_finite(names):
@@ -554,14 +549,18 @@ def _stepper(dim: int, kernel: KernelText | None = None):
 
     ys, k0, new = (tup(f"{v}_{i}" for i in comps) for v in ("y", "k0", "n"))
     reject = "        return inf, None, None, None"
+    # a stage block that raises rejects the attempt; with a kernel inlined
+    # it hands the attempt to the calling step, which runs the kernel's guard
+    failed = ["    except _RHS_ERRORS:", reject]
+    if kernel is not None:
+        failed = ["    except SIGNALLED:", f"        {redo}"]
     lines = [
         "def step(rhs, t, h, y, f, rtol, atol):",
         f"    {ys} = y",
         f"    {k0} = f",
         "    try:",
         *(line for s in range(1, 12) for line in stage(s)),
-        "    except _RHS_ERRORS:",
-        reject,
+        *failed,
         *(f"    n_{i} = y_{i} + h*({row(_B, i)})" for i in comps),
         all_finite([f"k{s}_{i}" for s in range(1, 12) for i in comps] + [f"n_{i}" for i in comps]),
         reject,
@@ -579,8 +578,7 @@ def _stepper(dim: int, kernel: KernelText | None = None):
         "    try:",
         *stage(12, [f"n_{i}" for i in comps]),
         *(line for s in range(13, 16) for line in stage(s)),
-        "    except _RHS_ERRORS:",
-        reject,
+        *failed,
         all_finite([f"k{s}_{i}" for s in range(12, 16) for i in comps]),
         reject,
     ]
@@ -628,13 +626,15 @@ def _inlined_step(dim: int, parts):
     """The step of a system whose ``rhs`` is the kernel of ``parts``: its body in each stage.
 
     The step's code is shared by every kernel of the same text and bound
-    here to this kernel's namespace.  A kernel longer than
-    ``_INLINED_LINES`` is called from each stage instead.
+    here to this kernel's namespace and to ``_stepper``, which it calls
+    only to redo a doubtful attempt, so the calling step is generated only
+    then.  A kernel longer than ``_INLINED_LINES`` is called from each
+    stage instead.
     """
     if len(parts.text.lines) > _INLINED_LINES:
         return _stepper(dim)
     code = _stepper(dim, parts.text).__code__
-    return types.FunctionType(code, {**_STEP_NAMES, **parts.namespace})
+    return types.FunctionType(code, {**_STEP_NAMES, **parts.namespace, "stepper": _stepper})
 
 
 def integrate(

@@ -89,11 +89,11 @@ def pinney_solution(
     return SqrtCurve(QuadraticFormCurve(basis, A, B, C)), h2
 
 
-def ep_residual(cfg: EPConfig, x, grid, x_min: float = X_MIN) -> float:
-    """max |x'' + phi x - g/x^3| over the grid for a curve or trajectory."""
+def ep_residual(cfg: EPConfig, x, grid) -> float:
+    """max |x'' + phi x - g/x^3| over the grid for a curve or trajectory; x must stay >= X_MIN."""
     grid = np.asarray(grid, dtype=float)
     xx, _, xdd = x.jet(grid, 2)
-    fail_first(xx < x_min, "x={!r} below guard threshold {!r} at t={!r}", xx, x_min, grid)
+    fail_first(xx < X_MIN, "x={!r} below guard threshold {!r} at t={!r}", xx, X_MIN, grid)
     return worst_residual(xdd - evaluate(ep_field(cfg.phi.expr, cfg.g.expr), {"t": grid, "x": xx}))
 
 

@@ -156,10 +156,10 @@ def transform_trajectory(
     return TransformedOrbit(t=ts, T=big_t, X=big_x, V=big_v, A=big_a)
 
 
-def autonomous_residual(orbit: TransformedOrbit, omega: float, x_min: float = X_MIN) -> float:
-    """max |X'' + 2 X' + Omega X - 16/X^3| along the transformed orbit."""
+def autonomous_residual(orbit: TransformedOrbit, omega: float) -> float:
+    """max |X'' + 2 X' + Omega X - 16/X^3| along the transformed orbit; X must stay > X_MIN."""
     message = "transformed orbit approaches X = 0: X={!r} at T={!r}"
-    fail_first(orbit.X <= x_min, message, orbit.X, orbit.T)
+    fail_first(orbit.X <= X_MIN, message, orbit.X, orbit.T)
     res = orbit.A + 2.0 * orbit.V + omega * orbit.X - FORCING_CONSTANT / orbit.X**3
     return worst_residual(res)
 

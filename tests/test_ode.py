@@ -27,7 +27,7 @@ from epwb.central_field import (
     radial_ep_residual,
     simulate_polar,
 )
-from epwb.expressions import const, sin, var
+from epwb.expressions import const, evaluate, sin, var
 from epwb.oscillator import QuadraticFormCurve, _pair_system, fundamental_pair, oscillator_system
 from epwb.pinney import EPConfig, ep_system
 from epwb.third_order import ThirdOrderConfig, third_order_system
@@ -750,6 +750,28 @@ INLINED = {
 }
 
 
+def false_alarm() -> ODESystem:
+    """Near (x, v) = (1.5e8, 1.6e8) each divisor is finite, but their sum, which the kernel watches, overflows."""
+    return ODESystem(("x", "v"), (const(1.0) / (X * const(1e300)), const(1.0) / (V * const(1e300))))
+
+
+def attempts(sys: ODESystem):
+    """The 40 attempts (t, h, y, f) of ``test_returns_what_the_calling_step_returns``, all in the domain."""
+    rng = np.random.default_rng(11)
+    for _ in range(40):
+        t = float(rng.uniform(0.0, 5.0))
+        y = tuple(rng.uniform(0.5, 2.0, sys.dim).tolist())
+        h = float(10.0 ** rng.uniform(-4.0, 0.5))
+        yield t, h, y, sys.rhs(t, y)
+
+
+def redo_counter(sys: ODESystem, monkeypatch) -> list:
+    """The dimensions of the calling steps that ``sys.step`` looks up to redo an attempt, as it runs."""
+    redone = []
+    monkeypatch.setitem(sys.step.__globals__, "stepper", lambda dim: redone.append(dim) or ode._stepper(dim))
+    return redone
+
+
 class TestInlinedStep:
     @pytest.mark.parametrize("name", list(INLINED))
     def test_returns_what_the_calling_step_returns(self, name):
@@ -778,8 +800,7 @@ class TestInlinedStep:
             assert step(sys.rhs, t, 1e-3, y, f, 1e-10, 1e-12) == (math.inf, None, None, None)
 
     def test_a_false_alarm_keeps_its_values_on_both_steps(self):
-        # each divisor is finite, but their sum, which the kernel watches, overflows
-        sys = ODESystem(("x", "v"), (const(1.0) / (X * const(1e300)), const(1.0) / (V * const(1e300))))
+        sys = false_alarm()
         calls = []
         for function in (sys.step, sys.rhs):
             fallback = function.__globals__["fallback"]
@@ -791,7 +812,51 @@ class TestInlinedStep:
         assert got[0] <= 1.0 and len(calls) == 1 + 15  # every stage of the accepted step
         assert got == ode._stepper(2)(sys.rhs, t, 0.5, y, f, 1e-10, 1e-12)
         assert len(calls) == 1 + 15 + 15
-        assert all(values is not None for values, *_ in calls)
+        stages = [(t, y)] + 2 * [(t + c * 0.5, state) for c, (_, state) in zip(ode._C[1:].tolist(), calls[1:16])]
+        assert calls == stages and all(len(state) == 2 for _, state in calls)  # each stage's point (t, (x, v))
+        assert f == tuple(value.item() for value in evaluate(sys.fields, {"t": t, "x": y[0], "v": y[1]}))
+
+    @pytest.mark.parametrize("name", list(INLINED))
+    def test_an_attempt_is_redone_only_where_the_kernel_doubts(self, name, monkeypatch):
+        sys = INLINED[name]
+        assert "fallback" not in sys.step.__code__.co_names
+        redone, doubts, fallback = redo_counter(sys, monkeypatch), [], sys.rhs.__globals__["fallback"]
+        monkeypatch.setitem(sys.rhs.__globals__, "fallback", lambda *args: doubts.append(args) or fallback(*args))
+        doubted, redos = [], []
+        for i, (t, h, y, f) in enumerate(attempts(sys)):
+            before = len(doubts)
+            ode._stepper(sys.dim)(sys.rhs, t, h, y, f, 1e-10, 1e-12)
+            doubted += [i] * (len(doubts) > before)
+            before = len(redone)
+            sys.step(sys.rhs, t, h, y, f, 1e-10, 1e-12)
+            redos += [i] * (len(redone) - before)
+        # every attempt starts in the domain; only a long step leaves it
+        assert redos == doubted and len(doubted) <= 1
+
+    @pytest.mark.parametrize("case", [*OUTSIDE, "false-alarm"])
+    def test_a_doubtful_attempt_is_redone_by_the_calling_step(self, case, monkeypatch):
+        if case in OUTSIDE:
+            name, t, y, _ = OUTSIDE[case]
+            sys, h = SHIPPED[name], 1e-3
+            f = (0.0,) * sys.dim
+        else:
+            sys, t, y, h = false_alarm(), 0.0, (1.5e8, 1.6e8), 0.5
+            f = sys.rhs(t, y)
+        redone = redo_counter(sys, monkeypatch)
+        got = sys.step(sys.rhs, t, h, y, f, 1e-10, 1e-12)
+        assert redone == [sys.dim]
+        assert got == ode._stepper(sys.dim)(sys.rhs, t, h, y, f, 1e-10, 1e-12)
+
+    def test_the_calling_step_is_built_only_to_redo_an_attempt(self):
+        # y_i' = y_(i+1), y_8' = -y_0: a dimension no other test steps in
+        names = tuple(f"y{i}" for i in range(9))
+        sys = ODESystem(names, (*map(var, names[1:]), -var(names[0])))
+        before = ode._stepper.cache_info().misses
+        tr = integrate(sys, (1.0,) * 9, (0.0, 1.0))
+        assert tr.status == COMPLETED
+        assert ode._stepper.cache_info().misses == before + 1  # the inlined step only
+        ode._stepper(9)
+        assert ode._stepper.cache_info().misses == before + 2  # the calling step, built only now
 
     def test_systems_of_one_shape_share_the_code(self):
         first = oscillator_system(time_function("1+0.5*sin(3*t)"))

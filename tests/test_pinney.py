@@ -92,10 +92,10 @@ class TestEpResidual:
         with pytest.raises(ValueError):
             ep_residual(const_cfg("1", h2), x, [])
 
-    def test_guard_threshold(self, basis_phi1):
-        x, h2 = pinney_solution(basis_phi1, 1.0, 0.0, 1.0)
-        with pytest.raises(DomainError):
-            ep_residual(const_cfg("1", h2), x, grid(0.0, 1.0, 5), x_min=2.0)
+    def test_guard_threshold(self):
+        # x = t starts on the axis, below the floor X_MIN
+        with pytest.raises(DomainError, match=r"^x=0\.0 below guard threshold 1e-06 at t=0\.0$"):
+            ep_residual(const_cfg("1", 1.0), time_function("t"), grid(0.0, 1.0, 5))
 
     def test_sqrt_curve_rejects_nonpositive(self):
         curve = SqrtCurve(time_function("cos(t)"))
