@@ -90,7 +90,6 @@ from .reduction import (
     TransformedOrbit,
     abel_residual,
     autonomous_residual,
-    autonomy_fit,
     canonical_chart,
     transform_trajectory,
 )

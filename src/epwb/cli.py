@@ -178,10 +178,16 @@ def _pair(sc: dict, key: str, default=None) -> tuple[float, float]:
     return _finite(key, raw[0]), _finite(key, raw[1])
 
 
-def _outputs(sc: dict) -> dict:
+def _outputs(sc: dict, allowed=("csv", "dat", "report")) -> dict:
+    # an unknown output key is refused, as in settings; an unknown top-level key is
+    # not, since a scenario may carry keys its mode never reads (c0 and m beside an
+    # explicit tau/xi generator)
     raw = sc.get("outputs", {})
     if not isinstance(raw, dict):
         raise ScenarioError(f"'outputs' must be an object, got {raw!r}")
+    unknown = set(raw) - set(allowed)
+    if unknown:
+        raise ScenarioError(f"unknown outputs keys {sorted(unknown)!r} (want {sorted(allowed)})")
     return raw
 
 
@@ -391,7 +397,7 @@ def _run_eliezer_grey(sc: dict, base_dir: str) -> int:
 def _run_audit_all(sc: dict, base_dir: str) -> int:
     report = audit_all()
     text = ledger_json(report)
-    outputs = _outputs(sc)
+    outputs = _outputs(sc, ("ledger", "report"))
     target = outputs.get("ledger", outputs.get("report"))
     if target is not None:
         with open(_out_path(base_dir, target), "w") as fh:

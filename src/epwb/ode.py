@@ -393,20 +393,24 @@ class Trajectory:
         raise DomainError(f"t={t!r} outside trajectory range [{lo!r}, {hi!r}]")
 
     def jet(self, ts, k: int) -> np.ndarray:
-        """Derivatives 0..k of a derivative-chain state on the grid ``ts``.
+        """Derivatives 0..k of the first state column on the grid ``ts``.
 
-        For a state (x, x', ..., x^(dim-1)) row j < dim is state column j and
-        row dim is the last field of the producing system, so
-        k may be at most dim.  Returns shape (k+1, len(ts)); a scalar t is
-        the grid [t].
+        Rows 0..c are state columns and row c+1 is field c, where the chain
+        length c counts the leading fields that are the next state variable
+        (c = dim-1 for (x, x', ..., x^(dim-1))), so k may be at most c+1.
+        Returns shape (k+1, len(ts)); a scalar t is the grid [t].
         """
-        if not 0 <= k <= self.dim:
+        fields, names = self.system.fields, self.system.names[1:]
+        chain = 0  # names are compared, so no Var node is built
+        while chain < len(names) and type(f := fields[chain]) is Var and f.name == names[chain]:
+            chain += 1
+        if not 0 <= k <= chain + 1:
             raise ValueError(f"derivative order {k} unavailable from this trajectory")
         ts = np.asarray(ts, dtype=float).reshape(-1)
         states = self.sample(ts)
-        rows = states.T
-        if k == self.dim:
-            rows = np.vstack([rows, self.system.slopes(ts, states)[:, -1]])
+        rows = states.T[: chain + 1]
+        if k == chain + 1:
+            rows = np.vstack([rows, self.system.slopes(ts, states)[:, chain]])
         return rows[: k + 1]
 
     def grid(self, n: int = 200) -> np.ndarray:

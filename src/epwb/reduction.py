@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expressions import DomainError, fail_first
-from .ode import X_MIN, Trajectory, worst_residual, write_table
+from .ode import X_MIN, Trajectory, worst_residual
 from .symmetry import CompatibleFamily, PointSymmetry
 
 FORCING_CONSTANT = 16.0
@@ -134,9 +134,6 @@ class TransformedOrbit:
     def __len__(self) -> int:
         return len(self.t)
 
-    def write_csv(self, path: str) -> None:
-        write_table(path, "T,X,V", (self.T, self.X, self.V), ",")
-
 
 def transform_trajectory(
     chart: CanonicalChart, traj: Trajectory, n: int = 400, grid=None
@@ -162,21 +159,6 @@ def autonomous_residual(orbit: TransformedOrbit, omega: float) -> float:
     fail_first(orbit.X <= X_MIN, message, orbit.X, orbit.T)
     res = orbit.A + 2.0 * orbit.V + omega * orbit.X - FORCING_CONSTANT / orbit.X**3
     return worst_residual(res)
-
-
-def autonomy_fit(orbit: TransformedOrbit, lo: int = 0, hi: int | None = None) -> np.ndarray:
-    """Least-squares coefficients (c1, c2, c3) of X'' = -c1 X' - c2 X + c3/X^3.
-
-    On a genuinely autonomous image the fit is slice-independent and returns
-    (2, Omega, 16); a chart with the wrong time scale shifts c1 away from 2.
-    """
-    sl = slice(lo, hi)
-    x, v, a = orbit.X[sl], orbit.V[sl], orbit.A[sl]
-    if len(x) < 4:
-        raise ValueError("need at least four samples to fit three coefficients")
-    design = np.column_stack([-v, -x, 1.0 / x**3])
-    coeff, *_ = np.linalg.lstsq(design, a, rcond=None)
-    return coeff
 
 
 @dataclass(frozen=True)

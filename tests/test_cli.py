@@ -345,6 +345,32 @@ def test_a_kind_without_a_table_refuses_a_csv(tmp_path, capsys):
     assert not (tmp_path / "table.csv").exists()
 
 
+# per kind family (table, verdict only, ledger): keys a scenario might misspell
+_MISSPELLED = {
+    **{
+        kind: dict(sc, outputs={"reprot": "out/r.json", "cvs": "out/o.csv"})
+        for kind, sc in _TABLES.items()
+    },
+    "verify-symmetry": {
+        "kind": "verify-symmetry",
+        "g": "exp(4*t)",
+        "c0": 1.0,
+        "m": 1.0,
+        "interval": [0.0, 2.0],
+        "outputs": {"report": "out/r.json", "reprot": "out/s.json"},
+    },
+    "audit-all": {"kind": "audit-all", "outputs": {"ledgr": "out/l.json", "csv": "out/l.csv"}},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_MISSPELLED))
+def test_an_unknown_outputs_key_is_refused_before_writing(tmp_path, capsys, kind):
+    (tmp_path / "out").mkdir()
+    assert run_cli(["run", str(write_scenario(tmp_path, _MISSPELLED[kind]))]) == 1
+    assert "unknown outputs keys" in capsys.readouterr().err
+    assert os.listdir(tmp_path / "out") == []
+
+
 class TestAuditLedger:
     def test_subcommand_writes_file(self, tmp_path):
         out = tmp_path / "ledger.json"

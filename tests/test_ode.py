@@ -29,7 +29,7 @@ from epwb.central_field import (
 )
 from epwb.expressions import const, evaluate, sin, var
 from epwb.oscillator import QuadraticFormCurve, _pair_system, fundamental_pair, oscillator_system
-from epwb.pinney import EPConfig, ep_system
+from epwb.pinney import EPConfig, ep_residual, ep_system
 from epwb.third_order import ThirdOrderConfig, third_order_system
 from tests.conftest import grid
 
@@ -176,6 +176,22 @@ class TestSample:
             for i, t in enumerate(ts.tolist()):
                 assert np.array_equal(tr.jet(t, k), tr.jet([t], k))
                 assert np.array_equal(tr.jet([t], k)[: tr.dim], rows[: tr.dim, i : i + 1])
+
+    def test_jet_reads_the_derivative_chain_from_the_fields(self):
+        # (u, u', v, v') and (r, r', theta, L) are chains of length 1: row 2
+        # is field 1, the acceleration, not the state column after r'
+        ts = grid(0.0, 2.0, 11)
+        phi = time_function("1+0.5*sin(t)")
+        pair = fundamental_pair(phi, (0.0, 2.0)).pair
+        u, _, udd = pair.jet(ts, 2)
+        assert np.array_equal(udd, -phi.jet(ts, 0)[0] * u)
+        with pytest.raises(ValueError):
+            pair.jet(ts, 3)
+        unforced = CentralFieldConfig(phi, time_function("0"))
+        polar = simulate_polar(unforced, PolarState(1.0, 0.2, 0.0, 1.0), (0.0, 2.0))
+        assert np.array_equal(polar.jet(ts, 2)[2], polar.system.slopes(ts, polar.sample(ts))[:, 1])
+        # L = 1 throughout, so r'' + phi r = 1/r^3 is the EP equation with g = 1
+        assert ep_residual(EPConfig(phi, time_function("1")), polar, ts) <= 1e-12
 
     def test_dense_output_tracks_cosine(self):
         tr = integrate(oscillator(), (1.0, 0.0), (0.0, 20.0))

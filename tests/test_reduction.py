@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -12,7 +13,6 @@ from epwb import (
     SecondOrderODE,
     abel_residual,
     autonomous_residual,
-    autonomy_fit,
     canonical_chart,
     compatible_family,
     ep_system,
@@ -23,6 +23,7 @@ from epwb import (
     time_function,
     transform_trajectory,
 )
+from epwb.cli import main
 from epwb.pinney import EPConfig
 from epwb.reduction import FORCING_CONSTANT
 from epwb.symmetry import default_samples
@@ -151,28 +152,13 @@ class TestAutonomousImage:
         orbit = transform_trajectory(chart, ep_orbit(exp_family, (1.0, 0.0)), n=200)
         assert autonomous_residual(orbit, exp_family.omega) >= 0.1
 
-    def test_wrong_time_scale_shifts_the_fit(self, exp_family):
-        # with T three times too fast the image satisfies
-        # X'' + (2/3) X' + (Omega/9) X = (16/9)/X^3
+    def test_wrong_time_scale_scales_the_coefficients(self, exp_family):
+        # with T three times too fast the image is still autonomous:
+        # X'' + (2/3) X' + (Omega/9) X = (16/9)/X^3, pointwise to rounding
         chart = canonical_chart(exp_family, sigma=0.75)
-        orbit = transform_trajectory(chart, ep_orbit(exp_family, (1.0, 0.0)), n=200)
-        c = autonomy_fit(orbit)
-        assert c[0] == pytest.approx(2.0 / 3.0, abs=1e-6)
-        assert c[1] == pytest.approx(exp_family.omega / 9.0, abs=1e-6)
-        assert c[2] == pytest.approx(FORCING_CONSTANT / 9.0, abs=1e-5)
-
-    def test_fit_recovers_canonical_coefficients(self, exp_family):
-        chart = canonical_chart(exp_family)
-        orbit = transform_trajectory(chart, ep_orbit(exp_family, (1.0, 0.0)), n=200)
-        c = autonomy_fit(orbit)
-        assert c == pytest.approx([2.0, exp_family.omega, FORCING_CONSTANT], abs=1e-6)
-
-    def test_time_slices_agree(self, quartic_family):
-        chart = canonical_chart(quartic_family)
-        orbit = transform_trajectory(chart, ep_orbit(quartic_family, (1.0, 0.0)), n=400)
-        early = autonomy_fit(orbit, 0, 200)
-        late = autonomy_fit(orbit, 200, 400)
-        assert np.max(np.abs(early - late)) <= 1e-5
+        o = transform_trajectory(chart, ep_orbit(exp_family, (1.0, 0.0)), n=200)
+        damping, omega, forcing = 2.0 / 3.0, exp_family.omega / 9.0, FORCING_CONSTANT / 9.0
+        assert np.max(np.abs(o.A + damping * o.V + omega * o.X - forcing / o.X**3)) <= 1e-12
 
     def test_image_has_time_shift_symmetry(self, exp_family):
         omega = exp_family.omega
@@ -180,12 +166,6 @@ class TestAutonomousImage:
         shift = point_symmetry("1", "0")
         samples = default_samples((0.0, 5.0), x_range=(1.0, 2.5))
         assert symmetry_residual(shift, image, samples) == 0.0
-
-    def test_too_few_samples_for_fit(self, exp_family):
-        chart = canonical_chart(exp_family)
-        orbit = transform_trajectory(chart, ep_orbit(exp_family, (1.0, 0.0)), n=10)
-        with pytest.raises(ValueError):
-            autonomy_fit(orbit, 0, 3)
 
 
 class TestEquilibriumChain:
@@ -245,12 +225,21 @@ class TestTransformPlumbing:
         assert orbit.t[0] == pytest.approx(0.2)
         assert orbit.T[0] == pytest.approx(exp_chart.time(0.2))
 
-    def test_csv_export(self, exp_family, exp_chart, tmp_path):
-        traj = ep_orbit(exp_family, (1.0, 0.0))
-        orbit = transform_trajectory(exp_chart, traj, n=20)
-        path = tmp_path / "orbit.csv"
-        orbit.write_csv(path)
-        lines = path.read_text().splitlines()
+    def test_csv_export(self, tmp_path):
+        # the reduce kind writes the transformed orbit's (T, X, V) table
+        sc = {
+            "kind": "reduce",
+            "g": "exp(4*t)",
+            "c0": 1.0,
+            "m": 1.0,
+            "interval": [0.0, 2.0],
+            "initial": [1.0, 0.0],
+            "n": 20,
+            "outputs": {"csv": "orbit.csv"},
+        }
+        (tmp_path / "reduce.json").write_text(json.dumps(sc))
+        assert main(["run", str(tmp_path / "reduce.json")]) == 0
+        lines = (tmp_path / "orbit.csv").read_text().splitlines()
         assert lines[0] == "T,X,V"
         assert len(lines) == 21
         first = [float(s) for s in lines[1].split(",")]
