@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expressions import DomainError, TimeFunction, fail_first, var
-from .ode import IntegrationSettings, ODESystem, Trajectory, integrate, worst_residual
+from .ode import X_MIN, IntegrationSettings, ODESystem, Trajectory, integrate, worst_residual
 from .pinney import drift
 
 
@@ -73,8 +73,10 @@ def k_integral(
 ) -> Trajectory:
     """Quadrature K(t) = int_{t0}^{t} k ds as a one-component trajectory.
 
-    The checks below integrate it over the trajectory's range unless given
-    it as ``quad``, so a caller running all three integrates it once.
+    The checks below read it as ``quad``, which carries the settings it
+    was integrated with; without one they integrate it over the
+    trajectory's range with the default settings.  A caller running all
+    three integrates it once, with its own settings, and passes it to each.
     """
     return integrate(ODESystem(("K",), (cfg.k.expr,)), [0.0], interval, settings)
 
@@ -83,12 +85,11 @@ def angular_momentum_check(
     traj: Trajectory,
     cfg: CentralFieldConfig,
     n: int = 200,
-    settings: IntegrationSettings = IntegrationSettings(),
     quad: Trajectory | None = None,
 ) -> float:
-    """Relative drift of L(t) - int k dt along a polar trajectory."""
+    """Relative drift of L(t) - int k dt on ``n`` points of a polar orbit (``quad``: k_integral)."""
     if quad is None:
-        quad = k_integral(cfg, (traj.t0, traj.t_end), settings)
+        quad = k_integral(cfg, (traj.t0, traj.t_end))
     grid = traj.grid(n)
     return drift(traj.sample(grid)[:, 3] - quad.sample(grid)[:, 0])
 
@@ -97,22 +98,22 @@ def radial_ep_residual(
     traj: Trajectory,
     cfg: CentralFieldConfig,
     n: int = 200,
-    settings: IntegrationSettings = IntegrationSettings(),
     quad: Trajectory | None = None,
 ) -> float:
-    """max |r'' + Phi r - G/r^3| with G = (L(t0) + int k)^2 from the quadrature.
+    """max |r'' + Phi r - G/r^3| on ``n`` points, G = (L(t0) + int k)^2 from ``quad`` (k_integral).
 
     r'' comes from the producing right-hand side, which carries the evolved
     L(t); the residual therefore measures how well the formal integral
-    reproduces the angular momentum, i.e. the identity itself.
+    reproduces the angular momentum, i.e. the identity itself.  r must stay
+    above X_MIN, the floor of the other residuals.
     """
     if quad is None:
-        quad = k_integral(cfg, (traj.t0, traj.t_end), settings)
+        quad = k_integral(cfg, (traj.t0, traj.t_end))
     ell0 = traj.states[0][3]
     ts = traj.grid(n)
     states = traj.sample(ts)
     r = states[:, 0]
-    fail_first(r <= settings.x_min, "radius {!r} too close to the axis at t={!r}", r, ts)
+    fail_first(r <= X_MIN, "radius {!r} too close to the axis at t={!r}", r, ts)
     rddot = traj.system.slopes(ts, states)[:, 1]
     g = (ell0 + quad.sample(ts)[:, 0]) ** 2
     return worst_residual(rddot + cfg.phi.jet(ts, 0)[0] * r - g / r**3)
@@ -166,16 +167,15 @@ def chart_qualified(
     traj: Trajectory,
     cfg: CentralFieldConfig,
     n: int = 200,
-    settings: IntegrationSettings = IntegrationSettings(),
     quad: Trajectory | None = None,
 ) -> bool:
-    """Whether G = (L0 + int k)^2 has G' > 0 along the orbit.
+    """Whether G = (L0 + int k)^2 has G' > 0 on ``n`` points of the orbit (``quad``: k_integral).
 
     G' = 2 L k, so a forced run qualifies for a reduction chart exactly when
     the angular momentum and the forcing keep one common sign.
     """
     if quad is None:
-        quad = k_integral(cfg, (traj.t0, traj.t_end), settings)
+        quad = k_integral(cfg, (traj.t0, traj.t_end))
     ts = traj.grid(n)
     ell = traj.states[0][3] + quad.sample(ts)[:, 0]
     return bool(np.all(2.0 * ell * cfg.k.jet(ts, 0)[0] > 0.0))

@@ -17,9 +17,9 @@ A scenario is one JSON object with a "kind" selecting the pipeline:
 Expression-valued fields use the grammar shown by print-grammar.  Output
 paths are resolved relative to the scenario file.  Exit codes: 0 all checks
 passed, 2 a residual exceeded its threshold (or a run failed mid-flight),
-1 configuration or parse errors.  The default residual threshold is 1e-6;
-the EPWB_TOL environment variable overrides the default, an explicit
-"threshold" key in the scenario overrides both.  Every number in a
+1 configuration or parse errors.  The residual threshold is the scenario's
+"threshold" key, else 1e-6; nothing outside the scenario file sets it, so
+a verdict depends only on the file and the code.  Every number in a
 scenario must be finite, and counts ("samples", "n") must be integers at
 or above their minimum that ask for at most a million samples (so
 verify-symmetry's n^3 lattice takes n <= 100); anything else is a
@@ -86,19 +86,6 @@ _MAX_SAMPLES = 1_000_000  # largest sample set a scenario may ask for
 
 class ScenarioError(ValueError):
     """Configuration problem: missing key, bad type, unusable value."""
-
-
-def _tol_default() -> float:
-    raw = os.environ.get("EPWB_TOL")
-    if raw is None:
-        return _DEFAULT_TOL
-    try:
-        value = float(raw)
-    except ValueError:
-        raise ScenarioError(f"EPWB_TOL is not a decimal float: {raw!r}")
-    if not math.isfinite(value) or value <= 0.0:
-        raise ScenarioError(f"EPWB_TOL must be a positive finite float, got {raw!r}")
-    return value
 
 
 def _require(sc: dict, key: str):
@@ -292,7 +279,7 @@ def _invariant_series(sc: dict, interval, settings):
 def _run_verify_invariant(sc: dict, base_dir: str) -> int:
     interval = _interval(sc)
     settings = _settings(sc)
-    threshold = _number(sc, "threshold", _tol_default())
+    threshold = _number(sc, "threshold", _DEFAULT_TOL)
     name, values = _invariant_series(sc, interval, settings)
     report = invariant_audit(name, interval, values)
     report["kind"] = "verify-invariant"
@@ -303,7 +290,7 @@ def _run_verify_invariant(sc: dict, base_dir: str) -> int:
 
 def _run_verify_symmetry(sc: dict, base_dir: str) -> int:
     interval = _interval(sc)
-    threshold = _number(sc, "threshold", _tol_default())
+    threshold = _number(sc, "threshold", _DEFAULT_TOL)
     if "tau" in sc or "xi" in sc:
         sym = point_symmetry(_text(sc, "tau"), _text(sc, "xi"), "scenario")
         ode = SecondOrderODE.from_ep(_tf(sc, "phi"), _tf(sc, "g"))
@@ -331,7 +318,7 @@ def _run_verify_symmetry(sc: dict, base_dir: str) -> int:
 def _run_reduce(sc: dict, base_dir: str) -> int:
     interval = _interval(sc)
     settings = _settings(sc)
-    threshold = _number(sc, "threshold", _tol_default())
+    threshold = _number(sc, "threshold", _DEFAULT_TOL)
     abel_threshold = _number(sc, "abel_threshold", 1e-5)
     fam = compatible_family(_tf(sc, "g"), _number(sc, "c0"), _number(sc, "m"), interval)
     chart = canonical_chart(fam, sigma=_number(sc, "sigma", 0.25))
@@ -361,7 +348,7 @@ def _run_reduce(sc: dict, base_dir: str) -> int:
 def _run_eliezer_grey(sc: dict, base_dir: str) -> int:
     interval = _interval(sc)
     settings = _settings(sc)
-    threshold = _number(sc, "threshold", _tol_default())
+    threshold = _number(sc, "threshold", _DEFAULT_TOL)
     cfg = CentralFieldConfig(phi=_tf(sc, "phi"), k=_tf(sc, "k", "0"))
     raw = _require(sc, "initial")
     if isinstance(raw, dict):
@@ -380,13 +367,13 @@ def _run_eliezer_grey(sc: dict, base_dir: str) -> int:
     traj = simulate_polar(cfg, init, interval, settings)
     _completed(traj)
     quad = k_integral(cfg, (traj.t0, traj.t_end), settings)
-    am_drift = angular_momentum_check(traj, cfg, settings=settings, quad=quad)
-    radial = radial_ep_residual(traj, cfg, settings=settings, quad=quad)
+    am_drift = angular_momentum_check(traj, cfg, quad=quad)
+    radial = radial_ep_residual(traj, cfg, quad=quad)
     report = {
         "kind": "eliezer-grey",
         "angular_momentum_drift": float(am_drift),
         "radial_residual": float(radial),
-        "chart_qualified": chart_qualified(traj, cfg, settings=settings, quad=quad),
+        "chart_qualified": chart_qualified(traj, cfg, quad=quad),
         "threshold": threshold,
         "pass": bool(am_drift <= threshold and radial <= threshold),
     }
@@ -395,12 +382,11 @@ def _run_eliezer_grey(sc: dict, base_dir: str) -> int:
 
 
 def _run_audit_all(sc: dict, base_dir: str) -> int:
+    outputs = _outputs(sc, ("ledger",))
     report = audit_all()
     text = ledger_json(report)
-    outputs = _outputs(sc, ("ledger", "report"))
-    target = outputs.get("ledger", outputs.get("report"))
-    if target is not None:
-        with open(_out_path(base_dir, target), "w") as fh:
+    if "ledger" in outputs:
+        with open(_out_path(base_dir, outputs["ledger"]), "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)

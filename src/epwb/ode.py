@@ -413,7 +413,7 @@ class Trajectory:
             rows = np.vstack([rows, self.system.slopes(ts, states)[:, chain]])
         return rows[: k + 1]
 
-    def grid(self, n: int = 200) -> np.ndarray:
+    def grid(self, n: int) -> np.ndarray:
         return np.linspace(self.t0, self.t_end, n)
 
     def columns(self, cols: slice, system: ODESystem) -> "Trajectory":

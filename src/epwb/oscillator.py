@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .expressions import TimeFunction, var
-from .ode import IntegrationSettings, ODESystem, Trajectory, integrate
+from .ode import ODESystem, Trajectory, integrate
 
 
 _X, _V = var("x"), var("v")
@@ -62,34 +62,25 @@ class OscillatorBasis:
         object.__setattr__(self, "u", self.pair.columns(slice(0, 2), sys))
         object.__setattr__(self, "v", self.pair.columns(slice(2, 4), sys))
 
-    @property
-    def interval(self) -> tuple[float, float]:
-        return (self.pair.t0, self.pair.t_end)
-
 
 def basis_with_ics(
     phi: TimeFunction,
     interval: tuple[float, float],
     ic_u: tuple[float, float],
     ic_v: tuple[float, float],
-    settings: IntegrationSettings | None = None,
 ) -> OscillatorBasis:
     w0 = ic_u[0] * ic_v[1] - ic_u[1] * ic_v[0]
     if abs(w0) < 1e-12:
         raise DegenerateBasisError(f"initial conditions give Wronskian {w0!r}")
-    pair = integrate(_pair_system(phi), (*ic_u, *ic_v), interval, settings)
+    pair = integrate(_pair_system(phi), (*ic_u, *ic_v), interval)
     if pair.status != "completed":
         raise RuntimeError(f"basis pair failed: {pair.status} ({pair.message})")
     return OscillatorBasis(phi=phi, pair=pair, wronskian0=w0)
 
 
-def fundamental_pair(
-    phi: TimeFunction,
-    interval: tuple[float, float],
-    settings: IntegrationSettings | None = None,
-) -> OscillatorBasis:
+def fundamental_pair(phi: TimeFunction, interval: tuple[float, float]) -> OscillatorBasis:
     """Basis with u(t0), u'(t0) = (1, 0) and v(t0), v'(t0) = (0, 1), so W = 1."""
-    return basis_with_ics(phi, interval, (1.0, 0.0), (0.0, 1.0), settings)
+    return basis_with_ics(phi, interval, (1.0, 0.0), (0.0, 1.0))
 
 
 def wronskian(basis: OscillatorBasis, t):

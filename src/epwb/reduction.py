@@ -34,6 +34,7 @@ from .ode import X_MIN, Trajectory, worst_residual
 from .symmetry import CompatibleFamily, PointSymmetry
 
 FORCING_CONSTANT = 16.0
+TURNING_SPEED = 1e-4  # |dX/dT| below which abel_residual skips a sample as a turning point
 _VALIDATION_SAMPLES = 100  # points of the interval on which canonical_chart checks G
 
 
@@ -72,11 +73,19 @@ class CanonicalChart:
         return self.sigma * np.log(g0), mu, mu * r, mu * (r * r + r_dot), t1, t2
 
     def image(self, t, x, xdot, xddot):
-        """(T, X, dX/dT, d2X/dT2) of the points (t, x, x', x'') from one jet of G."""
+        """(T, X, dX/dT, d2X/dT2) of the points (t, x, x', x'') from one jet of G.
+
+        DomainError names the first t where dX/dT or d2X/dT2 is not finite
+        (T' = sigma G'/G and its cube can underflow to 0 at a tiny sigma).
+        """
         big_t, mu, mu1, mu2, t1, t2 = self._rates(t)
         xt1 = xdot * mu + x * mu1
         xt2 = xddot * mu + 2.0 * xdot * mu1 + x * mu2
-        return big_t, x * mu, xt1 / t1, (xt2 * t1 - xt1 * t2) / t1**3
+        with np.errstate(all="ignore"):
+            big_v, big_a = xt1 / t1, (xt2 * t1 - xt1 * t2) / t1**3
+        bad = ~(np.isfinite(big_v) & np.isfinite(big_a))
+        fail_first(bad, "chart image is not finite at t={!r}", t)
+        return big_t, x * mu, big_v, big_a
 
     def time(self, t):
         g0, _ = self._g_checked(t, 1)
@@ -115,7 +124,12 @@ class CanonicalChart:
 
 
 def canonical_chart(fam: CompatibleFamily, sigma: float = 0.25) -> CanonicalChart:
-    """Build the chart, checking across the interval that G > 0, G' > 0 and G'', G''' exist."""
+    """Build the chart, checking across the interval that G > 0, G' > 0 and G'', G''' exist.
+
+    ValueError if sigma is 0, which makes T constant.
+    """
+    if sigma == 0.0:
+        raise ValueError("sigma must be nonzero: at sigma = 0, T = sigma log G is constant")
     chart = CanonicalChart(fam=fam, sigma=float(sigma))
     chart._g_checked(np.linspace(fam.interval[0], fam.interval[1], _VALIDATION_SAMPLES), 3)
     return chart
@@ -135,10 +149,8 @@ class TransformedOrbit:
         return len(self.t)
 
 
-def transform_trajectory(
-    chart: CanonicalChart, traj: Trajectory, n: int = 400, grid=None
-) -> TransformedOrbit:
-    """Sample an EP trajectory and push (t, x, x', x'') through the chart.
+def transform_trajectory(chart: CanonicalChart, traj: Trajectory, n: int = 400) -> TransformedOrbit:
+    """Sample an EP trajectory on ``traj.grid(n)`` and push (t, x, x', x'') through the chart.
 
     x'' comes from the producing right-hand side at interpolated states,
     never from a differenced interpolant.  The chart's identity then holds
@@ -148,7 +160,7 @@ def transform_trajectory(
     """
     if traj.dim != 2:
         raise ValueError("expected a 2-component (x, xdot) trajectory")
-    ts = np.asarray(grid, dtype=float) if grid is not None else traj.grid(n)
+    ts = traj.grid(n)
     big_t, big_x, big_v, big_a = chart.image(ts, *traj.jet(ts, 2))
     return TransformedOrbit(t=ts, T=big_t, X=big_x, V=big_v, A=big_a)
 
@@ -168,20 +180,16 @@ class AbelResult:
     samples_skipped: int
 
 
-def abel_residual(
-    orbit: TransformedOrbit,
-    omega: float,
-    v_min: float = 1e-4,
-    literal: bool = False,
-) -> AbelResult:
+def abel_residual(orbit: TransformedOrbit, omega: float, literal: bool = False) -> AbelResult:
     """Phase-plane relation residual in (u, v) = (X, dX/dT).
 
     dv/du is formed parametrically as (dv/dT)/(du/dT); samples with
-    |du/dT| < v_min are turning points, excluded and counted.  literal=True
-    evaluates the rejected reading (linear term without u, 16/u instead of
-    16/u^3) for the discriminator audit.
+    |du/dT| < TURNING_SPEED are turning points, excluded and counted, and
+    ValueError says so when every sample is one.  literal=True evaluates
+    the rejected reading (linear term without u, 16/u instead of 16/u^3)
+    for the discriminator audit.
     """
-    keep = ~(np.abs(orbit.V) < v_min)
+    keep = ~(np.abs(orbit.V) < TURNING_SPEED)
     used = int(np.count_nonzero(keep))
     if used == 0:
         raise ValueError("every sample sits at a turning point; nothing to check")

@@ -20,10 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expressions import TimeFunction, const, evaluate, fail_first, var
-from .ode import X_MIN, ODESystem, worst_residual
+from .expressions import TimeFunction, const, fail_first, var
+from .ode import ODESystem, worst_residual
 from .oscillator import OscillatorBasis, QuadraticFormCurve
-from .pinney import SqrtCurve, ep_field
+from .pinney import EPConfig, SqrtCurve, ep_residual
 
 
 @dataclass(frozen=True)
@@ -71,17 +71,14 @@ def third_order_residual(cfg: ThirdOrderConfig, w, grid) -> float:
 def rho_substitution(cfg: ThirdOrderConfig, w, grid) -> tuple[SqrtCurve, float]:
     """rho = sqrt(w) and the residual of rho'' + (a/2) rho = h^2/rho^3.
 
-    h^2 is read off as first_integral/2 at the left end of the grid.  Raises
-    if w is not positive on the grid.
+    h^2 is read off as first_integral/2 at the left end of the grid.  The
+    residual is ep_residual's, so DomainError names the first point where
+    w is not positive or rho is below X_MIN (rho'' carries a 1/(2 rho)
+    factor, so a vanishing w leaves pure rounding noise).
     """
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise ValueError("empty grid")
     h2 = 0.5 * first_integral(cfg, w, float(grid[0]))
-    rho = SqrtCurve(w)
-    r0, _, r2 = rho.jet(grid, 2)  # raises DomainError when w <= 0
-    # rho'' carries a 1/(2 rho) factor, so a vanishing w makes the
-    # residual pure rounding noise; the same floor as the EP run's default
-    fail_first(r0 < X_MIN, "w vanishes at t={!r} (rho={!r})", grid, r0)
-    field = ep_field(cfg.base_phi().expr, const(h2))
-    return rho, worst_residual(r2 - evaluate(field, {"t": grid, "x": r0}))
+    rho = SqrtCurve(w)  # its jet raises DomainError where w <= 0
+    return rho, ep_residual(EPConfig(cfg.base_phi(), TimeFunction(const(h2))), rho, grid)

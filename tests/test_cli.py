@@ -9,7 +9,7 @@ import tempfile
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 import epwb
 from epwb.cli import main
@@ -179,21 +179,21 @@ class TestVerifyInvariant:
         path = write_scenario(tmp_path, sc)
         assert run_cli(["run", str(path)]) == 0
 
-    def test_env_tolerance_flips_the_verdict(self, tmp_path, monkeypatch):
-        path = write_scenario(tmp_path, self.lorentz_scenario())
-        monkeypatch.setenv("EPWB_TOL", "1e-20")
-        assert run_cli(["run", str(path)]) == 2
+    def test_the_threshold_key_sets_the_verdict(self, tmp_path):
+        for threshold, code in ((1e-20, 2), (1.0, 0)):
+            path = write_scenario(tmp_path, self.lorentz_scenario(threshold=threshold))
+            assert run_cli(["run", str(path)]) == code
 
-    def test_scenario_threshold_beats_env(self, tmp_path, monkeypatch):
-        path = write_scenario(tmp_path, self.lorentz_scenario(threshold=1.0))
-        monkeypatch.setenv("EPWB_TOL", "1e-20")
+    @pytest.mark.parametrize("value", ("1e-20", "abc", "-1", "0", "nan"))
+    def test_the_environment_does_not_set_the_threshold(self, tmp_path, monkeypatch, value):
+        # a verdict and its report depend only on the scenario file and the code
+        path = write_scenario(tmp_path, self.lorentz_scenario())
+        monkeypatch.delenv("EPWB_TOL", raising=False)
         assert run_cli(["run", str(path)]) == 0
-
-    @pytest.mark.parametrize("bad", ("abc", "-1", "0", "nan"))
-    def test_garbage_env_tolerance(self, tmp_path, monkeypatch, bad):
-        path = write_scenario(tmp_path, self.lorentz_scenario())
-        monkeypatch.setenv("EPWB_TOL", bad)
-        assert run_cli(["run", str(path)]) == 1
+        plain = (tmp_path / "report.json").read_bytes()
+        monkeypatch.setenv("EPWB_TOL", value)
+        assert run_cli(["run", str(path)]) == 0
+        assert (tmp_path / "report.json").read_bytes() == plain
 
     def test_vanishing_frequency_is_a_failed_run(self, tmp_path, capsys):
         sc = self.lorentz_scenario(phi="1-t", interval=[0.0, 2.0])
@@ -241,6 +241,21 @@ class TestReduce:
         path = write_scenario(tmp_path, self.reduce_scenario(g="5-(t-1)^2"))
         assert run_cli(["run", str(path)]) == 1
         assert "G' is not positive at t=" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize(
+        "sigma, code, message",
+        [
+            (0, 1, "configuration error: sigma must be nonzero"),
+            (1e-300, 2, "run failed: chart image is not finite at t=0.0"),
+        ],
+    )
+    def test_a_vanishing_time_scale_is_refused(self, tmp_path, capsys, sigma, code, message):
+        # T' = sigma G'/G is 0 at sigma = 0, and its cube underflows to 0 at 1e-300
+        path = write_scenario(tmp_path, self.reduce_scenario(sigma=sigma))
+        assert run_cli(["run", str(path)]) == code
+        err = capsys.readouterr().err
+        assert err.startswith(f"epwb: {message}") and err.count("\n") == 1
         assert not (tmp_path / "report.json").exists()
 
     def test_wrong_sigma_fails(self, tmp_path):
@@ -399,6 +414,13 @@ class TestAuditLedger:
         path = write_scenario(tmp_path, sc)
         assert run_cli(["run", str(path)]) == 0
         assert out.read_bytes() == (tmp_path / "b.json").read_bytes()
+
+    def test_ledger_is_the_only_outputs_key(self, tmp_path, capsys):
+        sc = {"kind": "audit-all", "outputs": {"ledger": "a.json", "report": "b.json"}}
+        path = write_scenario(tmp_path, sc)
+        assert run_cli(["run", str(path)]) == 1
+        assert "unknown outputs keys ['report']" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["scenario.json"]
 
 
 class TestErrors:
@@ -672,6 +694,18 @@ def _evidence(kind: str, report: dict, tmp: str) -> int:
 
 @settings(max_examples=100, deadline=None)
 @given(scenario=st.one_of(_simulate, _symmetry, _reduce, _eliezer_grey, _invariant))
+@example(  # sigma = 0 makes T = sigma log G constant: refused, never divided by
+    scenario={
+        "kind": "reduce",
+        "g": "(1+t)^4",
+        "c0": 1.0,
+        "m": 1.0,
+        "interval": [0.0, 1.0],
+        "initial": [1.0, 0.0],
+        "settings": {},
+        "sigma": 0,
+    }
+)
 def test_fuzzed_scenarios_never_pass_vacuously(scenario):
     scenario["outputs"] = {"report": "report.json"}
     if scenario["kind"] == "eliezer-grey":

@@ -1561,7 +1561,7 @@ def _orbit(big_x, big_v=(1.0, 1.0, 1.0, 1.0)):
         ),
         (
             lambda: rho_substitution(ThirdOrderConfig(_ONE), time_function("t"), [1.0, 1e-14, 1e-16]),
-            "w vanishes at t=1e-14 (rho=1e-07)",
+            "x=1e-07 below guard threshold 1e-06 at t=1e-14",
         ),
         (
             lambda: _chart_time("t", (1.0, 2.0), [1.0, 0.0, -1.0]),

@@ -25,7 +25,7 @@ from epwb import (
 )
 from epwb.cli import main
 from epwb.pinney import EPConfig
-from epwb.reduction import FORCING_CONSTANT
+from epwb.reduction import FORCING_CONSTANT, TURNING_SPEED, TransformedOrbit
 from epwb.symmetry import default_samples
 from tests.conftest import G_CATALOG, M_VALUES, grid
 
@@ -187,6 +187,12 @@ def orbit(exp_family, exp_chart):
     return transform_trajectory(exp_chart, ep_orbit(exp_family, (1.0, 0.0)), n=200)
 
 
+def _orbit(big_x, big_v, big_a):
+    """A transformed orbit at T = 0, 1, 2, 3 with the given X, dX/dT and d2X/dT2."""
+    ts = np.arange(4.0)
+    return TransformedOrbit(t=ts, T=ts, X=big_x, V=big_v, A=big_a)
+
+
 class TestAbelRelation:
     def test_corrected_powers_hold(self, orbit, exp_family):
         res = abel_residual(orbit, exp_family.omega)
@@ -197,14 +203,21 @@ class TestAbelRelation:
         res = abel_residual(orbit, exp_family.omega, literal=True)
         assert res.residual >= 0.1
 
-    def test_turning_points_are_skipped_not_scored(self, orbit, exp_family):
-        tight = abel_residual(orbit, exp_family.omega, v_min=0.05)
-        assert tight.samples_skipped > 0
-        assert tight.residual <= 1e-5
+    def test_turning_points_are_skipped_not_scored(self):
+        # A solves the relation at each sample but the second, whose |V| is
+        # below TURNING_SPEED; |V| = TURNING_SPEED is scored
+        big_x = np.array([1.0, 1.5, 2.0, 1.2])
+        big_v = np.array([0.5, 0.5 * TURNING_SPEED, TURNING_SPEED, -0.3])
+        big_a = -2.0 * big_v - 3.0 * big_x + FORCING_CONSTANT / big_x**3
+        big_a[1] += 1.0
+        res = abel_residual(_orbit(big_x, big_v, big_a), 3.0)
+        assert (res.samples_used, res.samples_skipped) == (3, 1)
+        assert res.residual <= 1e-14
 
-    def test_all_samples_skipped(self, orbit, exp_family):
-        with pytest.raises(ValueError):
-            abel_residual(orbit, exp_family.omega, v_min=1e6)
+    def test_all_samples_skipped(self):
+        big_v = np.array([0.0, 0.5, -0.5, -0.99]) * TURNING_SPEED
+        with pytest.raises(ValueError, match="turning point"):
+            abel_residual(_orbit(np.ones(4), big_v, np.ones(4)), 3.0)
 
 
 class TestTransformPlumbing:
@@ -219,11 +232,10 @@ class TestTransformPlumbing:
 
     def test_explicit_grid(self, exp_family, exp_chart):
         traj = ep_orbit(exp_family, (1.0, 0.0))
-        ts = grid(0.2, 1.8, 50)
-        orbit = transform_trajectory(exp_chart, traj, grid=ts)
+        orbit = transform_trajectory(exp_chart, traj, n=50)
         assert len(orbit) == 50
-        assert orbit.t[0] == pytest.approx(0.2)
-        assert orbit.T[0] == pytest.approx(exp_chart.time(0.2))
+        np.testing.assert_array_equal(orbit.t, traj.grid(50))
+        assert orbit.T[0] == exp_chart.time(orbit.t[0])
 
     def test_csv_export(self, tmp_path):
         # the reduce kind writes the transformed orbit's (T, X, V) table
