@@ -33,7 +33,6 @@ from .ode import (
     integrate,
     residual,
     worst_residual,
-    write_csv,
 )
 from .oscillator import (
     DegenerateBasisError,

@@ -174,8 +174,6 @@ def audit_all() -> dict:
     }
 
 
-def ledger_json(report: dict | None = None) -> str:
-    """Deterministic JSON rendering of the ledger (sorted keys, no timestamps)."""
-    if report is None:
-        report = audit_all()
+def ledger_json(report: dict) -> str:
+    """Deterministic JSON rendering of the ``audit_all`` ledger (sorted keys, no timestamps)."""
     return json.dumps(report, indent=2, sort_keys=True) + "\n"

@@ -14,8 +14,13 @@ A scenario is one JSON object with a "kind" selecting the pipeline:
     eliezer-grey      polar run, angular momentum + radial identity
     audit-all         write the corrections ledger
 
-Expression-valued fields use the grammar shown by print-grammar.  Output
-paths are resolved relative to the scenario file.  Exit codes: 0 all checks
+Expression-valued fields use the grammar shown by print-grammar.  Each
+kind names the "outputs" keys it writes: "csv" and "report" for simulate,
+reduce and eliezer-grey, "report" for the two verify kinds, "ledger" for
+audit-all.  Any other key is refused before the kind runs.  Output paths
+are resolved relative to the scenario file.  A table is CSV: one header
+line of column names, then one row per sample, every value to 17
+significant digits, so it reads back exactly.  Exit codes: 0 all checks
 passed, 2 a residual exceeded its threshold (or a run failed mid-flight),
 1 configuration or parse errors.  The residual threshold is the scenario's
 "threshold" key, else 1e-6; nothing outside the scenario file sets it, so
@@ -58,7 +63,7 @@ from .expressions import (
     fail_first,
     time_function,
 )
-from .ode import COMPLETED, IntegrationSettings, integrate, write_table
+from .ode import COMPLETED, IntegrationSettings, integrate
 from .oscillator import DegenerateBasisError, oscillator_system
 from .pinney import (
     EPConfig,
@@ -128,14 +133,20 @@ def _interval(sc: dict) -> tuple[float, float]:
     return t0, t1
 
 
-def _settings(sc: dict) -> IntegrationSettings:
-    raw = sc.get("settings", {})
+def _keyed(raw, key: str, allowed: tuple[str, ...]) -> dict:
+    """``raw`` as the value of ``key``: an object whose keys are all in ``allowed``."""
     if not isinstance(raw, dict):
-        raise ScenarioError(f"'settings' must be an object, got {raw!r}")
-    allowed = {"rtol", "atol", "max_steps", "x_min"}
-    unknown = set(raw) - allowed
+        raise ScenarioError(
+            f"{key!r} must be an object with keys among {list(allowed)}, got {raw!r}"
+        )
+    unknown = set(raw) - set(allowed)
     if unknown:
-        raise ScenarioError(f"unknown settings keys {sorted(unknown)!r}")
+        raise ScenarioError(f"unknown {key} keys {sorted(unknown)!r} (want {sorted(allowed)})")
+    return raw
+
+
+def _settings(sc: dict) -> IntegrationSettings:
+    raw = _keyed(sc.get("settings", {}), "settings", ("rtol", "atol", "max_steps", "x_min"))
     checked = {
         k: _count(raw, k, 1, 1) if k == "max_steps" else _finite(k, v) for k, v in raw.items()
     }
@@ -165,23 +176,17 @@ def _pair(sc: dict, key: str, default=None) -> tuple[float, float]:
     return _finite(key, raw[0]), _finite(key, raw[1])
 
 
-def _outputs(sc: dict, allowed=("csv", "dat", "report")) -> dict:
-    # an unknown output key is refused, as in settings; an unknown top-level key is
-    # not, since a scenario may carry keys its mode never reads (c0 and m beside an
-    # explicit tau/xi generator)
-    raw = sc.get("outputs", {})
-    if not isinstance(raw, dict):
-        raise ScenarioError(f"'outputs' must be an object, got {raw!r}")
-    unknown = set(raw) - set(allowed)
-    if unknown:
-        raise ScenarioError(f"unknown outputs keys {sorted(unknown)!r} (want {sorted(allowed)})")
-    return raw
-
-
 def _out_path(base_dir: str, rel: str) -> str:
     if not isinstance(rel, str) or not rel:
         raise ScenarioError(f"output path must be a nonempty string, got {rel!r}")
-    return rel if os.path.isabs(rel) else os.path.join(base_dir, rel)
+    return os.path.join(base_dir, rel)  # an absolute rel is kept as it is
+
+
+def _write_columns(path: str, names, columns) -> None:
+    row = ",".join(["{:.17g}"] * len(columns)) + "\n"
+    with open(path, "w") as fh:
+        fh.write(",".join(names) + "\n")
+        fh.writelines(row.format(*values) for values in np.column_stack(columns).tolist())
 
 
 def _write_report(path: str, payload: dict) -> None:
@@ -191,27 +196,19 @@ def _write_report(path: str, payload: dict) -> None:
         fh.write(text)
 
 
-def _emit(outputs: dict, base_dir: str, report: dict, table=None) -> None:
-    for key, sep, prefix in (("csv", ",", ""), ("dat", " ", "# ")):
-        if key in outputs:
-            if table is None:
-                raise ScenarioError(f"this kind produces no {key} output")
-            names, columns = table
-            write_table(_out_path(base_dir, outputs[key]), prefix + sep.join(names), columns, sep)
+def _verdict(report: dict, outputs: dict, table=None) -> int:
+    """Write the outputs the scenario asks for; ``table`` is (column names, columns)."""
+    if "csv" in outputs:
+        _write_columns(outputs["csv"], *table)
     if "report" in outputs:
-        _write_report(_out_path(base_dir, outputs["report"]), report)
-
-
-def _verdict(report: dict, outputs: dict, base_dir: str, table=None) -> int:
-    """Write the outputs the scenario asks for; ``table`` is (column names, columns) or None."""
-    _emit(outputs, base_dir, report, table)
+        _write_report(outputs["report"], report)
     if not report.get("pass", False):
         sys.stderr.write(f"epwb: check failed: {json.dumps(report, sort_keys=True)}\n")
         return 2
     return 0
 
 
-def _run_simulate(sc: dict, base_dir: str) -> int:
+def _run_simulate(sc: dict, outputs: dict) -> int:
     cfg = EPConfig(phi=_tf(sc, "phi"), g=_tf(sc, "g"))
     settings = _settings(sc)
     interval = _interval(sc)
@@ -227,7 +224,7 @@ def _run_simulate(sc: dict, base_dir: str) -> int:
         "pass": traj.status == COMPLETED,
     }
     table = (("t", "x", "xdot"), (traj.times, *traj.states.T))
-    return _verdict(report, _outputs(sc), base_dir, table)
+    return _verdict(report, outputs, table)
 
 
 def _completed(*trajectories) -> None:
@@ -276,7 +273,7 @@ def _invariant_series(sc: dict, interval, settings):
     raise ScenarioError(f"unknown invariant {name!r} (want ermakov, lewis or lorentz)")
 
 
-def _run_verify_invariant(sc: dict, base_dir: str) -> int:
+def _run_verify_invariant(sc: dict, outputs: dict) -> int:
     interval = _interval(sc)
     settings = _settings(sc)
     threshold = _number(sc, "threshold", _DEFAULT_TOL)
@@ -285,10 +282,10 @@ def _run_verify_invariant(sc: dict, base_dir: str) -> int:
     report["kind"] = "verify-invariant"
     report["threshold"] = threshold
     report["pass"] = bool(report["drift"] <= threshold)
-    return _verdict(report, _outputs(sc), base_dir)
+    return _verdict(report, outputs)
 
 
-def _run_verify_symmetry(sc: dict, base_dir: str) -> int:
+def _run_verify_symmetry(sc: dict, outputs: dict) -> int:
     interval = _interval(sc)
     threshold = _number(sc, "threshold", _DEFAULT_TOL)
     if "tau" in sc or "xi" in sc:
@@ -312,10 +309,10 @@ def _run_verify_symmetry(sc: dict, base_dir: str) -> int:
         "threshold": threshold,
         "pass": bool(res <= threshold),
     }
-    return _verdict(report, _outputs(sc), base_dir)
+    return _verdict(report, outputs)
 
 
-def _run_reduce(sc: dict, base_dir: str) -> int:
+def _run_reduce(sc: dict, outputs: dict) -> int:
     interval = _interval(sc)
     settings = _settings(sc)
     threshold = _number(sc, "threshold", _DEFAULT_TOL)
@@ -342,26 +339,21 @@ def _run_reduce(sc: dict, base_dir: str) -> int:
         "pass": bool(res <= threshold and abel.residual <= abel_threshold),
     }
     table = (("T", "X", "V"), (orbit.T, orbit.X, orbit.V))
-    return _verdict(report, _outputs(sc), base_dir, table)
+    return _verdict(report, outputs, table)
 
 
-def _run_eliezer_grey(sc: dict, base_dir: str) -> int:
+def _run_eliezer_grey(sc: dict, outputs: dict) -> int:
     interval = _interval(sc)
     settings = _settings(sc)
     threshold = _number(sc, "threshold", _DEFAULT_TOL)
     cfg = CentralFieldConfig(phi=_tf(sc, "phi"), k=_tf(sc, "k", "0"))
-    raw = _require(sc, "initial")
-    if isinstance(raw, dict):
-        init = PolarState(
-            r=_number(raw, "r"),
-            rdot=_number(raw, "rdot", 0.0),
-            theta=_number(raw, "theta", 0.0),
-            thetadot=_number(raw, "thetadot"),
-        )
-    elif isinstance(raw, (list, tuple)) and len(raw) == 4:
-        init = PolarState(*(_finite("initial", v) for v in raw))
-    else:
-        raise ScenarioError(f"'initial' must be [r, rdot, theta, thetadot] or an object, got {raw!r}")
+    raw = _keyed(_require(sc, "initial"), "initial", ("r", "rdot", "theta", "thetadot"))
+    init = PolarState(
+        r=_number(raw, "r"),
+        rdot=_number(raw, "rdot", 0.0),
+        theta=_number(raw, "theta", 0.0),
+        thetadot=_number(raw, "thetadot"),
+    )
     if init.r <= 0.0:
         raise ScenarioError(f"initial radius must be positive, got {init.r!r}")
     traj = simulate_polar(cfg, init, interval, settings)
@@ -378,28 +370,28 @@ def _run_eliezer_grey(sc: dict, base_dir: str) -> int:
         "pass": bool(am_drift <= threshold and radial <= threshold),
     }
     table = (("t", "r", "rdot", "theta", "L"), (traj.times, *traj.states.T))
-    return _verdict(report, _outputs(sc), base_dir, table)
+    return _verdict(report, outputs, table)
 
 
-def _run_audit_all(sc: dict, base_dir: str) -> int:
-    outputs = _outputs(sc, ("ledger",))
+def _run_audit_all(sc: dict, outputs: dict) -> int:
     report = audit_all()
     text = ledger_json(report)
     if "ledger" in outputs:
-        with open(_out_path(base_dir, outputs["ledger"]), "w") as fh:
+        with open(outputs["ledger"], "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
     return 0 if report["all_resolved"] else 2
 
 
+# kind -> (runner, the outputs keys it writes)
 _KINDS = {
-    "simulate": _run_simulate,
-    "verify-invariant": _run_verify_invariant,
-    "verify-symmetry": _run_verify_symmetry,
-    "reduce": _run_reduce,
-    "eliezer-grey": _run_eliezer_grey,
-    "audit-all": _run_audit_all,
+    "simulate": (_run_simulate, ("csv", "report")),
+    "verify-invariant": (_run_verify_invariant, ("report",)),
+    "verify-symmetry": (_run_verify_symmetry, ("report",)),
+    "reduce": (_run_reduce, ("csv", "report")),
+    "eliezer-grey": (_run_eliezer_grey, ("csv", "report")),
+    "audit-all": (_run_audit_all, ("ledger",)),
 }
 
 
@@ -407,10 +399,14 @@ def _dispatch(sc: dict, base_dir: str) -> int:
     if not isinstance(sc, dict):
         raise ScenarioError("scenario file must contain one JSON object")
     kind = _require(sc, "kind")
-    handler = _KINDS.get(kind)
-    if handler is None:
+    if not isinstance(kind, str) or kind not in _KINDS:
         raise ScenarioError(f"unknown kind {kind!r} (want one of {sorted(_KINDS)})")
-    return handler(sc, base_dir)
+    run, keys = _KINDS[kind]
+    # an unknown output key is refused before the run, as in settings; an unknown
+    # top-level key is not, since a scenario may carry keys its kind never reads
+    # (c0 and m beside an explicit tau/xi generator)
+    outputs = _keyed(sc.get("outputs", {}), "outputs", keys)
+    return run(sc, {key: _out_path(base_dir, rel) for key, rel in outputs.items()})
 
 
 def _cmd_run(path: str) -> int:

@@ -757,22 +757,3 @@ def residual(sys: ODESystem, tr: Trajectory, grid: Sequence[float]) -> float:
     slopes = np.column_stack(evaluate((*own.fields, *sys.fields), env, own.domain + sys.domain))
     return worst_residual(slopes[:, : own.dim] - slopes[:, own.dim :])
 
-
-def write_table(path, header: str, columns, sep: str) -> None:
-    """Write the line ``header``, then one row per sample of ``columns``.
-
-    ``columns`` are equal-length value sequences, one per column, and each
-    value is printed to 17 significant digits, so it reads back exactly.
-    ``sep`` is "," for CSV and " " for whitespace tables.
-    """
-    row = sep.join(["{:.17g}"] * len(columns)) + "\n"
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        fh.writelines(row.format(*values) for values in np.column_stack(columns).tolist())
-
-
-def write_csv(tr: Trajectory, path, names: Sequence[str] = ("x", "xdot")) -> None:
-    """Node-by-node CSV dump: header ``t,<names...>``, 17 significant digits."""
-    if len(names) != tr.dim:
-        raise ValueError(f"{len(names)} names for state dimension {tr.dim}")
-    write_table(path, ",".join(("t", *names)), (tr.times, *tr.states.T), ",")

@@ -318,8 +318,8 @@ def test_criterion_9_audit_ledger():
         assert len(report["entries"]) == 5
         assert report["all_resolved"] is True
         assert all(e["resolved"] for e in report["entries"])
-        first = ledger_json()
-        second = ledger_json()
+        first = ledger_json(report)
+        second = ledger_json(audit_all())
         assert first == second
         parsed = json.loads(first)
         assert [e["id"] for e in parsed["entries"]] == [

@@ -24,18 +24,20 @@ def test_every_entry_resolves_to_the_corrected_reading():
 
 
 def test_ledger_is_deterministic():
-    a = ledger_json()
-    b = ledger_json()
+    a = ledger_json(audit_all())
+    b = ledger_json(audit_all())
     assert a == b
     assert a.endswith("\n")
 
 
 def test_ledger_round_trips_through_json():
-    report = json.loads(ledger_json())
+    report = json.loads(ledger_json(audit_all()))
     assert len(report["entries"]) == 5
     assert all(isinstance(e["question"], str) and e["question"] for e in report["entries"])
 
 
 def test_ledger_accepts_prebuilt_report():
+    # the ledger renders the report it is given, nothing recomputed
     report = audit_all()
-    assert ledger_json(report) == ledger_json()
+    report["entries"] = report["entries"][:1]
+    assert json.loads(ledger_json(report)) == report

@@ -17,7 +17,6 @@ from epwb import (
     simulate_cartesian,
     simulate_polar,
     time_function,
-    write_csv,
 )
 from tests.conftest import grid
 
@@ -63,12 +62,6 @@ class TestPolarSimulation:
             assert (tr.status, tr.message, tr.t_end) == (COMPLETED, "", 10.0)
             assert np.all(np.isfinite(tr.states))
             assert np.min(np.hypot(tr.states[:, 0], tr.states[:, 2])) < 0.1
-
-    def test_csv_column_names(self, tmp_path):
-        tr = simulate_polar(config(), CIRCULAR, (0.0, 1.0))
-        path = tmp_path / "orbit.csv"
-        write_csv(tr, path, names=("r", "rdot", "theta", "L"))
-        assert path.read_text().splitlines()[0] == "t,r,rdot,theta,L"
 
 
 class TestAngularMomentum:

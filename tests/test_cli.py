@@ -8,10 +8,12 @@ import sys
 import tempfile
 
 import hypothesis.strategies as st
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 
 import epwb
+from epwb import EPConfig, IntegrationSettings, ep_system, integrate, time_function
 from epwb.cli import main
 
 
@@ -55,14 +57,27 @@ class TestSimulate:
             assert float(ln.split(",")[1]) == pytest.approx(1.0, abs=1e-9)
 
     def test_all_declared_outputs_exist(self, tmp_path):
-        sc = simulate_scenario(
-            outputs={"csv": "a.csv", "dat": "b.dat", "report": "c.json"}
-        )
+        sc = simulate_scenario(outputs={"csv": "a.csv", "report": "c.json"})
         path = write_scenario(tmp_path, sc)
         assert run_cli(["run", str(path)]) == 0
-        for name in ("a.csv", "b.dat", "c.json"):
-            assert (tmp_path / name).exists()
-        assert (tmp_path / "b.dat").read_text().startswith("# t x xdot\n")
+        assert sorted(os.listdir(tmp_path)) == ["a.csv", "c.json", "scenario.json"]
+        assert (tmp_path / "a.csv").read_text().startswith("t,x,xdot\n")
+
+    def test_csv_round_trips_the_trajectory(self, tmp_path):
+        # 17 significant digits read back as the very floats integrate returned
+        sc = simulate_scenario(
+            phi="1+0.5*sin(t)", g="2", initial=[1.0, 0.3], interval=[0.0, 3.0],
+            settings={"rtol": 1e-10},
+        )
+        assert run_cli(["run", str(write_scenario(tmp_path, sc))]) == 0
+        cfg = EPConfig(phi=time_function("1+0.5*sin(t)"), g=time_function("2"))
+        tr = integrate(ep_system(cfg), (1.0, 0.3), (0.0, 3.0), IntegrationSettings(rtol=1e-10))
+        lines = (tmp_path / "orbit.csv").read_text().splitlines()
+        assert lines[0] == "t,x,xdot"
+        assert len(lines) == len(tr.times) + 1 > 10
+        data = np.array([[float(s) for s in ln.split(",")] for ln in lines[1:]])
+        assert np.array_equal(data[:, 0], tr.times)
+        assert np.array_equal(data[:, 1:], tr.states)
 
     def test_outputs_resolve_relative_to_scenario_file(self, tmp_path, monkeypatch):
         nested = tmp_path / "inner"
@@ -295,7 +310,7 @@ class TestEliezerGrey:
             "kind": "eliezer-grey",
             "phi": "1",
             "k": "0.1",
-            "initial": [1.0, 0.0, 0.0, 1.0],
+            "initial": {"r": 1.0, "rdot": 0.0, "theta": 0.0, "thetadot": 1.0},
             "interval": [0.0, 10.0],
             "outputs": {"report": "report.json"},
         }
@@ -314,6 +329,23 @@ class TestEliezerGrey:
         path = write_scenario(tmp_path, sc)
         assert run_cli(["run", str(path)]) == 1
 
+    def test_a_list_initial_is_refused(self, tmp_path, capsys):
+        sc = dict(_TABLES["eliezer-grey"], initial=[1.0, 0.0, 0.0, 1.0])
+        assert run_cli(["run", str(write_scenario(tmp_path, sc))]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(
+            "epwb: configuration error: 'initial' must be an object with keys among"
+            " ['r', 'rdot', 'theta', 'thetadot'], got [1.0, 0.0, 0.0, 1.0]"
+        )
+
+    def test_an_unknown_initial_key_is_refused(self, tmp_path, capsys):
+        # a misspelled rdot would otherwise run with rdot = 0
+        initial = {"r": 1.0, "thetadot": 1.0, "rdott": 0.5}
+        sc = dict(_TABLES["eliezer-grey"], initial=initial, interval=[0.0, 5.0])
+        assert run_cli(["run", str(write_scenario(tmp_path, sc))]) == 1
+        assert "unknown initial keys ['rdott']" in capsys.readouterr().err
+
 
 _TABLES = {
     "simulate": simulate_scenario(),
@@ -329,21 +361,10 @@ _TABLES = {
         "kind": "eliezer-grey",
         "phi": "1",
         "k": "0.1",
-        "initial": [1.0, 0.0, 0.0, 1.0],
+        "initial": {"r": 1.0, "rdot": 0.0, "theta": 0.0, "thetadot": 1.0},
         "interval": [0.0, 10.0],
     },
 }
-
-
-@pytest.mark.parametrize("kind", sorted(_TABLES))
-def test_dat_table_is_the_csv_table_with_spaces(tmp_path, kind):
-    sc = dict(_TABLES[kind], outputs={"csv": "orbit.csv", "dat": "orbit.dat"})
-    assert run_cli(["run", str(write_scenario(tmp_path, sc))]) == 0
-    csv_lines = (tmp_path / "orbit.csv").read_text().splitlines()
-    dat_lines = (tmp_path / "orbit.dat").read_text().splitlines()
-    assert len(csv_lines) > 2
-    assert dat_lines[0] == "# " + csv_lines[0].replace(",", " ")
-    assert dat_lines[1:] == [line.replace(",", " ") for line in csv_lines[1:]]
 
 
 def test_a_kind_without_a_table_refuses_a_csv(tmp_path, capsys):
@@ -356,7 +377,7 @@ def test_a_kind_without_a_table_refuses_a_csv(tmp_path, capsys):
         "outputs": {"csv": "table.csv"},
     }
     assert run_cli(["run", str(write_scenario(tmp_path, sc))]) == 1
-    assert "this kind produces no csv output" in capsys.readouterr().err
+    assert "unknown outputs keys ['csv'] (want ['report'])" in capsys.readouterr().err
     assert not (tmp_path / "table.csv").exists()
 
 
@@ -384,6 +405,62 @@ def test_an_unknown_outputs_key_is_refused_before_writing(tmp_path, capsys, kind
     assert run_cli(["run", str(write_scenario(tmp_path, _MISSPELLED[kind]))]) == 1
     assert "unknown outputs keys" in capsys.readouterr().err
     assert os.listdir(tmp_path / "out") == []
+
+
+_VERIFY_ERMAKOV = {
+    "kind": "verify-invariant",
+    "invariant": "ermakov",
+    "phi": "1+0.5*sin(t)",
+    "h2": 2.25,
+    "initial": [1.0, 0.0],
+    "interval": [0.0, 20.0],
+}
+# per kind, output keys it does not write; over [0, 2000] the Ermakov run would
+# stop with a step failure (exit 2), which must not hide the configuration error
+_NOT_WRITTEN = {
+    **{
+        kind: dict(sc, outputs={"report": "out/r.json", "dat": "out/o.dat"})
+        for kind, sc in _TABLES.items()
+    },
+    "verify-invariant": dict(_VERIFY_ERMAKOV, outputs={"reprot": "out/r.json"}),
+    "verify-invariant-csv": dict(_VERIFY_ERMAKOV, outputs={"csv": "out/o.csv"}),
+    "verify-invariant-failing": dict(
+        _VERIFY_ERMAKOV, interval=[0.0, 2000.0], outputs={"reprot": "out/r.json"}
+    ),
+    "verify-symmetry": dict(_MISSPELLED["verify-symmetry"], outputs={"reprot": "out/r.json"}),
+    "verify-symmetry-csv": dict(_MISSPELLED["verify-symmetry"], outputs={"csv": "out/o.csv"}),
+    "audit-all": {"kind": "audit-all", "outputs": {"ledger": "out/l.json", "report": "out/r.json"}},
+}
+
+
+@pytest.mark.parametrize("case", sorted(_NOT_WRITTEN))
+def test_an_output_key_the_kind_does_not_write_is_refused_before_it_runs(
+    tmp_path, capsys, monkeypatch, case
+):
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    # the work of every kind, through each module's own reference to it
+    originals = {
+        "integrate": epwb.ode.integrate,
+        "symmetry_residual": epwb.symmetry.symmetry_residual,
+        "audit_all": epwb.audit.audit_all,
+    }
+    for module in [m for name, m in sys.modules.items() if name.startswith("epwb.")]:
+        for name, fn in originals.items():
+            if getattr(module, name, None) is fn:
+                monkeypatch.setattr(module, name, counted(fn))
+    (tmp_path / "out").mkdir()
+    assert run_cli(["run", str(write_scenario(tmp_path, _NOT_WRITTEN[case]))]) == 1
+    assert capsys.readouterr().err.startswith("epwb: configuration error: unknown outputs keys")
+    assert os.listdir(tmp_path / "out") == []
+    assert calls == []
 
 
 class TestAuditLedger:
@@ -443,6 +520,11 @@ class TestErrors:
         path = write_scenario(tmp_path, {"kind": "frobnicate"})
         assert run_cli(["run", str(path)]) == 1
         assert "unknown kind" in capsys.readouterr().err
+
+    def test_a_kind_that_is_not_a_string_is_refused(self, tmp_path, capsys):
+        path = write_scenario(tmp_path, {"kind": ["simulate"]})
+        assert run_cli(["run", str(path)]) == 1
+        assert "configuration error: unknown kind ['simulate']" in capsys.readouterr().err
 
     def test_missing_required_key(self, tmp_path, capsys):
         sc = simulate_scenario()
@@ -653,11 +735,12 @@ _eliezer_grey = st.fixed_dictionaries(
         "kind": st.just("eliezer-grey"),
         "phi": _phi,
         "k": st.sampled_from(["0", "0.1", "-0.2", "t"]),
-        "initial": st.one_of(
-            st.lists(_mostly(st.floats(-0.5, 2.0)), min_size=4, max_size=4),
-            st.fixed_dictionaries(
-                {"r": _mostly(st.floats(-0.5, 2.0)), "thetadot": _mostly(st.floats(-1.0, 1.0))}
-            ),
+        "initial": st.fixed_dictionaries(
+            {"r": _mostly(st.floats(-0.5, 2.0)), "thetadot": _mostly(st.floats(-1.0, 1.0))},
+            optional={
+                "rdot": _mostly(st.floats(-0.5, 2.0)),
+                "theta": _mostly(st.floats(-0.5, 2.0)),
+            },
         ),
         "interval": _interval,
         "settings": _settings,

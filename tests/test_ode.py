@@ -15,7 +15,6 @@ from epwb import (
     integrate,
     residual,
     time_function,
-    write_csv,
 )
 from epwb import ode
 from epwb.central_field import (
@@ -419,28 +418,6 @@ class TestEnergyDrift:
             vals.append(0.5 * (v * v + x * x))
         vals = np.array(vals)
         assert np.max(np.abs(vals - vals[0])) / abs(vals[0]) <= 1e-8
-
-
-class TestCsvExport:
-    def test_header_and_round_trip(self, tmp_path):
-        tr = integrate(oscillator(), (1.0, 0.0), (0.0, 1.0))
-        path = tmp_path / "orbit.csv"
-        write_csv(tr, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "t,x,xdot"
-        assert len(lines) == len(tr.times) + 1
-        first = [float(s) for s in lines[1].split(",")]
-        assert first == [0.0, 1.0, 0.0]
-        # 17 significant digits must survive a float round trip
-        data = np.array([[float(s) for s in ln.split(",")] for ln in lines[1:]])
-        assert np.array_equal(data[:, 0], tr.times)
-        assert np.array_equal(data[:, 1:], tr.states)
-
-    def test_custom_names(self, tmp_path):
-        tr = integrate(oscillator(), (1.0, 0.0), (0.0, 1.0))
-        path = tmp_path / "named.csv"
-        write_csv(tr, path, names=("q", "p"))
-        assert path.read_text().splitlines()[0] == "t,q,p"
 
 
 def coupled(dim: int) -> ODESystem:
