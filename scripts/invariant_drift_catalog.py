@@ -19,12 +19,10 @@ import numpy as np
 
 from epwb import (
     EPConfig,
-    LewisState,
     drift,
     ep_system,
     ermakov_invariant,
     integrate,
-    lewis_invariant,
     lorentz_adiabatic,
     oscillator_system,
     time_function,
@@ -50,7 +48,7 @@ def exact_invariant_row(phi_text: str) -> tuple[str, float, float]:
 
     rho = integrate(ep_system(EPConfig(phi, time_function("1"))), (1.0, 0.0), INTERVAL)
     q = integrate(oscillator_system(phi), (0.5, 1.0), INTERVAL)
-    lewis = lewis_invariant(LewisState(*q.sample(grid).T, *rho.sample(grid).T))
+    lewis = ermakov_invariant(rho, q, 1.0, grid)  # Lewis: Ermakov with h^2 = 1, (x, y) = (rho, q)
     return phi_text, drift(ermakov), drift(lewis)
 
 

@@ -48,7 +48,7 @@ def _entry(entry_id, question, stmt_a, res_a, stmt_b, res_b, accept_tol, reject_
         "question": question,
         "reading_a": {"statement": stmt_a, "residual": float(res_a)},
         "reading_b": {"statement": stmt_b, "residual": float(res_b)},
-        "verdict": "reading_b",
+        "verdict": "reading_b" if resolved else "unresolved",
         "accept_tol": accept_tol,
         "reject_tol": reject_tol,
         "resolved": resolved,

@@ -61,7 +61,7 @@ def simulate_polar(
     settings: IntegrationSettings = IntegrationSettings(),
 ) -> Trajectory:
     if init.r <= 0.0:
-        raise ValueError("initial radius must be positive")
+        raise ValueError(f"initial radius must be positive, got {init.r!r}")
     y0 = [init.r, init.rdot, init.theta, init.angular_momentum]
     return integrate(polar_system(cfg), y0, interval, settings)
 
@@ -140,7 +140,7 @@ def simulate_cartesian(
     variable, so nothing is floored; the domain check keeps states finite.
     """
     if init.r <= 0.0:
-        raise ValueError("initial radius must be positive")
+        raise ValueError(f"initial radius must be positive, got {init.r!r}")
     c, s = math.cos(init.theta), math.sin(init.theta)
     x = init.r * c
     y = init.r * s

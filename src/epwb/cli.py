@@ -15,9 +15,10 @@ A scenario is one JSON object with a "kind" selecting the pipeline:
     audit-all         write the corrections ledger
 
 Expression-valued fields use the grammar shown by print-grammar.  Each
-kind names the "outputs" keys it writes: "csv" and "report" for simulate,
-reduce and eliezer-grey, "report" for the two verify kinds, "ledger" for
-audit-all.  Any other key is refused before the kind runs.  Output paths
+kind names the top-level keys it reads (see _KINDS) and the "outputs" keys
+it writes: "csv" and "report" for simulate, reduce and eliezer-grey,
+"report" for the two verify kinds, "ledger" for audit-all.  Any other key,
+top-level or in "outputs", is refused before the kind runs.  Output paths
 are resolved relative to the scenario file.  A table is CSV: one header
 line of column names, then one row per sample, every value to 17
 significant digits, so it reads back exactly.  Exit codes: 0 all checks
@@ -25,10 +26,9 @@ passed, 2 a residual exceeded its threshold (or a run failed mid-flight),
 1 configuration or parse errors.  The residual threshold is the scenario's
 "threshold" key, else 1e-6; nothing outside the scenario file sets it, so
 a verdict depends only on the file and the code.  Every number in a
-scenario must be finite, and counts ("samples", "n") must be integers at
-or above their minimum that ask for at most a million samples (so
-verify-symmetry's n^3 lattice takes n <= 100); anything else is a
-configuration error (exit 1), never a vacuous pass or an exhausted memory.
+scenario must be finite, and the one count, settings.max_steps, an
+integer >= 1; anything else is a configuration error (exit 1), never a
+vacuous pass.
 Outputs carry no timestamps and use fixed float formatting, so reruns are
 byte-identical.
 """
@@ -65,15 +65,7 @@ from .expressions import (
 )
 from .ode import COMPLETED, IntegrationSettings, integrate
 from .oscillator import DegenerateBasisError, oscillator_system
-from .pinney import (
-    EPConfig,
-    LewisState,
-    ep_system,
-    ermakov_invariant,
-    invariant_audit,
-    lewis_invariant,
-    lorentz_adiabatic,
-)
+from .pinney import EPConfig, ep_system, ermakov_invariant, invariant_audit, lorentz_adiabatic
 from .reduction import abel_residual, autonomous_residual, canonical_chart, transform_trajectory
 from .symmetry import (
     SecondOrderODE,
@@ -86,7 +78,8 @@ from .symmetry import (
 )
 
 _DEFAULT_TOL = 1e-6
-_MAX_SAMPLES = 1_000_000  # largest sample set a scenario may ask for
+_ABEL_TOL = 1e-5  # bound on reduce's Abel-relation residual
+_SERIES = 200  # points of an invariant series
 
 
 class ScenarioError(ValueError):
@@ -118,11 +111,9 @@ def _number(sc: dict, key: str, default=None) -> float:
     return _finite(key, value)
 
 
-def _count(sc: dict, key: str, default: int, minimum: int, maximum: float = math.inf) -> int:
-    value = sc.get(key, default)
-    if not isinstance(value, int) or isinstance(value, bool) or not minimum <= value <= maximum:
-        bounds = f">= {minimum}" if maximum == math.inf else f"in [{minimum}, {maximum}]"
-        raise ScenarioError(f"{key!r} must be an integer {bounds}, got {value!r}")
+def _count(key: str, value) -> int:
+    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        raise ScenarioError(f"{key!r} must be an integer >= 1, got {value!r}")
     return value
 
 
@@ -148,7 +139,7 @@ def _keyed(raw, key: str, allowed: tuple[str, ...]) -> dict:
 def _settings(sc: dict) -> IntegrationSettings:
     raw = _keyed(sc.get("settings", {}), "settings", ("rtol", "atol", "max_steps", "x_min"))
     checked = {
-        k: _count(raw, k, 1, 1) if k == "max_steps" else _finite(k, v) for k, v in raw.items()
+        k: _count(k, v) if k == "max_steps" else _finite(k, v) for k, v in raw.items()
     }
     try:
         return IntegrationSettings(**checked)
@@ -236,7 +227,6 @@ def _completed(*trajectories) -> None:
 def _invariant_series(sc: dict, interval, settings):
     name = _require(sc, "invariant")
     phi = _tf(sc, "phi")
-    n = _count(sc, "samples", 200, 2, _MAX_SAMPLES)
 
     if name == "ermakov":
         h2 = _number(sc, "h2", 1.0)
@@ -246,25 +236,21 @@ def _invariant_series(sc: dict, interval, settings):
         xt = integrate(ep_system(cfg), x0, interval, settings)
         yt = integrate(oscillator_system(phi), y0, interval, settings)
         _completed(xt, yt)
-        grid = xt.grid(n)
-        return name, ermakov_invariant(xt, yt, h2, grid)
+        return name, ermakov_invariant(xt, yt, h2, xt.grid(_SERIES))
 
-    if name == "lewis":
+    if name == "lewis":  # the Ermakov invariant with h^2 = 1, (x, y) = (rho, q)
         q0 = _pair(sc, "initial")
         rho0 = _pair(sc, "aux_initial", (1.0, 0.0))
         qt = integrate(oscillator_system(phi), q0, interval, settings)
         rt = integrate(ep_system(EPConfig(phi=phi, g=TimeFunction(Const(1.0)))), rho0, interval, settings)
         _completed(qt, rt)
-        grid = qt.grid(n)
-        q, p = qt.sample(grid).T
-        rho, rho_dot = rt.sample(grid).T
-        return name, lewis_invariant(LewisState(q, p, rho, rho_dot))
+        return name, ermakov_invariant(rt, qt, 1.0, qt.grid(_SERIES))
 
     if name == "lorentz":
         q0 = _pair(sc, "initial")
         qt = integrate(oscillator_system(phi), q0, interval, settings)
         _completed(qt)
-        grid = qt.grid(n)
+        grid = qt.grid(_SERIES)
         w2 = phi.jet(grid, 0)[0]
         fail_first(w2 <= 0.0, "frequency squared {!r} not positive at t={!r}", w2, grid)
         q, p = qt.sample(grid).T
@@ -295,12 +281,7 @@ def _run_verify_symmetry(sc: dict, outputs: dict) -> int:
         fam = compatible_family(_tf(sc, "g"), _number(sc, "c0"), _number(sc, "m"), interval)
         sym = surviving_symmetry(fam)
         ode = SecondOrderODE.from_ep(_tf(sc, "phi"), fam.g) if "phi" in sc else ep_ode(fam)
-    samples = default_samples(
-        interval,
-        x_range=_pair(sc, "x_range", (0.5, 2.0)),
-        v_range=_pair(sc, "v_range", (-1.0, 1.0)),
-        n=_count(sc, "n", 5, 1, round(_MAX_SAMPLES ** (1 / 3))),  # an n^3 lattice
-    )
+    samples = default_samples(interval)
     res = symmetry_residual(sym, ode, samples)
     report = {
         "kind": "verify-symmetry",
@@ -316,14 +297,13 @@ def _run_reduce(sc: dict, outputs: dict) -> int:
     interval = _interval(sc)
     settings = _settings(sc)
     threshold = _number(sc, "threshold", _DEFAULT_TOL)
-    abel_threshold = _number(sc, "abel_threshold", 1e-5)
     fam = compatible_family(_tf(sc, "g"), _number(sc, "c0"), _number(sc, "m"), interval)
     chart = canonical_chart(fam, sigma=_number(sc, "sigma", 0.25))
     traj = integrate(
         ep_system(EPConfig(phi=fam.phi, g=fam.g)), _pair(sc, "initial"), interval, settings
     )
     _completed(traj)
-    orbit = transform_trajectory(chart, traj, n=_count(sc, "n", 400, 2, _MAX_SAMPLES))
+    orbit = transform_trajectory(chart, traj)
     res = autonomous_residual(orbit, fam.omega)
     abel = abel_residual(orbit, fam.omega)
     report = {
@@ -335,8 +315,8 @@ def _run_reduce(sc: dict, outputs: dict) -> int:
         "abel_samples_used": abel.samples_used,
         "abel_samples_skipped": abel.samples_skipped,
         "threshold": threshold,
-        "abel_threshold": abel_threshold,
-        "pass": bool(res <= threshold and abel.residual <= abel_threshold),
+        "abel_threshold": _ABEL_TOL,
+        "pass": bool(res <= threshold and abel.residual <= _ABEL_TOL),
     }
     table = (("T", "X", "V"), (orbit.T, orbit.X, orbit.V))
     return _verdict(report, outputs, table)
@@ -354,8 +334,6 @@ def _run_eliezer_grey(sc: dict, outputs: dict) -> int:
         theta=_number(raw, "theta", 0.0),
         thetadot=_number(raw, "thetadot"),
     )
-    if init.r <= 0.0:
-        raise ScenarioError(f"initial radius must be positive, got {init.r!r}")
     traj = simulate_polar(cfg, init, interval, settings)
     _completed(traj)
     quad = k_integral(cfg, (traj.t0, traj.t_end), settings)
@@ -384,14 +362,30 @@ def _run_audit_all(sc: dict, outputs: dict) -> int:
     return 0 if report["all_resolved"] else 2
 
 
-# kind -> (runner, the outputs keys it writes)
+# kind -> (runner, the scenario keys it reads, the outputs keys it writes)
 _KINDS = {
-    "simulate": (_run_simulate, ("csv", "report")),
-    "verify-invariant": (_run_verify_invariant, ("report",)),
-    "verify-symmetry": (_run_verify_symmetry, ("report",)),
-    "reduce": (_run_reduce, ("csv", "report")),
-    "eliezer-grey": (_run_eliezer_grey, ("csv", "report")),
-    "audit-all": (_run_audit_all, ("ledger",)),
+    "simulate": (_run_simulate, ("phi", "g", "interval", "initial", "settings"), ("csv", "report")),
+    "verify-invariant": (
+        _run_verify_invariant,
+        ("invariant", "phi", "h2", "initial", "aux_initial", "interval", "settings", "threshold"),
+        ("report",),
+    ),
+    "verify-symmetry": (
+        _run_verify_symmetry,
+        ("tau", "xi", "phi", "g", "c0", "m", "interval", "threshold"),
+        ("report",),
+    ),
+    "reduce": (
+        _run_reduce,
+        ("g", "c0", "m", "sigma", "initial", "interval", "settings", "threshold"),
+        ("csv", "report"),
+    ),
+    "eliezer-grey": (
+        _run_eliezer_grey,
+        ("phi", "k", "initial", "interval", "settings", "threshold"),
+        ("csv", "report"),
+    ),
+    "audit-all": (_run_audit_all, (), ("ledger",)),
 }
 
 
@@ -401,11 +395,9 @@ def _dispatch(sc: dict, base_dir: str) -> int:
     kind = _require(sc, "kind")
     if not isinstance(kind, str) or kind not in _KINDS:
         raise ScenarioError(f"unknown kind {kind!r} (want one of {sorted(_KINDS)})")
-    run, keys = _KINDS[kind]
-    # an unknown output key is refused before the run, as in settings; an unknown
-    # top-level key is not, since a scenario may carry keys its kind never reads
-    # (c0 and m beside an explicit tau/xi generator)
-    outputs = _keyed(sc.get("outputs", {}), "outputs", keys)
+    run, reads, writes = _KINDS[kind]
+    _keyed(sc, "scenario", ("kind", "outputs", *reads))
+    outputs = _keyed(sc.get("outputs", {}), "outputs", writes)
     return run(sc, {key: _out_path(base_dir, rel) for key, rel in outputs.items()})
 
 

@@ -115,18 +115,17 @@ class SecondOrderODE:
         return cls(parse_expression(text, ("t", "x", "v")))
 
 
-def default_samples(
-    interval: tuple[float, float],
-    x_range: tuple[float, float] = (0.5, 2.0),
-    v_range: tuple[float, float] = (-1.0, 1.0),
-    n: int = 5,
-) -> np.ndarray:
-    """Interior (t, x, v) lattice used by residual checks: an (n^3, 3) array, t-major."""
+def default_samples(interval: tuple[float, float], n: int = 5) -> np.ndarray:
+    """Interior (t, x, v) lattice used by residual checks: an (n^3, 3) array, t-major.
+
+    t covers the middle 80% of ``interval``, x [0.5, 2] and v [-1, 1]; a
+    check that needs other points passes its own (N, 3) array.
+    """
     t0, t1 = finite_interval(interval)
     lattice = np.empty((n, n, n, 3))
     lattice[..., 0] = (t0 + (t1 - t0) * np.linspace(0.1, 0.9, n))[:, None, None]
-    lattice[..., 1] = np.linspace(*x_range, n)[:, None]
-    lattice[..., 2] = np.linspace(*v_range, n)
+    lattice[..., 1] = np.linspace(0.5, 2.0, n)[:, None]
+    lattice[..., 2] = np.linspace(-1.0, 1.0, n)
     return lattice.reshape(-1, 3)
 
 

@@ -1,6 +1,9 @@
 import json
 
+import pytest
+
 from epwb import audit_all, ledger_json
+from epwb.audit import _entry
 
 EXPECTED_IDS = (
     "wronskian-exponent",
@@ -21,6 +24,15 @@ def test_every_entry_resolves_to_the_corrected_reading():
         assert entry["reading_b"]["residual"] <= entry["accept_tol"]
         assert entry["reading_a"]["residual"] >= entry["reject_tol"]
         assert entry["reading_a"]["statement"] != entry["reading_b"]["statement"]
+
+
+@pytest.mark.parametrize(
+    "res_a, res_b", [(1.0, 1e-3), (1e-9, 1e-12)], ids=["reading-b-misses", "reading-a-holds"]
+)
+def test_an_unresolved_entry_claims_no_reading(res_a, res_b):
+    entry = _entry("demo", "which reading?", "a", res_a, "b", res_b, 1e-8, 1e-3)
+    assert entry["resolved"] is False
+    assert entry["verdict"] == "unresolved"
 
 
 def test_ledger_is_deterministic():

@@ -43,8 +43,9 @@ class TestPolarSimulation:
 
     def test_nonpositive_radius_rejected(self):
         bad = PolarState(r=0.0, rdot=0.0, theta=0.0, thetadot=1.0)
-        with pytest.raises(ValueError):
-            simulate_polar(config(), bad, (0.0, 1.0))
+        for simulate in (simulate_polar, simulate_cartesian):
+            with pytest.raises(ValueError, match=r"^initial radius must be positive, got 0\.0$"):
+                simulate(config(), bad, (0.0, 1.0))
 
     def test_inward_fall_guard_stops(self):
         # almost no angular momentum and a strong inward kick

@@ -1523,8 +1523,9 @@ def _chart_time(g_text, interval, ts):
 
 
 def _lorentz_series():
-    scenario = {"invariant": "lorentz", "phi": "1-t", "initial": [1.0, 0.0], "samples": 4}
-    return cli._invariant_series(scenario, (0.0, 3.0), IntegrationSettings())
+    # the series' 200-point grid on [0, 199/64] steps by 1/64, so t = 1 is its point 64
+    scenario = {"invariant": "lorentz", "phi": "1-t", "initial": [1.0, 0.0]}
+    return cli._invariant_series(scenario, (0.0, 199 / 64), IntegrationSettings())
 
 
 _ONE = time_function("1")

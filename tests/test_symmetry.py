@@ -34,6 +34,11 @@ from epwb.symmetry import default_samples
 from tests.conftest import G_CATALOG, M_VALUES, POWER_LAW_G
 
 
+def lattice(ts, xs, vs):
+    """The t-major (t, x, v) product of three axes: an (N, 3) sample array."""
+    return np.array(list(itertools.product(ts, xs, vs)), dtype=float)
+
+
 def pair_samples(interval, n=7, xs=(0.7, 1.1, 1.9)):
     t0, t1 = interval
     return [(t, x) for t in np.linspace(t0 + 0.05, t1 - 0.05, n) for x in xs]
@@ -75,8 +80,7 @@ class TestSymmetryResidual:
     def test_broken_by_growing_forcing(self):
         ode = SecondOrderODE.from_ep(time_function("1"), time_function("exp(4*t)"))
         shift = point_symmetry("1", "0")
-        samples = default_samples((0.0, 1.0), x_range=(1.0, 2.0))
-        assert symmetry_residual(shift, ode, samples) >= 0.1
+        assert symmetry_residual(shift, ode, default_samples((0.0, 1.0))) >= 0.1
 
     def test_constant_forcing_level_is_irrelevant(self, unit_family):
         samples = default_samples((0.0, 6.0))
@@ -204,7 +208,8 @@ class TestSymmetryCondition:
     )
     def test_equals_the_reference_prolongation(self, tau, xi, w, x_range):
         # no sample is a short binary fraction, so a change in the order of the arithmetic shows
-        samples = default_samples((0.3, 2.0), x_range=x_range, v_range=(-1.3, 1.7), n=4)
+        ts = 0.3 + 1.7 * np.linspace(0.1, 0.9, 4)
+        samples = lattice(ts, np.linspace(*x_range, 4), np.linspace(-1.3, 1.7, 4))
         _condition_matches_reference(PointSymmetry(tau, xi), SecondOrderODE(w), samples)
 
     @pytest.mark.parametrize("f, g", [(1.0, 1.0), (1.3, 0.7)])
@@ -653,19 +658,13 @@ class TestSampleLattice:
 
     @pytest.mark.parametrize("n", [1, 3, 5])
     def test_lattice_is_the_t_major_tuple_list(self, n):
-        interval, x_range, v_range = (0.5, 7.0), (0.25, 3.0), (-2.0, 1.5)
         ts = 0.5 + 6.5 * np.linspace(0.1, 0.9, n)
-        xs, vs = np.linspace(*x_range, n), np.linspace(*v_range, n)
+        xs, vs = np.linspace(0.5, 2.0, n), np.linspace(-1.0, 1.0, n)
         tuples = [(float(t), float(x), float(v)) for t in ts for x in xs for v in vs]
-        samples = default_samples(interval, x_range, v_range, n)
+        samples = default_samples((0.5, 7.0), n)
         assert samples.shape == (n**3, 3) and samples.dtype == np.float64
         assert samples.tolist() == [list(p) for p in tuples]
-        assert samples.tobytes() == np.array(tuples).tobytes()
-
-    def test_custom_ranges(self):
-        samples = default_samples((0.0, 1.0), x_range=(1.0, 2.0), v_range=(0.0, 0.0), n=3)
-        assert len(samples) == 27
-        assert all(s[2] == 0.0 for s in samples)
+        assert samples.tobytes() == lattice(ts, xs, vs).tobytes() == np.array(tuples).tobytes()
 
     @pytest.mark.parametrize("interval", [(0.0, math.inf), (math.nan, 1.0)])
     def test_nonfinite_interval_rejected(self, interval):
