@@ -36,10 +36,16 @@ class CentralFieldConfig:
 
 @dataclass(frozen=True)
 class PolarState:
+    """(r, r', theta, theta') of a point off the origin, as a run starts from; ValueError if r <= 0."""
+
     r: float
     rdot: float
     theta: float
     thetadot: float
+
+    def __post_init__(self):
+        if self.r <= 0.0:
+            raise ValueError(f"initial radius must be positive, got {self.r!r}")
 
     @property
     def angular_momentum(self) -> float:
@@ -60,8 +66,6 @@ def simulate_polar(
     interval: tuple[float, float],
     settings: IntegrationSettings = IntegrationSettings(),
 ) -> Trajectory:
-    if init.r <= 0.0:
-        raise ValueError(f"initial radius must be positive, got {init.r!r}")
     y0 = [init.r, init.rdot, init.theta, init.angular_momentum]
     return integrate(polar_system(cfg), y0, interval, settings)
 
@@ -81,6 +85,14 @@ def k_integral(
     return integrate(ODESystem(("K",), (cfg.k.expr,)), [0.0], interval, settings)
 
 
+def _formal_integral(traj: Trajectory, cfg: CentralFieldConfig, n: int, quad: Trajectory | None):
+    """The grid ``traj.grid(n)`` and K(t) on it, read from ``quad`` or a fresh ``k_integral``."""
+    if quad is None:
+        quad = k_integral(cfg, (traj.t0, traj.t_end))
+    ts = traj.grid(n)
+    return ts, quad.sample(ts)[:, 0]
+
+
 def angular_momentum_check(
     traj: Trajectory,
     cfg: CentralFieldConfig,
@@ -88,10 +100,8 @@ def angular_momentum_check(
     quad: Trajectory | None = None,
 ) -> float:
     """Relative drift of L(t) - int k dt on ``n`` points of a polar orbit (``quad``: k_integral)."""
-    if quad is None:
-        quad = k_integral(cfg, (traj.t0, traj.t_end))
-    grid = traj.grid(n)
-    return drift(traj.sample(grid)[:, 3] - quad.sample(grid)[:, 0])
+    grid, big_k = _formal_integral(traj, cfg, n, quad)
+    return drift(traj.sample(grid)[:, 3] - big_k)
 
 
 def radial_ep_residual(
@@ -105,17 +115,14 @@ def radial_ep_residual(
     r'' comes from the producing right-hand side, which carries the evolved
     L(t); the residual therefore measures how well the formal integral
     reproduces the angular momentum, i.e. the identity itself.  r must stay
-    above X_MIN, the floor of the other residuals.
+    at or above X_MIN, the floor of the other residuals.
     """
-    if quad is None:
-        quad = k_integral(cfg, (traj.t0, traj.t_end))
-    ell0 = traj.states[0][3]
-    ts = traj.grid(n)
+    ts, big_k = _formal_integral(traj, cfg, n, quad)
     states = traj.sample(ts)
     r = states[:, 0]
-    fail_first(r <= X_MIN, "radius {!r} too close to the axis at t={!r}", r, ts)
+    fail_first(r < X_MIN, "radius {!r} too close to the axis at t={!r}", r, ts)
     rddot = traj.system.slopes(ts, states)[:, 1]
-    g = (ell0 + quad.sample(ts)[:, 0]) ** 2
+    g = (traj.states[0][3] + big_k) ** 2
     return worst_residual(rddot + cfg.phi.jet(ts, 0)[0] * r - g / r**3)
 
 
@@ -139,8 +146,6 @@ def simulate_cartesian(
     ``settings.x_min`` does not apply: the domain x^2 + y^2 is no state
     variable, so nothing is floored; the domain check keeps states finite.
     """
-    if init.r <= 0.0:
-        raise ValueError(f"initial radius must be positive, got {init.r!r}")
     c, s = math.cos(init.theta), math.sin(init.theta)
     x = init.r * c
     y = init.r * s
@@ -174,8 +179,6 @@ def chart_qualified(
     G' = 2 L k, so a forced run qualifies for a reduction chart exactly when
     the angular momentum and the forcing keep one common sign.
     """
-    if quad is None:
-        quad = k_integral(cfg, (traj.t0, traj.t_end))
-    ts = traj.grid(n)
-    ell = traj.states[0][3] + quad.sample(ts)[:, 0]
+    ts, big_k = _formal_integral(traj, cfg, n, quad)
+    ell = traj.states[0][3] + big_k
     return bool(np.all(2.0 * ell * cfg.k.jet(ts, 0)[0] > 0.0))

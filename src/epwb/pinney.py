@@ -97,6 +97,13 @@ def ep_residual(cfg: EPConfig, x, grid) -> float:
     return worst_residual(xdd - evaluate(ep_field(cfg.phi.expr, cfg.g.expr), {"t": grid, "x": xx}))
 
 
+def _ermakov(x, xd, y, yd, h2):
+    """((x'y - x y')^2 + h^2 (y/x)^2) / 2 on values: floats or arrays over one grid, unchecked."""
+    cross = xd * y - x * yd
+    ratio = y / x
+    return 0.5 * (cross * cross + h2 * (ratio * ratio))
+
+
 def ermakov_invariant(x, y, h2: float, t):
     """I = ((x'y - x y')^2 + h^2 (y/x)^2) / 2 for x nonlinear, y linear.
 
@@ -107,9 +114,7 @@ def ermakov_invariant(x, y, h2: float, t):
     xv, xd = x.jet(ts, 1)
     yv, yd = y.jet(ts, 1)
     with np.errstate(all="ignore"):
-        cross = xd * yv - xv * yd
-        ratio = yv / xv
-        value = 0.5 * (cross * cross + h2 * (ratio * ratio))
+        value = _ermakov(xv, xd, yv, yd, h2)
     bad = ~np.isfinite(value)  # x = 0 makes y/x, and so I, non-finite
     what = np.where(xv == 0.0, "x(t)=0", "Ermakov invariant is not finite")
     fail_first(bad, "{} at t={!r}", what, ts)
@@ -129,14 +134,13 @@ class LewisState:
 def lewis_invariant(state: LewisState):
     """I = ((rho p - rho' q)^2 + (q/rho)^2) / 2; needs rho solving the h=1 equation.
 
+    The Ermakov invariant's arithmetic with h^2 = 1 and (x, y) = (rho, q).
     The fields are floats or arrays over one grid, and so is I.
     DomainError if rho = 0 anywhere.
     """
     fail_first(np.asarray(state.rho) == 0.0, "rho = 0")
     with np.errstate(over="ignore", invalid="ignore"):  # inf reaches drift, which names it
-        a = state.rho * state.p - state.rho_dot * state.q
-        r = state.q / state.rho
-        return 0.5 * (a * a + r * r)
+        return _ermakov(state.rho, state.rho_dot, state.q, state.p, 1.0)
 
 
 def lorentz_adiabatic(omega, q, p):

@@ -54,17 +54,17 @@ class CanonicalChart:
     fam: CompatibleFamily
     sigma: float = 0.25
 
-    def _g_checked(self, t, k: int) -> np.ndarray:
-        """Rows G, G', ..., G^(k) on ``t`` (k >= 1), requiring G > 0 and G' > 0."""
+    def _g_checked(self, t) -> np.ndarray:
+        """Rows G, G', G'', G''' on ``t``, requiring G > 0 and G' > 0."""
         ts = np.atleast_1d(np.asarray(t, dtype=float))
-        g = self.fam.g.jet(ts, k)
+        g = self.fam.g.jet(ts, 3)
         for order, name in ((0, "G"), (1, "G'")):
             fail_first(g[order] <= 0.0, "{}({!r}) = {!r} is not positive", name, ts, g[order])
         return g
 
     def _rates(self, t):
         """(T, mu, mu', mu'', T', T'') on ``t``, via logarithmic derivatives of G."""
-        g0, g1, g2, g3 = self._g_checked(t, 3)
+        g0, g1, g2, g3 = self._g_checked(t)
         mu = np.sqrt(g1) / g0**0.75
         r = 0.5 * g2 / g1 - 0.75 * g1 / g0
         r_dot = 0.5 * (g3 / g1 - (g2 / g1) ** 2) - 0.75 * (g2 / g0 - (g1 / g0) ** 2)
@@ -88,13 +88,11 @@ class CanonicalChart:
         return big_t, x * mu, big_v, big_a
 
     def time(self, t):
-        g0, _ = self._g_checked(t, 1)
-        return _like(t, self.sigma * np.log(g0))
+        return _like(t, self._rates(t)[0])
 
     def scale(self, t):
         """mu(t) = G'^{1/2}/G^{3/4}; the chart is X = mu(t) x."""
-        g0, g1 = self._g_checked(t, 1)
-        return _like(t, np.sqrt(g1) / g0**0.75)
+        return _like(t, self._rates(t)[1])
 
     def position(self, t, x):
         return x * self.scale(t)
@@ -131,7 +129,7 @@ def canonical_chart(fam: CompatibleFamily, sigma: float = 0.25) -> CanonicalChar
     if sigma == 0.0:
         raise ValueError("sigma must be nonzero: at sigma = 0, T = sigma log G is constant")
     chart = CanonicalChart(fam=fam, sigma=float(sigma))
-    chart._g_checked(np.linspace(fam.interval[0], fam.interval[1], _VALIDATION_SAMPLES), 3)
+    chart._g_checked(np.linspace(fam.interval[0], fam.interval[1], _VALIDATION_SAMPLES))
     return chart
 
 
@@ -144,9 +142,6 @@ class TransformedOrbit:
     X: np.ndarray
     V: np.ndarray
     A: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.t)
 
 
 def transform_trajectory(chart: CanonicalChart, traj: Trajectory, n: int = 400) -> TransformedOrbit:
@@ -166,9 +161,9 @@ def transform_trajectory(chart: CanonicalChart, traj: Trajectory, n: int = 400) 
 
 
 def autonomous_residual(orbit: TransformedOrbit, omega: float) -> float:
-    """max |X'' + 2 X' + Omega X - 16/X^3| along the transformed orbit; X must stay > X_MIN."""
+    """max |X'' + 2 X' + Omega X - 16/X^3| along the transformed orbit; X must stay >= X_MIN."""
     message = "transformed orbit approaches X = 0: X={!r} at T={!r}"
-    fail_first(orbit.X <= X_MIN, message, orbit.X, orbit.T)
+    fail_first(orbit.X < X_MIN, message, orbit.X, orbit.T)
     res = orbit.A + 2.0 * orbit.V + omega * orbit.X - FORCING_CONSTANT / orbit.X**3
     return worst_residual(res)
 
@@ -194,7 +189,7 @@ def abel_residual(orbit: TransformedOrbit, omega: float, literal: bool = False) 
     if used == 0:
         raise ValueError("every sample sits at a turning point; nothing to check")
     u, v, a = orbit.X[keep], orbit.V[keep], orbit.A[keep]
-    fail_first(u <= X_MIN, "phase variable u approaches 0: u={!r} at T={!r}", u, orbit.T[keep])
+    fail_first(u < X_MIN, "phase variable u approaches 0: u={!r} at T={!r}", u, orbit.T[keep])
     dv_du = a / v
     if literal:
         r = v * dv_du + 2.0 * v + omega - FORCING_CONSTANT / u

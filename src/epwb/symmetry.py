@@ -110,10 +110,6 @@ class SecondOrderODE:
     def from_ep(cls, phi: TimeFunction, g: TimeFunction) -> "SecondOrderODE":
         return cls(ep_field(phi.expr, g.expr))
 
-    @classmethod
-    def from_text(cls, text: str) -> "SecondOrderODE":
-        return cls(parse_expression(text, ("t", "x", "v")))
-
 
 def default_samples(interval: tuple[float, float], n: int = 5) -> np.ndarray:
     """Interior (t, x, v) lattice used by residual checks: an (n^3, 3) array, t-major.

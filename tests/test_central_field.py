@@ -7,17 +7,20 @@ from epwb import (
     COMPLETED,
     GUARD_STOP,
     CentralFieldConfig,
+    DomainError,
     IntegrationSettings,
     PolarState,
     angular_momentum_check,
     chart_qualified,
     k_integral,
     polar_from_cartesian,
+    polar_system,
     radial_ep_residual,
     simulate_cartesian,
     simulate_polar,
     time_function,
 )
+from epwb.ode import X_MIN
 from tests.conftest import grid
 
 
@@ -42,10 +45,9 @@ class TestPolarSimulation:
         assert tr.sample(20.0)[2] == pytest.approx(20.0, abs=1e-8)
 
     def test_nonpositive_radius_rejected(self):
-        bad = PolarState(r=0.0, rdot=0.0, theta=0.0, thetadot=1.0)
-        for simulate in (simulate_polar, simulate_cartesian):
-            with pytest.raises(ValueError, match=r"^initial radius must be positive, got 0\.0$"):
-                simulate(config(), bad, (0.0, 1.0))
+        # the state itself refuses it, so neither representation can start from it
+        with pytest.raises(ValueError, match=r"^initial radius must be positive, got 0\.0$"):
+            PolarState(r=0.0, rdot=0.0, theta=0.0, thetadot=1.0)
 
     def test_inward_fall_guard_stops(self):
         # almost no angular momentum and a strong inward kick
@@ -98,7 +100,36 @@ class TestAngularMomentum:
             assert quad.sample(t)[0] == pytest.approx(1.0 - math.cos(t), abs=1e-9)
 
 
+class _FloorTrack:
+    """A polar trajectory stand-in on the grid [0, 1]: radius 1, then ``r``; L = 1 and K(t) = 0."""
+
+    states = [(1.0, 0.0, 0.0, 1.0)]
+    system = polar_system(config())
+
+    def __init__(self, r):
+        self.r = r
+
+    def grid(self, n):
+        return np.array([0.0, 1.0])
+
+    def sample(self, ts):
+        return np.array([[1.0, 0.0, 0.0, 1.0], [self.r, 0.0, 0.0, 1.0]])
+
+
+class _NoForcing:
+    """The quadrature K(t) of k = 0."""
+
+    def sample(self, ts):
+        return np.zeros((len(ts), 1))
+
+
 class TestRadialResidual:
+    def test_the_floor_admits_a_radius_equal_to_it(self):
+        # r = X_MIN is at or above the floor, as ep_residual and integrate read it; one ulp less is not
+        assert math.isfinite(radial_ep_residual(_FloorTrack(X_MIN), config(), quad=_NoForcing()))
+        with pytest.raises(DomainError, match="too close to the axis"):
+            radial_ep_residual(_FloorTrack(np.nextafter(X_MIN, 0.0)), config(), quad=_NoForcing())
+
     def test_circular_orbit_is_exact_equilibrium(self):
         cfg = config()
         tr = simulate_polar(cfg, CIRCULAR, (0.0, 10.0))

@@ -474,8 +474,16 @@ def test_an_output_key_the_kind_does_not_write_is_refused_before_it_runs(
 # per case, a scenario and the one key its kind does not read: a misspelling per
 # kind (ignored, sigme would check the accepted sigma = 1/4 chart and treshold
 # the default threshold, so both runs would pass), then the keys that once set
-# sample sizes and the Abel bound, now constants
+# sample sizes and the Abel bound, now constants, then per invariant a key only
+# another invariant reads (ermakov reads them all)
 _SYMMETRY = _MISSPELLED["verify-symmetry"]
+_LORENTZ = {
+    "kind": "verify-invariant",
+    "invariant": "lorentz",
+    "phi": "4",
+    "initial": [1.0, 0.0],
+    "interval": [0.0, 20.0],
+}
 _UNKNOWN = {
     "simulate": (dict(simulate_scenario(), intial=[2.0, 0.0]), "intial"),
     "verify-invariant": (dict(_VERIFY_ERMAKOV, treshold=1e-30), "treshold"),
@@ -489,6 +497,9 @@ _UNKNOWN = {
     "v_range": (dict(_SYMMETRY, v_range=[-1.0, 1.0]), "v_range"),
     "reduce-n": (dict(_TABLES["reduce"], n=400), "n"),
     "abel_threshold": (dict(_TABLES["reduce"], abel_threshold=1e-5), "abel_threshold"),
+    "lewis-h2": (dict(_VERIFY_ERMAKOV, invariant="lewis"), "h2"),
+    "lorentz-h2": (dict(_LORENTZ, h2=2.25), "h2"),
+    "lorentz-aux_initial": (dict(_LORENTZ, aux_initial=[1.0, 0.0]), "aux_initial"),
 }
 
 
@@ -694,7 +705,12 @@ _odd = st.sampled_from([0, -1.0, 2.5, 1e-300, 1e300, 10**12, 10**400, math.inf, 
 
 
 def _mostly(sane):
-    """A sane value nine times in ten, otherwise an odd one."""
+    """A sane value, otherwise an odd one.
+
+    Hypothesis does not draw ``integers(0, 9)`` uniformly: over the scenarios
+    of the fuzz test below it took the odd branch in 13-19% of the draws
+    (100 and 300 examples at seeds 0, 1 and 2), not in one draw in ten.
+    """
     return st.integers(0, 9).flatmap(lambda i: _odd if i == 0 else sane)
 
 
@@ -772,20 +788,28 @@ _eliezer_grey = st.fixed_dictionaries(
     },
     optional={"threshold": _mostly(st.floats(1e-12, 1.0))},
 )
-_invariant = st.fixed_dictionaries(
-    {
-        "kind": st.just("verify-invariant"),
-        "invariant": st.sampled_from(["ermakov", "lewis", "lorentz"]),
-        "phi": _phi,
-        "initial": _pair(-0.5, 2.0),
-        "interval": _interval,
-        "settings": _settings,
-    },
-    optional={
-        "aux_initial": _pair(-0.5, 2.0),
-        "h2": _mostly(st.floats(-1.0, 3.0)),
-        "threshold": _mostly(st.floats(1e-12, 1.0)),
-    },
+
+
+def _invariant_run(name, optional):
+    """A verify-invariant scenario of ``name``, with the optional keys that invariant reads."""
+    return st.fixed_dictionaries(
+        {
+            "kind": st.just("verify-invariant"),
+            "invariant": st.just(name),
+            "phi": _phi,
+            "initial": _pair(-0.5, 2.0),
+            "interval": _interval,
+            "settings": _settings,
+        },
+        optional={**optional, "threshold": _mostly(st.floats(1e-12, 1.0))},
+    )
+
+
+_aux_initial = {"aux_initial": _pair(-0.5, 2.0)}
+_invariant = st.one_of(
+    _invariant_run("ermakov", {**_aux_initial, "h2": _mostly(st.floats(-1.0, 3.0))}),
+    _invariant_run("lewis", _aux_initial),
+    _invariant_run("lorentz", {}),
 )
 # a misspelled key per kind: a run given one must exit 1 and write nothing
 _TYPOS = {

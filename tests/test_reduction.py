@@ -17,6 +17,7 @@ from epwb import (
     compatible_family,
     ep_system,
     integrate,
+    parse_expression,
     point_symmetry,
     surviving_symmetry,
     symmetry_residual,
@@ -25,6 +26,7 @@ from epwb import (
 )
 from epwb.cli import main
 from epwb.pinney import EPConfig
+from epwb.ode import X_MIN
 from epwb.reduction import FORCING_CONSTANT, TURNING_SPEED, TransformedOrbit
 from epwb.symmetry import default_samples
 from tests.conftest import G_CATALOG, M_VALUES, grid
@@ -162,7 +164,7 @@ class TestAutonomousImage:
 
     def test_image_has_time_shift_symmetry(self, exp_family):
         omega = exp_family.omega
-        image = SecondOrderODE.from_text(f"-2*v - {omega}*x + 16/x^3")
+        image = SecondOrderODE(parse_expression(f"-2*v - {omega}*x + 16/x^3", ("t", "x", "v")))
         shift = point_symmetry("1", "0")
         assert symmetry_residual(shift, image, default_samples((0.0, 5.0))) == 0.0
 
@@ -190,6 +192,16 @@ def _orbit(big_x, big_v, big_a):
     """A transformed orbit at T = 0, 1, 2, 3 with the given X, dX/dT and d2X/dT2."""
     ts = np.arange(4.0)
     return TransformedOrbit(t=ts, T=ts, X=big_x, V=big_v, A=big_a)
+
+
+@pytest.mark.parametrize("residual", (autonomous_residual, abel_residual), ids=("autonomous", "abel"))
+def test_the_floor_admits_a_value_equal_to_it(residual):
+    # X = X_MIN is at or above the floor, as ep_residual and integrate read it; one ulp less is not
+    at_floor = _orbit(np.array([1.0, X_MIN, 2.0, 1.2]), np.full(4, 0.5), np.ones(4))
+    residual(at_floor, 3.0)
+    below = _orbit(np.array([1.0, np.nextafter(X_MIN, 0.0), 2.0, 1.2]), np.full(4, 0.5), np.ones(4))
+    with pytest.raises(DomainError, match="approaches"):
+        residual(below, 3.0)
 
 
 class TestAbelRelation:
@@ -232,7 +244,7 @@ class TestTransformPlumbing:
     def test_explicit_grid(self, exp_family, exp_chart):
         traj = ep_orbit(exp_family, (1.0, 0.0))
         orbit = transform_trajectory(exp_chart, traj, n=50)
-        assert len(orbit) == 50
+        assert len(orbit.t) == 50
         np.testing.assert_array_equal(orbit.t, traj.grid(50))
         assert orbit.T[0] == exp_chart.time(orbit.t[0])
 

@@ -19,6 +19,7 @@ from epwb import (
     fundamental_pair,
     killing_form,
     lie_bracket,
+    parse_expression,
     point_symmetry,
     relation,
     structure_constants,
@@ -32,6 +33,11 @@ from epwb.expressions import Binary, Const, Expr, TimeFunction, Unary, const, di
 from epwb.ode import worst_residual
 from epwb.symmetry import default_samples
 from tests.conftest import G_CATALOG, M_VALUES, POWER_LAW_G
+
+
+def _ode(text: str) -> SecondOrderODE:
+    """x'' = w for w written over (t, x, v)."""
+    return SecondOrderODE(parse_expression(text, ("t", "x", "v")))
 
 
 def lattice(ts, xs, vs):
@@ -235,7 +241,7 @@ class TestSymmetryCondition:
         # tau = log(t - 1) fails on t < 1, but w_t = 0 drops tau, and its
         # partials, which the condition keeps, hold no log
         sym = PointSymmetry(Unary("log", var("t") - const(1.0)), const(0.0))
-        ode = SecondOrderODE.from_text("-x")
+        ode = _ode("-x")
         samples = default_samples((0.0, 1.0))
         with pytest.raises(DomainError, match="log of non-positive"):
             _reference_residuals(sym, ode, samples)
@@ -681,10 +687,10 @@ def _w_at(ode, t, x, v):
 class TestSecondOrderODE:
     def test_from_text_matches_from_ep(self):
         a = SecondOrderODE.from_ep(time_function("1"), time_function("4"))
-        b = SecondOrderODE.from_text("-x + 4/x^3")
+        b = _ode("-x + 4/x^3")
         for t, x, v in default_samples((0.0, 2.0)):
             assert _w_at(a, t, x, v) == pytest.approx(_w_at(b, t, x, v), rel=1e-12)
 
     def test_velocity_dependence_allowed(self):
-        ode = SecondOrderODE.from_text("-x - 0.5*v")
+        ode = _ode("-x - 0.5*v")
         assert _w_at(ode, 0.0, 2.0, 4.0) == pytest.approx(-4.0)
