@@ -52,7 +52,6 @@ from .pinney import (
     ep_residual,
     ep_system,
     ermakov_invariant,
-    invariant_audit,
     lewis_invariant,
     lorentz_adiabatic,
     pinney_solution,
@@ -105,4 +104,4 @@ from .central_field import (
     simulate_cartesian,
     simulate_polar,
 )
-from .audit import audit_all, ledger_json
+from .audit import audit_all

@@ -28,8 +28,6 @@ verified correction, mirroring how the discriminating tests are phrased.
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 
 from .expressions import time_function
@@ -172,8 +170,3 @@ def audit_all() -> dict:
         "entries": entries,
         "all_resolved": all(e["resolved"] for e in entries),
     }
-
-
-def ledger_json(report: dict) -> str:
-    """Deterministic JSON rendering of the ``audit_all`` ledger (sorted keys, no timestamps)."""
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"

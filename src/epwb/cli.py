@@ -19,17 +19,20 @@ kind names the top-level keys it reads (see _KINDS; _INVARIANT_KEYS per
 invariant) and the "outputs" keys it writes: "csv" and "report" for
 simulate, reduce and eliezer-grey, "report" for the two verify kinds,
 "ledger" for audit-all.  Any other key, top-level or in "outputs", is
-refused before anything is integrated or written.  Output paths
-are resolved relative to the scenario file.  A table is CSV: one header
-line of column names, then one row per sample, every value to 17
-significant digits, so it reads back exactly.  Exit codes: 0 all checks
-passed, 2 a residual exceeded its threshold (or a run failed mid-flight),
-1 configuration or parse errors.  The residual threshold is the scenario's
-"threshold" key, else 1e-6; nothing outside the scenario file sets it, so
-a verdict depends only on the file and the code.  Every number in a
-scenario must be finite, and the one count, settings.max_steps, an
-integer >= 1; anything else is a configuration error (exit 1), never a
-vacuous pass.
+refused before anything is integrated or written.  The keys several
+kinds read (_SHARED) are parsed once by _dispatch, which also writes
+every output, reports and the ledger through one JSON writer (sorted,
+indented, no NaN or infinity); a runner returns its report (or the
+ledger) and its table.  Output paths are resolved relative to the
+scenario file.  A table is CSV: one header line of column names, then
+one row per sample, every value to 17 significant digits, so it reads
+back exactly.  Exit codes: 0 all checks passed, 2 a residual exceeded
+its threshold (or a run failed mid-flight), 1 configuration or parse
+errors.  The residual threshold is the scenario's "threshold" key, else
+1e-6; nothing outside the scenario file sets it, so a verdict depends
+only on the file and the code.  Every number in a scenario must be
+finite, and the one count, settings.max_steps, an integer >= 1; anything
+else is a configuration error (exit 1), never a vacuous pass.
 Outputs carry no timestamps and use fixed float formatting, so reruns are
 byte-identical.
 """
@@ -45,7 +48,7 @@ import sys
 
 import numpy as np
 
-from .audit import audit_all, ledger_json
+from .audit import audit_all
 from .central_field import (
     CentralFieldConfig,
     PolarState,
@@ -66,7 +69,7 @@ from .expressions import (
 )
 from .ode import COMPLETED, IntegrationSettings, integrate
 from .oscillator import oscillator_system
-from .pinney import EPConfig, ep_system, ermakov_invariant, invariant_audit, lorentz_adiabatic
+from .pinney import EPConfig, drift, ep_system, ermakov_invariant, lorentz_adiabatic
 from .reduction import abel_residual, autonomous_residual, canonical_chart, transform_trajectory
 from .symmetry import (
     SecondOrderODE,
@@ -110,12 +113,6 @@ def _number(sc: dict, key: str, default=None) -> float:
     return _finite(key, _require(sc, key, default))
 
 
-def _count(key: str, value) -> int:
-    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-        raise ScenarioError(f"{key!r} must be an integer >= 1, got {value!r}")
-    return value
-
-
 def _interval(sc: dict) -> tuple[float, float]:
     t0, t1 = _pair(sc, "interval")
     if not (t0 < t1):
@@ -137,9 +134,8 @@ def _keyed(raw, key: str, allowed: tuple[str, ...]) -> dict:
 
 def _settings(sc: dict) -> IntegrationSettings:
     raw = _keyed(sc.get("settings", {}), "settings", ("rtol", "atol", "max_steps", "x_min"))
-    checked = {
-        k: _count(k, v) if k == "max_steps" else _finite(k, v) for k, v in raw.items()
-    }
+    # max_steps goes in as given: IntegrationSettings refuses a bool, a non-integer and < 1
+    checked = {k: v if k == "max_steps" else _finite(k, v) for k, v in raw.items()}
     try:
         return IntegrationSettings(**checked)
     except ValueError as exc:
@@ -177,33 +173,21 @@ def _write_columns(path: str, names, columns) -> None:
         fh.writelines(row.format(*values) for values in np.column_stack(columns).tolist())
 
 
-def _write_report(path: str, payload: dict) -> None:
-    # serialised before the file is opened, so a refused number leaves no empty report
-    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+def _write_json(path: str | None, doc: dict) -> None:
+    """``doc`` as sorted, indented JSON to ``path``, or to stdout if None; NaN and inf refused."""
+    # serialised before the file is opened, so a refused number leaves no empty file
+    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    if path is None:
+        sys.stdout.write(text)
+        return
     with open(path, "w") as fh:
         fh.write(text)
 
 
-def _verdict(report: dict, outputs: dict, table=None) -> int:
-    """Write the outputs the scenario asks for; ``table`` is (column names, columns)."""
-    if "csv" in outputs:
-        _write_columns(outputs["csv"], *table)
-    if "report" in outputs:
-        _write_report(outputs["report"], report)
-    if not report.get("pass", False):
-        sys.stderr.write(f"epwb: check failed: {json.dumps(report, sort_keys=True)}\n")
-        return 2
-    return 0
-
-
-def _run_simulate(sc: dict, outputs: dict) -> int:
+def _run_simulate(sc: dict, interval, settings):
     cfg = EPConfig(phi=_tf(sc, "phi"), g=_tf(sc, "g"))
-    settings = _settings(sc)
-    interval = _interval(sc)
-    initial = _pair(sc, "initial")
-    traj = integrate(ep_system(cfg), initial, interval, settings)
+    traj = integrate(ep_system(cfg), _pair(sc, "initial"), interval, settings)
     report = {
-        "kind": "simulate",
         "status": traj.status,
         "message": traj.message,
         "interval": [traj.t0, traj.t_end],
@@ -211,8 +195,7 @@ def _run_simulate(sc: dict, outputs: dict) -> int:
         "final_state": [float(v) for v in traj.states[-1]],
         "pass": traj.status == COMPLETED,
     }
-    table = (("t", "x", "xdot"), (traj.times, *traj.states.T))
-    return _verdict(report, outputs, table)
+    return report, (("t", "x", "xdot"), (traj.times, *traj.states.T))
 
 
 def _completed(*trajectories) -> None:
@@ -259,21 +242,21 @@ def _invariant_series(sc: dict, interval, settings):
     return name, ermakov_invariant(x, y, h2, x.grid(_SERIES))
 
 
-def _run_verify_invariant(sc: dict, outputs: dict) -> int:
-    interval = _interval(sc)
-    settings = _settings(sc)
-    threshold = _number(sc, "threshold", _DEFAULT_TOL)
+def _run_verify_invariant(sc: dict, interval, settings, threshold):
     name, values = _invariant_series(sc, interval, settings)
-    report = invariant_audit(name, interval, values)
-    report["kind"] = "verify-invariant"
-    report["threshold"] = threshold
-    report["pass"] = bool(report["drift"] <= threshold)
-    return _verdict(report, outputs)
+    spread = drift(values)
+    report = {
+        "name": name,
+        "interval": list(interval),
+        "samples": values.size,
+        "mean": float(values.mean()),
+        "drift": spread,
+        "pass": spread <= threshold,
+    }
+    return report, None
 
 
-def _run_verify_symmetry(sc: dict, outputs: dict) -> int:
-    interval = _interval(sc)
-    threshold = _number(sc, "threshold", _DEFAULT_TOL)
+def _run_verify_symmetry(sc: dict, interval, threshold):
     if "tau" in sc or "xi" in sc:
         sym = point_symmetry(_text(sc, "tau"), _text(sc, "xi"), "scenario")
         ode = SecondOrderODE.from_ep(_tf(sc, "phi"), _tf(sc, "g"))
@@ -283,20 +266,11 @@ def _run_verify_symmetry(sc: dict, outputs: dict) -> int:
         ode = SecondOrderODE.from_ep(_tf(sc, "phi"), fam.g) if "phi" in sc else ep_ode(fam)
     samples = default_samples(interval)
     res = symmetry_residual(sym, ode, samples)
-    report = {
-        "kind": "verify-symmetry",
-        "residual": float(res),
-        "samples": len(samples),
-        "threshold": threshold,
-        "pass": bool(res <= threshold),
-    }
-    return _verdict(report, outputs)
+    report = {"residual": float(res), "samples": len(samples), "pass": bool(res <= threshold)}
+    return report, None
 
 
-def _run_reduce(sc: dict, outputs: dict) -> int:
-    interval = _interval(sc)
-    settings = _settings(sc)
-    threshold = _number(sc, "threshold", _DEFAULT_TOL)
+def _run_reduce(sc: dict, interval, settings, threshold):
     fam = compatible_family(_tf(sc, "g"), _number(sc, "c0"), _number(sc, "m"), interval)
     chart = canonical_chart(fam, sigma=_number(sc, "sigma", 0.25))
     traj = integrate(
@@ -307,25 +281,19 @@ def _run_reduce(sc: dict, outputs: dict) -> int:
     res = autonomous_residual(orbit, fam.omega)
     abel = abel_residual(orbit, fam.omega)
     report = {
-        "kind": "reduce",
         "omega": fam.omega,
         "sigma": chart.sigma,
         "autonomous_residual": float(res),
         "abel_residual": abel.residual,
         "abel_samples_used": abel.samples_used,
         "abel_samples_skipped": abel.samples_skipped,
-        "threshold": threshold,
         "abel_threshold": _ABEL_TOL,
         "pass": bool(res <= threshold and abel.residual <= _ABEL_TOL),
     }
-    table = (("T", "X", "V"), (orbit.T, orbit.X, orbit.V))
-    return _verdict(report, outputs, table)
+    return report, (("T", "X", "V"), (orbit.T, orbit.X, orbit.V))
 
 
-def _run_eliezer_grey(sc: dict, outputs: dict) -> int:
-    interval = _interval(sc)
-    settings = _settings(sc)
-    threshold = _number(sc, "threshold", _DEFAULT_TOL)
+def _run_eliezer_grey(sc: dict, interval, settings, threshold):
     cfg = CentralFieldConfig(phi=_tf(sc, "phi"), k=_tf(sc, "k", "0"))
     raw = _keyed(_require(sc, "initial"), "initial", ("r", "rdot", "theta", "thetadot"))
     init = PolarState(
@@ -340,29 +308,17 @@ def _run_eliezer_grey(sc: dict, outputs: dict) -> int:
     am_drift = angular_momentum_check(traj, cfg, quad=quad)
     radial = radial_ep_residual(traj, cfg, quad=quad)
     report = {
-        "kind": "eliezer-grey",
         "angular_momentum_drift": float(am_drift),
         "radial_residual": float(radial),
         "chart_qualified": chart_qualified(traj, cfg, quad=quad),
-        "threshold": threshold,
         "pass": bool(am_drift <= threshold and radial <= threshold),
     }
-    table = (("t", "r", "rdot", "theta", "L"), (traj.times, *traj.states.T))
-    return _verdict(report, outputs, table)
+    return report, (("t", "r", "rdot", "theta", "L"), (traj.times, *traj.states.T))
 
 
-def _run_audit_all(sc: dict, outputs: dict) -> int:
-    report = audit_all()
-    text = ledger_json(report)
-    if "ledger" in outputs:
-        with open(outputs["ledger"], "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return 0 if report["all_resolved"] else 2
-
-
-# kind -> (runner, the scenario keys it reads, the outputs keys it writes)
+# kind -> (runner, the scenario keys it reads, the outputs keys it writes); a runner
+# takes the scenario and, by name, the shared keys of _SHARED it reads, and returns
+# (document, table): a report with "pass", or the ledger, and (names, columns) or None
 _KINDS = {
     "simulate": (_run_simulate, ("phi", "g", "interval", "initial", "settings"), ("csv", "report")),
     "verify-invariant": (
@@ -385,7 +341,14 @@ _KINDS = {
         ("phi", "k", "initial", "interval", "settings", "threshold"),
         ("csv", "report"),
     ),
-    "audit-all": (_run_audit_all, (), ("ledger",)),
+    "audit-all": (lambda sc: (audit_all(), None), (), ("ledger",)),
+}
+
+# the keys several kinds read, each parsed once by _dispatch for a kind that reads it
+_SHARED = {
+    "interval": _interval,
+    "settings": _settings,
+    "threshold": lambda sc: _number(sc, "threshold", _DEFAULT_TOL),
 }
 
 
@@ -398,7 +361,23 @@ def _dispatch(sc: dict, base_dir: str) -> int:
     run, reads, writes = _KINDS[kind]
     _keyed(sc, "scenario", ("kind", "outputs", *reads))
     outputs = _keyed(sc.get("outputs", {}), "outputs", writes)
-    return run(sc, {key: _out_path(base_dir, rel) for key, rel in outputs.items()})
+    paths = {key: _out_path(base_dir, rel) for key, rel in outputs.items()}
+    shared = {key: parse(sc) for key, parse in _SHARED.items() if key in reads}
+    doc, table = run(sc, **shared)
+    if "csv" in paths:
+        _write_columns(paths["csv"], *table)
+    if kind == "audit-all":
+        _write_json(paths.get("ledger"), doc)
+        return 0 if doc["all_resolved"] else 2
+    doc["kind"] = kind
+    if "threshold" in shared:
+        doc["threshold"] = shared["threshold"]
+    if "report" in paths:
+        _write_json(paths["report"], doc)
+    if not doc["pass"]:
+        sys.stderr.write(f"epwb: check failed: {json.dumps(doc, sort_keys=True)}\n")
+        return 2
+    return 0
 
 
 def _cmd_run(path: str) -> int:

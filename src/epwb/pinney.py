@@ -177,15 +177,3 @@ def drift(values) -> float:
     if not (math.isfinite(spread) and math.isfinite(mean)):
         raise DomainError(f"non-finite series (spread {spread!r}, mean {mean!r})")
     return spread / max(1.0, abs(mean))
-
-
-def invariant_audit(name: str, interval, values) -> dict:
-    """JSON-ready drift report for a sampled invariant series."""
-    values = np.asarray(values, dtype=float)
-    return {
-        "name": name,
-        "interval": [float(interval[0]), float(interval[1])],
-        "samples": int(values.size),
-        "mean": float(values.mean()),
-        "drift": drift(values),
-    }

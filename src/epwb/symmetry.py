@@ -277,6 +277,11 @@ class CompatibleFamily:
         return 1.0 + self.m / self.c0**2
 
 
+def _a_tree(g: TimeFunction, c0: float = 1.0) -> Expr:
+    """a = 4 C0 G/G' as one tree in t."""
+    return const(4.0 * c0) * g.expr / g.derivative_expr(1)
+
+
 def compatible_family(
     g: TimeFunction,
     c0: float,
@@ -294,13 +299,11 @@ def compatible_family(
     """
     if c0 == 0.0:
         raise ValueError("C0 must be nonzero")
-    ge = g.expr
-    g1 = g.derivative_expr(1)
     ts = np.linspace(*finite_interval(interval), _VALIDATION_SAMPLES)
-    bad = evaluate(g1, {"t": ts}) <= 0.0
+    bad = evaluate(g.derivative_expr(1), {"t": ts}) <= 0.0
     if bad.any():
         raise ValueError("G' is not positive at t={!r}".format(*_first(bad, ts)))
-    a_expr = (const(4.0 * c0) * ge) / g1
+    a_expr = _a_tree(g, c0)
     a = TimeFunction(a_expr, g.memo)
     a1 = a.derivative_expr(1)
     a2 = a.derivative_expr(2)
@@ -332,7 +335,7 @@ def relation(phi: TimeFunction, g: TimeFunction) -> Expr:
     """
     if "t" not in g.expr.vars:
         raise ValueError("G' is identically zero")
-    a = TimeFunction(const(4.0) * g.expr / g.derivative_expr(1), g.memo)
+    a = TimeFunction(_a_tree(g), g.memo)
     return (
         a.derivative_expr(3)
         + const(4.0) * phi.expr * a.derivative_expr(1)
@@ -345,7 +348,7 @@ def surviving_symmetry(fam: CompatibleFamily) -> PointSymmetry:
     ge = fam.g.expr
     g1 = fam.g.derivative_expr(1)
     g2 = fam.g.derivative_expr(2)
-    tau = const(4) * ge / g1
+    tau = _a_tree(fam.g)
     xi = _X * (const(3) - const(2) * ge * g2 / (g1 * g1))
     return PointSymmetry(tau, xi, "Gamma_s", fam.g.memo)
 

@@ -33,7 +33,6 @@ from epwb import (
     first_integral,
     fundamental_pair,
     integrate,
-    ledger_json,
     lewis_invariant,
     lorentz_adiabatic,
     oscillator_system,
@@ -51,6 +50,7 @@ from epwb import (
     time_function,
     transform_trajectory,
 )
+from epwb.cli import main
 from epwb.expressions import Binary, Const, TimeFunction, var
 from epwb.pinney import LewisState
 from epwb.symmetry import (
@@ -312,16 +312,20 @@ def test_criterion_8_central_field():
         assert worst <= 1e-6
 
 
-def test_criterion_9_audit_ledger():
+def test_criterion_9_audit_ledger(capsys, tmp_path):
     with criterion(9, "audit ledger: five entries, all resolved, deterministic"):
         report = audit_all()
         assert len(report["entries"]) == 5
         assert report["all_resolved"] is True
         assert all(e["resolved"] for e in report["entries"])
-        first = ledger_json(report)
-        second = ledger_json(audit_all())
+        # the ledger as `epwb audit-all` prints it and as it writes it with --out
+        assert main(["audit-all"]) == 0
+        first = capsys.readouterr().out
+        assert main(["audit-all", "--out", str(tmp_path / "ledger.json")]) == 0
+        second = (tmp_path / "ledger.json").read_text()
         assert first == second
         parsed = json.loads(first)
+        assert parsed == report
         assert [e["id"] for e in parsed["entries"]] == [
             "wronskian-exponent",
             "product-base-coefficient",

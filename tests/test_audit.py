@@ -2,8 +2,9 @@ import json
 
 import pytest
 
-from epwb import audit_all, ledger_json
+from epwb import audit_all
 from epwb.audit import _entry
+from epwb.cli import main
 
 EXPECTED_IDS = (
     "wronskian-exponent",
@@ -35,21 +36,24 @@ def test_an_unresolved_entry_claims_no_reading(res_a, res_b):
     assert entry["verdict"] == "unresolved"
 
 
-def test_ledger_is_deterministic():
-    a = ledger_json(audit_all())
-    b = ledger_json(audit_all())
-    assert a == b
-    assert a.endswith("\n")
+def _printed_and_written(capsys, tmp_path) -> tuple[bytes, bytes]:
+    """The ledger as ``epwb audit-all`` prints it, and as ``--out`` writes it."""
+    assert main(["audit-all"]) == 0
+    printed = capsys.readouterr().out.encode()
+    path = tmp_path / "ledger.json"
+    assert main(["audit-all", "--out", str(path)]) == 0
+    return printed, path.read_bytes()
 
 
-def test_ledger_round_trips_through_json():
-    report = json.loads(ledger_json(audit_all()))
+def test_ledger_is_deterministic(capsys, tmp_path):
+    printed, written = _printed_and_written(capsys, tmp_path)
+    assert printed == written
+    assert printed.endswith(b"\n")
+
+
+def test_ledger_round_trips_through_json(capsys, tmp_path):
+    printed, written = _printed_and_written(capsys, tmp_path)
+    report = json.loads(written)
+    assert report == json.loads(printed) == audit_all()
     assert len(report["entries"]) == 5
     assert all(isinstance(e["question"], str) and e["question"] for e in report["entries"])
-
-
-def test_ledger_accepts_prebuilt_report():
-    # the ledger renders the report it is given, nothing recomputed
-    report = audit_all()
-    report["entries"] = report["entries"][:1]
-    assert json.loads(ledger_json(report)) == report

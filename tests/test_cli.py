@@ -210,6 +210,22 @@ class TestVerifyInvariant:
         assert run_cli(["run", str(path)]) == 0
         assert (tmp_path / "report.json").read_bytes() == plain
 
+    def test_report_shape(self, tmp_path):
+        # constant frequency 2 from (q, p) = (1, 0): E / omega = 4 / 4 on every sample
+        path = write_scenario(tmp_path, self.lorentz_scenario())
+        assert run_cli(["run", str(path)]) == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report.pop("mean") == pytest.approx(1.0, abs=1e-9)
+        assert report.pop("drift") <= 1e-9
+        assert report == {
+            "kind": "verify-invariant",
+            "name": "lorentz",
+            "interval": [0.0, 10.0],
+            "samples": 200,
+            "threshold": 1e-6,
+            "pass": True,
+        }
+
     def test_vanishing_frequency_is_a_failed_run(self, tmp_path, capsys):
         sc = self.lorentz_scenario(phi="1-t", interval=[0.0, 2.0])
         path = write_scenario(tmp_path, sc)
@@ -517,6 +533,26 @@ def test_an_unknown_scenario_key_is_refused_before_it_runs(tmp_path, capsys, wor
     assert work_calls == []
 
 
+_REPORTS = {
+    **_TABLES,
+    "verify-invariant": _LORENTZ,
+    "verify-symmetry": _SYMMETRY,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_REPORTS))
+def test_every_report_names_its_kind_and_verdict(tmp_path, kind):
+    path = write_scenario(tmp_path, dict(_REPORTS[kind], outputs={"report": "r.json"}))
+    assert run_cli(["run", str(path)]) == 0
+    report = json.loads((tmp_path / "r.json").read_text())
+    assert report["kind"] == kind
+    assert report["pass"] is True
+    reads_threshold = "threshold" in epwb.cli._KINDS[kind][1]
+    assert ("threshold" in report) == reads_threshold == (kind != "simulate")
+    if reads_threshold:
+        assert report["threshold"] == 1e-6
+
+
 class TestAuditLedger:
     def test_subcommand_writes_file(self, tmp_path):
         out = tmp_path / "ledger.json"
@@ -545,6 +581,17 @@ class TestAuditLedger:
         path = write_scenario(tmp_path, sc)
         assert run_cli(["run", str(path)]) == 0
         assert out.read_bytes() == (tmp_path / "b.json").read_bytes()
+
+    def test_a_non_finite_ledger_is_refused_like_a_report(self, tmp_path, capsys, monkeypatch):
+        entry = {"id": "demo", "reading_b": {"residual": math.nan}, "resolved": True}
+        ledger = {"entries": [entry], "all_resolved": True}
+        monkeypatch.setattr(epwb.cli, "audit_all", lambda: ledger)
+        out = tmp_path / "ledger.json"
+        assert run_cli(["audit-all", "--out", str(out)]) == 1
+        assert "not JSON compliant" in capsys.readouterr().err
+        assert not out.exists()
+        assert run_cli(["audit-all"]) == 1
+        assert capsys.readouterr().out == ""
 
     def test_ledger_is_the_only_outputs_key(self, tmp_path, capsys):
         sc = {"kind": "audit-all", "outputs": {"ledger": "a.json", "report": "b.json"}}

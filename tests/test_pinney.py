@@ -16,7 +16,6 @@ from epwb import (
     ermakov_invariant,
     fundamental_pair,
     integrate,
-    invariant_audit,
     lewis_invariant,
     lorentz_adiabatic,
     oscillator_system,
@@ -349,16 +348,6 @@ class TestDriftAndAudit:
         # the spread 2e308 is beyond float range
         with pytest.raises(DomainError, match="non-finite series"):
             drift([1e308, -1e308])
-
-    def test_audit_shape(self):
-        rep = invariant_audit("demo", (0.0, 1.0), [2.0, 2.0, 2.0])
-        assert rep == {
-            "name": "demo",
-            "interval": [0.0, 1.0],
-            "samples": 3,
-            "mean": 2.0,
-            "drift": 0.0,
-        }
 
 
 @pytest.mark.parametrize("kind", ["trajectory", "time_function", "quadratic_form", "sqrt"])
