@@ -3,7 +3,7 @@
 The printed source material for this family of identities carries five
 internal inconsistencies (conflicting readings of the same formula in
 different places, or a form that contradicts what a neighboring derivation
-forces).  Each entry below evaluates BOTH candidate readings against an
+forces).  Each entry evaluates BOTH candidate readings against an
 independent numerical oracle and records the residuals and the verdict.
 Nothing here is tuned, and in every entry the rejected reading fails by
 many orders of magnitude.  Only wronskian-exponent depends on the
@@ -14,16 +14,11 @@ fields, the product entry builds z'' = -a z from z and z' by Leibniz's
 rule, and the chart and Abel entries take x'' from the producing
 right-hand side at each sampled state.
 
-Entries, in fixed order:
-  wronskian-exponent        h^2 = (AC - B^2) W   vs   (AC - B^2) W^2
-  product-base-coefficient  products over z'' + a z = 0  vs  z'' + (a/2) z = 0
-  bracket-gamma23           [G2, G3] = -2F G3    vs   -2F G1
-  chart-time-scale          T = (3/4) log G      vs   (1/4) log G
-  abel-powers               v v' + 2v + Omega - 16/u = 0  vs
-                            v v' + 2v + Omega u - 16/u^3 = 0
-
-By convention reading_a is the rejected literal form and reading_b the
-verified correction, mirroring how the discriminating tests are phrased.
+An entry is one row of _QUESTIONS (its question, the two readings and the
+tolerances, in ledger order) plus one pair of residuals, which audit_all
+computes for every row.  By convention reading_a is the rejected literal
+form and reading_b the verified correction, mirroring how the
+discriminating tests are phrased.
 """
 
 from __future__ import annotations
@@ -38,8 +33,39 @@ from .reduction import abel_residual, autonomous_residual, canonical_chart, tran
 from .symmetry import autonomous_family, compatible_family, lie_bracket
 from .third_order import ThirdOrderConfig, product_solution, third_order_residual
 
+# entry id -> (question, (reading a, reading b), (accept_tol, reject_tol)), in ledger order
+_QUESTIONS = {
+    "wronskian-exponent": (
+        "power of the Wronskian in the superposition constant h^2",
+        ("h^2 = (A C - B^2) W", "h^2 = (A C - B^2) W^2"),
+        (1e-6, 0.1),
+    ),
+    "product-base-coefficient": (
+        "base oscillator whose solution products solve w''' + 2a w' + a' w = 0",
+        ("z'' + a z = 0", "z'' + (a/2) z = 0"),
+        (1e-6, 0.5),
+    ),
+    "bracket-gamma23": (
+        "which basis element [Gamma_2, Gamma_3] returns (frequency f = 1)",
+        ("[Gamma_2, Gamma_3] = -2f Gamma_3", "[Gamma_2, Gamma_3] = -2f Gamma_1"),
+        (1e-10, 0.1),
+    ),
+    "chart-time-scale": (
+        "scale sigma in the rectifying time T = sigma log G",
+        ("T = (3/4) log G", "T = (1/4) log G"),
+        (1e-6, 0.1),
+    ),
+    "abel-powers": (
+        "powers of u in the phase-plane relation for (u, v) = (X, dX/dT)",
+        ("v dv/du + 2v + Omega - 16/u = 0", "v dv/du + 2v + Omega u - 16/u^3 = 0"),
+        (1e-5, 0.1),
+    ),
+}
 
-def _entry(entry_id, question, stmt_a, res_a, stmt_b, res_b, accept_tol, reject_tol):
+
+def _entry(entry_id: str, res_a, res_b) -> dict:
+    """The entry of ``_QUESTIONS[entry_id]``, given the residuals of readings a and b."""
+    question, (stmt_a, stmt_b), (accept_tol, reject_tol) = _QUESTIONS[entry_id]
     resolved = bool(res_b <= accept_tol and res_a >= reject_tol)
     return {
         "id": entry_id,
@@ -53,7 +79,7 @@ def _entry(entry_id, question, stmt_a, res_a, stmt_b, res_b, accept_tol, reject_
     }
 
 
-def _wronskian_entry() -> dict:
+def _wronskian_residuals():
     phi = time_function("1")
     basis = basis_with_ics(phi, (0.0, 10.0), (1.0, 0.0), (0.0, 2.0))
     x, h2_squared = pinney_solution(basis, 1.0, 0.0, 1.0, wronskian_power=2)
@@ -61,19 +87,10 @@ def _wronskian_entry() -> dict:
     grid = np.linspace(0.0, 10.0, 201)
     res_a = ep_residual(EPConfig(phi=phi, g=time_function(repr(h2_linear))), x, grid)
     res_b = ep_residual(EPConfig(phi=phi, g=time_function(repr(h2_squared))), x, grid)
-    return _entry(
-        "wronskian-exponent",
-        "power of the Wronskian in the superposition constant h^2",
-        "h^2 = (A C - B^2) W",
-        res_a,
-        "h^2 = (A C - B^2) W^2",
-        res_b,
-        1e-6,
-        0.1,
-    )
+    return res_a, res_b
 
 
-def _product_base_entry() -> dict:
+def _product_residuals():
     cfg = ThirdOrderConfig(a=time_function("2"))
     interval = (0.0, 6.0)
     grid = np.linspace(*interval, 201)
@@ -81,19 +98,10 @@ def _product_base_entry() -> dict:
     halved = basis_with_ics(time_function("1"), interval, (1.0, 0.0), (0.0, 1.0))
     res_a = third_order_residual(cfg, product_solution(literal, 1.0, 0.0, 0.0), grid)
     res_b = third_order_residual(cfg, product_solution(halved, 1.0, 0.0, 0.0), grid)
-    return _entry(
-        "product-base-coefficient",
-        "base oscillator whose solution products solve w''' + 2a w' + a' w = 0",
-        "z'' + a z = 0",
-        res_a,
-        "z'' + (a/2) z = 0",
-        res_b,
-        1e-6,
-        0.5,
-    )
+    return res_a, res_b
 
 
-def _bracket_entry() -> dict:
+def _bracket_residuals():
     g1, g2, g3 = autonomous_family(1.0)
     b23 = lie_bracket(g2, g3)
     t = np.repeat(np.linspace(0.2, 2.8, 7), 3)
@@ -104,18 +112,7 @@ def _bracket_entry() -> dict:
         ct, cx = candidate.components(t, x)
         return worst_residual(np.concatenate((bt - scale * ct, bx - scale * cx)))
 
-    res_a = distance(g3, -2.0)
-    res_b = distance(g1, -2.0)
-    return _entry(
-        "bracket-gamma23",
-        "which basis element [Gamma_2, Gamma_3] returns (frequency f = 1)",
-        "[Gamma_2, Gamma_3] = -2f Gamma_3",
-        res_a,
-        "[Gamma_2, Gamma_3] = -2f Gamma_1",
-        res_b,
-        1e-10,
-        0.1,
-    )
+    return distance(g3, -2.0), distance(g1, -2.0)
 
 
 def _chart_pipeline():
@@ -126,46 +123,23 @@ def _chart_pipeline():
     return fam, orbit_quarter, orbit_literal
 
 
-def _chart_scale_entry(fam, orbit_quarter, orbit_literal) -> dict:
-    res_a = autonomous_residual(orbit_literal, fam.omega)
-    res_b = autonomous_residual(orbit_quarter, fam.omega)
-    return _entry(
-        "chart-time-scale",
-        "scale sigma in the rectifying time T = sigma log G",
-        "T = (3/4) log G",
-        res_a,
-        "T = (1/4) log G",
-        res_b,
-        1e-6,
-        0.1,
-    )
-
-
-def _abel_entry(fam, orbit_quarter) -> dict:
-    res_a = abel_residual(orbit_quarter, fam.omega, literal=True).residual
-    res_b = abel_residual(orbit_quarter, fam.omega).residual
-    return _entry(
-        "abel-powers",
-        "powers of u in the phase-plane relation for (u, v) = (X, dX/dT)",
-        "v dv/du + 2v + Omega - 16/u = 0",
-        res_a,
-        "v dv/du + 2v + Omega u - 16/u^3 = 0",
-        res_b,
-        1e-5,
-        0.1,
-    )
-
-
 def audit_all() -> dict:
     """Run every discriminator and return the ledger as a plain dict."""
     fam, orbit_quarter, orbit_literal = _chart_pipeline()
-    entries = [
-        _wronskian_entry(),
-        _product_base_entry(),
-        _bracket_entry(),
-        _chart_scale_entry(fam, orbit_quarter, orbit_literal),
-        _abel_entry(fam, orbit_quarter),
-    ]
+    residuals = {
+        "wronskian-exponent": _wronskian_residuals(),
+        "product-base-coefficient": _product_residuals(),
+        "bracket-gamma23": _bracket_residuals(),
+        "chart-time-scale": (
+            autonomous_residual(orbit_literal, fam.omega),
+            autonomous_residual(orbit_quarter, fam.omega),
+        ),
+        "abel-powers": (
+            abel_residual(orbit_quarter, fam.omega, literal=True).residual,
+            abel_residual(orbit_quarter, fam.omega).residual,
+        ),
+    }
+    entries = [_entry(entry_id, *residuals[entry_id]) for entry_id in _QUESTIONS]
     return {
         "entries": entries,
         "all_resolved": all(e["resolved"] for e in entries),

@@ -19,12 +19,17 @@ kind names the top-level keys it reads (see _KINDS; _INVARIANT_KEYS per
 invariant) and the "outputs" keys it writes: "csv" and "report" for
 simulate, reduce and eliezer-grey, "report" for the two verify kinds,
 "ledger" for audit-all.  Any other key, top-level or in "outputs", is
-refused before anything is integrated or written.  The keys several
-kinds read (_SHARED) are parsed once by _dispatch, which also writes
-every output, reports and the ledger through one JSON writer (sorted,
-indented, no NaN or infinity); a runner returns its report (or the
-ledger) and its table.  Output paths are resolved relative to the
-scenario file.  A table is CSV: one header line of column names, then
+refused before anything is integrated or written, and so are two outputs
+that are one file, an output that is the scenario file and an output in
+a directory that does not exist.  Output paths are resolved relative to
+the scenario file.  The keys several kinds read (_SHARED) are parsed
+once by _dispatch.  A runner returns its report (or the ledger, each
+entry of which is one audit._QUESTIONS row plus one residual pair) and
+its table; _dispatch renders every output (JSON sorted, indented, no NaN
+or infinity) before it writes any, then writes them, or prints the
+ledger to stdout when no path is named.  A failed verdict, a report's
+"pass" or the ledger's "all_resolved", writes one "epwb: check failed"
+line to stderr.  A table is CSV: one header line of column names, then
 one row per sample, every value to 17 significant digits, so it reads
 back exactly.  Exit codes: 0 all checks passed, 2 a residual exceeded
 its threshold (or a run failed mid-flight), 1 configuration or parse
@@ -163,25 +168,32 @@ def _pair(sc: dict, key: str, default=None) -> tuple[float, float]:
 def _out_path(base_dir: str, rel: str) -> str:
     if not isinstance(rel, str) or not rel:
         raise ScenarioError(f"output path must be a nonempty string, got {rel!r}")
-    return os.path.join(base_dir, rel)  # an absolute rel is kept as it is
+    path = os.path.join(base_dir, rel)  # an absolute rel is kept as it is
+    # checked before the run: a late failure to open one output would leave the others written
+    if not os.path.isdir(os.path.dirname(path)):
+        raise ScenarioError(f"output directory does not exist: {os.path.dirname(path)}")
+    return path
 
 
-def _write_columns(path: str, names, columns) -> None:
+def _refuse_shared_paths(paths: dict, source: str | None) -> None:
+    """ScenarioError if two outputs, or an output and the scenario file ``source``, are one file."""
+    seen = {} if source is None else {os.path.realpath(source): "the scenario file"}
+    for key, path in paths.items():
+        real = os.path.realpath(path)
+        if real in seen:
+            raise ScenarioError(f"outputs {key!r} and {seen[real]} are one file: {path}")
+        seen[real] = f"outputs {key!r}"
+
+
+def _columns_text(names, columns) -> str:
     row = ",".join(["{:.17g}"] * len(columns)) + "\n"
-    with open(path, "w") as fh:
-        fh.write(",".join(names) + "\n")
-        fh.writelines(row.format(*values) for values in np.column_stack(columns).tolist())
+    rows = (row.format(*values) for values in np.column_stack(columns).tolist())
+    return ",".join(names) + "\n" + "".join(rows)
 
 
-def _write_json(path: str | None, doc: dict) -> None:
-    """``doc`` as sorted, indented JSON to ``path``, or to stdout if None; NaN and inf refused."""
-    # serialised before the file is opened, so a refused number leaves no empty file
-    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
-    if path is None:
-        sys.stdout.write(text)
-        return
-    with open(path, "w") as fh:
-        fh.write(text)
+def _json_text(doc: dict) -> str:
+    """``doc`` as sorted, indented JSON; ValueError on NaN or infinity."""
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _run_simulate(sc: dict, interval, settings):
@@ -352,7 +364,8 @@ _SHARED = {
 }
 
 
-def _dispatch(sc: dict, base_dir: str) -> int:
+def _dispatch(sc: dict, source: str | None) -> int:
+    """Run scenario ``sc``, read from the file ``source`` (None for the audit-all subcommand)."""
     if not isinstance(sc, dict):
         raise ScenarioError("scenario file must contain one JSON object")
     kind = _require(sc, "kind")
@@ -361,20 +374,26 @@ def _dispatch(sc: dict, base_dir: str) -> int:
     run, reads, writes = _KINDS[kind]
     _keyed(sc, "scenario", ("kind", "outputs", *reads))
     outputs = _keyed(sc.get("outputs", {}), "outputs", writes)
+    base_dir = os.getcwd() if source is None else os.path.dirname(os.path.abspath(source))
     paths = {key: _out_path(base_dir, rel) for key, rel in outputs.items()}
+    _refuse_shared_paths(paths, source)
     shared = {key: parse(sc) for key, parse in _SHARED.items() if key in reads}
     doc, table = run(sc, **shared)
+    ledger = kind == "audit-all"
+    if not ledger:
+        doc["kind"] = kind
+        if "threshold" in shared:
+            doc["threshold"] = shared["threshold"]
+    # every output is rendered before any file is opened, so a refused value writes nothing
+    texts = {"ledger" if ledger else "report": _json_text(doc)}
     if "csv" in paths:
-        _write_columns(paths["csv"], *table)
-    if kind == "audit-all":
-        _write_json(paths.get("ledger"), doc)
-        return 0 if doc["all_resolved"] else 2
-    doc["kind"] = kind
-    if "threshold" in shared:
-        doc["threshold"] = shared["threshold"]
-    if "report" in paths:
-        _write_json(paths["report"], doc)
-    if not doc["pass"]:
+        texts["csv"] = _columns_text(*table)
+    for key, path in paths.items():
+        with open(path, "w") as fh:
+            fh.write(texts[key])
+    if ledger and not paths:
+        sys.stdout.write(texts["ledger"])
+    if not doc["all_resolved" if ledger else "pass"]:
         sys.stderr.write(f"epwb: check failed: {json.dumps(doc, sort_keys=True)}\n")
         return 2
     return 0
@@ -390,12 +409,12 @@ def _cmd_run(path: str) -> int:
     except json.JSONDecodeError as exc:
         sys.stderr.write(f"epwb: scenario is not valid JSON: {exc}\n")
         return 1
-    return _guarded_dispatch(scenario, os.path.dirname(os.path.abspath(path)))
+    return _guarded_dispatch(scenario, path)
 
 
-def _guarded_dispatch(scenario, base_dir: str) -> int:
+def _guarded_dispatch(scenario, source: str | None) -> int:
     try:
-        return _dispatch(scenario, base_dir)
+        return _dispatch(scenario, source)
     except ExprSyntaxError as exc:
         sys.stderr.write(f"epwb: expression error: {exc}\n")
         return 1
@@ -438,7 +457,7 @@ def main(argv=None) -> int:
         return 0
     if args.command == "audit-all":
         outputs = {} if args.out is None else {"ledger": args.out}
-        return _guarded_dispatch({"kind": "audit-all", "outputs": outputs}, os.getcwd())
+        return _guarded_dispatch({"kind": "audit-all", "outputs": outputs}, None)
     return _cmd_run(args.scenario)
 
 

@@ -193,7 +193,7 @@ def structure_constants(basis: list[PointSymmetry], samples) -> tuple[np.ndarray
     ``samples`` is an (N, 2) set of (t, x) points on which the basis must
     be pointwise linearly independent.  Returns the (3,3,3) array and the
     worst pointwise fit residual.  Raises DegenerateBasisError on rank
-    deficiency.
+    deficiency, so on fewer than two points.
     """
     if len(basis) != 3:
         raise ValueError("need exactly three symmetries")
@@ -205,7 +205,8 @@ def structure_constants(basis: list[PointSymmetry], samples) -> tuple[np.ndarray
 
     mat = np.column_stack([stacked(s) for s in basis])
     svals = np.linalg.svd(mat, compute_uv=False)
-    if svals[-1] < 1e-10 * max(svals[0], 1.0):
+    # one point gives 2 rows, so at most 2 singular values: the rank can never reach 3
+    if svals.size < len(basis) or svals[-1] < 1e-10 * max(svals[0], 1.0):
         raise DegenerateBasisError(
             f"symmetries not pointwise independent on samples (singular values {svals})"
         )

@@ -31,9 +31,12 @@ def test_every_entry_resolves_to_the_corrected_reading():
     "res_a, res_b", [(1.0, 1e-3), (1e-9, 1e-12)], ids=["reading-b-misses", "reading-a-holds"]
 )
 def test_an_unresolved_entry_claims_no_reading(res_a, res_b):
-    entry = _entry("demo", "which reading?", "a", res_a, "b", res_b, 1e-8, 1e-3)
+    # wronskian-exponent accepts reading b at <= 1e-6 and rejects reading a at >= 0.1
+    entry = _entry("wronskian-exponent", res_a, res_b)
     assert entry["resolved"] is False
     assert entry["verdict"] == "unresolved"
+    assert (entry["accept_tol"], entry["reject_tol"]) == (1e-6, 0.1)
+    assert entry["reading_a"] == {"statement": "h^2 = (A C - B^2) W", "residual": res_a}
 
 
 def _printed_and_written(capsys, tmp_path) -> tuple[bytes, bytes]:

@@ -487,6 +487,59 @@ def test_an_output_key_the_kind_does_not_write_is_refused_before_it_runs(
     assert work_calls == []
 
 
+# per case, a scenario whose outputs name one file twice, or name the scenario file
+_COLLIDING = {
+    "csv-is-report": simulate_scenario(outputs={"csv": "x.txt", "report": "x.txt"}),
+    "csv-is-report-resolved": simulate_scenario(outputs={"csv": "x.txt", "report": "./x.txt"}),
+    "report-is-scenario": simulate_scenario(outputs={"csv": "o.csv", "report": "scenario.json"}),
+    "ledger-is-scenario": {"kind": "audit-all", "outputs": {"ledger": "./scenario.json"}},
+}
+
+
+@pytest.mark.parametrize("case", sorted(_COLLIDING))
+def test_colliding_output_paths_are_refused_before_it_runs(tmp_path, capsys, work_calls, case):
+    path = write_scenario(tmp_path, _COLLIDING[case])
+    scenario = path.read_bytes()
+    assert run_cli(["run", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("epwb: configuration error: outputs ") and "are one file" in err
+    assert os.listdir(tmp_path) == ["scenario.json"]
+    assert path.read_bytes() == scenario
+    assert work_calls == []
+
+
+def test_an_output_in_a_missing_directory_is_refused_before_it_runs(tmp_path, capsys, work_calls):
+    # the table comes first, so a report that failed only when opened would leave the table
+    outputs = {"csv": "t.csv", "report": "no/r.json"}
+    path = write_scenario(tmp_path, simulate_scenario(outputs=outputs))
+    assert run_cli(["run", str(path)]) == 1
+    assert run_cli(["audit-all", "--out", str(tmp_path / "no" / "ledger.json")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    refused = f"epwb: configuration error: output directory does not exist: {tmp_path / 'no'}"
+    assert err == [refused] * 2
+    assert os.listdir(tmp_path) == ["scenario.json"]
+    assert work_calls == []
+
+
+@pytest.mark.parametrize(
+    "outputs", [{"csv": "t.csv", "report": "r.json"}, {"csv": "t.csv"}], ids=["report", "no-report"]
+)
+def test_a_refused_report_leaves_no_file(tmp_path, capsys, monkeypatch, outputs):
+    # every output is rendered before any is written, and a report is rendered
+    # even when no file is named for it
+    run, reads, writes = epwb.cli._KINDS["simulate"]
+
+    def nan_report(sc, **shared):
+        report, table = run(sc, **shared)
+        return dict(report, final_state=[math.nan, 0.0]), table
+
+    monkeypatch.setitem(epwb.cli._KINDS, "simulate", (nan_report, reads, writes))
+    path = write_scenario(tmp_path, simulate_scenario(outputs=outputs))
+    assert run_cli(["run", str(path)]) == 1
+    assert "not JSON compliant" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["scenario.json"]
+
+
 # per case, a scenario and the one key its kind does not read: a misspelling per
 # kind (ignored, sigme would check the accepted sigma = 1/4 chart and treshold
 # the default threshold, so both runs would pass), then the keys that once set
@@ -592,6 +645,20 @@ class TestAuditLedger:
         assert not out.exists()
         assert run_cli(["audit-all"]) == 1
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("out", [None, "ledger.json"], ids=["stdout", "out"])
+    def test_an_unresolved_ledger_fails_with_one_line(self, tmp_path, capsys, monkeypatch, out):
+        entry = {"id": "demo", "verdict": "unresolved", "resolved": False}
+        ledger = {"entries": [entry], "all_resolved": False}
+        monkeypatch.setattr(epwb.cli, "audit_all", lambda: ledger)
+        argv = ["audit-all"] if out is None else ["audit-all", "--out", str(tmp_path / out)]
+        assert run_cli(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("epwb: check failed: ")
+        assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+        emitted = captured.out if out is None else (tmp_path / out).read_text()
+        assert json.loads(emitted) == ledger
+        assert captured.out == ("" if out else emitted)
 
     def test_ledger_is_the_only_outputs_key(self, tmp_path, capsys):
         sc = {"kind": "audit-all", "outputs": {"ledger": "a.json", "report": "b.json"}}

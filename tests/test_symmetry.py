@@ -424,6 +424,12 @@ class TestStructureConstants:
                 pair_samples((0.0, 6.0)),
             )
 
+    def test_one_point_cannot_show_independence(self, unit_family):
+        # one point gives two rows, so the SVD has two singular values and a fit
+        # of the three brackets is exact whatever the table; the true [e1, e2] is (0, 0, 2)
+        with pytest.raises(DegenerateBasisError):
+            structure_constants(unit_family, [(0.5, 1.0)])
+
     def test_killing_form_signature(self, unit_family):
         c, _ = structure_constants(unit_family, pair_samples((0.0, 6.0)))
         eigs = np.linalg.eigvalsh(killing_form(c))
