@@ -118,10 +118,8 @@ def radial_ep_residual(
     at or above X_MIN, the floor of the other residuals.
     """
     ts, big_k = _formal_integral(traj, cfg, n, quad)
-    states = traj.sample(ts)
-    r = states[:, 0]
+    r, _, rddot = traj.jet(ts, 2)
     fail_first(r < X_MIN, "radius {!r} too close to the axis at t={!r}", r, ts)
-    rddot = traj.system.slopes(ts, states)[:, 1]
     g = (traj.states[0][3] + big_k) ** 2
     return worst_residual(rddot + cfg.phi.jet(ts, 0)[0] * r - g / r**3)
 

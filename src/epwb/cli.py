@@ -36,8 +36,10 @@ its threshold (or a run failed mid-flight), 1 configuration or parse
 errors.  The residual threshold is the scenario's "threshold" key, else
 1e-6; nothing outside the scenario file sets it, so a verdict depends
 only on the file and the code.  Every number in a scenario must be
-finite, and the one count, settings.max_steps, an integer >= 1; anything
-else is a configuration error (exit 1), never a vacuous pass.
+finite, "interval" must have t0 < t1 and a finite width t1 - t0 (the
+library's one rule, ode.finite_interval), and the one count,
+settings.max_steps, must be an integer >= 1; anything else is a
+configuration error (exit 1), never a vacuous pass.
 Outputs carry no timestamps and use fixed float formatting, so reruns are
 byte-identical.
 """
@@ -72,7 +74,7 @@ from .expressions import (
     fail_first,
     time_function,
 )
-from .ode import COMPLETED, IntegrationSettings, integrate
+from .ode import COMPLETED, IntegrationSettings, finite_interval, integrate
 from .oscillator import oscillator_system
 from .pinney import EPConfig, drift, ep_system, ermakov_invariant, lorentz_adiabatic
 from .reduction import abel_residual, autonomous_residual, canonical_chart, transform_trajectory
@@ -116,13 +118,6 @@ def _finite(key: str, value) -> float:
 
 def _number(sc: dict, key: str, default=None) -> float:
     return _finite(key, _require(sc, key, default))
-
-
-def _interval(sc: dict) -> tuple[float, float]:
-    t0, t1 = _pair(sc, "interval")
-    if not (t0 < t1):
-        raise ScenarioError(f"'interval' must satisfy t0 < t1, got {[t0, t1]!r}")
-    return t0, t1
 
 
 def _keyed(raw, key: str, allowed: tuple[str, ...]) -> dict:
@@ -358,7 +353,7 @@ _KINDS = {
 
 # the keys several kinds read, each parsed once by _dispatch for a kind that reads it
 _SHARED = {
-    "interval": _interval,
+    "interval": lambda sc: finite_interval(_pair(sc, "interval")),
     "settings": _settings,
     "threshold": lambda sc: _number(sc, "threshold", _DEFAULT_TOL),
 }

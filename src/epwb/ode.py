@@ -374,7 +374,7 @@ class Trajectory:
             i = k[inner]
             th = (ts[inner] - times[i]) / self._steps[i]
             out[inner] += np.einsum("ndk,nk->nd", self._dense[i], th[:, None] ** _POWERS)
-        return out[0] if np.ndim(t) == 0 else out
+        return out
 
     def _sample_at(self, t: float) -> np.ndarray:
         nodes = self._nodes
@@ -425,10 +425,13 @@ class Trajectory:
 
 
 def finite_interval(interval) -> tuple[float, float]:
-    """The ends of ``interval`` as floats; ValueError unless both are finite."""
+    """The ends of ``interval`` as floats t0 < t1 with a finite width t1 - t0; ValueError otherwise.
+
+    The one interval rule; it also refuses an infinite or NaN end, whose width is not finite.
+    """
     t0, t1 = float(interval[0]), float(interval[1])
-    if not (math.isfinite(t0) and math.isfinite(t1)):
-        raise ValueError(f"interval must be finite, got {interval!r}")
+    if not (t0 < t1 and math.isfinite(t1 - t0)):
+        raise ValueError(f"interval must be finite, with t0 < t1 and t1 - t0 finite, got {interval!r}")
     return t0, t1
 
 
@@ -656,8 +659,6 @@ def integrate(
     """
     settings = settings or IntegrationSettings()
     t0, t1 = finite_interval(interval)
-    if not (t0 < t1):
-        raise ValueError(f"need t0 < t1, got {interval!r}")
     y = np.asarray(y0, dtype=float)
     if y.shape != (sys.dim,):
         raise ValueError(f"initial state has shape {y.shape}, system dim is {sys.dim}")

@@ -98,8 +98,12 @@ class CanonicalChart:
         return x * self.scale(t)
 
     def t_of(self, big_t: float) -> float:
-        """Invert the strictly increasing T(t) on the chart interval by bisection, to one ulp."""
-        lo, hi = self.fam.interval
+        """Invert T(t) on the chart interval by bisection, to one ulp.
+
+        T = sigma log G is strictly monotone, rising for sigma > 0 and falling
+        for sigma < 0; ``lo`` and ``hi`` are the ends where T is least and greatest.
+        """
+        lo, hi = self.fam.interval if self.sigma > 0 else self.fam.interval[::-1]
         t_lo, t_hi = self.time(lo), self.time(hi)
         if not t_lo <= big_t <= t_hi:
             raise DomainError(f"T={big_t!r} outside chart range [{t_lo!r}, {t_hi!r}]")

@@ -300,7 +300,8 @@ def compatible_family(
     """
     if c0 == 0.0:
         raise ValueError("C0 must be nonzero")
-    ts = np.linspace(*finite_interval(interval), _VALIDATION_SAMPLES)
+    interval = finite_interval(interval)
+    ts = np.linspace(*interval, _VALIDATION_SAMPLES)
     bad = evaluate(g.derivative_expr(1), {"t": ts}) <= 0.0
     if bad.any():
         raise ValueError("G' is not positive at t={!r}".format(*_first(bad, ts)))
@@ -316,7 +317,7 @@ def compatible_family(
         g=g,
         c0=float(c0),
         m=float(m),
-        interval=(float(interval[0]), float(interval[1])),
+        interval=interval,
         a=a,
         phi=phi,
     )

@@ -20,7 +20,7 @@ from epwb import (
     simulate_polar,
     time_function,
 )
-from epwb.ode import X_MIN
+from epwb.ode import X_MIN, Trajectory
 from tests.conftest import grid
 
 
@@ -105,6 +105,7 @@ class _FloorTrack:
 
     states = [(1.0, 0.0, 0.0, 1.0)]
     system = polar_system(config())
+    jet = Trajectory.jet  # derivatives read from sample and system, as a trajectory reads them
 
     def __init__(self, r):
         self.r = r

@@ -606,6 +606,20 @@ def test_every_report_names_its_kind_and_verdict(tmp_path, kind):
         assert report["threshold"] == 1e-6
 
 
+@pytest.mark.parametrize("interval", [[-1e308, 1e308], [1.0, 0.0]], ids=["wide", "reversed"])
+@pytest.mark.parametrize("kind", sorted(_REPORTS))
+def test_an_unusable_interval_is_refused_before_it_runs(tmp_path, capsys, work_calls, kind, interval):
+    # both ends of [-1e308, 1e308] are finite, but its width overflows to infinity
+    outputs = {key: f"o.{key}" for key in epwb.cli._KINDS[kind][2]}
+    path = write_scenario(tmp_path, dict(_REPORTS[kind], interval=interval, outputs=outputs))
+    assert run_cli(["run", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("epwb: configuration error: interval must be finite")
+    assert err.count("\n") == 1
+    assert os.listdir(tmp_path) == ["scenario.json"]
+    assert work_calls == []
+
+
 class TestAuditLedger:
     def test_subcommand_writes_file(self, tmp_path):
         out = tmp_path / "ledger.json"
@@ -964,6 +978,15 @@ def _evidence(kind: str, report: dict, tmp: str) -> int:
         "initial": [1.0, 0.0],
         "settings": {},
         "sigma": 0,
+    }
+)
+@example(  # both ends are finite, but the width t1 - t0 overflows
+    scenario={
+        "kind": "verify-symmetry",
+        "g": "(1+t)^4",
+        "c0": 1.0,
+        "m": 1.0,
+        "interval": [-1e308, 1e308],
     }
 )
 def test_fuzzed_scenarios_never_pass_vacuously(scenario):

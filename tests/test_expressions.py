@@ -1506,7 +1506,7 @@ def test_input_and_positive_checks_are_the_rules(value):
 # --- the first bad point of a grid --------------------------------------------
 
 class _Track:
-    """A polar trajectory stand-in whose radius is t/2 - 1 on the grid [4, 2, 1]."""
+    """A polar trajectory stand-in whose radius is t/2 - 1 on the grid [4, 2, 1], r' = r'' = 0."""
 
     states = [(1.0, 0.0, 0.0, 1.0)]
 
@@ -1515,6 +1515,9 @@ class _Track:
 
     def sample(self, ts):
         return np.stack([0.5 * ts - 1.0, 0.0 * ts, 0.0 * ts, 0.0 * ts + 1.0], axis=1)
+
+    def jet(self, ts, k):
+        return self.sample(ts).T[: k + 1]
 
 
 def _chart_time(g_text, interval, ts):

@@ -82,12 +82,15 @@ class TestIntegrate:
         assert tr.sample(1.0)[0] == pytest.approx(expect, abs=1e-7)
 
     def test_reversed_interval_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="interval must be finite"):
             integrate(oscillator(), (1.0, 0.0), (1.0, 0.0))
 
-    @pytest.mark.parametrize("interval", [(0.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0)])
+    @pytest.mark.parametrize(
+        "interval", [(0.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0), (-1e308, 1e308)]
+    )
     def test_nonfinite_interval_rejected(self, interval):
-        # an infinite end would spend the whole step budget before failing
+        # an infinite end would spend the whole step budget before failing; the
+        # width of (-1e308, 1e308) overflows though both of its ends are finite
         with pytest.raises(ValueError, match="interval must be finite"):
             integrate(oscillator(), (1.0, 0.0), interval)
 

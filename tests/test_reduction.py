@@ -126,6 +126,16 @@ class TestRoundTrip:
         assert chart.t_of(chart.time(0.0)) == 0.0
         assert chart.t_of(chart.time(3.0)) == 3.0
 
+    def test_t_of_inverts_a_falling_time(self, exp_family):
+        # at sigma < 0, T = sigma log G falls as t rises: on exp(4t), T = -t
+        chart = canonical_chart(exp_family, sigma=-0.25)
+        for t in grid(0.0, 2.0, 21):
+            assert chart.t_of(chart.time(t)) == pytest.approx(t, abs=1e-10)
+        assert chart.t_of(chart.time(0.0)) == 0.0
+        assert chart.t_of(chart.time(2.0)) == 2.0
+        with pytest.raises(DomainError, match=r"outside chart range \[-2.0, -0.0\]"):
+            chart.t_of(0.5)
+
 
 def test_import_loads_no_scipy():
     src = os.path.dirname(os.path.dirname(os.path.abspath(epwb.__file__)))

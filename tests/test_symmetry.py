@@ -503,10 +503,18 @@ class TestFamilies:
 
 
 class TestCompatibleFamily:
-    @pytest.mark.parametrize("interval", [(0.0, math.inf), (-math.inf, 1.0)])
+    @pytest.mark.parametrize("interval", [(0.0, math.inf), (-math.inf, 1.0), (-1e308, 1e308)])
     def test_nonfinite_interval_rejected(self, interval):
         with pytest.raises(ValueError, match="interval must be finite"):
             compatible_family(time_function("exp(4*t)"), 1.0, 1.0, interval)
+
+    def test_reversed_interval_rejected(self):
+        with pytest.raises(ValueError, match="interval must be finite"):
+            compatible_family(time_function("(1+t)^4"), 1.0, 1.0, (3.0, 0.0))
+
+    def test_the_family_keeps_the_checked_interval(self):
+        fam = compatible_family(time_function("exp(4*t)"), 1.0, 1.0, [0, 2])
+        assert fam.interval == (0.0, 2.0) and all(type(end) is float for end in fam.interval)
 
     def test_exponential_case_is_scaling(self):
         fam = compatible_family(time_function("exp(4*t)"), 1.0, 1.0, (0.0, 2.0))
@@ -678,10 +686,14 @@ class TestSampleLattice:
         assert samples.tolist() == [list(p) for p in tuples]
         assert samples.tobytes() == lattice(ts, xs, vs).tobytes() == np.array(tuples).tobytes()
 
-    @pytest.mark.parametrize("interval", [(0.0, math.inf), (math.nan, 1.0)])
+    @pytest.mark.parametrize("interval", [(0.0, math.inf), (math.nan, 1.0), (-1e308, 1e308)])
     def test_nonfinite_interval_rejected(self, interval):
         with pytest.raises(ValueError, match="interval must be finite"):
             default_samples(interval)
+
+    def test_reversed_interval_rejected(self):
+        with pytest.raises(ValueError, match="interval must be finite"):
+            default_samples((3.0, 0.0))
 
 
 def _w_at(ode, t, x, v):
