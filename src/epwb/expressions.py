@@ -663,10 +663,12 @@ _SILENT = frozenset({"FRAC", "POSITIVE", "NONFINITE"})
 _SCALAR_LINES = {op: _rendered(op, _scalar_check, keys=_SILENT) for op in _RULES}
 _SCALAR_LINES["curve"] = ("{r} = float({c}.jet([{t}], {k})[{k}, 0])",)
 _SCALAR_LINES["unbound"] = ("{r} = fail(UNBOUND, {name})",)
+# A domain tree's value feeds no result, so a kernel states its check alone.
+_SCALAR_LINES["positive"] = _scalar_check(*_RULES["positive"][1])
 # The operands that float arithmetic can turn from inf or NaN into a finite
-# value without raising (exp(-inf), x/inf, 0.5^inf, inf^-1, 1^nan, nan^0),
-# and a domain tree, whose value feeds no result: a kernel watches them.
-_WATCHED = {"exp": "a", "/": "b", "^": "ab", "positive": "a"}
+# value without raising (exp(-inf), x/inf, 0.5^inf, inf^-1, 1^nan, nan^0):
+# a kernel watches them, and each domain tree.
+_WATCHED = {"exp": "a", "/": "b", "^": "ab"}
 
 _KERNEL_GLOBALS = {
     "__builtins__": {},
@@ -911,7 +913,9 @@ def kernel_parts(exprs, variables=("t",), positive=()) -> KernelParts:
             else:  # a curve leaf, after its t
                 refs[node] = compute("curve", t=refs[_T], c=bind(node.curve), k=bind(node.order))
         if i < len(positive):
-            compute("positive", a=refs[tree], b=bind(canonical(tree)[1:-1]))
+            a, b = refs[tree], bind(canonical(tree)[1:-1])
+            lines.extend(line.format(a=a, b=b) for line in _SCALAR_LINES["positive"])
+            watch(a)
     results = [refs[root] for root in roots]
     watch(*results)
     terms = list(watched)

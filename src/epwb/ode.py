@@ -27,10 +27,19 @@ own constants.  The calling step calls ``rhs`` once per stage, with code
 generated once per state dimension when first needed; a system given an
 ``rhs`` (instrumentation), or whose kernel is longer than
 ``_INLINED_LINES``, steps with it.  A stage whose ``rhs`` raises, or a
-non-finite stage, rejects the attempt.  The floor scan
-of an accepted step, generated once per set of floored components, is
-one chain of comparisons with x_min: at the step's end, then at 1/4, 1/2
-and 3/4 of the step on the interpolated states.
+non-finite stage, rejects the attempt.
+
+The step only steps: it computes what step control reads (the stages,
+the error norm, the new state and its slope) and returns the values of
+the stages that the interpolant reads.  ``integrate`` collects them;
+after every ``_BLOCK`` accepted steps, and when the run ends, one NumPy
+pass builds the pending steps' interpolants, each coefficient the float
+that the unrolled ``_terms`` source of its row gives on Python floats.
+The floor scan compares each accepted step's end with x_min before the
+step is kept, and the same pass compares its floored components at 1/4,
+1/2 and 3/4 of the step on the interpolant.  A run is cut at the first
+step that goes below the floor within, as if it had stopped there, after
+running on for at most one block.
 
 Trajectories remember the system that produced them and carry a
 termination status:
@@ -60,6 +69,7 @@ from __future__ import annotations
 
 import bisect
 import functools
+import itertools
 import math
 import numbers
 import types
@@ -222,8 +232,16 @@ _MONOMIAL = np.array(
     dtype=float,
 )
 _POWERS = np.arange(1, _DEGREE + 1)
+# the stages the interpolant reads, which a step returns: the columns of _D
+# that are nonzero (in every row), K0 and K5..K15, among them K12 for F2
+_DENSE_STAGES = tuple(np.flatnonzero(_D.any(axis=0)).tolist())
 # interior points of the floor scan, as fractions of the step
 _SCAN_AT = (0.25, 0.5, 0.75)
+# Accepted steps whose interpolants are built and scanned in one NumPy pass.
+# Blocks of 128 to 1024 steps integrate equally fast; smaller ones pay the
+# pass's fixed cost more often, and larger ones raise a long run's peak
+# memory and let a run go on further past a step that went below the floor.
+_BLOCK = 256
 X_MIN = 1e-6  # default floor: how near the singular axis x = 0 runs and checks may come
 
 _SAFETY = 0.9
@@ -507,14 +525,15 @@ def _stepper(dim: int, kernel: KernelText | None = None):
 
     ``step(rhs, t, h, y, f, rtol, atol)``, the function returned, makes one
     attempted step from the state ``y`` with slope ``f`` (sequences of
-    floats), keeping every stage value in a float local; the stage sums, the
-    error estimators and the dense-output rows are unrolled over the nonzero
-    tableau entries and summed left to right, as in Hairer's code.  It
-    returns ``(err, y_new, f_new, q)``: the error norm and, on acceptance
-    (err <= 1), the new state, the slope there (the next step's first stage)
-    and the 7*dim monomial coefficients of the interpolant, component by
-    component; on rejection the last three are None.  A right-hand side
-    that raises, or a non-finite stage or new state, gives err = inf.
+    floats), keeping every stage value in a float local; the stage sums and
+    the error estimators are unrolled over the nonzero tableau entries and
+    summed left to right, as in Hairer's code.  It returns
+    ``(err, y_new, f_new, stages)``: the error norm and, on acceptance
+    (err <= 1), the new state, the slope there (the next step's first
+    stage) and the 12*dim values of the stages ``_DENSE_STAGES``, stage by
+    stage, that ``_interpolants`` turns into the step's interpolant; on
+    rejection the last three are None.  A right-hand side that raises, or a
+    non-finite stage or new state, gives err = inf.
 
     Each stage calls ``rhs(t, state)``, unless ``kernel`` is the text of
     ``rhs``, a system's kernel over ("t", names): then each stage is that
@@ -589,44 +608,73 @@ def _stepper(dim: int, kernel: KernelText | None = None):
         all_finite([f"k{s}_{i}" for s in range(12, 16) for i in comps]),
         reject,
     ]
-    for i in comps:
-        lines += [
-            f"    F0_{i} = n_{i} - y_{i}",
-            f"    F1_{i} = h*k0_{i} - F0_{i}",
-            f"    F2_{i} = 2.0*F0_{i} - h*(k0_{i} + k12_{i})",
-            *(f"    F{3 + r}_{i} = h*({row(d, i)})" for r, d in enumerate(_D)),
-        ]
-    q = [
-        _terms(_MONOMIAL[:, j], [f"F{r}_{i}" for r in range(_DEGREE)])
-        for i in comps
-        for j in range(_DEGREE)
-    ]
-    lines.append(f"    return err, {new}, {tup(f'k12_{i}' for i in comps)}, {tup(q)}")
+    stages = tup(f"k{s}_{i}" for s in _DENSE_STAGES for i in comps)
+    lines.append(f"    return err, {new}, {tup(f'k12_{i}' for i in comps)}, {stages}")
     name = f"<DOP853 step, dim {dim}>" if kernel is None else f"<DOP853 step, dim {dim}, kernel inlined>"
     namespace = dict(_STEP_NAMES)
     exec(compile("\n".join(lines) + "\n", name, "exec"), namespace)
     return namespace["step"]
 
 
-@functools.lru_cache(maxsize=None)
-def _scan(floored: tuple[int, ...]):
-    """``scan(x_min, y, y_new, q)``: whether the components ``floored`` of a step go below x_min.
+def _sum(coeffs, values):
+    """sum(c * value) over the nonzero coefficients, left to right: the arithmetic of ``_terms``'s source.
 
-    It compares ``y_new``, then the states at ``_SCAN_AT`` of the step by
-    Horner's rule on ``y`` and ``step``'s coefficients ``q``, in that order.
+    ``a - |c|*v`` is ``a + c*v`` and ``-|c|*v`` is ``c*v`` in IEEE arithmetic, and
+    ``1.0*v`` is ``v``, so each sum is the same float.
     """
+    total = None
+    for c, value in zip(coeffs.tolist(), values):
+        if c:
+            term = value if c == 1.0 else c * value
+            total = term if total is None else total + term
+    return total
 
-    def horner(i, th):
-        src = f"q[{_DEGREE * i + _DEGREE - 1}]"
+
+def _interpolants(h, y, y_new, stages) -> np.ndarray:
+    """Monomial coefficients of n accepted steps' interpolants, as an (n, dim, 7) array.
+
+    The steps run along the last axis of each argument: ``h`` holds their
+    sizes, ``y`` and ``y_new`` (dim, n) the states at their starts and ends,
+    and ``stages`` (12, dim, n) the values of the stages ``_DENSE_STAGES``
+    that each step returned.  The rows F0..F6 and their monomial sums take
+    the operations of their ``_terms`` source in its order, so each
+    coefficient is the float that source gives on Python floats; like those
+    floats, they overflow to inf without a warning.
+    """
+    k0, k12 = stages[0], stages[_DENSE_STAGES.index(12)]
+    with np.errstate(all="ignore"):
+        f0 = y_new - y
+        rows = [f0, h * k0 - f0, 2.0 * f0 - h * (k0 + k12)]
+        # F3..F6 at once: each stage times its column of _D, summed in stage order
+        products = _D[:, _DENSE_STAGES, None, None] * stages
+        total = products[:, 0]
+        for j in range(1, len(_DENSE_STAGES)):
+            total = total + products[:, j]
+        rows += list(h * total)
+        return np.stack([_sum(_MONOMIAL[:, j], rows) for j in range(_DEGREE)], axis=-1).transpose(1, 0, 2)
+
+
+def _scan_states(q, y) -> np.ndarray:
+    """The states at th = ``_SCAN_AT`` of steps with coefficients ``q`` from ``y``, shape (3, n, dim).
+
+    Horner's rule over ``q`` (n, dim, 7), the read the floor scan makes.
+    """
+    th = np.array(_SCAN_AT)[:, None, None]
+    with np.errstate(all="ignore"):
+        total = q[..., _DEGREE - 1]
         for j in reversed(range(_DEGREE - 1)):
-            src = f"q[{_DEGREE * i + j}] + {th!r}*({src})"
-        return f"y[{i}] + {th!r}*({src})"
+            total = q[..., j] + th * total
+        return y + th * total
 
-    values = [f"y_new[{i}]" for i in floored] + [horner(i, th) for th in _SCAN_AT for i in floored]
-    source = "def scan(x_min, y, y_new, q):\n    return " + " or ".join(f"{v} < x_min" for v in values)
-    namespace: dict = {}
-    exec(compile(source + "\n", f"<floor scan of {floored}>", "exec"), namespace)
-    return namespace["scan"]
+
+def _first_below(q, y, floored, x_min) -> int | None:
+    """The index of the first step whose components ``floored`` go below x_min at ``_SCAN_AT``, or None.
+
+    ``q`` (n, dim, 7) and ``y`` (n, dim) are the steps' coefficients and starting states.
+    """
+    cols = list(floored)
+    below = (_scan_states(q[:, cols], y[:, cols]) < x_min).any(axis=(0, 2))
+    return int(np.argmax(below)) if below.any() else None
 
 
 def _inlined_step(dim: int, parts):
@@ -655,7 +703,8 @@ def integrate(
     A floored component (``ODESystem.floored``) below ``settings.x_min``
     and step-size underflow are reported through the trajectory status so
     callers always get the prefix that was computed.  Returned states are
-    always finite.
+    always finite.  The interpolants are built, and their interiors
+    scanned against the floor, ``_BLOCK`` accepted steps at a time.
     """
     settings = settings or IntegrationSettings()
     t0, t1 = finite_interval(interval)
@@ -667,13 +716,40 @@ def integrate(
     y = tuple(y.tolist())
     rhs, floored, x_min = sys.rhs, sys.floored, settings.x_min
 
-    times = [t0]
-    states = [y]
-    dense = []
-    steps = []
+    times, states, steps = [t0], [y], []
+    dense = [np.empty((0, sys.dim, _DEGREE))]  # the interpolants built so far, a block at a time
+    pending = []  # the stage values (``_DENSE_STAGES``) of the steps whose interpolants are not built
+
+    def settle():
+        """Build the pending steps' interpolants and scan their interiors against the floor.
+
+        Returns the guard message of the first step whose interior goes
+        below it, after discarding that step and every later one, or None.
+        """
+        n = len(pending)
+        if not n:
+            return None
+        ys = np.array(states[-n - 1 :])
+        flat = np.fromiter(itertools.chain.from_iterable(pending), float, n * len(_DENSE_STAGES) * sys.dim)
+        pending.clear()
+        stages = np.ascontiguousarray(flat.reshape(n, -1).T).reshape(len(_DENSE_STAGES), sys.dim, n)
+        nodes = np.ascontiguousarray(ys.T)
+        q = _interpolants(np.array(steps[-n:]), nodes[:, :-1], nodes[:, 1:], stages)
+        dense.append(q)
+        first = _first_below(q, ys[:-1], floored, x_min) if floored else None
+        if first is None:
+            return None
+        k = len(steps) - n + first
+        end = times[k + 1]
+        del times[k + 1 :], states[k + 1 :], steps[k:]
+        dense[-1] = q[:first]
+        return f"guard fired within step ending t={end!r}"
 
     def done(status, message=""):
-        return Trajectory(times, states, dense, steps, sys, status, message)
+        stop = settle()
+        if stop is not None:
+            status, message = GUARD_STOP, stop
+        return Trajectory(times, states, np.concatenate(dense), steps, sys, status, message)
 
     if any(y[i] < x_min for i in floored):
         return done(GUARD_STOP, f"guard fired at initial state t={t0!r}")
@@ -690,12 +766,12 @@ def integrate(
     h = _initial_step(rhs, t0, y, f, t1, rtol, atol)
     facold = 1e-4
     rejected = False
-    step, scan = sys.step, _scan(floored) if floored else None
+    step, block = sys.step, _BLOCK
     # the loop's constants and calls as locals; each min/max is written out
     # as the conditional expression that returns what min/max would
     isfinite, expo, beta, safety = math.isfinite, _EXPO, _BETA, _SAFETY
     fac_lo, fac_hi = 1 / _MAX_FACTOR, 1 / _MIN_FACTOR
-    add_time, add_state, add_dense, add_step = times.append, states.append, dense.append, steps.append
+    add_time, add_state, add_pending, add_step = times.append, states.append, pending.append, steps.append
 
     for _ in range(settings.max_steps):
         if t >= t1:
@@ -707,7 +783,7 @@ def integrate(
         if rest < h:
             h = rest
 
-        err_norm, y_new, f_new, q = step(rhs, t, h, y, f, rtol, atol)
+        err_norm, y_new, f_new, stages = step(rhs, t, h, y, f, rtol, atol)
         if not (err_norm <= 1.0):
             # reject
             fac = (err_norm**expo if isfinite(err_norm) else 10.0) / safety
@@ -715,14 +791,18 @@ def integrate(
             rejected = True
             continue
 
-        # accepted: floor scan over the step before committing it
-        if scan is not None and scan(x_min, y, y_new, q):
-            return done(GUARD_STOP, f"guard fired within step ending t={t + h!r}")
+        # accepted: the step's end against the floor before committing it;
+        # its interior is scanned with its block, by ``settle``
+        for i in floored:
+            if y_new[i] < x_min:
+                return done(GUARD_STOP, f"guard fired within step ending t={t + h!r}")
 
         add_time(t + h)
         add_state(y_new)
-        add_dense(q)
+        add_pending(stages)
         add_step(h)
+        if len(pending) == block and (stop := settle()):
+            return done(GUARD_STOP, stop)
         t = t + h
         y = y_new
         f = f_new  # FSAL

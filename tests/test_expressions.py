@@ -746,14 +746,13 @@ def test_a_kernel_keeps_the_order_of_its_walk(compiled):
         "        v1 = exp(v0)\n"
         "        v2 = a1_0 * v1\n"
         "        if not (v2 > 0.0): fail(POSITIVE, k27, v2)\n"
-        "        v3 = v2\n"
-        "        v4 = v1 / a1_1\n"
-        "        v5 = float(k28.jet([a0], k29)[k29, 0])\n"
-        "        v6 = fail(UNBOUND, k30)\n"
-        "        v7 = v5 * v6\n"
-        "        v8 = v4 + v7\n"
-        "        v9 = v1 - k31\n"
-        "        if isfinite(v0 + v2 + v8 + v9): return (v8, v9, )\n"
+        "        v3 = v1 / a1_1\n"
+        "        v4 = float(k28.jet([a0], k29)[k29, 0])\n"
+        "        v5 = fail(UNBOUND, k30)\n"
+        "        v6 = v4 * v5\n"
+        "        v7 = v3 + v6\n"
+        "        v8 = v1 - k31\n"
+        "        if isfinite(v0 + v2 + v7 + v8): return (v7, v8, )\n"
         "    except SIGNALLED:\n"
         "        pass\n"
         "    return fallback(a0, a1)\n"

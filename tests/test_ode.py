@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -483,23 +484,50 @@ def assert_close(actual, expected, magnitude):
     assert np.all(gap <= 1e-13 * magnitude)
 
 
+def interpolant(h, y, y_new, stages) -> np.ndarray:
+    """The 7*dim interpolant coefficients of one accepted step, from the stage values it returned."""
+    dim = len(y)
+    y, y_new, stages = np.reshape(y, (dim, 1)), np.reshape(y_new, (dim, 1)), np.reshape(stages, (-1, dim, 1))
+    return ode._interpolants(np.array([h]), y, y_new, stages).ravel()
+
+
+def float_rows(h, y, y_new, stages) -> tuple:
+    """One component's 7 coefficients as Python floats: the ``_terms`` source of its F and q rows, run.
+
+    ``stages`` are that component's values of the stages ``_DENSE_STAGES``;
+    this per-step float code is what the pass must reproduce bit for bit.
+    """
+    lines = [
+        "F0 = n - y",
+        "F1 = h*k0 - F0",
+        "F2 = 2.0*F0 - h*(k0 + k12)",
+        *(f"F{3 + r} = h*({ode._terms(d, [f'k{j}' for j in range(16)])})" for r, d in enumerate(ode._D)),
+        "q = (" + ", ".join(ode._terms(ode._MONOMIAL[:, j], [f"F{r}" for r in range(7)]) for j in range(7)) + ")",
+    ]
+    env = {"h": h, "y": y, "n": y_new, **{f"k{s}": k for s, k in zip(ode._DENSE_STAGES, stages)}}
+    exec("\n".join(lines), env)
+    return env["q"]
+
+
 class TestGeneratedStep:
     @pytest.mark.parametrize("dim", [1, 2, 3, 4])
     def test_matches_numpy_reference(self, dim):
+        # the step returns the stage values its interpolant reads, and the
+        # interpolant pass turns them into the reference's coefficients
         t, h, rtol, atol = 0.3, 0.2, 1e-8, 1e-10
         y = tuple(0.4 + 0.3 * i for i in range(dim))
         rhs = coupled(dim).rhs
         f = rhs(t, y)
         step = ode._stepper(dim)
-        err, y_new, f_new, q = step(rhs, t, h, y, f, rtol, atol)
+        err, y_new, f_new, stages = step(rhs, t, h, y, f, rtol, atol)
         ref, K = reference_step(rhs, t, h, y, f, rtol, atol)
         err_mag, q_mag = term_magnitudes(h, y, K, rtol, atol)
         assert err <= 1.0
         assert_close(err, ref[0], err_mag)
         assert_close(y_new, ref[1], np.abs(ref[1]))
         assert_close(f_new, ref[2], np.abs(ref[2]))
-        assert len(q) == 7 * dim
-        assert_close(q, ref[3], q_mag)
+        assert len(stages) == 12 * dim
+        assert_close(interpolant(h, y, y_new, stages), ref[3], q_mag)
 
     @pytest.mark.parametrize("dim", [1, 4])
     def test_rejected_attempt_returns_only_the_error(self, dim):
@@ -514,39 +542,80 @@ class TestGeneratedStep:
         assert_close(err, ref[0], term_magnitudes(h, y, K, rtol, atol)[0])
         assert rest == [None, None, None]
 
+    @pytest.mark.parametrize("scale", [1.0, 1e306], ids=["random", "overflowing"])
+    def test_the_pass_is_the_float_arithmetic_bit_for_bit(self, scale):
+        rng = np.random.default_rng(17)
+        n, dim = 40, 3
+        h = rng.uniform(0.01, 2.0, n)
+        y, y_new = (scale * rng.uniform(-1.0, 1.0, (n, dim)) for _ in range(2))
+        stages = scale * rng.standard_normal((n, 12, dim))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # floats overflow to inf silently, and so must the pass
+            q = ode._interpolants(h, y.T, y_new.T, stages.transpose(1, 2, 0))
+        expected = np.array(
+            [
+                [float_rows(*(a.item() for a in (h[i], y[i, c], y_new[i, c])), stages[i, :, c].tolist()) for c in range(dim)]
+                for i in range(n)
+            ]
+        )
+        assert np.isinf(q).any() == (scale > 1.0)
+        assert np.array_equal(q, expected, equal_nan=True)
+        ok = ~np.isnan(expected)
+        assert q[ok].tobytes() == expected[ok].tobytes()  # the sign of every zero too
+
     def test_scan_matches_the_dense_output(self):
-        # the floor is compared with the end of the step, then with the
-        # states that sample() interpolates at th = 1/4, 1/2, 3/4
+        # the floor scan reads the states that sample() interpolates at th = 1/4, 1/2, 3/4
         tr = integrate(coupled(3), (0.4, 0.7, 1.0), (0.0, 1.0))
-        floor = Floor()
-        t, h = tr.times[0], tr.times[1] - tr.times[0]
-        y, y_new = tuple(tr.states[0]), tuple(tr.states[1])
-        assert ode._scan((0, 1, 2))(floor, y, y_new, tuple(tr._dense[0].ravel())) is False
-        assert floor.seen[:3] == list(y_new)
-        for th, state in zip(ode._SCAN_AT, np.reshape(floor.seen[3:], (3, 3))):
-            assert_close(state, tr.sample(t + th * h), np.abs(state))
+        t, h = tr.times[:-1], np.diff(tr.times)
+        scanned = ode._scan_states(tr._dense, tr.states[:-1])
+        for th, states in zip(ode._SCAN_AT, scanned):
+            assert_close(states, tr.sample(t + th * h), np.abs(states))
 
     def test_scan_reads_only_the_floored_components(self):
-        floor = Floor()
-        q = (1.0,) + (0.0,) * 6 + (2.0,) + (0.0,) * 6
-        assert ode._scan((1,))(floor, (-5.0, 0.0), (-5.0, 2.0), q) is False
-        assert floor.seen == [2.0, 0.5, 1.0, 1.5]
+        # v = -sin t falls to -1 while the floored x = 2 + cos t stays at or above 1
+        sys = ODESystem(("v", "x"), (const(2.0) - X, V), domain=(X,))
+        assert sys.floored == (1,)
+        tr = integrate(sys, (0.0, 3.0), (0.0, 10.0), IntegrationSettings(x_min=0.5))
+        assert (tr.status, tr.t_end) == (COMPLETED, 10.0)
+        assert np.min(tr.states[:, 0]) < -0.99
+        assert integrate(sys, (0.0, 3.0), (0.0, 10.0), IntegrationSettings(x_min=1.5)).status == GUARD_STOP
 
     @pytest.mark.parametrize("fires", range(4))
     def test_scan_stops_at_the_first_guard_that_fires(self, fires):
-        floor = Floor(fires)
-        assert ode._scan((0,))(floor, (0.0,), (1.0,), (1.0,) + (0.0,) * 6) is True
-        assert floor.seen == [1.0, *ode._SCAN_AT][: fires + 1]
+        # of four steps from x = 1, step ``fires`` and every later one dips
+        # to 0 at th = 1/4, 1/2 or 3/4; the scan names the first of them
+        q, y = np.zeros((4, 2, 7)), np.ones((4, 2))
+        y[:, 0] = -1.0  # below the floor, but not floored
+        for k in range(fires, 4):
+            th = ode._SCAN_AT[k % 3]
+            q[k, 1, :2] = -2.0 / th, 1.0 / th**2  # x = (1 - th/th_k)^2
+        assert ode._first_below(q, y, (1,), 0.5) == fires
+        assert ode._first_below(q, y, (1,), 0.0) is None
+
+    @pytest.mark.parametrize("check", range(4), ids=["end", "th=1/4", "th=1/2", "th=3/4"])
+    @pytest.mark.parametrize("where", ["in the first block", "at a block's last step", "past the first block"])
+    def test_a_guard_cuts_the_run_at_its_step(self, where, check, descent, monkeypatch):
+        # the first value below the floor is step k's end or its state at one
+        # th; an interior is scanned with its block, so the run goes on to the
+        # block's end or its own, then stops with step k's message
+        ref, floors = descent
+        cases = [(k, x_min) for (k, c), x_min in floors.items() if c == check]
+        if where == "in the first block":
+            k, x_min = next((k, x_min) for k, x_min in cases if 0 < k < ode._BLOCK - 1)
+        elif where == "at a block's last step":
+            k, x_min = next((k, x_min) for k, x_min in cases if k > 2)
+            monkeypatch.setattr(ode, "_BLOCK", next(d for d in range(2, k + 2) if (k + 1) % d == 0))
+        else:
+            k, x_min = next((k, x_min) for k, x_min in cases if k > ode._BLOCK)
+        assert_cut(integrate(DESCENT, (10.0,), (0.0, 60.0), IntegrationSettings(x_min=x_min)), ref, k)
 
     def test_generated_once_per_dimension(self):
         # the calling step once per dimension, the step with a kernel
-        # inlined once per kernel text, so systems of one shape share its
-        # code, and the floor scan once per set of floored components
+        # inlined once per kernel text, so systems of one shape share its code
         code = ode._stepper(3)
         coupled(3).step  # builds the step of coupled(3)'s kernel, if no test has
         pinney_type(1.0).step  # and of pinney_type's
-        scan = ode._scan((0,))
-        before, scans = ode._stepper.cache_info(), ode._scan.cache_info()
+        before = ode._stepper.cache_info()
         systems = (coupled(3), coupled(3))
         for sys, y0 in zip(systems, ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0))):
             integrate(sys, y0, (0.0, 1.0))
@@ -559,20 +628,39 @@ class TestGeneratedStep:
         assert systems[0].step.__code__ is systems[1].step.__code__
         assert systems[0].step.__code__ is not code.__code__
         assert ode._stepper(2) is not code
-        assert ode._scan((0,)) is scan
-        assert ode._scan.cache_info().misses == scans.misses
-        assert ode._scan.cache_info().hits == scans.hits + 3  # the two integrations and the read above
 
 
-class Floor:
-    """An ``x_min`` that records each value a scan compares with it and fires at the ``fires``-th."""
+# x = 9 + cos 3t - 0.05 t: each minimum is lower than the one before, so a
+# floor just above one is first passed within the step that holds it
+DESCENT = ODESystem(("x",), (const(-3.0) * sin(const(3.0) * var("t")) - const(0.05),), domain=(X,))
 
-    def __init__(self, fires: int = -1):
-        self.fires, self.seen = fires, []
 
-    def __gt__(self, value):  # ``value < floor`` asks the floor, as float does not know it
-        self.seen.append(value)
-        return len(self.seen) == self.fires + 1
+@pytest.fixture(scope="module")
+def descent():
+    """DESCENT's unguarded run over [0, 60] and the floors that stop it first at one check of one step.
+
+    The floors map (k, c) to a floor between the value of step k at check
+    c (0 its end, 1-3 th = 1/4, 1/2, 3/4) and every other value the run
+    checks up to that step: the initial state, and each end and scanned state.
+    """
+    ref = integrate(DESCENT, (10.0,), (0.0, 60.0), IntegrationSettings(x_min=0.0))
+    assert ref.status == COMPLETED and len(ref.times) > ode._BLOCK + 20
+    inner = ode._scan_states(ref._dense, ref.states[:-1])[:, :, 0].T
+    values = np.column_stack([ref.states[1:, 0], inner])
+    floors = {}
+    for k, row in enumerate(values):
+        for c, value in enumerate(row):
+            lowest = min(ref.states[0, 0], values[:k].min(initial=np.inf), np.delete(row, c).min())
+            if value < lowest:
+                floors[k, c] = float(value + lowest) / 2
+    return ref, floors
+
+
+def assert_cut(tr, ref, k):
+    """``tr`` is ``ref`` cut by the guard at step k: everything before the step, and its end in the message."""
+    assert (tr.status, tr.message) == (GUARD_STOP, f"guard fired within step ending t={ref.times.tolist()[k + 1]!r}")
+    assert np.array_equal(tr.times, ref.times[: k + 1]) and np.array_equal(tr.states, ref.states[: k + 1])
+    assert np.array_equal(tr._dense, ref._dense[:k])
 
 
 def numpy_initial_step(rhs, t0, y0, f0, t1, rtol, atol):
